@@ -15,7 +15,6 @@ from .bounds import (
     constant_tag,
     convergence_predicate,
     corollary_constant,
-    phi_tilde,
     phi_tilde_norm,
 )
 from .direct_method import (
@@ -23,6 +22,7 @@ from .direct_method import (
     Scheme,
     additive_limit_check,
     approximate,
+    approximate_points,
     backward,
     forward,
     orbit_term,
@@ -37,8 +37,6 @@ from .inequality import (
     RhoParams,
     admissible,
     defect,
-    defect_a,
-    defect_b,
     measure_envelope,
 )
 from .model import (
@@ -50,7 +48,7 @@ from .model import (
     load_test_function,
     scalar_offset_function,
 )
-from .space import NormedSpace, SamplePlan, draw_samples, norm_of
+from .space import NormedSpace, SamplePlan, draw_samples
 
 __version__ = "0.1.0"
 
@@ -60,10 +58,10 @@ __all__ = [
     "NormedSpace", "Perturbation", "PhiTilde", "RhoParams", "RunReport",
     "SamplePlan", "Scheme", "SeriesSpec", "TestFunction",
     "additive_limit_check", "additivity_defect", "admissible", "approximate",
-    "audit", "backward", "build_experiment", "constant_tag",
-    "convergence_predicate", "corollary_constant", "defect", "defect_a",
-    "defect_b", "draw_samples", "evaluate", "forward", "load_test_function",
-    "measure_envelope", "norm_of", "orbit_term", "phi_tilde", "phi_tilde_norm",
+    "approximate_points", "audit", "backward", "build_experiment", "constant_tag",
+    "convergence_predicate", "corollary_constant", "defect", "draw_samples",
+    "evaluate", "forward", "load_test_function", "measure_envelope",
+    "orbit_term", "phi_tilde_norm",
     "run_sweep", "run_verify", "scalar_offset_function",
     "uniqueness_crosscheck", "write_report",
 ]

@@ -32,19 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct_method import Scheme
+from .direct_method import Scheme, approximate_points
 from .errors import (
     DegenerateScaleError,
     DivergentSeriesError,
     FamilyError,
     InadmissibleError,
-    NotConvergedError,
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import MeasuredEnvelope, RhoParams
-from .model import TestFunction, evaluate
-from .space import NormedSpace
+from .inequality import MeasuredEnvelope, RhoParams, shell_index
+from .model import TestFunction
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
 
@@ -118,8 +116,7 @@ class ControlFunction:
         if self.kind == "tabulated":
             if s <= self.edges[0] or s > self.edges[-1]:
                 raise _CoverageMiss(s)
-            idx = int(np.searchsorted(self.edges, s, side="left")) - 1
-            return float(self.values[min(max(idx, 0), len(self.values) - 1)])
+            return float(self.values[shell_index(self.edges, s)])
         return self.envelope.component_value(s)
 
     def evaluate_norms(self, nx: float, ny: float, nz: float) -> float:
@@ -128,9 +125,6 @@ class ControlFunction:
         if self.kind == "power":
             return self.theta * (_pw(nx, self.r) + _pw(ny, self.r) + _pw(nz, self.r))
         return self._component(nx) + self._component(ny) + self._component(nz)
-
-    def evaluate(self, space: NormedSpace, x, y, z) -> float:
-        return self.evaluate_norms(space.norm(x), space.norm(y), space.norm(z))
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,6 @@ class SeriesSpec:
     rho2_abs: float
     alpha: float
     trunc_terms: int = DEFAULT_TRUNC_TERMS
-    tail_mode: str = "geometric"
     printed_display: bool = False
     rho1_abs: float = 0.0
 
@@ -165,8 +158,6 @@ class SeriesSpec:
             raise ValueError("alpha must be nonzero")
         if self.rho2_abs < 0 or self.rho1_abs < 0:
             raise ValueError("rho moduli must be nonnegative")
-        if self.tail_mode not in ("geometric", "none"):
-            raise ValueError("tail_mode must be 'geometric' or 'none'")
 
 
 @dataclass(frozen=True)
@@ -186,31 +177,21 @@ def _series_term(control: ControlFunction, nx: float, spec: SeriesSpec, i: int) 
     """The i-th series term for a query point of norm nx."""
     p2 = spec.rho2_abs
     L = abs(spec.scheme.scale)
+    forward = spec.scheme.direction == "forward"
+    printed = spec.printed_display and forward
+    s, weight = ((L ** i) * nx, L ** -(i + 1)) if forward else (nx / L ** (i + 1), L ** i)
     if spec.family == "A":
-        w2 = 2.0 * p2 / (1.0 - p2)
-        a = abs(spec.alpha)
-        if spec.scheme.direction == "forward":
-            s = (2.0 ** i) * nx
-            third = s if spec.printed_display else s / a
-            return 2.0 ** -(i + 1) / (2.0 - p2) * (
-                control.evaluate_norms(s, s, 0.0) + w2 * control.evaluate_norms(0.0, 0.0, third)
-            )
-        s = nx / 2.0 ** (i + 1)
-        return 2.0 ** i / (2.0 - p2) * (
-            control.evaluate_norms(s, s, 0.0) + w2 * control.evaluate_norms(0.0, 0.0, s / a)
-        )
-    pref = 1.0 / (1.0 - (spec.rho1_abs if (spec.printed_display and
-                                           spec.scheme.direction == "forward") else p2))
-    if spec.scheme.direction == "forward":
-        s = (L ** i) * nx
-        return (L ** -(i + 1)) * pref * control.evaluate_norms(s, s, 0.0)
-    s = nx / L ** (i + 1)
-    return (L ** i) * pref * control.evaluate_norms(s, s, 0.0)
+        third = s if printed else s / abs(spec.alpha)
+        return weight / (2.0 - p2) * (control.evaluate_norms(s, s, 0.0) + 2.0 * p2 / (1.0 - p2)
+                                      * control.evaluate_norms(0.0, 0.0, third))
+    pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
+    return weight * pref * control.evaluate_norms(s, s, 0.0)
 
 
-def _power_ratio(spec: SeriesSpec, r: float) -> float:
-    L = abs(spec.scheme.scale)
-    return L ** (r - 1.0) if spec.scheme.direction == "forward" else L ** (1.0 - r)
+def _term_ratio(scheme: Scheme, r: float) -> float:
+    """Ratio of consecutive power-control series terms."""
+    L = abs(scheme.scale)
+    return L ** (r - 1.0) if scheme.direction == "forward" else L ** (1.0 - r)
 
 
 def _check_prefactors(spec: SeriesSpec):
@@ -233,7 +214,7 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
     if control.kind == "power":
         if nx == 0.0 and control.r < 0:
             raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
-        ratio = _power_ratio(spec, control.r)
+        ratio = _term_ratio(spec.scheme, control.r)
         if control.theta > 0.0 and nx > 0.0 and ratio >= 1.0:
             raise DivergentSeriesError(
                 f"divergent: series term ratio {ratio:.6g} >= 1 for r = {control.r}"
@@ -241,11 +222,9 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
         value = 0.0
         for i in range(spec.trunc_terms):
             value += _series_term(control, nx, spec, i)
-        if spec.tail_mode == "geometric":
-            tail = (_series_term(control, nx, spec, spec.trunc_terms) / (1.0 - ratio)
-                    if ratio < 1.0 else 0.0)
-            return PhiTilde(value, tail, spec.trunc_terms)
-        return PhiTilde(value, None, spec.trunc_terms)
+        tail = (_series_term(control, nx, spec, spec.trunc_terms) / (1.0 - ratio)
+                if ratio < 1.0 else 0.0)
+        return PhiTilde(value, tail, spec.trunc_terms)
     # tabulated / measured: sum until coverage runs out; no closed tail.
     value = 0.0
     terms = 0
@@ -258,12 +237,6 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
             break
         terms += 1
     return PhiTilde(value, None, terms, coverage_truncated=truncated)
-
-
-def phi_tilde(control: ControlFunction, space: NormedSpace, x,
-              spec: SeriesSpec) -> PhiTilde:
-    """Series bound at a vector query point."""
-    return phi_tilde_norm(control, space.norm(x), spec)
 
 
 def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
@@ -334,16 +307,11 @@ def convergence_predicate(scheme: Scheme, r: float) -> ConvergenceVerdict:
     ratio is returned alongside the verdict; a boundary ratio of exactly 1
     counts as divergent.
     """
-    L = abs(scheme.scale)
-    if L == 1.0:
+    if abs(scheme.scale) == 1.0:
         raise DegenerateScaleError("degenerate-scale: |scale| = 1")
-    if scheme.direction == "forward":
-        ratio = L ** (r - 1.0)
-        condition = f"|scale|^(r-1) = {ratio:.6g} < 1"
-    else:
-        ratio = L ** (1.0 - r)
-        condition = f"|scale|^(1-r) = {ratio:.6g} < 1"
-    return ConvergenceVerdict(ratio < 1.0, ratio, condition)
+    ratio = _term_ratio(scheme, r)
+    exponent = "r-1" if scheme.direction == "forward" else "1-r"
+    return ConvergenceVerdict(ratio < 1.0, ratio, f"|scale|^({exponent}) = {ratio:.6g} < 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,14 +366,23 @@ def constant_tag(family: str, direction: str) -> str:
 
 def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
           control: ControlFunction, points, tol: float = 1e-9,
-          trunc_terms: int = DEFAULT_TRUNC_TERMS) -> BoundAudit:
+          trunc_terms: int = DEFAULT_TRUNC_TERMS, max_n: int = 200) -> BoundAudit:
     """Cross-validate the closed-form constant against the series and data.
 
     Requires a power control; ``empirical_sup`` is max ||f(x) - A(x)|| /
-    ||x||^r over the supplied points, with A from ``approximate``.
+    ||x||^r over the supplied points, with A from ``approximate_points``.
     """
-    from .direct_method import approximate
+    deviations = ((f.space.norm(rep.point), dev)
+                  for rep, dev in approximate_points(f, points, scheme, tol, max_n=max_n))
+    return audit_deviations(params, scheme, control, deviations, trunc_terms=trunc_terms)
 
+
+def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction,
+                     deviations, trunc_terms: int = DEFAULT_TRUNC_TERMS) -> BoundAudit:
+    """``audit`` on ``(||x||, ||f(x) - A(x)||)`` pairs already computed.
+
+    The constants are evaluated before ``deviations`` is iterated.
+    """
     if control.kind != "power":
         raise ValueError("audit requires a power control")
     which = constant_tag(params.family, scheme.direction)
@@ -426,14 +403,9 @@ def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
 
     sup = 0.0
     count = 0
-    for x in points:
-        rep = approximate(f, x, scheme, tol)
-        if not rep.converged:
-            raise NotConvergedError("not-converged: audit point failed to converge")
-        nx = f.space.norm(rep.point)
+    for nx, dev in deviations:
         if nx == 0.0:
             continue
-        dev = f.space.norm(evaluate(f, rep.point) - rep.value)
         sup = max(sup, dev / nx**r)
         count += 1
 

@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 
-from . import bounds, harness, inequality, model
-from .direct_method import approximate as _approximate
+from . import bounds, direct_method, harness, inequality
 from .errors import JensenLabError
 from .space import draw_samples
 
@@ -39,12 +38,9 @@ def _load_config(path: str) -> dict:
 
 def _apply_overrides(doc: dict, args) -> dict:
     doc = dict(doc)
-    if getattr(args, "seed", None) is not None:
-        doc.setdefault("plan", {})
-        doc["plan"] = {**doc["plan"], "seed": args.seed}
-    if getattr(args, "points", None) is not None:
-        doc.setdefault("plan", {})
-        doc["plan"] = {**doc["plan"], "count": args.points}
+    for flag, key in (("seed", "seed"), ("points", "count")):
+        if getattr(args, flag, None) is not None:
+            doc["plan"] = {**doc.get("plan", {}), key: getattr(args, flag)}
     if getattr(args, "force", False):
         doc["force"] = True
     return doc
@@ -58,24 +54,14 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_check_params(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
-    cfg = harness.normalize_config(doc)
-    p = cfg["params"]
-    params = inequality.RhoParams(
-        family=p["family"],
-        rho1=model.complex_from_pair(p["rho1"]),
-        rho2=model.complex_from_pair(p["rho2"]),
-        alpha=float(p["alpha"]),
-        beta=None if p["beta"] is None else float(p["beta"]),
-    )
+def _cmd_check_params(args, doc: dict) -> int:
+    params = harness.rho_params(harness.normalize_config(doc))
     adm = inequality.admissible(params)
     print(("admissible" if adm else "inadmissible") + ": " + adm.detail)
     return EXIT_PASS if adm else EXIT_INADMISSIBLE
 
 
-def _cmd_defect(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+def _cmd_defect(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
     triples = draw_samples(exp.space, exp.plan, arity=3)
     samples = [inequality.defect(exp.f, x, y, z, exp.params) for x, y, z in triples]
@@ -91,12 +77,11 @@ def _cmd_defect(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_approximate(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+def _cmd_approximate(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    reports = [_approximate(exp.f, x, exp.scheme, exp.tol,
-                            max_n=int(exp.config["max_n"])) for x in pts]
+    reports = [rep for rep, _ in direct_method.approximate_points(
+        exp.f, pts, exp.scheme, exp.tol, max_n=int(exp.config["max_n"]), strict=False)]
     if args.format == "csv":
         header = ["index", "x_norm", "iterations", "converged", "last_residual"]
         rows = [{"index": i, "x_norm": exp.space.norm(r.point), "iterations": r.iterations,
@@ -111,8 +96,7 @@ def _cmd_approximate(args) -> int:
     return EXIT_PASS if bad == 0 else EXIT_INADMISSIBLE
 
 
-def _cmd_verify(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+def _cmd_verify(args, doc: dict) -> int:
     report = harness.run_verify(doc)
     _emit(harness.render_report(report, args.format), args.out)
     s = report.summary
@@ -122,17 +106,16 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if report.passed() else EXIT_VIOLATION
 
 
-def _cmd_audit(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+def _cmd_audit(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
-    ctrl_cfg = exp.config["control"]
-    if ctrl_cfg["kind"] != "power":
+    if exp.config["control"]["kind"] != "power":
         print("audit: config must declare a power control", file=sys.stderr)
         return EXIT_RUNTIME
-    control = bounds.ControlFunction.power(ctrl_cfg["theta"], ctrl_cfg["r"])
+    control, _ = harness._build_control(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    aud = bounds.audit(exp.f, exp.params, exp.scheme, control, pts,
-                       tol=exp.tol, trunc_terms=int(exp.config["trunc_terms"]))
+    aud = bounds.audit(exp.f, exp.params, exp.scheme, control, pts, tol=exp.tol,
+                       trunc_terms=int(exp.config["trunc_terms"]),
+                       max_n=int(exp.config["max_n"]))
     payload = aud.to_json_dict()
     if args.format == "csv":
         header = ["which", "theta", "r", "rho2", "alpha", "beta",
@@ -151,8 +134,7 @@ def _cmd_audit(args) -> int:
     return EXIT_PASS if verdicts["empirical_le_derived"] else EXIT_VIOLATION
 
 
-def _cmd_sweep(args) -> int:
-    doc = _apply_overrides(_load_config(args.config), args)
+def _cmd_sweep(args, doc: dict) -> int:
     rows = harness.run_sweep(doc)
     _emit(harness.render_sweep(rows, args.format), args.out)
     print(f"sweep: {len(rows)} cells", file=sys.stderr)
@@ -191,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _apply_overrides(_load_config(args.config), args))
     except JensenLabError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return _exit_code(e)

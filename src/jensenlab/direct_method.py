@@ -163,17 +163,31 @@ def approximate(f: TestFunction, x, scheme: Scheme, tol: float,
     return ConvergenceReport(arr, prev, max_n, residuals, _tail_estimate(residuals), False)
 
 
+def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
+                       max_n: int = 200, strict: bool = True):
+    """The approximation pass: yields ``(report, ||f(x) - A(x)||)`` per point,
+    in order, with A(x) = ``report.value``. The first point that does not
+    converge within ``max_n`` raises NotConvergedError; with ``strict=False``
+    it is yielded with deviation None instead.
+    """
+    for i, x in enumerate(points):
+        rep = approximate(f, x, scheme, tol, max_n=max_n)
+        if rep.converged:
+            yield rep, f.space.norm(evaluate(f, rep.point) - rep.value)
+        elif strict:
+            raise NotConvergedError(f"not-converged: point {i} did not converge within "
+                                    f"max_n under {scheme.label()}")
+        else:
+            yield rep, None
+
+
 def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs) -> float:
     """Max additivity defect ||A(x+y) - A(x) - A(y)|| of the approximant."""
     worst = 0.0
     for x, y in pairs:
-        ax = f.space.as_vector(x)
-        ay = f.space.as_vector(y)
-        reports = [approximate(f, p, scheme, tol) for p in (ax, ay, ax + ay)]
-        for rep, tag in zip(reports, ("x", "y", "x+y")):
-            if not rep.converged:
-                raise NotConvergedError(f"not-converged: approximate failed at {tag}")
-        worst = max(worst, f.space.norm(reports[2].value - reports[0].value - reports[1].value))
+        ax, ay = f.space.as_vector(x), f.space.as_vector(y)
+        (rx, _), (ry, _), (rxy, _) = approximate_points(f, (ax, ay, ax + ay), scheme, tol)
+        worst = max(worst, f.space.norm(rxy.value - rx.value - ry.value))
     return worst
 
 
@@ -181,12 +195,7 @@ def uniqueness_crosscheck(f: TestFunction, scheme1: Scheme, scheme2: Scheme,
                           points, tol: float) -> float:
     """Max pointwise disagreement between the two schemes' approximants."""
     worst = 0.0
-    for x in points:
-        rep1 = approximate(f, x, scheme1, tol)
-        if not rep1.converged:
-            raise NotConvergedError(f"not-converged: scheme {scheme1.label()}")
-        rep2 = approximate(f, x, scheme2, tol)
-        if not rep2.converged:
-            raise NotConvergedError(f"not-converged: scheme {scheme2.label()}")
+    for (rep1, _), (rep2, _) in zip(approximate_points(f, points, scheme1, tol),
+                                    approximate_points(f, points, scheme2, tol)):
         worst = max(worst, f.space.norm(rep1.value - rep2.value))
     return worst

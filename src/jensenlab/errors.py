@@ -65,6 +65,10 @@ class SingularPointError(JensenLabError):
     code = "singular-point"
 
 
+class UnknownKeyError(JensenLabError):
+    code = "unknown-key"
+
+
 class PairingError(JensenLabError):
     """Family/scheme combination that the harness refuses without --force."""
 

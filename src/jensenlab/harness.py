@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, inequality, model
-from .direct_method import Scheme, approximate
+from . import bounds, direct_method, inequality, model
+from .direct_method import Scheme, approximate  # noqa: F401 - harness.approximate stays public
 from .errors import (
     DivergentSeriesError,
     InadmissibleError,
     JensenLabError,
+    NotConvergedError,
     PairingError,
     StageFailure,
+    UnknownKeyError,
 )
 from .space import NormedSpace, SamplePlan, draw_samples
 
@@ -102,18 +104,22 @@ CONFIG_DEFAULTS = {
 }
 
 
-def _merge(defaults, given):
-    if isinstance(defaults, dict):
-        out = {}
-        for k, v in defaults.items():
-            out[k] = _merge(v, given.get(k)) if isinstance(given, dict) and k in given else \
-                (_merge(v, {}) if isinstance(v, dict) else v)
-        if isinstance(given, dict):
-            for k, v in given.items():
-                if k not in out:
-                    out[k] = v
-        return out
-    return given if given is not None else defaults
+#: Sections whose keys depend on a ``kind``; keys beyond the defaults pass
+#: through unchecked. Everywhere else an unknown key is rejected, except the
+#: top-level ``grid`` that sweeps read.
+_OPEN_SECTIONS = ("function", "control")
+
+
+def _merge(defaults, given, path=()):
+    if not isinstance(defaults, dict):
+        return given if given is not None else defaults
+    given = given if isinstance(given, dict) else {}
+    out = {k: _merge(v, given.get(k), path + (k,)) for k, v in defaults.items()}
+    open_section = bool(path) and path[0] in _OPEN_SECTIONS
+    for k in given:
+        if k not in out and not (open_section or (not path and k == "grid")):
+            raise UnknownKeyError(f"unknown-key: {'.'.join(path + (k,))} is not a config key")
+    return {**given, **out}
 
 
 def normalize_config(doc: dict) -> dict:
@@ -166,19 +172,24 @@ def _check_pairing(cfg: dict) -> bool:
     raise PairingError(f"pairing: {why} (use --force to override)")
 
 
-def build_experiment(doc: dict) -> Experiment:
-    cfg = normalize_config(doc)
-    forced = _check_pairing(cfg)
-    space = model.load_space(cfg["space"])
-    f = model.load_test_function(cfg["function"], space=space)
+def rho_params(cfg: dict) -> inequality.RhoParams:
+    """Inequality parameters of a normalized config."""
     p = cfg["params"]
-    params = inequality.RhoParams(
+    return inequality.RhoParams(
         family=p["family"],
         rho1=model.complex_from_pair(p["rho1"]),
         rho2=model.complex_from_pair(p["rho2"]),
         alpha=float(p["alpha"]),
         beta=None if p["beta"] is None else float(p["beta"]),
     )
+
+
+def build_experiment(doc: dict) -> Experiment:
+    cfg = normalize_config(doc)
+    forced = _check_pairing(cfg)
+    space = model.load_space(cfg["space"])
+    f = model.load_test_function(cfg["function"], space=space)
+    params = rho_params(cfg)
     scheme = Scheme(cfg["scheme"]["direction"], float(cfg["scheme"]["scale"]))
     plan = SamplePlan(seed=int(cfg["plan"]["seed"]), count=int(cfg["plan"]["count"]),
                       radius=float(cfg["plan"]["radius"]),
@@ -229,6 +240,59 @@ def _stage(name: str, fn):
         return fn()
     except JensenLabError as e:
         raise StageFailure(name, e) from e
+
+
+def _approximants(exp: Experiment, points) -> tuple[list, StageFailure | None]:
+    """The approximation pass over ``points``: the approximants before the
+    first failure, and that failure as the 'approximate' stage (None if there
+    is none). A point that does not converge makes the run divergent."""
+    done = []
+    try:
+        for a in direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
+                                                  max_n=int(exp.config["max_n"])):
+            done.append(a)
+    except NotConvergedError as e:
+        return done, StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
+    except JensenLabError as e:
+        return done, StageFailure("approximate", e)
+    return done, None
+
+
+def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, approximated: tuple):
+    """Per-point records of ||f - A|| against phi~ + tail, and the largest
+    violation ||f - A|| - phi~ - tail (0 when there are no points).
+
+    ``approximated`` comes from ``_approximants``; its failure is raised after
+    the points before it: phi~ fails at all points or none, so the stage that
+    fails is the one a point-by-point run would name.
+    """
+    approximants, failure = approximated
+    records = []
+    max_violation = float("-inf")
+    for rep, dev in approximants:
+        nx = exp.space.norm(rep.point)
+        pt = _stage("phi-tilde", lambda: bounds.phi_tilde_norm(control, nx, spec))
+        bound_total = pt.total()
+        records.append({
+            "x": model.pairs_from_vector(rep.point),
+            "x_norm": nx,
+            "deviation": dev,
+            "bound": bound_total,
+            "tail": "unavailable" if pt.tail is None else pt.tail,
+            "margin": bound_total - dev,
+            "iterations": rep.iterations,
+        })
+        max_violation = max(max_violation, dev - bound_total)
+    if failure is not None:
+        raise failure
+    return records, (max_violation if records else 0.0)
+
+
+def _audit(exp: Experiment, control, records: list) -> bounds.BoundAudit:
+    """The constant audit over the deviations that ``_check_points`` recorded."""
+    return bounds.audit_deviations(exp.params, exp.scheme, control,
+                                   [(p["x_norm"], p["deviation"]) for p in records],
+                                   trunc_terms=int(exp.config["trunc_terms"]))
 
 
 @dataclass(eq=False)
@@ -293,39 +357,15 @@ def run_verify(doc: dict) -> RunReport:
 
     spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    records = []
-    max_violation = float("-inf")
-    for i, x in enumerate(pts):
-        rep = _stage("approximate", lambda x=x: approximate(
-            exp.f, x, exp.scheme, exp.tol, max_n=int(exp.config["max_n"])))
-        if not rep.converged:
-            raise StageFailure("approximate", DivergentSeriesError(
-                f"divergent: point {i} did not converge within max_n"))
-        dev = exp.space.norm(model.evaluate(exp.f, rep.point) - rep.value)
-        pt = _stage("phi-tilde", lambda x=x: bounds.phi_tilde(control, exp.space, x, spec))
-        bound_total = pt.total()
-        records.append({
-            "x": model.pairs_from_vector(x),
-            "x_norm": exp.space.norm(x),
-            "deviation": dev,
-            "bound": bound_total,
-            "tail": "unavailable" if pt.tail is None else pt.tail,
-            "margin": bound_total - dev,
-            "iterations": rep.iterations,
-        })
-        max_violation = max(max_violation, dev - bound_total)
+    records, max_violation = _check_points(exp, control, spec, _approximants(exp, pts))
 
     audit_block = None
     if exp.config["audit"]:
         if control.kind != "power":
             raise StageFailure("audit", JensenLabError(
                 "audit blocks need a power-type control in the config"))
-        audit_block = _stage("audit", lambda: bounds.audit(
-            exp.f, exp.params, exp.scheme, control, pts, tol=exp.tol,
-            trunc_terms=int(exp.config["trunc_terms"]))).to_json_dict()
+        audit_block = _stage("audit", lambda: _audit(exp, control, records)).to_json_dict()
 
-    if not records:
-        max_violation = 0.0
     summary = {
         "count": len(records),
         "max_violation": max_violation,
@@ -376,9 +416,7 @@ def _axis_values(cfg: dict, axis: str):
     grid = cfg.get("grid", {})
     if axis in grid:
         return list(grid[axis])
-    if axis in ("rho1", "rho2"):
-        return [cfg["params"][axis]]
-    if axis in ("alpha", "beta"):
+    if axis in ("rho1", "rho2", "alpha", "beta"):
         return [cfg["params"][axis]]
     ctrl = cfg["control"]
     return [ctrl.get(axis if axis == "r" else "theta", 0.0 if axis == "theta" else 1.0)]
@@ -389,10 +427,12 @@ def run_sweep(doc: dict) -> list:
 
     The grid spans rho1, rho2 (complex as [re, im]), alpha, beta, theta, r;
     unspecified axes are pinned at the base config's value. Cells use a power
-    control built from (theta, r).
+    control built from (theta, r). The approximants depend on a cell only
+    through its scheme, so they are computed once per distinct scheme.
     """
     cfg = normalize_config(doc)
     axes = [_axis_values(cfg, a) for a in SWEEP_AXES]
+    approximated = {}  # Scheme -> _approximants(...) of the cells' shared points
     rows = []
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*axes):
         cell = {k: None for k in SWEEP_COLUMNS}
@@ -406,6 +446,7 @@ def run_sweep(doc: dict) -> list:
             "theta": float(theta), "r": float(r),
             "status": "ok",
         })
+        rows.append(cell)
         cell_doc = {
             **{k: v for k, v in cfg.items() if k != "grid"},
             "params": {**cfg["params"], "rho1": [z1.real, z1.imag],
@@ -413,7 +454,6 @@ def run_sweep(doc: dict) -> list:
                        "beta": None if beta is None else float(beta)},
             "control": {"kind": "power", "theta": float(theta), "r": float(r)},
             "scheme": {**cfg["scheme"]},
-            "audit": False,
         }
         if cfg["params"]["family"] == "B" and beta is not None and "scale" not in (doc.get("scheme") or {}):
             cell_doc["scheme"]["scale"] = 1.0 + float(beta)
@@ -431,7 +471,6 @@ def run_sweep(doc: dict) -> list:
                 cell["paper_constant"] = "divergent"
             if not adm:
                 cell["status"] = "inadmissible"
-                rows.append(cell)
                 continue
             spec = _series_spec(exp)
             control = bounds.ControlFunction.power(float(theta), float(r))
@@ -441,17 +480,15 @@ def run_sweep(doc: dict) -> list:
                 cell["derived_constant"] = "divergent"
             if not verdict:
                 cell["status"] = "divergent"
-                rows.append(cell)
                 continue
-            report = run_verify(cell_doc)
-            cell["max_violation"] = report.summary["max_violation"]
-            aud = bounds.audit(exp.f, exp.params, exp.scheme, control,
-                               draw_samples(exp.space, exp.plan, arity=1),
-                               tol=exp.tol, trunc_terms=int(cfg["trunc_terms"]))
-            cell["empirical_sup"] = aud.empirical_sup
+            if exp.scheme not in approximated:
+                approximated[exp.scheme] = _approximants(
+                    exp, draw_samples(exp.space, exp.plan, arity=1))
+            records, cell["max_violation"] = _check_points(exp, control, spec,
+                                                           approximated[exp.scheme])
+            cell["empirical_sup"] = _audit(exp, control, records).empirical_sup
         except JensenLabError as e:
             cell["status"] = e.code
-        rows.append(cell)
     return rows
 
 
@@ -461,10 +498,3 @@ def render_sweep(rows: list, fmt: str = "csv") -> str:
     if fmt == "json":
         return stable_json(rows)
     raise ValueError(f"format must be json or csv, got {fmt!r}")
-
-
-def write_sweep(rows: list, fmt: str, path) -> str:
-    text = render_sweep(rows, fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return text

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateParameterError, EmptySampleError, FamilyError, InadmissibleError
 from .model import TestFunction, evaluate
@@ -102,49 +101,53 @@ class DefectSample:
     defect: float
 
 
-def defect_a(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
-    if params.family != "A":
-        raise FamilyError(f"family: defect_a requires family A params, got {params.family}")
-    sp = f.space
-    x = sp.as_vector(x)
-    y = sp.as_vector(y)
-    z = sp.as_vector(z)
-    a = params.alpha
-    az = a * z
-    lhs = evaluate(f, x + y + az) + evaluate(f, x + y - az) - 2 * evaluate(f, x) - 2 * evaluate(f, y)
-    e1 = evaluate(f, x + y + az) - evaluate(f, x + y) - evaluate(f, az)
-    e2 = evaluate(f, x + y - az) + evaluate(f, -x) + evaluate(f, az - y)
-    lhs_norm = sp.norm(lhs)
-    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
-    return DefectSample("A", (x, y, z), sp.norm(x), sp.norm(y), sp.norm(z),
-                        lhs_norm, rhs_norm, lhs_norm - rhs_norm)
+#: Each family's lhs, e1 and e2 as (coefficient, argument) terms, summed left
+#: to right as the module docstring prints them; "-b" stands for -beta. An
+#: argument gives the coefficients of (x, y, beta y, alpha z), also combined
+#: left to right (az - y as -y + az, which rounds the same).
+FAMILY_TERMS = {
+    "A": {
+        "lhs": ((1, (1, 1, 0, 1)), (1, (1, 1, 0, -1)), (-2, (1, 0, 0, 0)), (-2, (0, 1, 0, 0))),
+        "e1": ((1, (1, 1, 0, 1)), (-1, (1, 1, 0, 0)), (-1, (0, 0, 0, 1))),
+        "e2": ((1, (1, 1, 0, -1)), (1, (-1, 0, 0, 0)), (1, (0, -1, 0, 1))),
+    },
+    "B": {
+        "lhs": ((1, (1, 0, 1, 1)), (-1, (1, 0, 0, -1)), ("-b", (0, 1, 0, 0)), (-2, (0, 0, 0, 1))),
+        "e1": ((1, (1, 0, 0, 1)), (-1, (1, 0, 0, 0)), (-1, (0, 0, 0, 1))),
+        "e2": ((1, (1, 0, 1, -1)), (-1, (1, 0, 0, 0)), ("-b", (0, 1, 0, 0)), (1, (0, 0, 0, 1))),
+    },
+}
 
 
-def defect_b(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
-    if params.family != "B":
-        raise FamilyError(f"family: defect_b requires family B params, got {params.family}")
-    params._check_degenerate()
-    sp = f.space
-    x = sp.as_vector(x)
-    y = sp.as_vector(y)
-    z = sp.as_vector(z)
-    a = params.alpha
-    b = float(params.beta)
-    az = a * z
-    lhs = evaluate(f, x + b * y + az) - evaluate(f, x - az) - b * evaluate(f, y) - 2 * evaluate(f, az)
-    e1 = evaluate(f, x + az) - evaluate(f, x) - evaluate(f, az)
-    e2 = evaluate(f, x + b * y - az) - evaluate(f, x) - b * evaluate(f, y) + evaluate(f, az)
-    lhs_norm = sp.norm(lhs)
-    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
-    return DefectSample("B", (x, y, z), sp.norm(x), sp.norm(y), sp.norm(z),
-                        lhs_norm, rhs_norm, lhs_norm - rhs_norm)
+def _combine(terms):
+    """Left-to-right sum of (coefficient, value) terms: a negative coefficient
+    subtracts, a zero one is skipped and a unit one does not multiply."""
+    total = None
+    for c, v in terms:
+        if c == 0:
+            continue
+        v = v if abs(c) == 1 else abs(c) * v
+        total = (v if c > 0 else -v) if total is None else (total + v if c > 0 else total - v)
+    return total
 
 
 def defect(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
-    """Family-dispatching defect evaluation."""
-    if params.family == "A":
-        return defect_a(f, x, y, z, params)
-    return defect_b(f, x, y, z, params)
+    """Defect of one triple for the family of ``params``; ``f`` is evaluated
+    once per distinct argument (8 for family A, 7 for family B)."""
+    params._check_degenerate()
+    sp = f.space
+    x, y, z = sp.as_vector(x), sp.as_vector(y), sp.as_vector(z)
+    beta = float(params.beta) if params.family == "B" else 0.0
+    basis = (x, y, beta * y, params.alpha * z)
+    exprs = FAMILY_TERMS[params.family]
+    args = dict.fromkeys(arg for terms in exprs.values() for _, arg in terms)
+    values = {arg: evaluate(f, _combine(zip(arg, basis))) for arg in args}
+    lhs, e1, e2 = (_combine((-beta if c == "-b" else c, values[arg]) for c, arg in exprs[name])
+                   for name in ("lhs", "e1", "e2"))
+    lhs_norm = sp.norm(lhs)
+    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
+    return DefectSample(params.family, (x, y, z), sp.norm(x), sp.norm(y), sp.norm(z),
+                        lhs_norm, rhs_norm, lhs_norm - rhs_norm)
 
 
 DEFECT_CSV_HEADER = "family,x_norm,y_norm,z_norm,lhs,rhs,defect"
@@ -163,6 +166,12 @@ def defect_samples_csv(samples) -> str:
 
 
 # --- measured control envelopes ---------------------------------------------
+
+
+def shell_index(edges: np.ndarray, s: float) -> int:
+    """Index i of the shell (edges[i], edges[i+1]] that holds ``s``; norms
+    outside the table are clamped to its first or last shell."""
+    return min(max(int(np.searchsorted(edges, s, side="left")) - 1, 0), len(edges) - 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +195,7 @@ class MeasuredEnvelope:
     sample_count: int
 
     def component_value(self, s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        if s > self.edges[-1]:
-            return float(self.cum_max[-1])
-        idx = int(np.searchsorted(self.edges, s, side="left")) - 1
-        idx = min(max(idx, 0), len(self.cum_max) - 1)
-        return float(self.cum_max[idx])
+        return 0.0 if s == 0.0 else float(self.cum_max[shell_index(self.edges, s)])
 
     def evaluate_norms(self, nx: float, ny: float, nz: float) -> float:
         return (self.component_value(nx) + self.component_value(ny)
@@ -201,6 +204,10 @@ class MeasuredEnvelope:
 
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
     """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0."""
+    # Imported here: scipy.optimize dominates the package's import time, and
+    # only measured controls fit a power law.
+    from scipy.optimize import minimize_scalar
+
     d = np.clip(defects, 0.0, None)
     if d.max(initial=0.0) <= 1e-14:
         return 0.0, 0.0
@@ -245,7 +252,7 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
         norms[i] = (s.x_norm, s.y_norm, s.z_norm)
         defects[i] = s.defect
         top = max(s.x_norm, s.y_norm, s.z_norm)
-        idx = min(max(int(np.searchsorted(edges, top, side="left")) - 1, 0), shells - 1)
+        idx = shell_index(edges, top)
         shell_max[idx] = max(shell_max[idx], max(0.0, s.defect))
 
     theta_hat, r_hat = _fit_power_law(norms, defects)

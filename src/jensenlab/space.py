@@ -63,11 +63,6 @@ class NormedSpace:
         return np.zeros(self.dim, dtype=np.complex128)
 
 
-def norm_of(space: NormedSpace, v) -> float:
-    """Selected norm of ``v``; zero exactly for the zero vector."""
-    return space.norm(v)
-
-
 @dataclass(frozen=True)
 class SamplePlan:
     """Seeded sampling plan: ``count`` draws in the norm shell

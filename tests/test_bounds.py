@@ -218,7 +218,7 @@ def test_phi_tilde_partial_sums_monotone():
     values = []
     for n in (1, 2, 4, 8, 16, 64):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0,
-                          trunc_terms=n, tail_mode="none")
+                          trunc_terms=n)
         values.append(phi_tilde_norm(ctrl, 1.0, spec).value)
     assert all(a <= b for a, b in zip(values, values[1:]))
 

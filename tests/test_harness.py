@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jensenlab import cli, harness
-from jensenlab.errors import PairingError, StageFailure
+from jensenlab import bounds, cli, harness
+from jensenlab.errors import PairingError, StageFailure, UnknownKeyError
+from jensenlab.space import draw_samples
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scalar_verify_doc(control=None, **plan):
@@ -40,6 +44,22 @@ def test_normalize_config_echoes_defaults():
     assert cfg["plan"]["count"] == 100
     assert cfg["tolerances"]["tol"] == 1e-9
     assert cfg["envelope"]["seed"] == cfg["plan"]["seed"]
+
+
+def test_unknown_config_keys_rejected(tmp_path, capsys):
+    doc = {k: v for k, v in scalar_verify_doc().items() if k != "control"}
+    doc["contrl"] = {"kind": "power", "theta": 1.0, "r": 0.5}
+    doc["plan"] = {**doc["plan"], "cuont": 5}
+    with pytest.raises(UnknownKeyError, match=r"plan\.cuont"):
+        harness.run_verify(doc)
+    del doc["plan"]["cuont"]
+    with pytest.raises(UnknownKeyError, match="contrl"):
+        harness.normalize_config(doc)
+    for section in ("space", "params", "scheme", "envelope", "tolerances"):
+        with pytest.raises(UnknownKeyError, match=rf"{section}\.typo"):
+            harness.normalize_config({section: {"typo": 1}})
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == cli.EXIT_RUNTIME
+    assert "error[unknown-key]" in capsys.readouterr().err
 
 
 def test_family_scheme_pairing():
@@ -119,6 +139,24 @@ def test_run_verify_audit_block():
     assert rep.audit is not None
     assert rep.audit["which"] == "c24"
     assert rep.audit["verdicts"]["empirical_le_derived"] is True
+
+
+def test_audit_block_uses_config_max_n():
+    # r = 0.9 needs more than 200 orbit terms at some points; the audit block
+    # must reuse the run's approximants rather than re-run them at max_n=200
+    doc = power_verify_doc(r=0.9, control={"kind": "power", "theta": 1.0, "r": 0.9})
+    doc["max_n"] = 400
+    plain = harness.run_verify(doc)
+    assert plain.passed()
+    assert max(p["iterations"] for p in plain.points) > 200
+    doc["audit"] = True
+    rep = harness.run_verify(doc)
+    assert rep.points == plain.points
+    exp = harness.build_experiment(doc)
+    control = bounds.ControlFunction.power(1.0, 0.9)
+    pts = draw_samples(exp.space, exp.plan, arity=1)
+    direct = bounds.audit(exp.f, exp.params, exp.scheme, control, pts, tol=exp.tol, max_n=400)
+    assert rep.audit == direct.to_json_dict()
 
 
 # --- reports -----------------------------------------------------------------
@@ -204,6 +242,23 @@ def test_sweep_deterministic_bytes():
     assert len(a.strip().split("\n")) == 1 + 4  # header + 2x2 grid
 
 
+def test_sweep_cells_match_verify_and_audit():
+    doc = json.loads((CONFIGS / "sweep_family_a.json").read_text())
+    rows = harness.run_sweep(doc)
+    ok = [row for row in rows if row["status"] == "ok"]
+    assert len(ok) == 9
+    for row in ok:
+        cell = {k: v for k, v in doc.items() if k != "grid"}
+        cell["params"] = {**doc["params"], "rho2": [row["rho2_re"], row["rho2_im"]]}
+        cell["control"] = {"kind": "power", "theta": row["theta"], "r": row["r"]}
+        assert row["max_violation"] == harness.run_verify(cell).summary["max_violation"]
+        exp = harness.build_experiment(cell)
+        aud = bounds.audit(exp.f, exp.params, exp.scheme,
+                           bounds.ControlFunction.power(row["theta"], row["r"]),
+                           draw_samples(exp.space, exp.plan, arity=1), tol=exp.tol)
+        assert row["empirical_sup"] == aud.empirical_sup
+
+
 def test_sweep_family_b_beta_grid():
     # the scheme scale must track 1 + beta cell by cell
     doc = {
@@ -273,6 +328,12 @@ def test_cli_approximate(tmp_path):
     assert len(reports) == 3
     assert all(r["converged"] for r in reports)
     assert all(len(r["residuals"]) == r["iterations"] for r in reports)
+    # points that run out of orbit terms are still reported, with exit code 2
+    short = write_config(tmp_path, {**scalar_verify_doc(), "max_n": 2}, "short.json")
+    assert cli.main(["approximate", "--config", short, "--points", "3",
+                     "--out", str(out)]) == cli.EXIT_INADMISSIBLE
+    reports = json.loads(out.read_text())
+    assert len(reports) == 3 and not any(r["converged"] for r in reports)
 
 
 def test_cli_audit(tmp_path):

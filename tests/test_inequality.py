@@ -9,9 +9,9 @@ from jensenlab import (
     RhoParams,
     SamplePlan,
     admissible,
-    defect_a,
-    defect_b,
+    defect,
     draw_samples,
+    inequality,
     measure_envelope,
 )
 from jensenlab.errors import (
@@ -43,9 +43,11 @@ def test_admissible_family_b():
     assert not admissible(RhoParams("B", 3.0 + 1e-9, 0.0, 1.0, beta=1.0))
 
 
-def test_degenerate_parameters():
+def test_degenerate_parameters(scalar_model):
     with pytest.raises(DegenerateParameterError):
         admissible(RhoParams("A", 0, 0, 0.0))
+    with pytest.raises(DegenerateParameterError):
+        defect(scalar_model, [1.0], [2.0], [0.5], RhoParams("A", 0, 0, 0.0))
     with pytest.raises(DegenerateParameterError):
         admissible(RhoParams("B", 0, 0, 1.0, beta=0.0))
     with pytest.raises(DegenerateParameterError):
@@ -63,30 +65,82 @@ def test_family_tag_validation():
 def test_defect_a_constant_offset(scalar_model):
     # lhs collapses to |-2c| = 1.0 for f(x) = x + c with c = 0.5
     p0 = RhoParams("A", 0, 0, 1.0)
-    s = defect_a(scalar_model, [1.0], [2.0], [0.5], p0)
+    s = defect(scalar_model, [1.0], [2.0], [0.5], p0)
     assert s.lhs_norm == pytest.approx(1.0, abs=1e-14)
     assert s.defect == pytest.approx(1.0, abs=1e-14)
     # rho1 term evaluates to -c, so rhs = 0.5 * 0.5 and defect = 0.75
     p1 = RhoParams("A", 0.5, 0, 1.0)
-    s1 = defect_a(scalar_model, [1.0], [2.0], [0.5], p1)
+    s1 = defect(scalar_model, [1.0], [2.0], [0.5], p1)
     assert s1.defect == pytest.approx(0.75, abs=1e-14)
 
 
 def test_defect_b_constant_offset(scalar_model):
     # lhs collapses to |-(beta+2) c| = 1.5 for beta = 1, c = 0.5
     p0 = RhoParams("B", 0, 0, 1.0, beta=1.0)
-    s = defect_b(scalar_model, [1.0], [2.0], [0.5], p0)
+    s = defect(scalar_model, [1.0], [2.0], [0.5], p0)
     assert s.lhs_norm == pytest.approx(1.5, abs=1e-14)
     p1 = RhoParams("B", 0.5, 0, 1.0, beta=1.0)
-    s1 = defect_b(scalar_model, [1.0], [2.0], [0.5], p1)
+    s1 = defect(scalar_model, [1.0], [2.0], [0.5], p1)
     assert s1.defect == pytest.approx(1.25, abs=1e-14)
 
 
-def test_defect_family_mismatch(scalar_model):
-    with pytest.raises(FamilyError):
-        defect_a(scalar_model, [1.0], [1.0], [1.0], RhoParams("B", 0, 0, 1.0, beta=1.0))
-    with pytest.raises(FamilyError):
-        defect_b(scalar_model, [1.0], [1.0], [1.0], RhoParams("A", 0, 0, 1.0))
+def test_defect_family_a_ignores_beta():
+    f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
+    x, y, z = (np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))
+    base = defect(f, x, y, z, RhoParams("A", 0.3, 0.2, 1.5))
+    for beta in (1.0, -2.5):
+        s = defect(f, x, y, z, RhoParams("A", 0.3, 0.2, 1.5, beta=beta))
+        assert s.family == "A"
+        assert (s.lhs_norm, s.rhs_norm, s.defect) == (base.lhs_norm, base.rhs_norm, base.defect)
+
+
+def _reference_defect(f, x, y, z, params):
+    """The module docstring's formulas, written out term by term."""
+    E = f
+    a = params.alpha
+    if params.family == "A":
+        lhs = E(x + y + a * z) + E(x + y - a * z) - 2 * E(x) - 2 * E(y)
+        e1 = E(x + y + a * z) - E(x + y) - E(a * z)
+        e2 = E(x + y - a * z) + E(-x) + E(a * z - y)
+    else:
+        b = float(params.beta)
+        lhs = E(x + b * y + a * z) - E(x - a * z) - b * E(y) - 2 * E(a * z)
+        e1 = E(x + a * z) - E(x) - E(a * z)
+        e2 = E(x + b * y - a * z) - E(x) - b * E(y) + E(a * z)
+    sp = f.space
+    lhs_norm = sp.norm(lhs)
+    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
+    return lhs_norm, rhs_norm, lhs_norm - rhs_norm
+
+
+@pytest.mark.parametrize("params", [
+    RhoParams("A", 0.3 + 0.2j, -0.1 + 0.25j, -1.7),
+    RhoParams("B", 0.4 - 0.3j, 0.2 + 0.5j, 0.6, beta=-2.3),
+])
+def test_defect_matches_docstring_formulas(params):
+    f = make_power(dim=3, theta=0.2, r=0.5, seed=21)
+    triples = draw_samples(f.space, SamplePlan(seed=17, count=60, radius=4.0), arity=3)
+    for x, y, z in triples:
+        s = defect(f, x, y, z, params)
+        assert (s.lhs_norm, s.rhs_norm, s.defect) == _reference_defect(f, x, y, z, params)
+
+
+@pytest.mark.parametrize("params, calls", [
+    (RhoParams("A", 0.3, 0.2, 1.5), 8),
+    (RhoParams("B", 0.3, 0.2, 1.5, beta=2.0), 7),
+])
+def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
+    f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
+    seen = []
+    original = inequality.evaluate
+
+    def counting(f, v):
+        seen.append(v)
+        return original(f, v)
+
+    monkeypatch.setattr(inequality, "evaluate", counting)
+    defect(f, np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]), params)
+    assert len(seen) == calls
 
 
 def test_exact_additive_defect_vanishes():
@@ -96,8 +150,8 @@ def test_exact_additive_defect_vanishes():
     triples = draw_samples(f.space, SamplePlan(seed=8, count=100, radius=2.0,
                                                exclude_origin_below=0.1), arity=3)
     for x, y, z in triples:
-        assert abs(defect_a(f, x, y, z, pa).defect) <= 1e-12
-        assert abs(defect_b(f, x, y, z, pb).defect) <= 1e-12
+        assert abs(defect(f, x, y, z, pa).defect) <= 1e-12
+        assert abs(defect(f, x, y, z, pb).defect) <= 1e-12
 
 
 def test_rho_scaling_unimodular_exact():
@@ -105,11 +159,11 @@ def test_rho_scaling_unimodular_exact():
     # which |.| ignores exactly
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
     x, y, z = (np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))
-    base = defect_a(f, x, y, z, RhoParams("A", 0.3 + 0.1j, 0.2 - 0.05j, 1.0))
+    base = defect(f, x, y, z, RhoParams("A", 0.3 + 0.1j, 0.2 - 0.05j, 1.0))
     for u1 in (1, -1, 1j, -1j):
         for u2 in (1, -1, 1j, -1j):
             p = RhoParams("A", u1 * (0.3 + 0.1j), u2 * (0.2 - 0.05j), 1.0)
-            s = defect_a(f, x, y, z, p)
+            s = defect(f, x, y, z, p)
             assert s.rhs_norm == base.rhs_norm  # bitwise
             assert s.defect == base.defect
 
@@ -119,9 +173,9 @@ def test_rho_scaling_unimodular_exact():
 def test_rho_scaling_unimodular_property(phi1, phi2):
     f = make_power(dim=1, theta=0.3, r=0.5, seed=5)
     x, y, z = np.array([1.0]), np.array([0.5]), np.array([0.25])
-    base = defect_a(f, x, y, z, RhoParams("A", 0.4, 0.3, 1.0))
+    base = defect(f, x, y, z, RhoParams("A", 0.4, 0.3, 1.0))
     p = RhoParams("A", 0.4 * np.exp(1j * phi1), 0.3 * np.exp(1j * phi2), 1.0)
-    got = defect_a(f, x, y, z, p)
+    got = defect(f, x, y, z, p)
     assert got.rhs_norm == pytest.approx(base.rhs_norm, rel=1e-12, abs=1e-12)
 
 
@@ -132,7 +186,7 @@ def test_defect_monotone_in_rho_modulus():
     small = RhoParams("A", 0.1, 0.1, 1.0)
     large = RhoParams("A", 0.4, 0.3, 1.0)
     for x, y, z in triples:
-        assert defect_a(f, x, y, z, large).defect <= defect_a(f, x, y, z, small).defect + 1e-12
+        assert defect(f, x, y, z, large).defect <= defect(f, x, y, z, small).defect + 1e-12
 
 
 def test_equality_case_oracle():
@@ -142,7 +196,7 @@ def test_equality_case_oracle():
     params = RhoParams("A", 0.2, 0.3, 1.0)
     plan = SamplePlan(seed=12, count=200, radius=2.0, exclude_origin_below=0.1)
     triples = draw_samples(f.space, plan, arity=3)
-    assert max(abs(defect_a(f, x, y, z, params).defect) for x, y, z in triples) <= atol
+    assert max(abs(defect(f, x, y, z, params).defect) for x, y, z in triples) <= atol
     from jensenlab import additivity_defect
 
     assert max(additivity_defect(f, x, y) for x, y, _ in triples) <= 10 * atol
@@ -207,7 +261,7 @@ def test_envelope_errors(scalar_model):
 def test_defect_csv_export(scalar_model):
     params = RhoParams("A", 0, 0, 1.0)
     plan = SamplePlan(seed=6, count=5, radius=2.0, exclude_origin_below=0.1)
-    samples = [defect_a(scalar_model, x, y, z, params)
+    samples = [defect(scalar_model, x, y, z, params)
                for x, y, z in draw_samples(scalar_model.space, plan, arity=3)]
     text = defect_samples_csv(samples)
     lines = text.strip().split("\n")

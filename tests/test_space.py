@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jensenlab import NormedSpace, SamplePlan, draw_samples, norm_of
+from jensenlab import NormedSpace, SamplePlan, draw_samples
 from jensenlab.errors import ArityError, DimensionError
 
 
 def test_norm_examples():
     l2 = NormedSpace(2, "l2")
-    assert norm_of(l2, [0, 0]) == 0.0
+    assert l2.norm([0, 0]) == 0.0
     # |3+4i| = 5, hand arithmetic
-    assert norm_of(l2, [3 + 4j, 0]) == pytest.approx(5.0, abs=0)
+    assert l2.norm([3 + 4j, 0]) == pytest.approx(5.0, abs=0)
     l1 = NormedSpace(2, "l1")
     # |1+i| + |-2| = sqrt(2) + 2
-    assert norm_of(l1, [1 + 1j, -2]) == pytest.approx(3.414213562373095, rel=1e-15)
+    assert l1.norm([1 + 1j, -2]) == pytest.approx(3.414213562373095, rel=1e-15)
     linf = NormedSpace(2, "linf")
-    assert norm_of(linf, [1 + 1j, -2]) == pytest.approx(2.0, rel=1e-15)
+    assert linf.norm([1 + 1j, -2]) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_norm_zero_iff_zero():
