@@ -29,7 +29,14 @@ from .direct_method import (
     uniqueness_crosscheck,
 )
 from .errors import JensenLabError
-from .harness import RunReport, build_experiment, run_sweep, run_verify, write_report
+from .harness import (
+    RunReport,
+    build_experiment,
+    load_test_function,
+    run_sweep,
+    run_verify,
+    write_report,
+)
 from .inequality import (
     Admissibility,
     DefectSample,
@@ -45,7 +52,6 @@ from .model import (
     TestFunction,
     additivity_defect,
     evaluate,
-    load_test_function,
     scalar_offset_function,
 )
 from .space import NormedSpace, SamplePlan, draw_samples

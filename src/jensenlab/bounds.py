@@ -34,6 +34,7 @@ import numpy as np
 
 from .direct_method import Scheme, approximate_points
 from .errors import (
+    ConfigError,
     DegenerateScaleError,
     DivergentSeriesError,
     FamilyError,
@@ -384,7 +385,7 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
     The constants are evaluated before ``deviations`` is iterated.
     """
     if control.kind != "power":
-        raise ValueError("audit requires a power control")
+        raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
     which = constant_tag(params.family, scheme.direction)
     theta, r = control.theta, control.r
     p2 = abs(params.rho2)

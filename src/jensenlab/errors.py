@@ -65,7 +65,11 @@ class SingularPointError(JensenLabError):
     code = "singular-point"
 
 
-class UnknownKeyError(JensenLabError):
+class ConfigError(JensenLabError, ValueError):
+    code = "config"
+
+
+class UnknownKeyError(ConfigError):
     code = "unknown-key"
 
 

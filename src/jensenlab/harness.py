@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bounds, direct_method, inequality, model
 from .direct_method import Scheme, approximate  # noqa: F401 - harness.approximate stays public
 from .errors import (
+    ConfigError,
     DivergentSeriesError,
     InadmissibleError,
     JensenLabError,
@@ -26,7 +27,7 @@ from .errors import (
     StageFailure,
     UnknownKeyError,
 )
-from .space import NormedSpace, SamplePlan, draw_samples
+from .space import NORM_KINDS, NormedSpace, SamplePlan, draw_samples
 
 # --- stable serialization ----------------------------------------------------
 
@@ -85,55 +86,115 @@ def csv_table(header: list, rows: list) -> str:
 
 # --- configuration ------------------------------------------------------------
 
-CONFIG_DEFAULTS = {
-    "space": {"dim": 2, "norm": "l2"},
-    "function": {"core": {"kind": "identity"}, "perturbation": {"kind": "none"},
-                 "force_zero_at_origin": False},
-    "params": {"family": "A", "rho1": [0.0, 0.0], "rho2": [0.0, 0.0],
-               "alpha": 1.0, "beta": None},
-    "scheme": {"direction": "forward", "scale": None},
-    "control": {"kind": "zero"},
-    "plan": {"seed": 0, "count": 100, "radius": 2.0, "exclude_origin_below": 0.1},
-    "envelope": {"count": 1000, "shells": 8, "seed": None},
-    "tolerances": {"tol": 1e-9, "atol": 1e-12, "rtol": 1e-9},
-    "trunc_terms": bounds.DEFAULT_TRUNC_TERMS,
-    "max_n": 200,
-    "printed_display": False,
-    "audit": False,
-    "force": False,
+#: Defaults of a field that must be given, and of one left out when not given.
+REQUIRED, OPTIONAL = object(), object()
+NONE = type(None)
+
+
+class Kinds(dict):
+    """A section whose fields depend on its kind: kind -> fields; the first is the default."""
+
+
+_DIRECTION = {"direction": (model.DIRECTION_KINDS, "hashed"), "direction_seed": (int, 0)}
+_CORE_MATRIX = {"matrix": ((list, NONE), None), "seed": (int, 0)}
+
+#: Every config field as ``(accepted, default)``. ``accepted`` is a type or a
+#: tuple of types (a float field also takes an int and stores a float; a bool
+#: is not a number), ``complex`` for [re, im] or a real number, a tuple of
+#: allowed strings, ``[accepted]`` for a list of such values, or a section:
+#: a dict of fields, or ``Kinds``. ``default`` is a value (``{}`` for a
+#: section), ``REQUIRED`` or ``OPTIONAL``. ``normalize_config`` derives
+#: ``scheme.scale`` and ``envelope.seed`` when they are null.
+CONFIG_SCHEMA = {
+    "space": ({"dim": (int, 2), "norm": (NORM_KINDS, "l2")}, {}),
+    "function": ({
+        "core": (Kinds(identity={}, complex_linear=_CORE_MATRIX, real_linear=_CORE_MATRIX), {}),
+        "perturbation": (Kinds(
+            none={},
+            bounded={"epsilon": (float, REQUIRED), **_DIRECTION},
+            power={"theta": (float, REQUIRED), "r": (float, REQUIRED), **_DIRECTION},
+            tabulated={"table": ([{"point": (list, REQUIRED), "value": (list, REQUIRED)}], []),
+                       "default": ((list, NONE), None),
+                       "quant_step": (float, model.QUANT_STEP)},
+        ), {}),
+        "force_zero_at_origin": (bool, False),
+    }, {}),
+    "params": ({"family": (inequality.FAMILIES, "A"), "rho1": (complex, [0.0, 0.0]),
+                "rho2": (complex, [0.0, 0.0]), "alpha": (float, 1.0),
+                "beta": ((float, NONE), None)}, {}),
+    "scheme": ({"direction": (direct_method.DIRECTIONS, "forward"),
+                "scale": ((float, NONE), None)}, {}),
+    "control": (Kinds(zero={}, power={"theta": (float, REQUIRED), "r": (float, REQUIRED)},
+                      tabulated={"edges": ([float], REQUIRED), "values": ([float], REQUIRED)},
+                      measured={}), {}),
+    "plan": ({"seed": (int, 0), "count": (int, 100), "radius": (float, 2.0),
+              "exclude_origin_below": (float, 0.1)}, {}),
+    "envelope": ({"count": (int, 1000), "shells": (int, 8), "seed": ((int, NONE), None)}, {}),
+    # atol and rtol are echoed into the report but read by nothing
+    "tolerances": ({"tol": (float, 1e-9), "atol": (float, 1e-12), "rtol": (float, 1e-9)}, {}),
+    "trunc_terms": (int, bounds.DEFAULT_TRUNC_TERMS),
+    "max_n": (int, 200),
+    "printed_display": (bool, False),
+    "audit": (bool, False),
+    "force": (bool, False),
+    # sweep axes; an axis not given is pinned at the base config's value
+    "grid": ({"rho1": ([complex], OPTIONAL), "rho2": ([complex], OPTIONAL),
+              "alpha": ([float], OPTIONAL), "beta": ([(float, NONE)], OPTIONAL),
+              "theta": ([float], OPTIONAL), "r": ([float], OPTIONAL)}, OPTIONAL),
 }
 
 
-#: Sections whose keys depend on a ``kind``; keys beyond the defaults pass
-#: through unchecked. Everywhere else an unknown key is rejected, except the
-#: top-level ``grid`` that sweeps read.
-_OPEN_SECTIONS = ("function", "control")
-
-
-def _merge(defaults, given, path=()):
-    if not isinstance(defaults, dict):
-        return given if given is not None else defaults
-    given = given if isinstance(given, dict) else {}
-    out = {k: _merge(v, given.get(k), path + (k,)) for k, v in defaults.items()}
-    open_section = bool(path) and path[0] in _OPEN_SECTIONS
-    for k in given:
-        if k not in out and not (open_section or (not path and k == "grid")):
-            raise UnknownKeyError(f"unknown-key: {'.'.join(path + (k,))} is not a config key")
-    return {**given, **out}
+def _checked(accepted, value, path: str):
+    """``value`` checked against ``accepted`` (see CONFIG_SCHEMA), with the
+    defaults of a section filled in; a fault raises ConfigError naming ``path``."""
+    if isinstance(accepted, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config: {path or 'the config'} must be an object, got {value!r}")
+        if isinstance(accepted, Kinds):
+            kinds = tuple(accepted)
+            kind = _checked(kinds, value.get("kind", kinds[0]), f"{path}.kind")
+            accepted = {"kind": (kinds, kinds[0]), **accepted[kind]}
+        prefix = f"{path}." if path else ""
+        out = {}
+        for key, (field, default) in accepted.items():
+            if key not in value and default is REQUIRED:
+                raise ConfigError(f"config: {prefix}{key} is required")
+            if key in value or default is not OPTIONAL:
+                out[key] = _checked(field, value.get(key, default), prefix + key)
+        for key in value:
+            if key not in accepted:
+                raise UnknownKeyError(f"unknown-key: {prefix}{key} is not a config key")
+        return out
+    if isinstance(accepted, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config: {path} must be a list, got {value!r}")
+        return [_checked(accepted[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if accepted is complex:
+        parts = value if isinstance(value, list) and len(value) == 2 else [value]
+        if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+            return [float(p) for p in parts] if parts is value else float(value)
+        raise ConfigError(f"config: {path} must be [re, im] or a number, got {value!r}")
+    accepted = accepted if isinstance(accepted, tuple) else (accepted,)
+    if isinstance(accepted[0], str):
+        if value in accepted:
+            return value
+        raise ConfigError(f"config: {path} must be one of {', '.join(accepted)}, got {value!r}")
+    types = accepted + (int,) if float in accepted else accepted
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in accepted):
+        need = " or ".join("null" if t is NONE else t.__name__ for t in accepted)
+        raise ConfigError(f"config: {path} must be {need}, got {value!r}")
+    return float(value) if float in accepted and type(value) is int else value
 
 
 def normalize_config(doc: dict) -> dict:
-    """Fill defaults and echo-ready config (pure data, JSON-serializable)."""
-    cfg = _merge(CONFIG_DEFAULTS, doc or {})
-    fam = cfg["params"]["family"]
+    """The config checked against CONFIG_SCHEMA with every default filled in
+    (pure data, JSON-serializable, echoed into reports)."""
+    cfg = _checked(CONFIG_SCHEMA, doc, "")
+    p = cfg["params"]
     if cfg["scheme"]["scale"] is None:
-        if fam == "A":
-            cfg["scheme"]["scale"] = 2.0
-        else:
-            beta = cfg["params"]["beta"]
-            if beta is None:
-                raise PairingError("pairing: family B needs beta to derive the scheme scale")
-            cfg["scheme"]["scale"] = 1.0 + float(beta)
+        if p["family"] == "B" and p["beta"] is None:
+            raise PairingError("pairing: family B needs beta to derive the scheme scale")
+        cfg["scheme"]["scale"] = 2.0 if p["family"] == "A" else 1.0 + p["beta"]
     if cfg["envelope"]["seed"] is None:
         cfg["envelope"]["seed"] = cfg["plan"]["seed"]
     return cfg
@@ -141,7 +202,8 @@ def normalize_config(doc: dict) -> dict:
 
 @dataclass(eq=False)
 class Experiment:
-    """Materialized config: live objects ready to run."""
+    """Materialized config: live objects ready to run. A measured control has no
+    envelope until ``_build_control`` measures one on ``envelope_plan``."""
 
     config: dict
     space: NormedSpace
@@ -149,22 +211,21 @@ class Experiment:
     params: inequality.RhoParams
     scheme: Scheme
     plan: SamplePlan
+    envelope_plan: SamplePlan
+    control: bounds.ControlFunction
     tol: float
-    atol: float
     forced_pairing: bool
 
 
 def _check_pairing(cfg: dict) -> bool:
     """Enforce family A <-> dyadic, family B <-> scale 1+beta; --force overrides."""
-    fam = cfg["params"]["family"]
-    scale = float(cfg["scheme"]["scale"])
-    if fam == "A":
+    scale, beta = cfg["scheme"]["scale"], cfg["params"]["beta"]
+    if cfg["params"]["family"] == "A":
         ok = abs(scale) == 2.0
         why = f"family A pairs with dyadic schemes (|scale| = 2), got {scale}"
     else:
-        beta = cfg["params"]["beta"]
-        ok = beta is not None and abs(scale - (1.0 + float(beta))) <= 1e-12
-        why = f"family B pairs with scale 1 + beta = {None if beta is None else 1 + float(beta)}, got {scale}"
+        ok = beta is not None and abs(scale - (1.0 + beta)) <= 1e-12
+        why = f"family B pairs with scale 1 + beta = {None if beta is None else 1 + beta}, got {scale}"
     if ok:
         return False
     if cfg["force"]:
@@ -172,66 +233,90 @@ def _check_pairing(cfg: dict) -> bool:
     raise PairingError(f"pairing: {why} (use --force to override)")
 
 
+def _built(section: str, build):
+    """``build()``, with a ValueError or TypeError named as the config ``section``'s."""
+    try:
+        return build()
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"config: {section}: {e}") from e
+
+
 def rho_params(cfg: dict) -> inequality.RhoParams:
     """Inequality parameters of a normalized config."""
     p = cfg["params"]
-    return inequality.RhoParams(
-        family=p["family"],
-        rho1=model.complex_from_pair(p["rho1"]),
-        rho2=model.complex_from_pair(p["rho2"]),
-        alpha=float(p["alpha"]),
-        beta=None if p["beta"] is None else float(p["beta"]),
-    )
+    return inequality.RhoParams(p["family"], model.complex_from_pair(p["rho1"]),
+                                model.complex_from_pair(p["rho2"]), p["alpha"], p["beta"])
+
+
+def _core(cfg: dict, dim: int) -> model.AdditiveCore:
+    if cfg["kind"] == "identity":
+        return model.AdditiveCore.identity(dim)
+    if cfg["matrix"] is None:
+        return model.AdditiveCore.random(dim, seed=cfg["seed"], kind=cfg["kind"])
+    if cfg["kind"] == "complex_linear":
+        return model.AdditiveCore(cfg["kind"], np.array(
+            [model.vector_from_pairs(row) for row in cfg["matrix"]], dtype=np.complex128))
+    return model.AdditiveCore(cfg["kind"], np.array(cfg["matrix"], dtype=float))
+
+
+def _perturbation(cfg: dict) -> model.Perturbation:
+    if cfg["kind"] != "tabulated":
+        return model.Perturbation(**cfg)
+    step = cfg["quant_step"]
+    table = {model.quantize(model.vector_from_pairs(e["point"]), step):
+             model.vector_from_pairs(e["value"]) for e in cfg["table"]}
+    default = None if cfg["default"] is None else model.vector_from_pairs(cfg["default"])
+    return model.Perturbation.tabulated(table=table, default=default, quant_step=step)
+
+
+def load_test_function(doc: dict) -> model.TestFunction:
+    """A TestFunction from a ``function`` config section that may also give its ``space``."""
+    cfg = _checked({"space": CONFIG_SCHEMA["space"], **CONFIG_SCHEMA["function"][0]}, doc, "")
+    space = _built("space", lambda: NormedSpace(cfg["space"]["dim"], cfg["space"]["norm"]))
+    core = _built("function.core", lambda: _core(cfg["core"], space.dim))
+    perturbation = _built("function.perturbation", lambda: _perturbation(cfg["perturbation"]))
+    return model.TestFunction(space, core, perturbation, cfg["force_zero_at_origin"])
 
 
 def build_experiment(doc: dict) -> Experiment:
+    """The one place a config becomes objects, after it is checked against
+    CONFIG_SCHEMA; a fault raises ConfigError naming the field, or PairingError."""
     cfg = normalize_config(doc)
     forced = _check_pairing(cfg)
-    space = model.load_space(cfg["space"])
-    f = model.load_test_function(cfg["function"], space=space)
-    params = rho_params(cfg)
-    scheme = Scheme(cfg["scheme"]["direction"], float(cfg["scheme"]["scale"]))
-    plan = SamplePlan(seed=int(cfg["plan"]["seed"]), count=int(cfg["plan"]["count"]),
-                      radius=float(cfg["plan"]["radius"]),
-                      exclude_origin_below=float(cfg["plan"]["exclude_origin_below"]))
-    tols = cfg["tolerances"]
-    return Experiment(config=cfg, space=space, f=f, params=params, scheme=scheme,
-                      plan=plan, tol=float(tols["tol"]), atol=float(tols["atol"]),
-                      forced_pairing=forced)
+    for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]),
+                        ("envelope.shells", cfg["envelope"]["shells"]),
+                        ("trunc_terms", cfg["trunc_terms"])):
+        if not value > 0:
+            raise ConfigError(f"config: {path} must be positive, got {value}")
+    f = load_test_function({"space": cfg["space"], **cfg["function"]})
+    plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
+    env, ctrl = cfg["envelope"], cfg["control"]
+    envelope_plan = _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
+    control = _built("control", lambda: (
+        bounds.ControlFunction.tabulated(ctrl["edges"], ctrl["values"])
+        if ctrl["kind"] == "tabulated" else bounds.ControlFunction(**ctrl)))
+    return Experiment(config=cfg, space=f.space, f=f, params=rho_params(cfg),
+                      scheme=Scheme(cfg["scheme"]["direction"], cfg["scheme"]["scale"]),
+                      plan=plan, envelope_plan=envelope_plan, control=control,
+                      tol=cfg["tolerances"]["tol"], forced_pairing=forced)
 
 
 def _build_control(exp: Experiment):
-    """Control function from the config; measures an envelope when asked to.
-
-    Returns (control, fit_info | None).
-    """
-    cfg = exp.config["control"]
-    kind = cfg["kind"]
-    if kind == "zero":
-        return bounds.ControlFunction.zero(), None
-    if kind == "power":
-        return bounds.ControlFunction.power(cfg["theta"], cfg["r"]), None
-    if kind == "tabulated":
-        return bounds.ControlFunction.tabulated(cfg["edges"], cfg["values"]), None
-    if kind == "measured":
-        env_cfg = exp.config["envelope"]
-        env_plan = SamplePlan(seed=int(env_cfg["seed"]), count=int(env_cfg["count"]),
-                              radius=exp.plan.radius,
-                              exclude_origin_below=exp.plan.exclude_origin_below)
-        env = inequality.measure_envelope(exp.f, exp.params, env_plan,
-                                          shells=int(env_cfg["shells"]))
-        fit = {"theta": env.fit_theta, "r": env.fit_r,
-               "shell_edges": env.edges.tolist(), "shell_max": env.shell_max.tolist()}
-        return bounds.ControlFunction.measured(env), fit
-    raise ValueError(f"unknown control kind {kind!r}")
+    """(control, fit_info | None), measuring the envelope of a measured control."""
+    if exp.control.kind != "measured":
+        return exp.control, None
+    env = inequality.measure_envelope(exp.f, exp.params, exp.envelope_plan,
+                                      shells=exp.config["envelope"]["shells"])
+    fit = {"theta": env.fit_theta, "r": env.fit_r,
+           "shell_edges": env.edges.tolist(), "shell_max": env.shell_max.tolist()}
+    return bounds.ControlFunction.measured(env), fit
 
 
 def _series_spec(exp: Experiment) -> bounds.SeriesSpec:
     return bounds.SeriesSpec(
         scheme=exp.scheme, family=exp.params.family, rho2_abs=abs(exp.params.rho2),
-        alpha=exp.params.alpha, trunc_terms=int(exp.config["trunc_terms"]),
-        printed_display=bool(exp.config["printed_display"]),
-        rho1_abs=abs(exp.params.rho1),
+        alpha=exp.params.alpha, trunc_terms=exp.config["trunc_terms"],
+        printed_display=exp.config["printed_display"], rho1_abs=abs(exp.params.rho1),
     )
 
 
@@ -249,7 +334,7 @@ def _approximants(exp: Experiment, points) -> tuple[list, StageFailure | None]:
     done = []
     try:
         for a in direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
-                                                  max_n=int(exp.config["max_n"])):
+                                                  max_n=exp.config["max_n"]):
             done.append(a)
     except NotConvergedError as e:
         return done, StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
@@ -292,7 +377,7 @@ def _audit(exp: Experiment, control, records: list) -> bounds.BoundAudit:
     """The constant audit over the deviations that ``_check_points`` recorded."""
     return bounds.audit_deviations(exp.params, exp.scheme, control,
                                    [(p["x_norm"], p["deviation"]) for p in records],
-                                   trunc_terms=int(exp.config["trunc_terms"]))
+                                   trunc_terms=exp.config["trunc_terms"])
 
 
 @dataclass(eq=False)
@@ -361,9 +446,6 @@ def run_verify(doc: dict) -> RunReport:
 
     audit_block = None
     if exp.config["audit"]:
-        if control.kind != "power":
-            raise StageFailure("audit", JensenLabError(
-                "audit blocks need a power-type control in the config"))
         audit_block = _stage("audit", lambda: _audit(exp, control, records)).to_json_dict()
 
     summary = {
@@ -408,18 +490,8 @@ SWEEP_COLUMNS = [
     "paper_constant", "derived_constant", "empirical_sup", "status",
 ]
 
-#: Grid axes in deterministic (lexicographic) iteration order.
-SWEEP_AXES = ("rho1", "rho2", "alpha", "beta", "theta", "r")
-
-
-def _axis_values(cfg: dict, axis: str):
-    grid = cfg.get("grid", {})
-    if axis in grid:
-        return list(grid[axis])
-    if axis in ("rho1", "rho2", "alpha", "beta"):
-        return [cfg["params"][axis]]
-    ctrl = cfg["control"]
-    return [ctrl.get(axis if axis == "r" else "theta", 0.0 if axis == "theta" else 1.0)]
+#: Grid axes in deterministic (lexicographic) iteration order: the schema's order.
+SWEEP_AXES = tuple(CONFIG_SCHEMA["grid"][0])
 
 
 def run_sweep(doc: dict) -> list:
@@ -431,10 +503,14 @@ def run_sweep(doc: dict) -> list:
     through its scheme, so they are computed once per distinct scheme.
     """
     cfg = normalize_config(doc)
-    axes = [_axis_values(cfg, a) for a in SWEEP_AXES]
+    grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
+            **cfg.get("grid", {})}
+    for axis in SWEEP_AXES:
+        if axis not in grid:
+            raise ConfigError(f"config: a sweep needs grid.{axis} or a power control")
     approximated = {}  # Scheme -> _approximants(...) of the cells' shared points
     rows = []
-    for rho1, rho2, alpha, beta, theta, r in itertools.product(*axes):
+    for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
         cell = {k: None for k in SWEEP_COLUMNS}
         z1 = model.complex_from_pair(rho1)
         z2 = model.complex_from_pair(rho2)
@@ -442,40 +518,36 @@ def run_sweep(doc: dict) -> list:
             "family": cfg["params"]["family"],
             "rho1_re": z1.real, "rho1_im": z1.imag,
             "rho2_re": z2.real, "rho2_im": z2.imag,
-            "alpha": float(alpha), "beta": None if beta is None else float(beta),
-            "theta": float(theta), "r": float(r),
+            "alpha": alpha, "beta": beta, "theta": theta, "r": r,
             "status": "ok",
         })
         rows.append(cell)
         cell_doc = {
             **{k: v for k, v in cfg.items() if k != "grid"},
-            "params": {**cfg["params"], "rho1": [z1.real, z1.imag],
-                       "rho2": [z2.real, z2.imag], "alpha": float(alpha),
-                       "beta": None if beta is None else float(beta)},
-            "control": {"kind": "power", "theta": float(theta), "r": float(r)},
-            "scheme": {**cfg["scheme"]},
+            "params": {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha,
+                       "beta": beta},
+            "control": {"kind": "power", "theta": theta, "r": r},
+            # a scale the config does not give is derived cell by cell
+            "scheme": {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")},
         }
-        if cfg["params"]["family"] == "B" and beta is not None and "scale" not in (doc.get("scheme") or {}):
-            cell_doc["scheme"]["scale"] = 1.0 + float(beta)
         try:
             exp = build_experiment(cell_doc)
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
-            verdict = bounds.convergence_predicate(exp.scheme, float(r))
+            verdict = bounds.convergence_predicate(exp.scheme, r)
             cell["converges"] = bool(verdict)
             try:
                 cell["paper_constant"] = bounds.corollary_constant(
                     bounds.constant_tag(exp.params.family, exp.scheme.direction),
-                    float(theta), float(r), abs(exp.params.rho2), beta=exp.params.beta)
+                    theta, r, abs(exp.params.rho2), beta=exp.params.beta)
             except JensenLabError:
                 cell["paper_constant"] = "divergent"
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
             spec = _series_spec(exp)
-            control = bounds.ControlFunction.power(float(theta), float(r))
             try:
-                cell["derived_constant"] = bounds.phi_tilde_norm(control, 1.0, spec).total()
+                cell["derived_constant"] = bounds.phi_tilde_norm(exp.control, 1.0, spec).total()
             except JensenLabError:
                 cell["derived_constant"] = "divergent"
             if not verdict:
@@ -484,9 +556,9 @@ def run_sweep(doc: dict) -> list:
             if exp.scheme not in approximated:
                 approximated[exp.scheme] = _approximants(
                     exp, draw_samples(exp.space, exp.plan, arity=1))
-            records, cell["max_violation"] = _check_points(exp, control, spec,
+            records, cell["max_violation"] = _check_points(exp, exp.control, spec,
                                                            approximated[exp.scheme])
-            cell["empirical_sup"] = _audit(exp, control, records).empirical_sup
+            cell["empirical_sup"] = _audit(exp, exp.control, records).empirical_sup
         except JensenLabError as e:
             cell["status"] = e.code
     return rows

@@ -197,10 +197,6 @@ class MeasuredEnvelope:
     def component_value(self, s: float) -> float:
         return 0.0 if s == 0.0 else float(self.cum_max[shell_index(self.edges, s)])
 
-    def evaluate_norms(self, nx: float, ny: float, nz: float) -> float:
-        return (self.component_value(nx) + self.component_value(ny)
-                + self.component_value(nz))
-
 
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
     """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0."""

@@ -66,11 +66,9 @@ class AdditiveCore:
         rng = np.random.default_rng(seed)
         if kind == "complex_linear":
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            return cls(kind, m / np.sqrt(2 * dim))
-        if kind == "real_linear":
+        else:
             m = rng.standard_normal((2 * dim, 2 * dim))
-            return cls(kind, m / np.sqrt(2 * dim))
-        raise ValueError(f"core kind must be one of {CORE_KINDS}, got {kind!r}")
+        return cls(kind, m / np.sqrt(2 * dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "complex_linear":
@@ -219,7 +217,7 @@ def additivity_defect(f: TestFunction, x, y) -> float:
     return f.space.norm(evaluate(f, ax + ay) - evaluate(f, ax) - evaluate(f, ay))
 
 
-# --- JSON loading -----------------------------------------------------------
+# --- JSON encoding ----------------------------------------------------------
 #
 # Complex scalars are encoded as [re, im] pairs; vectors as lists of pairs;
 # complex matrices as nested lists of pairs.
@@ -231,84 +229,12 @@ def complex_from_pair(pair) -> complex:
     return complex(re, im)
 
 
-def pair_from_complex(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def vector_from_pairs(pairs) -> np.ndarray:
     return np.array([complex_from_pair(p) for p in pairs], dtype=np.complex128)
 
 
 def pairs_from_vector(v) -> list:
-    return [pair_from_complex(z) for z in np.asarray(v)]
-
-
-def load_space(doc: dict) -> NormedSpace:
-    return NormedSpace(dim=int(doc.get("dim", 2)), norm_kind=doc.get("norm", "l2"))
-
-
-def _load_core(doc: dict, dim: int) -> AdditiveCore:
-    kind = doc.get("kind", "identity")
-    if kind == "identity":
-        return AdditiveCore.identity(dim)
-    if "matrix" in doc:
-        if kind == "complex_linear":
-            m = np.array([[complex_from_pair(z) for z in row] for row in doc["matrix"]],
-                         dtype=np.complex128)
-        else:
-            m = np.array(doc["matrix"], dtype=float)
-        return AdditiveCore(kind, m)
-    return AdditiveCore.random(dim, seed=int(doc.get("seed", 0)), kind=kind)
-
-
-def _load_perturbation(doc: dict, space: NormedSpace) -> Perturbation:
-    kind = doc.get("kind", "none")
-    if kind == "none":
-        return Perturbation.none()
-    if kind == "bounded":
-        return Perturbation.bounded(doc["epsilon"],
-                                    direction_seed=int(doc.get("direction_seed", 0)),
-                                    direction=doc.get("direction", "hashed"))
-    if kind == "power":
-        return Perturbation.power(doc["theta"], doc["r"],
-                                  direction_seed=int(doc.get("direction_seed", 0)),
-                                  direction=doc.get("direction", "hashed"))
-    if kind == "tabulated":
-        step = float(doc.get("quant_step", QUANT_STEP))
-        table = {}
-        for entry in doc.get("table", []):
-            point = vector_from_pairs(entry["point"])
-            table[quantize(point, step)] = vector_from_pairs(entry["value"])
-        default = doc.get("default")
-        if default is not None:
-            default = vector_from_pairs(default)
-        return Perturbation.tabulated(table=table, default=default, quant_step=step)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
-
-
-def load_test_function(doc: dict, space: NormedSpace | None = None) -> TestFunction:
-    """Build a TestFunction from a JSON document.
-
-    Schema::
-
-        {"space": {"dim": 2, "norm": "l2"},            # optional if passed in
-         "core": {"kind": "identity" | "complex_linear" | "real_linear",
-                  "matrix": ... | "seed": 0},
-         "perturbation": {"kind": "none" | "bounded" | "power" | "tabulated",
-                          "epsilon": ..., "theta": ..., "r": ...,
-                          "direction": "hashed" | "radial",
-                          "direction_seed": 0,
-                          "table": [{"point": [[re, im], ...],
-                                     "value": [[re, im], ...]}, ...],
-                          "default": [[re, im], ...]},
-         "force_zero_at_origin": false}
-    """
-    if space is None:
-        space = load_space(doc.get("space", {}))
-    core = _load_core(doc.get("core", {}), space.dim)
-    perturbation = _load_perturbation(doc.get("perturbation", {}), space)
-    return TestFunction(space=space, core=core, perturbation=perturbation,
-                        force_zero_at_origin=bool(doc.get("force_zero_at_origin", False)))
+    return [[float(np.real(z)), float(np.imag(z))] for z in np.asarray(v)]
 
 
 def scalar_offset_function(offset: complex, dim: int = 1,

@@ -1,8 +1,6 @@
 """Finite-dimensional complex coordinate spaces and seeded point sampling.
 
 Vectors are plain ``numpy`` arrays of ``complex128`` with shape ``(dim,)``.
-All comparisons elsewhere in the package use an absolute-plus-relative
-tolerance ``ATOL + RTOL * scale``.
 """
 
 from __future__ import annotations
@@ -14,10 +12,6 @@ import numpy as np
 from .errors import ArityError, DimensionError
 
 NORM_KINDS = ("l1", "l2", "linf")
-
-#: Default absolute / relative tolerances for floating-point comparisons.
-ATOL = 1e-12
-RTOL = 1e-9
 
 #: Inner-radius floor used when a plan does not exclude the origin: sampled
 #: norms are log-uniform, which needs a positive lower edge.

@@ -62,6 +62,126 @@ def test_unknown_config_keys_rejected(tmp_path, capsys):
     assert "error[unknown-key]" in capsys.readouterr().err
 
 
+VERIFY_SAMPLE = json.loads((CONFIGS / "verify_power_measured.json").read_text())
+
+
+def changed(path, value, doc=VERIFY_SAMPLE):
+    """A deep copy of ``doc`` with the dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    section = doc
+    for key in parents:
+        section = section.setdefault(key, {})
+    section[last] = value
+    return doc
+
+
+SWEEP_SAMPLE = json.loads((CONFIGS / "sweep_family_a.json").read_text())
+
+#: (subcommand, config, extra flags, text the error line must name)
+MALFORMED = {
+    "count-not-int": ("verify", changed("plan.count", "many"), [], "plan.count"),
+    "rho2-not-complex": ("verify", changed("params.rho2", "x"), [], "params.rho2"),
+    "rho2-triple": ("verify", changed("params.rho2", [1, 2, 3]), [], "params.rho2"),
+    "power-control-without-r": ("verify", changed("control", {"kind": "power", "theta": 1.0}),
+                                [], "control.r"),
+    "bounded-without-epsilon": ("verify", changed("function.perturbation", {"kind": "bounded"}),
+                                [], "function.perturbation.epsilon"),
+    "unknown-perturbation-kind": ("verify", changed("function.perturbation.kind", "wobbly"), [],
+                                  "function.perturbation.kind"),
+    "dim-zero": ("verify", changed("space.dim", 0), [], "space: dim"),
+    "norm-l3": ("verify", changed("space.norm", "l3"), [], "space.norm"),
+    "radius-not-above-exclusion": ("verify", changed("plan.radius", 0.1), [],
+                                   "plan: need radius"),
+    "direction-sideways": ("verify", changed("scheme.direction", "sideways"), [],
+                           "scheme.direction"),
+    "negative-points": ("verify", VERIFY_SAMPLE, ["--points", "-5"], "plan: count"),
+    "plan-not-object-with-seed": ("verify", changed("plan", 5), ["--seed", "3"], "plan must be"),
+    "trunc-terms-zero": ("verify", changed("trunc_terms", 0), [], "trunc_terms"),
+    "tol-zero": ("verify", changed("tolerances.tol", 0), [], "tolerances.tol"),
+    "shells-zero": ("verify", changed("envelope.shells", 0), [], "envelope.shells"),
+    "tabulated-control-lengths": ("verify", changed("control", {"kind": "tabulated",
+                                                                "edges": [0.1, 1.0, 2.0],
+                                                                "values": [1.0]}),
+                                  [], "control: tabulated"),
+    "plan-not-object": ("verify", changed("plan", 5), [], "plan must be"),
+    "perturbation-typo": ("verify", changed("function.perturbation.thetta", 0.2), [],
+                          "function.perturbation.thetta"),
+    "control-typo": ("verify", changed("control", {"kind": "power", "theta": 1.0, "r": 0.5,
+                                                    "rr": 0.5}), [], "control.rr"),
+    "function-typo": ("verify", changed("function.typo", 1), [], "function.typo"),
+    "grid-typo": ("sweep", changed("grid.rho_2", [[0.1, 0.0]], SWEEP_SAMPLE), [], "grid.rho_2"),
+    "grid-value-not-number": ("sweep", changed("grid.r", [0.5, "x"], SWEEP_SAMPLE), [],
+                              "grid.r[1]"),
+    "dim-string": ("verify", changed("space.dim", "2"), [], "space.dim"),
+    "dim-float": ("verify", changed("space.dim", 2.0), [], "space.dim"),
+    "dim-bool": ("verify", changed("space.dim", True), [], "space.dim"),
+    "config-not-object": ("verify", [1, 2], ["--seed", "3"], "the config must be"),
+    "audit-without-power-control": ("audit", changed("control", {"kind": "zero"}), [],
+                                    "control.kind"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_3_naming_the_field(case, tmp_path, capsys):
+    command, doc, flags, field = MALFORMED[case]
+    cfg = write_config(tmp_path, doc)
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")] + flags)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RUNTIME, err
+    assert err.startswith(("error[config]: ", "error[unknown-key]: ")), err
+    assert field in err, err
+
+
+def test_config_file_not_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"plan": ')
+    assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error[config]: config: ")
+
+
+def missing_fields(section, echoed, path=""):
+    """Dotted paths of the schema fields, for the echoed kinds, absent from ``echoed``."""
+    if isinstance(section, harness.Kinds):
+        section = section[echoed["kind"]]
+    missing = []
+    for key, (accepted, default) in section.items():
+        if key not in echoed:
+            missing += [] if default is harness.OPTIONAL else [path + key]
+        elif isinstance(accepted, dict):
+            missing += missing_fields(accepted, echoed[key], f"{path}{key}.")
+    return missing
+
+
+ECHO_CASES = {
+    "sample": VERIFY_SAMPLE,
+    "tabulated-perturbation": scalar_verify_doc(),
+    "bounded-radial": changed("function.perturbation",
+                              {"kind": "bounded", "epsilon": 0.1, "direction": "radial"}),
+    "matrix-core": changed("function.core", {"kind": "complex_linear",
+                                             "matrix": [[[1, 0], [0, 0.5]], [[0, 0], [2, 0]]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ECHO_CASES))
+def test_echoed_config_is_complete_and_replayable(case, tmp_path):
+    doc = changed("envelope", {"count": 200}, ECHO_CASES[case])
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    cli.main(["verify", "--config", write_config(tmp_path, doc), "--points", "10",
+              "--out", str(first)])
+    echoed = json.loads(first.read_text())["config"]
+    assert missing_fields(harness.CONFIG_SCHEMA, echoed) == []
+    cli.main(["verify", "--config", write_config(tmp_path, echoed, "echo.json"),
+              "--out", str(again)])
+    assert again.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_sample_configs_run(path, tmp_path):
+    command = path.stem.split("_")[0]
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_family_scheme_pairing():
     doc = scalar_verify_doc()
     doc["scheme"] = {"direction": "forward", "scale": 3.0}

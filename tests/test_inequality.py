@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_additive, make_power
 
 from jensenlab import (
+    ControlFunction,
     RhoParams,
     SamplePlan,
     admissible,
@@ -210,7 +211,7 @@ def test_envelope_constant_defect(scalar_model):
     plan = SamplePlan(seed=3, count=1000, radius=2.0, exclude_origin_below=0.1)
     env = measure_envelope(scalar_model, params, plan)
     assert np.allclose(env.shell_max, 1.0, atol=1e-12)
-    assert env.evaluate_norms(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
+    assert ControlFunction.measured(env).evaluate_norms(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
     assert env.component_value(0.0) == 0.0
     assert abs(env.fit_r) < 0.05  # constant defect fits r ~ 0
     assert env.fit_theta == pytest.approx(1.0 / 3.0, rel=1e-3)
