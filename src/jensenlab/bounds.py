@@ -54,13 +54,9 @@ CONSTANT_TAGS = ("c24", "c26", "c34", "c36")
 DEFAULT_TRUNC_TERMS = 64
 
 
-class _CoverageMiss(Exception):
-    """Internal: a tabulated control was queried outside its shell coverage."""
-
-
-def _pw(n: float, r: float) -> float:
-    """n^r with the zero-norm-contributes-0 convention."""
-    return 0.0 if n == 0.0 else float(n) ** r
+def _pw(n, r: float):
+    """n^r elementwise, with the zero-norm-contributes-0 convention."""
+    return np.power(n, r, out=np.zeros_like(n, dtype=float), where=n != 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +107,16 @@ class ControlFunction:
     def measured(cls, envelope: MeasuredEnvelope) -> "ControlFunction":
         return cls("measured", envelope=envelope)
 
-    def _component(self, s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        if self.kind == "tabulated":
-            if s <= self.edges[0] or s > self.edges[-1]:
-                raise _CoverageMiss(s)
-            return float(self.values[shell_index(self.edges, s)])
-        return self.envelope.component_value(s)
+    def _component(self, s):
+        if self.kind == "measured":
+            return self.envelope.component_value(s)
+        covered = (s > self.edges[0]) & (s <= self.edges[-1])
+        return np.where(s == 0.0, 0.0,
+                        np.where(covered, self.values[shell_index(self.edges, s)], np.nan))
 
-    def evaluate_norms(self, nx: float, ny: float, nz: float) -> float:
+    def evaluate_norms(self, nx, ny, nz):
+        """phi on the three norms, elementwise over arrays of norms. A
+        tabulated control has no value (NaN) at a norm outside its coverage."""
         if self.kind == "zero":
             return 0.0
         if self.kind == "power":
@@ -174,8 +170,8 @@ class PhiTilde:
         return self.value + (self.tail or 0.0)
 
 
-def _series_term(control: ControlFunction, nx: float, spec: SeriesSpec, i: int) -> float:
-    """The i-th series term for a query point of norm nx."""
+def _series_term(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, i: int):
+    """The i-th series term at each query norm in nx."""
     p2 = spec.rho2_abs
     L = abs(spec.scheme.scale)
     forward = spec.scheme.direction == "forward"
@@ -209,35 +205,42 @@ def _check_prefactors(spec: SeriesSpec):
 
 def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
     """Truncated stability series for a query point of norm ``nx``."""
+    return phi_tilde_norms(control, [nx], spec)[0]
+
+
+def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
+    """``phi_tilde_norm`` at each norm of a vector, each sum rounding as it does
+    alone (term by term, left to right); one point's error is the vector's."""
+    nx = np.asarray(norms, dtype=float)
+    if not nx.size:
+        return []
     _check_prefactors(spec)
+    n_terms = spec.trunc_terms
     if control.kind == "zero":
-        return PhiTilde(0.0, 0.0, spec.trunc_terms)
+        return [PhiTilde(0.0, 0.0, n_terms)] * nx.size
+    value = np.zeros(nx.size)
     if control.kind == "power":
-        if nx == 0.0 and control.r < 0:
+        if control.r < 0 and (nx == 0.0).any():
             raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
         ratio = _term_ratio(spec.scheme, control.r)
-        if control.theta > 0.0 and nx > 0.0 and ratio >= 1.0:
+        if control.theta > 0.0 and ratio >= 1.0 and (nx > 0.0).any():
             raise DivergentSeriesError(
                 f"divergent: series term ratio {ratio:.6g} >= 1 for r = {control.r}"
             )
-        value = 0.0
-        for i in range(spec.trunc_terms):
-            value += _series_term(control, nx, spec, i)
-        tail = (_series_term(control, nx, spec, spec.trunc_terms) / (1.0 - ratio)
-                if ratio < 1.0 else 0.0)
-        return PhiTilde(value, tail, spec.trunc_terms)
+        for i in range(n_terms):
+            value = value + _series_term(control, nx, spec, i)
+        tail = (_series_term(control, nx, spec, n_terms) / (1.0 - ratio)
+                if ratio < 1.0 else np.zeros(nx.size))
+        return [PhiTilde(v, t, n_terms) for v, t in zip(value.tolist(), tail.tolist())]
     # tabulated / measured: sum until coverage runs out; no closed tail.
-    value = 0.0
-    terms = 0
-    truncated = False
-    for i in range(spec.trunc_terms):
-        try:
-            value += _series_term(control, nx, spec, i)
-        except _CoverageMiss:
-            truncated = True
-            break
-        terms += 1
-    return PhiTilde(value, None, terms, coverage_truncated=truncated)
+    terms = np.zeros(nx.size, dtype=int)
+    for i in range(n_terms):
+        term = _series_term(control, nx, spec, i)
+        covered = (terms == i) & ~np.isnan(term)
+        value = np.where(covered, value + term, value)
+        terms += covered
+    return [PhiTilde(v, None, k, coverage_truncated=k < n_terms)
+            for v, k in zip(value.tolist(), terms.tolist())]
 
 
 def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
@@ -373,9 +376,16 @@ def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
     Requires a power control; ``empirical_sup`` is max ||f(x) - A(x)|| /
     ||x||^r over the supplied points, with A from ``approximate_points``.
     """
-    deviations = ((f.space.norm(rep.point), dev)
-                  for rep, dev in approximate_points(f, points, scheme, tol, max_n=max_n))
+    xs = f.space.as_vectors(points)
+    deviations = zip(f.space.norms(xs).tolist(),
+                     (dev for _, dev in approximate_points(f, xs, scheme, tol, max_n=max_n)))
     return audit_deviations(params, scheme, control, deviations, trunc_terms=trunc_terms)
+
+
+def require_power_control(control: ControlFunction):
+    """An audit needs a power control: its constants are closed forms in theta and r."""
+    if control.kind != "power":
+        raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
 
 
 def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction,
@@ -384,8 +394,7 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
 
     The constants are evaluated before ``deviations`` is iterated.
     """
-    if control.kind != "power":
-        raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
+    require_power_control(control)
     which = constant_tag(params.family, scheme.direction)
     theta, r = control.theta, control.r
     p2 = abs(params.rho2)

@@ -70,7 +70,7 @@ def _cmd_check_params(args, doc: dict) -> int:
 def _cmd_defect(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
     triples = draw_samples(exp.space, exp.plan, arity=3)
-    samples = [inequality.defect(exp.f, x, y, z, exp.params) for x, y, z in triples]
+    samples = inequality.defect_many(exp.f, triples, exp.params)
     if args.format == "json":
         payload = [{"family": s.family, "x_norm": s.x_norm, "y_norm": s.y_norm,
                     "z_norm": s.z_norm, "lhs": s.lhs_norm, "rhs": s.rhs_norm,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScaleError, NotConvergedError, NumericError, ScaleOverflowError
-from .model import TestFunction, evaluate
+from .model import TestFunction, evaluate_many
 
 DIRECTIONS = ("forward", "backward")
 
@@ -81,11 +81,15 @@ def _scale_power(scheme: Scheme, n: int) -> float:
 
 def orbit_term(f: TestFunction, x, scheme: Scheme, n: int) -> np.ndarray:
     """The n-th orbit term; n = 0 returns f(x)."""
-    arr = f.space.as_vector(x)
+    return orbit_terms(f, f.space.as_vectors([x]), scheme, n)[0]
+
+
+def orbit_terms(f: TestFunction, xs: np.ndarray, scheme: Scheme, n: int) -> np.ndarray:
+    """The n-th orbit term at each row of an N x dim array."""
     p = _scale_power(scheme, n)
     if scheme.direction == "forward":
-        return evaluate(f, p * arr) / p
-    return p * evaluate(f, arr / p)
+        return evaluate_many(f, p * xs) / p
+    return p * evaluate_many(f, xs / p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,29 +142,10 @@ def approximate(f: TestFunction, x, scheme: Scheme, tol: float,
     convergence (guards against accidental small steps of oscillatory
     perturbations); an exactly-zero residual short-circuits, since identical
     consecutive terms cannot refine further. Hitting ``max_n`` yields
-    ``converged=False`` rather than an error.
+    ``converged=False`` rather than an error; a batch of one of ``approximate_points``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    arr = f.space.as_vector(x)
-    prev = evaluate(f, arr)
-    if not np.isfinite(prev).all():
-        raise NumericError("numeric: f(x) is not finite")
-    residuals: list[float] = []
-    hits = 0
-    for n in range(1, max_n + 1):
-        cur = orbit_term(f, arr, scheme, n)
-        if not np.isfinite(cur).all():
-            raise NumericError(f"numeric: orbit term {n} is not finite")
-        r = f.space.norm(cur - prev)
-        residuals.append(r)
-        prev = cur
-        if r == 0.0:
-            return ConvergenceReport(arr, cur, n, residuals, 0.0, True)
-        hits = hits + 1 if r <= tol else 0
-        if hits >= 2:
-            return ConvergenceReport(arr, cur, n, residuals, _tail_estimate(residuals), True)
-    return ConvergenceReport(arr, prev, max_n, residuals, _tail_estimate(residuals), False)
+    rep, _ = next(approximate_points(f, [x], scheme, tol, max_n=max_n, strict=False))
+    return rep
 
 
 def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
@@ -168,12 +153,23 @@ def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
     """The approximation pass: yields ``(report, ||f(x) - A(x)||)`` per point,
     in order, with A(x) = ``report.value``. The first point that does not
     converge within ``max_n`` raises NotConvergedError; with ``strict=False``
-    it is yielded with deviation None instead.
+    it is yielded with deviation None instead. A NumericError or
+    ScaleOverflowError is raised at the point whose orbit has it.
+
+    The orbits run in lockstep, one batched term per step over the points
+    still iterating, so each report is what ``approximate`` gives alone.
     """
-    for i, x in enumerate(points):
-        rep = approximate(f, x, scheme, tol, max_n=max_n)
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    xs = f.space.as_vectors(points)
+    values, deviations, residuals, converged, errors = _orbits(f, xs, scheme, tol, max_n)
+    for i, x in enumerate(xs):
+        if errors[i] is not None:
+            raise errors[i]
+        res = residuals[i].tolist()
+        rep = ConvergenceReport(x, values[i], len(res), res, _tail_estimate(res), converged[i])
         if rep.converged:
-            yield rep, f.space.norm(evaluate(f, rep.point) - rep.value)
+            yield rep, deviations[i]
         elif strict:
             raise NotConvergedError(f"not-converged: point {i} did not converge within "
                                     f"max_n under {scheme.label()}")
@@ -181,21 +177,59 @@ def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
             yield rep, None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite term is a NumericError
+def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: int):
+    """Per point: the last term, ||f(x) - term|| (0 unless converged), the
+    residuals (an array), whether it converged, and its error (or None)."""
+    f0 = evaluate_many(f, xs)
+    prev = f0.copy()
+    running = np.isfinite(f0).all(axis=1)
+    errors = np.where(running, None, NumericError("numeric: f(x) is not finite"))
+    converged = np.zeros(len(xs), dtype=bool)
+    hits = np.zeros(len(xs), dtype=int)
+    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # (points, residuals) of each step
+    for n in range(1, max_n + 1):
+        idx = np.flatnonzero(running)
+        if not idx.size:
+            break
+        try:
+            cur = orbit_terms(f, xs[idx], scheme, n)
+        except ScaleOverflowError as e:
+            errors[idx] = e
+            break
+        finite = np.isfinite(cur).all(axis=1)
+        errors[idx[~finite]] = NumericError(f"numeric: orbit term {n} is not finite")
+        running[idx[~finite]] = False
+        idx, cur = idx[finite], cur[finite]
+        r = f.space.norms(cur - prev[idx])
+        steps.append((idx, r))
+        prev[idx] = cur
+        hits[idx] = np.where(r <= tol, hits[idx] + 1, 0)
+        done = idx[(r == 0.0) | (hits[idx] >= 2)]
+        converged[done] = True
+        running[done] = False
+    deviations = f.space.norms(f0 - prev)  # read at converged points only
+    # each point's residuals in step order: a stable sort of all steps by point
+    points, res = (np.concatenate(c) for c in zip(*steps))
+    residuals = np.split(res[np.argsort(points, kind="stable")],
+                         np.cumsum(np.bincount(points, minlength=len(xs)))[:-1])
+    return prev, deviations.tolist(), residuals, converged.tolist(), errors
+
+
 def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs) -> float:
     """Max additivity defect ||A(x+y) - A(x) - A(y)|| of the approximant."""
-    worst = 0.0
-    for x, y in pairs:
-        ax, ay = f.space.as_vector(x), f.space.as_vector(y)
-        (rx, _), (ry, _), (rxy, _) = approximate_points(f, (ax, ay, ax + ay), scheme, tol)
-        worst = max(worst, f.space.norm(rxy.value - rx.value - ry.value))
-    return worst
+    x, y = (f.space.as_vectors([p[k] for p in pairs]) for k in range(2))
+    # x, y and x+y of each pair in turn, so that a failure is raised at its pair
+    xs = np.stack([x, y, x + y], axis=1).reshape(-1, f.space.dim)
+    a = f.space.as_vectors([rep.value for rep, _ in approximate_points(f, xs, scheme, tol)])
+    return float(f.space.norms(a[2::3] - a[0::3] - a[1::3]).max(initial=0.0))
 
 
 def uniqueness_crosscheck(f: TestFunction, scheme1: Scheme, scheme2: Scheme,
                           points, tol: float) -> float:
     """Max pointwise disagreement between the two schemes' approximants."""
-    worst = 0.0
-    for (rep1, _), (rep2, _) in zip(approximate_points(f, points, scheme1, tol),
-                                    approximate_points(f, points, scheme2, tol)):
-        worst = max(worst, f.space.norm(rep1.value - rep2.value))
-    return worst
+    xs = f.space.as_vectors(points)
+    a = f.space.as_vectors([rep.value for pair in zip(approximate_points(f, xs, scheme1, tol),
+                                                      approximate_points(f, xs, scheme2, tol))
+                            for rep, _ in pair])
+    return float(f.space.norms(a[0::2] - a[1::2]).max(initial=0.0))

@@ -352,25 +352,20 @@ def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, approximate
     fails is the one a point-by-point run would name.
     """
     approximants, failure = approximated
-    records = []
-    max_violation = float("-inf")
-    for rep, dev in approximants:
-        nx = exp.space.norm(rep.point)
-        pt = _stage("phi-tilde", lambda: bounds.phi_tilde_norm(control, nx, spec))
-        bound_total = pt.total()
-        records.append({
-            "x": model.pairs_from_vector(rep.point),
-            "x_norm": nx,
-            "deviation": dev,
-            "bound": bound_total,
-            "tail": "unavailable" if pt.tail is None else pt.tail,
-            "margin": bound_total - dev,
-            "iterations": rep.iterations,
-        })
-        max_violation = max(max_violation, dev - bound_total)
+    norms = exp.space.norms([rep.point for rep, _ in approximants]).tolist()
+    phis = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
+    records = [{
+        "x": model.pairs_from_vector(rep.point),
+        "x_norm": nx,
+        "deviation": dev,
+        "bound": pt.total(),
+        "tail": "unavailable" if pt.tail is None else pt.tail,
+        "margin": pt.total() - dev,
+        "iterations": rep.iterations,
+    } for (rep, dev), nx, pt in zip(approximants, norms, phis)]
     if failure is not None:
         raise failure
-    return records, (max_violation if records else 0.0)
+    return records, max((p["deviation"] - p["bound"] for p in records), default=0.0)
 
 
 def _audit(exp: Experiment, control, records: list) -> bounds.BoundAudit:
@@ -407,7 +402,8 @@ def run_verify(doc: dict) -> RunReport:
     """Full verification: A at every sample point, series bound, margins.
 
     Pipeline stages (each failure aborts naming the stage): admissibility,
-    control construction (envelope measurement for measured controls), the
+    the control kind an audit needs (when one is asked for), control
+    construction (envelope measurement for measured controls), the
     convergence predicate for the declared control, per-point approximation,
     and the series evaluation. Pass iff
     max over points of (||f - A|| - phi_tilde - tail) <= tol.
@@ -422,6 +418,8 @@ def run_verify(doc: dict) -> RunReport:
         return adm
 
     _stage("admissibility", check_admissible)
+    if exp.config["audit"]:
+        _stage("audit", lambda: bounds.require_power_control(exp.control))
     control, fit = _stage("envelope", lambda: _build_control(exp))
 
     def check_predicate():

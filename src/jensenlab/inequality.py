@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParameterError, EmptySampleError, FamilyError, InadmissibleError
-from .model import TestFunction, evaluate
+from .model import TestFunction, evaluate_many
 from .space import SamplePlan, draw_samples
 
 FAMILIES = ("A", "B")
@@ -132,22 +132,35 @@ def _combine(terms):
 
 
 def defect(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
-    """Defect of one triple for the family of ``params``; ``f`` is evaluated
-    once per distinct argument (8 for family A, 7 for family B)."""
+    """Defect of one triple for the family of ``params``."""
+    return defect_many(f, [(x, y, z)], params)[0]
+
+
+def defect_many(f: TestFunction, triples, params: RhoParams) -> list:
+    """Defects of a sequence of (x, y, z) triples: ``f`` is evaluated once per
+    distinct argument of the family (8 for family A, 7 for family B), each
+    time on the whole batch."""
+    xyz, columns = _defect_columns(f, triples, params)
+    return [DefectSample(params.family, t, *row)
+            for t, row in zip(zip(*xyz), zip(*(c.tolist() for c in columns)))]
+
+
+def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
+    """The triples as x, y, z arrays, and the number fields of DefectSample as arrays."""
     params._check_degenerate()
     sp = f.space
-    x, y, z = sp.as_vector(x), sp.as_vector(y), sp.as_vector(z)
+    x, y, z = (sp.as_vectors([t[k] for t in triples]) for k in range(3))
     beta = float(params.beta) if params.family == "B" else 0.0
     basis = (x, y, beta * y, params.alpha * z)
     exprs = FAMILY_TERMS[params.family]
     args = dict.fromkeys(arg for terms in exprs.values() for _, arg in terms)
-    values = {arg: evaluate(f, _combine(zip(arg, basis))) for arg in args}
+    values = {arg: evaluate_many(f, _combine(zip(arg, basis))) for arg in args}
     lhs, e1, e2 = (_combine((-beta if c == "-b" else c, values[arg]) for c, arg in exprs[name])
                    for name in ("lhs", "e1", "e2"))
-    lhs_norm = sp.norm(lhs)
-    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
-    return DefectSample(params.family, (x, y, z), sp.norm(x), sp.norm(y), sp.norm(z),
-                        lhs_norm, rhs_norm, lhs_norm - rhs_norm)
+    lhs_norm = sp.norms(lhs)
+    rhs_norm = abs(params.rho1) * sp.norms(e1) + abs(params.rho2) * sp.norms(e2)
+    return (x, y, z), (sp.norms(x), sp.norms(y), sp.norms(z), lhs_norm, rhs_norm,
+                       lhs_norm - rhs_norm)
 
 
 DEFECT_CSV_HEADER = "family,x_norm,y_norm,z_norm,lhs,rhs,defect"
@@ -168,10 +181,10 @@ def defect_samples_csv(samples) -> str:
 # --- measured control envelopes ---------------------------------------------
 
 
-def shell_index(edges: np.ndarray, s: float) -> int:
-    """Index i of the shell (edges[i], edges[i+1]] that holds ``s``; norms
-    outside the table are clamped to its first or last shell."""
-    return min(max(int(np.searchsorted(edges, s, side="left")) - 1, 0), len(edges) - 2)
+def shell_index(edges: np.ndarray, s):
+    """Index i of the shell (edges[i], edges[i+1]] that holds each norm in
+    ``s``; norms outside the table are clamped to its first or last shell."""
+    return np.clip(np.searchsorted(edges, s, side="left") - 1, 0, len(edges) - 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +207,9 @@ class MeasuredEnvelope:
     fit_r: float
     sample_count: int
 
-    def component_value(self, s: float) -> float:
-        return 0.0 if s == 0.0 else float(self.cum_max[shell_index(self.edges, s)])
+    def component_value(self, s):
+        """e at each norm in ``s`` (a float for a float)."""
+        return np.where(s == 0.0, 0.0, self.cum_max[shell_index(self.edges, s)])[()]
 
 
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
@@ -240,16 +254,10 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
 
     lo = plan.inner_radius()
     edges = np.geomspace(lo, plan.radius, shells + 1)
+    _, (nx, ny, nz, _, _, defects) = _defect_columns(f, triples, params)
+    norms = np.stack([nx, ny, nz], axis=1)
     shell_max = np.zeros(shells)
-    norms = np.empty((len(triples), 3))
-    defects = np.empty(len(triples))
-    for i, (x, y, z) in enumerate(triples):
-        s = defect(f, x, y, z, params)
-        norms[i] = (s.x_norm, s.y_norm, s.z_norm)
-        defects[i] = s.defect
-        top = max(s.x_norm, s.y_norm, s.z_norm)
-        idx = shell_index(edges, top)
-        shell_max[idx] = max(shell_max[idx], max(0.0, s.defect))
+    np.maximum.at(shell_max, shell_index(edges, norms.max(axis=1)), np.maximum(defects, 0.0))
 
     theta_hat, r_hat = _fit_power_law(norms, defects)
     return MeasuredEnvelope(edges=edges, shell_max=shell_max,
@@ -261,7 +269,4 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
 def scale_of(f: TestFunction, points) -> float:
     """Rough magnitude of f over a point set, floored at 1; used to express
     'tiny relative to f' in tolerance checks."""
-    best = 1.0
-    for p in points:
-        best = max(best, f.space.norm(evaluate(f, p)))
-    return best
+    return max(1.0, float(f.space.norms(evaluate_many(f, points)).max(initial=0.0)))

@@ -3,13 +3,17 @@
 A test function models f = core + p where the core is a (real- or
 complex-)linear operator, hence exactly additive, and p supplies a controlled
 departure from additivity. Perturbations are deterministic: their direction is
-either radial (x / ||x||) or obtained by hashing the quantized input point
-together with a seed, so repeated evaluation never needs stored tables.
+either radial (x / ||x||) or hashed from the quantized input point together
+with a seed, so repeated evaluation never needs stored tables.
+
+``evaluate_many`` maps the rows of an N x dim array, and ``evaluate`` is a batch
+of one; every step works row by row, so a row's bits never depend on its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +37,34 @@ DIRECTION_KINDS = ("hashed", "radial")
 _QUANT_CAP = float(1 << 53)
 
 
+def _quantized(xs: np.ndarray, step: float) -> np.ndarray:
+    """Quantized int64 keys of the rows of an N x dim array (real parts, then imaginary)."""
+    parts = np.concatenate([xs.real, xs.imag], axis=1)
+    return np.clip(np.round(parts / step), -_QUANT_CAP, _QUANT_CAP).astype(np.int64)
+
+
 def quantize(x: np.ndarray, step: float = QUANT_STEP) -> tuple:
     """Quantized integer key for a complex vector (real parts then imaginary)."""
-    parts = np.concatenate([np.asarray(x).real, np.asarray(x).imag])
-    scaled = np.clip(np.round(parts / step), -_QUANT_CAP, _QUANT_CAP)
-    return tuple(int(k) for k in scaled.astype(np.int64))
+    return tuple(_quantized(np.asarray(x, dtype=np.complex128)[None], step)[0].tolist())
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014); uint64 arithmetic wraps.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash_words(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
+    """``count`` words per row of an int64 key array, ``mix(state + j gamma)``: a
+    counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``."""
+    state = np.full(len(keys), seed & _MASK64, dtype=np.uint64)
+    for k in keys.view(np.uint64).T:
+        state = _mix64((state + _GAMMA) ^ k)
+    return _mix64(state[:, None] + _GAMMA * np.arange(1, count + 1, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,20 +98,29 @@ class AdditiveCore:
         return cls(kind, m / np.sqrt(2 * dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "complex_linear":
-            if self.matrix.shape != (x.shape[0], x.shape[0]):
-                raise DimensionError(
-                    f"dimension: core matrix {self.matrix.shape} does not act on C^{x.shape[0]}"
-                )
-            return self.matrix @ x
-        d = x.shape[0]
-        if self.matrix.shape != (2 * d, 2 * d):
+        return self.apply_many(np.asarray(x)[None])[0]
+
+    @cached_property
+    def _real_matrix(self) -> np.ndarray:
+        """The matrix acting on (Re x, Im x): [[A, -B], [B, A]] for A + iB."""
+        m = self.matrix
+        return m if self.kind == "real_linear" else np.block([[m.real, -m.imag],
+                                                               [m.imag, m.real]])
+
+    def apply_many(self, xs: np.ndarray) -> np.ndarray:
+        """The core at each row of an N x dim array, in real arithmetic summed
+        column by column in a fixed order: not BLAS, and no complex product,
+        whose rounding can depend on the numpy loop (fused or not) that runs
+        it, so a row's bits never depend on the batch."""
+        d, m = xs.shape[1], self._real_matrix
+        if m.shape != (2 * d, 2 * d):
             raise DimensionError(
-                f"dimension: real core matrix {self.matrix.shape} does not act on R^{2 * d}"
-            )
-        x2 = np.concatenate([x.real, x.imag])
-        y2 = self.matrix @ x2
-        return y2[:d] + 1j * y2[d:]
+                f"dimension: {self.kind} core matrix {self.matrix.shape} does not act on C^{d}")
+        x2 = np.concatenate([xs.real, xs.imag], axis=1)
+        y2 = x2[:, :1] * m[:, 0]
+        for j in range(1, 2 * d):
+            y2 = y2 + x2[:, j : j + 1] * m[:, j]
+        return y2[:, :d] + 1j * y2[:, d:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +136,11 @@ class Perturbation:
                  default used for points outside the table (a constant offset
                  model is ``tabulated`` with an empty table and a default)
 
-    direction 'hashed' draws a unit vector from a generator seeded by
-    (direction_seed, quantized point); 'radial' uses x / ||x||.
+    direction 'hashed' normalizes a complex Gaussian vector drawn by
+    Box-Muller from the SplitMix64 words of (direction_seed, quantized
+    point): words 1..dim give the radii, dim+1..2dim the angles, and word
+    2dim+1 the magnitude scale of a bounded perturbation; 'radial' uses
+    x / ||x||. ``evaluate`` is a batch of one of ``evaluate_many``.
     """
 
     kind: str = "none"
@@ -143,48 +182,38 @@ class Perturbation:
         dflt = None if default is None else np.asarray(default, dtype=np.complex128)
         return cls("tabulated", table=tab, default=dflt, quant_step=quant_step)
 
-    def _unit_direction(self, space: NormedSpace, x: np.ndarray) -> np.ndarray:
-        if self.direction == "radial":
-            nx = space.norm(x)
-            if nx == 0.0:
-                return space.zero()
-            return x / nx
-        key = quantize(x, self.quant_step)
-        entropy = [self.direction_seed & _MASK64] + [k & _MASK64 for k in key]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        while True:
-            g = rng.standard_normal(2 * space.dim)
-            vec = g[: space.dim] + 1j * g[space.dim :]
-            ng = space.norm(vec)
-            if ng > 0:
-                return vec / ng
-
     def evaluate(self, space: NormedSpace, x: np.ndarray) -> np.ndarray:
+        return self.evaluate_many(space, space.as_vectors([x]))[0]
+
+    def evaluate_many(self, space: NormedSpace, xs: np.ndarray) -> np.ndarray:
+        """p at each row of an N x dim complex array."""
+        out = np.zeros_like(xs)
         if self.kind == "none":
-            return space.zero()
+            return out
         if self.kind == "tabulated":
-            key = quantize(x, self.quant_step)
-            if key in self.table:
-                return np.asarray(self.table[key], dtype=np.complex128)
-            if self.default is not None:
-                return self.default.copy()
-            return space.zero()
+            default = space.zero() if self.default is None else self.default
+            keys = map(tuple, _quantized(xs, self.quant_step).tolist())
+            return np.array([self.table.get(k, default) for k in keys], dtype=np.complex128
+                            ).reshape(xs.shape)
+        d, nx = space.dim, space.norms(xs)
+        if self.direction == "hashed" or self.kind == "bounded":
+            words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step), 2 * d + 1)
+        if self.direction == "radial":
+            u = np.divide(xs, nx[:, None], out=out, where=nx[:, None] != 0.0)
+        else:
+            # Box-Muller with u1 = (k + 1/2) / 2^52 in (0, 1) for the top 52 bits
+            # k of a word: every radius is positive, so no vector is zero.
+            radius = np.sqrt(-2.0 * np.log(((words[:, :d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
+            angle = 2.0 * np.pi * ((words[:, d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
+            g = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+            u = g / space.norms(g)[:, None]
         if self.kind == "bounded":
-            u = self._unit_direction(space, x)
             # Magnitude scale in [0, 1) hashed from the same point key.
-            key = quantize(x, self.quant_step)
-            entropy = [(self.direction_seed + 1) & _MASK64] + [k & _MASK64 for k in key]
-            w = float(np.random.default_rng(np.random.SeedSequence(entropy)).random())
-            return self.epsilon * w * u
+            return (self.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
         # power
-        nx = space.norm(x)
-        if nx == 0.0:
-            if self.r > 0:
-                return space.zero()
-            if self.r == 0:
-                return self.theta * self._unit_direction(space, x)
+        if self.r < 0 and (nx == 0.0).any():
             raise ZeroDivisionError("power perturbation with r < 0 evaluated at 0")
-        return (self.theta * nx**self.r) * self._unit_direction(space, x)
+        return (self.theta * nx ** self.r)[:, None] * u
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,17 +233,24 @@ class TestFunction:
 
 def evaluate(f: TestFunction, x) -> np.ndarray:
     """f(x) = core(x) + p(x); exactly zero at the origin when forced."""
-    arr = f.space.as_vector(x)
-    if f.force_zero_at_origin and not arr.any():
-        return f.space.zero()
-    return f.core.apply(arr) + f.perturbation.evaluate(f.space, arr)
+    return evaluate_many(f, [x])[0]
+
+
+def evaluate_many(f: TestFunction, xs) -> np.ndarray:
+    """f at each row of an N x dim array; row i equals ``evaluate(f, xs[i])``
+    bit for bit, whatever the other rows are."""
+    xs = f.space.as_vectors(xs)
+    live = xs.any(axis=1) if f.force_zero_at_origin else slice(None)
+    out = np.zeros_like(xs)
+    out[live] = f.core.apply_many(xs[live]) + f.perturbation.evaluate_many(f.space, xs[live])
+    return out
 
 
 def additivity_defect(f: TestFunction, x, y) -> float:
     """||f(x+y) - f(x) - f(y)|| in the function's own space."""
-    ax = f.space.as_vector(x)
-    ay = f.space.as_vector(y)
-    return f.space.norm(evaluate(f, ax + ay) - evaluate(f, ax) - evaluate(f, ay))
+    x, y = f.space.as_vectors([x, y])
+    fxy, fx, fy = evaluate_many(f, [x + y, x, y])
+    return f.space.norm(fxy - fx - fy)
 
 
 # --- JSON encoding ----------------------------------------------------------

@@ -31,27 +31,31 @@ class NormedSpace:
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
 
-    def as_vector(self, v) -> np.ndarray:
-        """Coerce to a complex vector of this space, checking the dimension."""
-        arr = np.asarray(v, dtype=np.complex128)
-        if arr.shape != (self.dim,):
+    def as_vectors(self, vs) -> np.ndarray:
+        """Coerce a sequence of vectors to an N x dim complex array, checking the
+        dimension; ``[v]`` is a batch of one."""
+        arr = np.asarray(vs if isinstance(vs, np.ndarray) else list(vs), dtype=np.complex128)
+        arr = arr.reshape(0, self.dim) if arr.size == 0 else arr
+        if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionError(
-                f"dimension: expected a vector of length {self.dim}, got shape {arr.shape}"
+                f"dimension: expected vectors of length {self.dim}, got shape {arr.shape}"
             )
         return arr
 
-    def norm(self, v) -> float:
-        arr = self.as_vector(v)
-        mags = np.abs(arr)
+    def norms(self, vs) -> np.ndarray:
+        """Norm of each row of an N x dim array; row i does not depend on the others."""
+        mags = np.abs(self.as_vectors(vs))
         if self.norm_kind == "l1":
-            return float(mags.sum())
-        if self.norm_kind == "l2":
-            # scaled so that tiny entries do not underflow when squared
-            m = float(mags.max())
-            if m == 0.0:
-                return 0.0
-            return m * float(np.sqrt(((mags / m) ** 2).sum()))
-        return float(mags.max())
+            return mags.sum(axis=1)
+        m = mags.max(axis=1)
+        if self.norm_kind == "linf":
+            return m
+        # scaled so that tiny entries do not underflow when squared
+        scale = np.where(m == 0.0, 1.0, m)[:, None]
+        return m * np.sqrt(((mags / scale) ** 2).sum(axis=1))
+
+    def norm(self, v) -> float:
+        return float(self.norms([v])[0])
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.dim, dtype=np.complex128)
@@ -83,44 +87,36 @@ class SamplePlan:
         return self.radius * ORIGIN_FLOOR
 
 
-def _one_sample(space: NormedSpace, rng: np.random.Generator, lo: float, hi: float) -> np.ndarray:
-    """One vector with uniform (Gaussian-normalized) direction and log-uniform norm.
-
-    Norms are log-uniform in ``(lo, hi]`` so that samples cover several dyadic
-    shells, which is where the series bounds are probed.
-    """
-    while True:
-        g = rng.standard_normal(2 * space.dim)
-        vec = g[: space.dim] + 1j * g[space.dim :]
-        ng = space.norm(vec)
-        if ng > 0:
-            break
-    # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
-    u = 1.0 - rng.random()
-    target = float(np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo))))
-    vec = vec * (target / ng)
-    # Guard the open/closed endpoints against rounding of the rescaled norm.
-    n = space.norm(vec)
-    if n > hi:
-        vec = vec * (1.0 - 1e-12)
-    elif n <= lo:
-        vec = vec * (1.0 + 1e-12)
-    return vec
-
-
 def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int):
     """Deterministic sample points (``arity=1``) or triples (``arity=3``).
 
-    The stream is a pure function of ``(space, plan, arity)``; parallel
-    consumers must partition the returned list by index rather than share a
-    generator.
+    Each vector has a uniform (Gaussian-normalized) direction and a norm
+    log-uniform in ``(lo, hi]``, so that samples cover several dyadic shells,
+    which is where the series bounds are probed. The stream is a pure
+    function of ``(space, plan, arity)``.
     """
     if arity not in (1, 3):
         raise ArityError(f"arity: expected 1 or 3, got {arity}")
     rng = np.random.default_rng(plan.seed)
     lo = plan.inner_radius()
     hi = plan.radius
-    vectors = [_one_sample(space, rng, lo, hi) for _ in range(plan.count * arity)]
+    n = plan.count * arity
+    g = np.empty((n, 2 * space.dim))
+    u = np.empty(n)
+    for i in range(n):
+        g[i] = rng.standard_normal(2 * space.dim)
+        while not g[i].any():
+            g[i] = rng.standard_normal(2 * space.dim)
+        # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
+        u[i] = 1.0 - rng.random()
+    vec = g[:, : space.dim] + 1j * g[:, space.dim :]
+    target = np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo)))
+    vec = vec * (target / space.norms(vec))[:, None]
+    # Guard the open/closed endpoints against rounding of the rescaled norm.
+    norms = space.norms(vec)
+    vec[norms > hi] *= 1.0 - 1e-12
+    vec[norms <= lo] *= 1.0 + 1e-12
+    vectors = list(vec)
     if arity == 1:
         return vectors
     return [tuple(vectors[3 * i : 3 * i + 3]) for i in range(plan.count)]

@@ -1,0 +1,223 @@
+"""Batch invariance: every batched function gives each row exactly (bit for
+bit) what its scalar form gives that row alone, whatever else is in the batch."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jensenlab import (
+    AdditiveCore,
+    ControlFunction,
+    NormedSpace,
+    Perturbation,
+    RhoParams,
+    SamplePlan,
+    SeriesSpec,
+    TestFunction,
+    approximate,
+    approximate_points,
+    defect,
+    draw_samples,
+    evaluate,
+    forward,
+    measure_envelope,
+    phi_tilde_norm,
+)
+from jensenlab.bounds import phi_tilde_norms
+from jensenlab.direct_method import Scheme
+from jensenlab.errors import JensenLabError, NotConvergedError
+from jensenlab.inequality import defect_many
+from jensenlab.model import _hash_words, _quantized, evaluate_many, quantize
+
+PERTURBATIONS = {
+    "none": lambda dim: Perturbation.none(),
+    "bounded-hashed": lambda dim: Perturbation.bounded(0.3, direction_seed=7),
+    "bounded-radial": lambda dim: Perturbation.bounded(0.3, direction_seed=7, direction="radial"),
+    "power-hashed": lambda dim: Perturbation.power(0.2, 0.5, direction_seed=3),
+    "power-radial": lambda dim: Perturbation.power(0.2, 0.5, direction="radial"),
+    "power-r0": lambda dim: Perturbation.power(0.2, 0.0, direction_seed=3),
+    "tabulated": lambda dim: Perturbation.tabulated(
+        table={quantize(np.full(dim, 0.5 + 0j)): np.full(dim, 2.0 - 1j)},
+        default=np.full(dim, 0.25j)),
+}
+
+coords = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def batches(draw, dim):
+    n = draw(st.integers(1, 12))
+    parts = draw(st.lists(st.tuples(coords, coords), min_size=n * dim, max_size=n * dim))
+    return np.array([complex(a, b) for a, b in parts]).reshape(n, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), kind=st.sampled_from(sorted(PERTURBATIONS)),
+       core=st.sampled_from(["complex_linear", "real_linear"]),
+       norm=st.sampled_from(["l1", "l2", "linf"]), forced=st.booleans())
+def test_evaluate_many_rows_equal_evaluate(data, dim, kind, core, norm, forced):
+    f = TestFunction(NormedSpace(dim, norm), AdditiveCore.random(dim, 4, core),
+                     PERTURBATIONS[kind](dim), force_zero_at_origin=forced)
+    xs = data.draw(batches(dim))
+    batch = evaluate_many(f, xs)
+    for i, x in enumerate(xs):
+        assert batch[i].tobytes() == evaluate(f, x).tobytes()
+    order = data.draw(st.permutations(range(len(xs))))
+    assert evaluate_many(f, xs[order]).tobytes() == batch[order].tobytes()
+
+
+def test_hash_words_pinned():
+    # A change here changes every hashed perturbation: make it on purpose.
+    keys = _quantized(np.array([[0.5 + 0.25j, -1.5j]]), 2.0 ** -20)
+    assert keys.tolist() == [[524288, 0, 262144, -1572864]]
+    words = _hash_words(5, keys, 5)
+    assert words.tolist() == [[
+        16808093379816816940, 7236057026604705250, 386679925975467192,
+        12703754952284879509, 10811273818751339629]]
+    # the direction goes through log, cos and sin: equal to within rounding
+    f = TestFunction(NormedSpace(2), AdditiveCore.identity(2), Perturbation.power(1.0, 1.0, 5))
+    x = np.array([0.5 + 0.25j, -1.5j])
+    p = evaluate(f, x) - x
+    want = [0.47718396136220353 + 0.06321484185765502j, -0.5738392776922354 - 1.4147465618142494j]
+    assert np.allclose(p, want, rtol=0.0, atol=1e-14)
+
+
+def _same_report(a, b):
+    return (a.point.tobytes() == b.point.tobytes() and a.value.tobytes() == b.value.tobytes()
+            and a.iterations == b.iterations and a.residuals == b.residuals
+            and a.tail_bound == b.tail_bound and a.converged == b.converged)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 50), r=st.sampled_from([0.25, 0.5, 2.0]),
+       direction=st.sampled_from(["forward", "backward"]))
+def test_approximate_points_match_approximate(data, seed, r, direction):
+    f = TestFunction(NormedSpace(2), AdditiveCore.random(2, seed, "real_linear"),
+                     Perturbation.power(0.1, r, direction_seed=seed))
+    scheme = Scheme(direction, 2.0)
+    pts = draw_samples(f.space, SamplePlan(seed, 12, 2.0, 0.1), arity=1)
+    alone = [approximate(f, x, scheme, 1e-9, max_n=60) for x in pts]
+    order = data.draw(st.permutations(range(len(pts))))
+    subset = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=len(pts)))
+    for picked in (order, subset):
+        batch = list(approximate_points(f, [pts[i] for i in picked], scheme, 1e-9,
+                                        max_n=60, strict=False))
+        assert all(_same_report(rep, alone[i]) for (rep, _), i in zip(batch, picked))
+        assert len(batch) == len(picked)
+    for (rep, dev), x in zip(approximate_points(f, pts, scheme, 1e-9, max_n=60, strict=False),
+                             pts):
+        want = f.space.norm(evaluate(f, x) - rep.value) if rep.converged else None
+        assert dev == want
+
+
+def _per_point_loop(f, pts, scheme, tol, max_n):
+    """The reference: one approximation per point, in order, strict."""
+    for i, x in enumerate(pts):
+        rep = approximate(f, x, scheme, tol, max_n=max_n)
+        if not rep.converged:
+            raise NotConvergedError(f"not-converged: point {i} did not converge within "
+                                    f"max_n under {scheme.label()}")
+        yield rep
+
+
+def _outcome(run):
+    done = []
+    try:
+        for rep in run():
+            done.append(rep)
+    except JensenLabError as e:
+        return done, (type(e), str(e))
+    return done, None
+
+
+#: On C^1 with the identity core: 1 converges at once (its orbit has no
+#: offsets), 3 never converges (offsets alternate), 5 overflows at term 2,
+#: 7 has a non-finite f(x).
+_MIXED_TABLE = {
+    **{quantize(np.array([3.0 * 2 ** n + 0j])): np.array([(-1) ** n * 2.0 ** n + 0j])
+       for n in range(1, 9)},
+    quantize(np.array([10.0 + 0j])): np.array([1.0 + 0j]),
+    quantize(np.array([20.0 + 0j])): np.array([np.inf + 0j]),
+    quantize(np.array([7.0 + 0j])): np.array([np.nan + 0j]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from([1.0, 3.0, 5.0, 7.0]), min_size=1, max_size=8),
+       max_n=st.integers(1, 6))
+def test_mixed_batch_fails_where_the_loop_fails(kinds, max_n):
+    f = TestFunction(NormedSpace(1), AdditiveCore.identity(1),
+                     Perturbation.tabulated(table=_MIXED_TABLE, default=np.array([0j])))
+    pts = [np.array([complex(k)]) for k in kinds]
+    scheme = forward(2.0)
+    want_done, want_err = _outcome(lambda: _per_point_loop(f, pts, scheme, 1e-9, max_n))
+    got_done, got_err = _outcome(
+        lambda: (rep for rep, _ in approximate_points(f, pts, scheme, 1e-9, max_n=max_n)))
+    assert got_err == want_err
+    assert len(got_done) == len(want_done)
+    assert all(_same_report(a, b) for a, b in zip(got_done, want_done))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=st.lists(st.sampled_from([0.0, 1.0, 2.0 ** 40]), min_size=1, max_size=6),
+       max_n=st.integers(2, 6))
+def test_scale_overflow_in_a_batch_fails_where_the_loop_fails(kinds, max_n):
+    # scale 2^300: 0 converges at once, 1 runs into the scale cap at term 4,
+    # 2^40 overflows to a non-finite term 3 first
+    f = TestFunction(NormedSpace(1), AdditiveCore.identity(1),
+                     Perturbation.power(1.0, 1.1, direction="radial"))
+    pts = [np.array([complex(k)]) for k in kinds]
+    scheme = forward(2.0 ** 300)
+    want = _outcome(lambda: _per_point_loop(f, pts, scheme, 1e-9, max_n))
+    got = _outcome(lambda: (rep for rep, _ in approximate_points(f, pts, scheme, 1e-9,
+                                                                 max_n=max_n)))
+    assert got[1] == want[1]
+    assert len(got[0]) == len(want[0])
+
+
+@pytest.mark.parametrize("params", [
+    RhoParams("A", 0.3 + 0.2j, -0.1 + 0.25j, -1.7),
+    RhoParams("B", 0.4 - 0.3j, 0.2 + 0.5j, 0.6, beta=-2.3),
+])
+def test_defect_many_equals_defect(params):
+    f = TestFunction(NormedSpace(3), AdditiveCore.random(3, 2, "complex_linear"),
+                     Perturbation.power(0.2, 0.5, direction_seed=21))
+    triples = draw_samples(f.space, SamplePlan(seed=17, count=40, radius=4.0), arity=3)
+    for got, (x, y, z) in zip(defect_many(f, triples, params), triples):
+        want = defect(f, x, y, z, params)
+        assert (got.x_norm, got.y_norm, got.z_norm, got.lhs_norm, got.rhs_norm, got.defect) == (
+            want.x_norm, want.y_norm, want.z_norm, want.lhs_norm, want.rhs_norm, want.defect)
+
+
+def _measured_control():
+    f = TestFunction(NormedSpace(2), AdditiveCore.identity(2), Perturbation.power(0.1, 0.5, 5))
+    env = measure_envelope(f, RhoParams("A", 0.0, 0.3, 1.0),
+                           SamplePlan(seed=3, count=200, radius=2.0, exclude_origin_below=0.1))
+    return ControlFunction.measured(env)
+
+
+CONTROLS = {
+    "power": lambda: ControlFunction.power(0.7, 0.5),
+    # covers (0.01, 4]: points above 4 miss at once, and every point misses
+    # some term as the forward series walks outwards
+    "tabulated": lambda: ControlFunction.tabulated([0.01, 0.5, 1.0, 4.0], [0.3, 0.2, 0.5]),
+    "measured": _measured_control,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(norms=st.lists(st.floats(0.0, 8.0) | st.sampled_from([0.0, 0.5, 4.0, 5.0]),
+                      min_size=1, max_size=10),
+       kind=st.sampled_from(sorted(CONTROLS)), direction=st.sampled_from(["forward", "backward"]))
+def test_phi_tilde_norms_equal_phi_tilde_norm(norms, kind, direction):
+    control = CONTROLS[kind]()
+    r = 0.5 if direction == "forward" else 2.0
+    if kind == "power":
+        control = ControlFunction.power(0.7, r)
+    spec = SeriesSpec(scheme=Scheme(direction, 2.0), family="A", rho2_abs=0.3, alpha=1.5,
+                      trunc_terms=20)
+    got = phi_tilde_norms(control, norms, spec)
+    assert got == [phi_tilde_norm(control, nx, spec) for nx in norms]
+    if kind == "tabulated" and 5.0 in norms:
+        assert got[norms.index(5.0)].coverage_truncated

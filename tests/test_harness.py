@@ -261,6 +261,20 @@ def test_run_verify_audit_block():
     assert rep.audit["verdicts"]["empirical_le_derived"] is True
 
 
+def test_audit_block_with_wrong_control_fails_before_the_envelope(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("measure_envelope called")
+
+    monkeypatch.setattr(harness.inequality, "measure_envelope", never)
+    doc = json.loads((CONFIGS / "verify_power_measured.json").read_text())
+    doc["audit"] = True
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "error[config]: audit: config: an audit needs control.kind power, got measured\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_block_uses_config_max_n():
     # r = 0.9 needs more than 200 orbit terms at some points; the audit block
     # must reuse the run's approximants rather than re-run them at max_n=200

@@ -131,17 +131,22 @@ def test_defect_matches_docstring_formulas(params):
     (RhoParams("B", 0.3, 0.2, 1.5, beta=2.0), 7),
 ])
 def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
+    # one batched f call per distinct argument, however many triples
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
     seen = []
-    original = inequality.evaluate
+    original = inequality.evaluate_many
 
-    def counting(f, v):
-        seen.append(v)
-        return original(f, v)
+    def counting(f, vs):
+        seen.append(len(vs))
+        return original(f, vs)
 
-    monkeypatch.setattr(inequality, "evaluate", counting)
+    monkeypatch.setattr(inequality, "evaluate_many", counting)
     defect(f, np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]), params)
-    assert len(seen) == calls
+    assert seen == [1] * calls
+    seen.clear()
+    triples = draw_samples(f.space, SamplePlan(seed=4, count=25, radius=2.0), arity=3)
+    inequality.defect_many(f, triples, params)
+    assert seen == [25] * calls
 
 
 def test_exact_additive_defect_vanishes():
