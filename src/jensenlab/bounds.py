@@ -388,6 +388,35 @@ def require_power_control(control: ControlFunction):
         raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
 
 
+def paper_constant(params: RhoParams, scheme: Scheme, control: ControlFunction) -> float | str:
+    """The published closed-form constant of the regime, or 'divergent' when
+    its printed denominator is not positive."""
+    try:
+        return corollary_constant(constant_tag(params.family, scheme.direction), control.theta,
+                                  control.r, abs(params.rho2), beta=params.beta)
+    except OutOfRegimeError:
+        return "divergent"
+
+
+def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction,
+                     trunc_terms: int = DEFAULT_TRUNC_TERMS) -> float | str:
+    """The derivation-consistent series constant phi~(1), or 'divergent' when
+    the series diverges or its prefactor is inadmissible."""
+    spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=abs(params.rho2),
+                      alpha=params.alpha, trunc_terms=trunc_terms)
+    try:
+        return phi_tilde_norm(control, 1.0, spec).total()
+    except (DivergentSeriesError, InadmissibleError):
+        return "divergent"
+
+
+def empirical_sup(r: float, deviations) -> tuple[float, int]:
+    """max ||f(x) - A(x)|| / ||x||^r over ``(||x||, ||f(x) - A(x)||)`` pairs
+    with ||x|| > 0 (0 when there are none), and the number of such pairs."""
+    ratios = [dev / nx**r for nx, dev in deviations if nx != 0.0]
+    return max(ratios, default=0.0), len(ratios)
+
+
 def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction,
                      deviations, trunc_terms: int = DEFAULT_TRUNC_TERMS) -> BoundAudit:
     """``audit`` on ``(||x||, ||f(x) - A(x)||)`` pairs already computed.
@@ -396,28 +425,9 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
     """
     require_power_control(control)
     which = constant_tag(params.family, scheme.direction)
-    theta, r = control.theta, control.r
-    p2 = abs(params.rho2)
-
-    try:
-        paper: float | str = corollary_constant(which, theta, r, p2, beta=params.beta)
-    except OutOfRegimeError:
-        paper = "divergent"
-
-    spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=p2,
-                      alpha=params.alpha, trunc_terms=trunc_terms)
-    try:
-        derived: float | str = phi_tilde_norm(control, 1.0, spec).total()
-    except (DivergentSeriesError, InadmissibleError):
-        derived = "divergent"
-
-    sup = 0.0
-    count = 0
-    for nx, dev in deviations:
-        if nx == 0.0:
-            continue
-        sup = max(sup, dev / nx**r)
-        count += 1
+    paper = paper_constant(params, scheme, control)
+    derived = derived_constant(params, scheme, control, trunc_terms)
+    sup, count = empirical_sup(control.r, deviations)
 
     def le(bound):
         if isinstance(bound, str):
@@ -435,6 +445,7 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
         "empirical_le_paper": le(paper),
         "derived_matches_paper": match,
     }
-    return BoundAudit(which=which, theta=theta, r=r, rho2_abs=p2, alpha=params.alpha,
-                      beta=params.beta, paper_constant=paper, derived_constant=derived,
-                      empirical_sup=sup, verdicts=verdicts, points=count)
+    return BoundAudit(which=which, theta=control.theta, r=control.r, rho2_abs=abs(params.rho2),
+                      alpha=params.alpha, beta=params.beta, paper_constant=paper,
+                      derived_constant=derived, empirical_sup=sup, verdicts=verdicts,
+                      points=count)

@@ -71,13 +71,11 @@ def _cmd_defect(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
     triples = draw_samples(exp.space, exp.plan, arity=3)
     samples = inequality.defect_many(exp.f, triples, exp.params)
-    if args.format == "json":
-        payload = [{"family": s.family, "x_norm": s.x_norm, "y_norm": s.y_norm,
-                    "z_norm": s.z_norm, "lhs": s.lhs_norm, "rhs": s.rhs_norm,
-                    "defect": s.defect} for s in samples]
-        _emit(harness.stable_json(payload), args.out)
-    else:
-        _emit(inequality.defect_samples_csv(samples), args.out)
+    header = ["family", "x_norm", "y_norm", "z_norm", "lhs", "rhs", "defect"]
+    rows = [dict(zip(header, (s.family, s.x_norm, s.y_norm, s.z_norm, s.lhs_norm, s.rhs_norm,
+                              s.defect))) for s in samples]
+    _emit(harness.stable_json(rows) if args.format == "json"
+          else harness.csv_table(header, rows), args.out)
     worst = max((s.defect for s in samples), default=0.0)
     print(f"defect: {len(samples)} triples, max defect {worst:.6g}", file=sys.stderr)
     return EXIT_PASS

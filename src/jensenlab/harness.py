@@ -20,7 +20,6 @@ from .direct_method import Scheme, approximate  # noqa: F401 - harness.approxima
 from .errors import (
     ConfigError,
     DivergentSeriesError,
-    InadmissibleError,
     JensenLabError,
     NotConvergedError,
     PairingError,
@@ -327,33 +326,31 @@ def _stage(name: str, fn):
         raise StageFailure(name, e) from e
 
 
-def _approximants(exp: Experiment, points) -> tuple[list, StageFailure | None]:
-    """The approximation pass over ``points``: the approximants before the
-    first failure, and that failure as the 'approximate' stage (None if there
-    is none). A point that does not converge makes the run divergent."""
-    done = []
+def _approximants(exp: Experiment, points) -> list | StageFailure:
+    """The approximation pass over ``points`` as (report, deviation) pairs, or
+    its failure as the 'approximate' stage. A point that does not converge
+    makes the run divergent."""
     try:
-        for a in direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
-                                                  max_n=exp.config["max_n"]):
-            done.append(a)
+        return list(direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
+                                                     max_n=exp.config["max_n"]))
     except NotConvergedError as e:
-        return done, StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
+        return StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
     except JensenLabError as e:
-        return done, StageFailure("approximate", e)
-    return done, None
+        return StageFailure("approximate", e)
 
 
-def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, approximated: tuple):
+def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, points, approximated):
     """Per-point records of ||f - A|| against phi~ + tail, and the largest
     violation ||f - A|| - phi~ - tail (0 when there are no points).
 
-    ``approximated`` comes from ``_approximants``; its failure is raised after
-    the points before it: phi~ fails at all points or none, so the stage that
-    fails is the one a point-by-point run would name.
+    phi~ depends on ||x|| alone, so it is evaluated at every point first; then
+    the failure of the approximation pass (``approximated``, from
+    ``_approximants``), if any, is raised.
     """
-    approximants, failure = approximated
-    norms = exp.space.norms([rep.point for rep, _ in approximants]).tolist()
+    norms = exp.space.norms(points).tolist()
     phis = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
+    if isinstance(approximated, StageFailure):
+        raise approximated
     records = [{
         "x": model.pairs_from_vector(rep.point),
         "x_norm": nx,
@@ -362,17 +359,8 @@ def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, approximate
         "tail": "unavailable" if pt.tail is None else pt.tail,
         "margin": pt.total() - dev,
         "iterations": rep.iterations,
-    } for (rep, dev), nx, pt in zip(approximants, norms, phis)]
-    if failure is not None:
-        raise failure
+    } for (rep, dev), nx, pt in zip(approximated, norms, phis)]
     return records, max((p["deviation"] - p["bound"] for p in records), default=0.0)
-
-
-def _audit(exp: Experiment, control, records: list) -> bounds.BoundAudit:
-    """The constant audit over the deviations that ``_check_points`` recorded."""
-    return bounds.audit_deviations(exp.params, exp.scheme, control,
-                                   [(p["x_norm"], p["deviation"]) for p in records],
-                                   trunc_terms=exp.config["trunc_terms"])
 
 
 @dataclass(eq=False)
@@ -404,20 +392,15 @@ def run_verify(doc: dict) -> RunReport:
     Pipeline stages (each failure aborts naming the stage): admissibility,
     the control kind an audit needs (when one is asked for), control
     construction (envelope measurement for measured controls), the
-    convergence predicate for the declared control, per-point approximation,
-    and the series evaluation. Pass iff
+    convergence predicate for the declared control, the series phi~ at every
+    sampled norm, the approximation pass, and the audit (when one is asked
+    for). Pass iff
     max over points of (||f - A|| - phi_tilde - tail) <= tol.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
 
-    def check_admissible():
-        adm = inequality.admissible(exp.params)
-        if not adm:
-            raise InadmissibleError(f"inadmissible: {adm.detail}")
-        return adm
-
-    _stage("admissibility", check_admissible)
+    _stage("admissibility", lambda: inequality.require_admissible(exp.params))
     if exp.config["audit"]:
         _stage("audit", lambda: bounds.require_power_control(exp.control))
     control, fit = _stage("envelope", lambda: _build_control(exp))
@@ -440,11 +423,13 @@ def run_verify(doc: dict) -> RunReport:
 
     spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    records, max_violation = _check_points(exp, control, spec, _approximants(exp, pts))
+    records, max_violation = _check_points(exp, control, spec, pts, _approximants(exp, pts))
 
     audit_block = None
     if exp.config["audit"]:
-        audit_block = _stage("audit", lambda: _audit(exp, control, records)).to_json_dict()
+        audit_block = _stage("audit", lambda: bounds.audit_deviations(
+            exp.params, exp.scheme, control, [(p["x_norm"], p["deviation"]) for p in records],
+            trunc_terms=exp.config["trunc_terms"])).to_json_dict()
 
     summary = {
         "count": len(records),
@@ -506,7 +491,7 @@ def run_sweep(doc: dict) -> list:
     for axis in SWEEP_AXES:
         if axis not in grid:
             raise ConfigError(f"config: a sweep needs grid.{axis} or a power control")
-    approximated = {}  # Scheme -> _approximants(...) of the cells' shared points
+    approximated = {}  # Scheme -> (the cells' shared points, _approximants(...) of them)
     rows = []
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
         cell = {k: None for k in SWEEP_COLUMNS}
@@ -534,29 +519,22 @@ def run_sweep(doc: dict) -> list:
             cell["admissible"] = bool(adm)
             verdict = bounds.convergence_predicate(exp.scheme, r)
             cell["converges"] = bool(verdict)
-            try:
-                cell["paper_constant"] = bounds.corollary_constant(
-                    bounds.constant_tag(exp.params.family, exp.scheme.direction),
-                    theta, r, abs(exp.params.rho2), beta=exp.params.beta)
-            except JensenLabError:
-                cell["paper_constant"] = "divergent"
+            cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
-            spec = _series_spec(exp)
-            try:
-                cell["derived_constant"] = bounds.phi_tilde_norm(exp.control, 1.0, spec).total()
-            except JensenLabError:
-                cell["derived_constant"] = "divergent"
+            cell["derived_constant"] = bounds.derived_constant(
+                exp.params, exp.scheme, exp.control, exp.config["trunc_terms"])
             if not verdict:
                 cell["status"] = "divergent"
                 continue
             if exp.scheme not in approximated:
-                approximated[exp.scheme] = _approximants(
-                    exp, draw_samples(exp.space, exp.plan, arity=1))
-            records, cell["max_violation"] = _check_points(exp, exp.control, spec,
-                                                           approximated[exp.scheme])
-            cell["empirical_sup"] = _audit(exp, exp.control, records).empirical_sup
+                pts = draw_samples(exp.space, exp.plan, arity=1)
+                approximated[exp.scheme] = pts, _approximants(exp, pts)
+            records, cell["max_violation"] = _check_points(exp, exp.control, _series_spec(exp),
+                                                           *approximated[exp.scheme])
+            cell["empirical_sup"], _ = bounds.empirical_sup(
+                r, ((p["x_norm"], p["deviation"]) for p in records))
         except JensenLabError as e:
             cell["status"] = e.code
     return rows

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParameterError, EmptySampleError, FamilyError, InadmissibleError
+from .errors import (
+    DegenerateParameterError,
+    EmptySampleError,
+    FamilyError,
+    InadmissibleError,
+    NumericError,
+)
 from .model import TestFunction, evaluate_many
 from .space import SamplePlan, draw_samples
 
@@ -87,6 +93,13 @@ def admissible(params: RhoParams) -> Admissibility:
     return Admissibility(cond1 and cond2, detail)
 
 
+def require_admissible(params: RhoParams):
+    """Raise InadmissibleError, naming the violated condition, unless ``params`` is admissible."""
+    adm = admissible(params)
+    if not adm:
+        raise InadmissibleError(f"inadmissible: {adm.detail}")
+
+
 @dataclass(frozen=True, eq=False)
 class DefectSample:
     """One evaluated triple. ``defect = lhs_norm - rhs_norm`` exactly as computed."""
@@ -145,8 +158,10 @@ def defect_many(f: TestFunction, triples, params: RhoParams) -> list:
             for t, row in zip(zip(*xyz), zip(*(c.tolist() for c in columns)))]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite defect is a NumericError
 def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
-    """The triples as x, y, z arrays, and the number fields of DefectSample as arrays."""
+    """The triples as x, y, z arrays, and the number fields of DefectSample as
+    arrays. A triple whose defect is not finite raises NumericError."""
     params._check_degenerate()
     sp = f.space
     x, y, z = (sp.as_vectors([t[k] for t in triples]) for k in range(3))
@@ -159,23 +174,11 @@ def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
                    for name in ("lhs", "e1", "e2"))
     lhs_norm = sp.norms(lhs)
     rhs_norm = abs(params.rho1) * sp.norms(e1) + abs(params.rho2) * sp.norms(e2)
-    return (x, y, z), (sp.norms(x), sp.norms(y), sp.norms(z), lhs_norm, rhs_norm,
-                       lhs_norm - rhs_norm)
-
-
-DEFECT_CSV_HEADER = "family,x_norm,y_norm,z_norm,lhs,rhs,defect"
-
-
-def defect_samples_csv(samples) -> str:
-    """CSV export of a DefectSample list (17 significant digits, stable)."""
-    lines = [DEFECT_CSV_HEADER]
-    for s in samples:
-        lines.append(",".join([
-            s.family,
-            f"{s.x_norm:.17g}", f"{s.y_norm:.17g}", f"{s.z_norm:.17g}",
-            f"{s.lhs_norm:.17g}", f"{s.rhs_norm:.17g}", f"{s.defect:.17g}",
-        ]))
-    return "\n".join(lines) + "\n"
+    defects = lhs_norm - rhs_norm
+    bad = np.flatnonzero(~np.isfinite(defects))
+    if bad.size:
+        raise NumericError(f"numeric: the defect of triple {bad[0]} is not finite")
+    return (x, y, z), (sp.norms(x), sp.norms(y), sp.norms(z), lhs_norm, rhs_norm, defects)
 
 
 # --- measured control envelopes ---------------------------------------------
@@ -222,30 +225,27 @@ def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float
     if d.max(initial=0.0) <= 1e-14:
         return 0.0, 0.0
 
-    def theta_for(r: float) -> float:
+    def fit(r: float) -> tuple[float, float]:
+        """The least-squares theta at exponent r, and its sum of squared errors."""
         g = (norms ** r).sum(axis=1)
         denom = float(g @ g)
-        if denom == 0.0:
-            return 0.0
-        return max(float(g @ d) / denom, 0.0)
+        theta = max(float(g @ d) / denom, 0.0) if denom != 0.0 else 0.0
+        return theta, float(((theta * g - d) ** 2).sum())
 
     def sse(r: float) -> float:
-        g = (norms ** r).sum(axis=1)
-        return float(((theta_for(r) * g - d) ** 2).sum())
+        return fit(r)[1]
 
     grid = np.linspace(-2.0, 6.0, 161)
     best = min(grid, key=sse)
     res = minimize_scalar(sse, bounds=(best - 0.1, best + 0.1), method="bounded")
     r_hat = float(res.x) if res.success else float(best)
-    return theta_for(r_hat), r_hat
+    return fit(r_hat)[0], r_hat
 
 
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
                      shells: int = 8) -> MeasuredEnvelope:
     """Sample triples, bucket clamped defects into log-spaced norm shells."""
-    adm = admissible(params)
-    if not adm:
-        raise InadmissibleError(f"inadmissible: {adm.detail}")
+    require_admissible(params)
     triples = draw_samples(f.space, plan, arity=3)
     if not triples:
         raise EmptySampleError("empty-sample: envelope needs at least one triple")

@@ -376,21 +376,58 @@ def test_sweep_deterministic_bytes():
     assert len(a.strip().split("\n")) == 1 + 4  # header + 2x2 grid
 
 
+def printed_family_b_doc(rho1=0.5, beta=2.0, max_n=200):
+    """Family B, |rho2| = 0.2, forward, power control, printed display on."""
+    return {
+        "space": {"dim": 2, "norm": "l2"},
+        "function": {"perturbation": {"kind": "power", "theta": 0.1, "r": 0.5}},
+        "params": {"family": "B", "rho1": [rho1, 0], "rho2": [0.2, 0], "alpha": 1.0,
+                   "beta": beta},
+        "scheme": {"direction": "forward"},
+        "control": {"kind": "power", "theta": 1.0, "r": 0.5},
+        "plan": {"seed": 1, "count": 10, "radius": 2.0, "exclude_origin_below": 0.1},
+        "printed_display": True,
+        "max_n": max_n,
+    }
+
+
 def test_sweep_cells_match_verify_and_audit():
-    doc = json.loads((CONFIGS / "sweep_family_a.json").read_text())
-    rows = harness.run_sweep(doc)
-    ok = [row for row in rows if row["status"] == "ok"]
-    assert len(ok) == 9
-    for row in ok:
-        cell = {k: v for k, v in doc.items() if k != "grid"}
-        cell["params"] = {**doc["params"], "rho2": [row["rho2_re"], row["rho2_im"]]}
-        cell["control"] = {"kind": "power", "theta": row["theta"], "r": row["r"]}
-        assert row["max_violation"] == harness.run_verify(cell).summary["max_violation"]
-        exp = harness.build_experiment(cell)
-        aud = bounds.audit(exp.f, exp.params, exp.scheme,
-                           bounds.ControlFunction.power(row["theta"], row["r"]),
-                           draw_samples(exp.space, exp.plan, arity=1), tol=exp.tol)
-        assert row["empirical_sup"] == aud.empirical_sup
+    sample = json.loads((CONFIGS / "sweep_family_a.json").read_text())
+    for doc, ok_cells in ((sample, 9), (printed_family_b_doc(), 1)):
+        rows = harness.run_sweep(doc)
+        ok = [row for row in rows if row["status"] == "ok"]
+        assert len(ok) == ok_cells
+        for row in ok:
+            cell = {k: v for k, v in doc.items() if k != "grid"}
+            cell["params"] = {**doc["params"], "rho2": [row["rho2_re"], row["rho2_im"]]}
+            cell["control"] = {"kind": "power", "theta": row["theta"], "r": row["r"]}
+            cell["audit"] = True
+            rep = harness.run_verify(cell)
+            assert row["max_violation"] == rep.summary["max_violation"]
+            exp = harness.build_experiment(cell)
+            aud = bounds.audit(exp.f, exp.params, exp.scheme, exp.control,
+                               draw_samples(exp.space, exp.plan, arity=1), tol=exp.tol)
+            for key in ("paper_constant", "derived_constant", "empirical_sup"):
+                assert row[key] == rep.audit[key] == getattr(aud, key), key
+
+
+def test_sweep_computes_one_derived_series_per_admissible_cell(monkeypatch):
+    calls = []
+    phi_tilde_norm = bounds.phi_tilde_norm
+    monkeypatch.setattr(bounds, "phi_tilde_norm", lambda *a: calls.append(a) or phi_tilde_norm(*a))
+    rows = harness.run_sweep(json.loads((CONFIGS / "sweep_family_a.json").read_text()))
+    assert len(calls) == sum(row["admissible"] for row in rows) == 9
+
+
+def test_phi_tilde_failure_named_before_approximation_failure():
+    # the printed family-B prefactor needs |rho1| < 1; with max_n 1 the
+    # approximation fails too, and the failing stage must not depend on that
+    for max_n in (1, 200):
+        doc = printed_family_b_doc(rho1=1.5, beta=3.0, max_n=max_n)
+        with pytest.raises(StageFailure) as err:
+            harness.run_verify(doc)
+        assert (err.value.stage, err.value.code) == ("phi-tilde", "inadmissible")
+        assert [row["status"] for row in harness.run_sweep(doc)] == ["inadmissible"]
 
 
 def test_sweep_family_b_beta_grid():
@@ -451,6 +488,26 @@ def test_cli_defect_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "family,x_norm,y_norm,z_norm,lhs,rhs,defect"
     assert len(lines) == 8
+    first = lines[1].split(",")
+    assert first[0] == "A"
+    assert float(first[6]) == pytest.approx(1.0, abs=1e-12)  # |0.5 + 0.5 - 2 * 0.5 - 2 * 0.5|
+
+
+def test_cli_non_finite_defect_is_a_numeric_error(tmp_path, capsys):
+    doc = power_verify_doc(r=2.0)
+    doc["space"]["dim"] = 1
+    doc["function"]["perturbation"]["theta"] = 1.0
+    doc["plan"].update(radius=1e200, exclude_origin_below=1e190)
+    cfg = write_config(tmp_path, doc)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"defects.{fmt}"
+        assert cli.main(["defect", "--config", cfg, "--format", fmt,
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error[numeric]: numeric: the defect of triple")
+        assert not out.exists()
+    with pytest.raises(StageFailure) as err:
+        harness.run_verify(doc)
+    assert (err.value.stage, err.value.code) == ("envelope", "numeric")
 
 
 def test_cli_approximate(tmp_path):

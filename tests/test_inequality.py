@@ -21,7 +21,6 @@ from jensenlab.errors import (
     FamilyError,
     InadmissibleError,
 )
-from jensenlab.inequality import DEFECT_CSV_HEADER, defect_samples_csv
 
 
 # --- admissibility -----------------------------------------------------------
@@ -262,17 +261,3 @@ def test_envelope_errors(scalar_model):
     with pytest.raises(EmptySampleError):
         measure_envelope(scalar_model, RhoParams("A", 0, 0, 1.0),
                          SamplePlan(seed=1, count=0, radius=2.0, exclude_origin_below=0.1))
-
-
-def test_defect_csv_export(scalar_model):
-    params = RhoParams("A", 0, 0, 1.0)
-    plan = SamplePlan(seed=6, count=5, radius=2.0, exclude_origin_below=0.1)
-    samples = [defect(scalar_model, x, y, z, params)
-               for x, y, z in draw_samples(scalar_model.space, plan, arity=3)]
-    text = defect_samples_csv(samples)
-    lines = text.strip().split("\n")
-    assert lines[0] == DEFECT_CSV_HEADER
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "A"
-    assert float(first[6]) == pytest.approx(1.0, abs=1e-12)
