@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from jensenlab import (
     RhoParams,
     SamplePlan,
     admissible,
+    cli,
     defect,
     draw_samples,
     inequality,
@@ -261,3 +264,24 @@ def test_envelope_errors(scalar_model):
     with pytest.raises(EmptySampleError):
         measure_envelope(scalar_model, RhoParams("A", 0, 0, 1.0),
                          SamplePlan(seed=1, count=0, radius=2.0, exclude_origin_below=0.1))
+
+
+def test_defect_csv_export(tmp_path):
+    # f(x) = x + 0.5 on C^1, as scalar_model, exported through the CLI `defect` CSV
+    doc = {
+        "space": {"dim": 1, "norm": "l2"},
+        "function": {"core": {"kind": "identity"},
+                     "perturbation": {"kind": "tabulated", "default": [[0.5, 0.0]]}},
+        "params": {"family": "A", "rho1": [0, 0], "rho2": [0, 0], "alpha": 1.0},
+        "plan": {"seed": 6, "count": 5, "radius": 2.0, "exclude_origin_below": 0.1},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "defects.csv"
+    assert cli.main(["defect", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == "family,x_norm,y_norm,z_norm,lhs,rhs,defect"
+    assert len(lines) == 6
+    first = lines[1].split(",")
+    assert first[0] == "A"
+    assert float(first[6]) == pytest.approx(1.0, abs=1e-12)  # |0.5 + 0.5 - 2 * 0.5 - 2 * 0.5|
