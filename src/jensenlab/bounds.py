@@ -1,4 +1,4 @@
-"""Control functions, truncated stability series, closed-form constants, audit.
+"""Control functions, stability series, closed-form constants, audit.
 
 The stability bound for each scheme is a weighted series over the control
 phi, assembled from the one-step contraction inequality of that scheme. With
@@ -23,7 +23,9 @@ telescoping argument actually guarantees to dominate ||f - A||.
 
 Power controls evaluate as theta (||x||^r + ||y||^r + ||z||^r) with the
 convention that a zero norm contributes 0 for every r (the substituted
-series above rely on it, e.g. phi(x, x, 0) = 2 theta ||x||^r).
+series above rely on it, e.g. phi(x, x, 0) = 2 theta ||x||^r); their series
+is geometric and summed in closed form. Tabulated and measured controls are
+summed term by term, up to ``trunc_terms`` terms, with no tail.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class ControlFunction:
             raise ValueError("tabulated control needs len(edges) == len(values) + 1 >= 2")
         if (values < 0).any():
             raise ValueError("control values must be nonnegative")
+        if not (np.diff(edges) > 0).all():
+            raise ValueError("tabulated control edges must be strictly increasing")
         return cls("tabulated", edges=edges, values=values)
 
     @classmethod
@@ -159,7 +163,9 @@ class SeriesSpec:
 
 @dataclass(frozen=True)
 class PhiTilde:
-    """Truncated series value plus tail; ``tail`` is None when unavailable."""
+    """A series value plus tail: 0.0 for a closed form (zero and power controls),
+    None when unavailable. ``terms``: how many terms a term-by-term sum added (fewer
+    than ``trunc_terms`` once coverage ran out); ``trunc_terms`` for a closed form."""
 
     value: float
     tail: float | None
@@ -204,13 +210,13 @@ def _check_prefactors(spec: SeriesSpec):
 
 
 def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
-    """Truncated stability series for a query point of norm ``nx``."""
+    """The stability series phi~ for a query point of norm ``nx``."""
     return phi_tilde_norms(control, [nx], spec)[0]
 
 
 def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
-    """``phi_tilde_norm`` at each norm of a vector, each sum rounding as it does
-    alone (term by term, left to right); one point's error is the vector's."""
+    """``phi_tilde_norm`` at each norm of a vector, each value rounding as it
+    does alone; one point's error is the vector's."""
     nx = np.asarray(norms, dtype=float)
     if not nx.size:
         return []
@@ -223,15 +229,16 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
         if control.r < 0 and (nx == 0.0).any():
             raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
         ratio = _term_ratio(spec.scheme, control.r)
-        if control.theta > 0.0 and ratio >= 1.0 and (nx > 0.0).any():
+        if control.theta > 0.0 and not ratio < 1.0 and (nx > 0.0).any():
             raise DivergentSeriesError(
                 f"divergent: series term ratio {ratio:.6g} >= 1 for r = {control.r}"
             )
-        for i in range(n_terms):
-            value = value + _series_term(control, nx, spec, i)
-        tail = (_series_term(control, nx, spec, n_terms) / (1.0 - ratio)
-                if ratio < 1.0 else np.zeros(nx.size))
-        return [PhiTilde(v, t, n_terms) for v, t in zip(value.tolist(), tail.tolist())]
+        # phi is r-homogeneous and step i scales the weight by a fixed power of L
+        # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
+        # series is geometric. A ratio >= 1 gets here only with every term 0.
+        if ratio < 1.0:
+            value = _series_term(control, nx, spec, 0) / (1.0 - ratio)
+        return [PhiTilde(v, 0.0, n_terms) for v in value.tolist()]
     # tabulated / measured: sum until coverage runs out; no closed tail.
     terms = np.zeros(nx.size, dtype=int)
     for i in range(n_terms):
@@ -265,32 +272,20 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
     if p2 >= 1.0:
         raise OutOfRegimeError(f"out-of-regime: needs |rho2| < 1, got {p2}")
     if which in ("c24", "c26"):
-        if which == "c24":
-            denom = 2.0 - 2.0 ** r
-            if denom <= 0:
-                raise OutOfRegimeError(f"out-of-regime: c24 needs 2 - 2^r > 0 (r < 1), got r = {r}")
-            return 2.0 * theta / (denom * (1.0 - p2) * (2.0 - p2))
-        denom = 2.0 ** r - 1.0
+        num, denom, need = ((2.0, 2.0 - 2.0 ** r, "2 - 2^r > 0 (r < 1)") if which == "c24"
+                            else (2.0 ** (1.0 + r), 2.0 ** r - 1.0, "2^r - 1 > 0 (r > 0)"))
         if denom <= 0:
-            raise OutOfRegimeError(f"out-of-regime: c26 needs 2^r - 1 > 0 (r > 0), got r = {r}")
-        return 2.0 ** (1.0 + r) * theta / (denom * (1.0 - p2) * (2.0 - p2))
+            raise OutOfRegimeError(f"out-of-regime: {which} needs {need}, got r = {r}")
+        return num * theta / (denom * (1.0 - p2) * (2.0 - p2))
     if beta is None:
         raise ValueError(f"{which} needs beta")
     L = abs(1.0 + beta)
     if L == 0.0 or L == 1.0:
         raise DegenerateScaleError(f"degenerate-scale: |1 + beta| = {L}")
-    if which == "c34":
-        denom = L - L ** r
-        if denom <= 0:
-            raise OutOfRegimeError(
-                f"out-of-regime: c34 needs |1+beta| - |1+beta|^r > 0, got L = {L}, r = {r}"
-            )
-        return 2.0 * theta / (denom * (1.0 - p2))
-    denom = L ** r - L
+    denom, need = ((L - L ** r, "|1+beta| - |1+beta|^r") if which == "c34"
+                   else (L ** r - L, "|1+beta|^r - |1+beta|"))
     if denom <= 0:
-        raise OutOfRegimeError(
-            f"out-of-regime: c36 needs |1+beta|^r - |1+beta| > 0, got L = {L}, r = {r}"
-        )
+        raise OutOfRegimeError(f"out-of-regime: {which} needs {need} > 0, got L = {L}, r = {r}")
     return 2.0 * theta / (denom * (1.0 - p2))
 
 
@@ -421,9 +416,10 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
                      deviations, trunc_terms: int = DEFAULT_TRUNC_TERMS) -> BoundAudit:
     """``audit`` on ``(||x||, ||f(x) - A(x)||)`` pairs already computed.
 
-    The constants are evaluated before ``deviations`` is iterated.
+    The parameters are checked and the constants evaluated before ``deviations`` is iterated.
     """
     require_power_control(control)
+    params.check_degenerate()
     which = constant_tag(params.family, scheme.direction)
     paper = paper_constant(params, scheme, control)
     derived = derived_constant(params, scheme, control, trunc_terms)

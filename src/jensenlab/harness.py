@@ -67,13 +67,10 @@ def stable_json(obj) -> str:
 
 
 def _csv_cell(v) -> str:
+    """A CSV cell: empty for None, a string as it is, any other value as in JSON."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
-    return str(v)
+    return v if isinstance(v, str) else stable_json(v)[:-1]
 
 
 def csv_table(header: list, rows: list) -> str:
@@ -131,6 +128,7 @@ CONFIG_SCHEMA = {
     "envelope": ({"count": (int, 1000), "shells": (int, 8), "seed": ((int, NONE), None)}, {}),
     # atol and rtol are echoed into the report but read by nothing
     "tolerances": ({"tol": (float, 1e-9), "atol": (float, 1e-12), "rtol": (float, 1e-9)}, {}),
+    # terms summed one by one for tabulated and measured controls; power controls sum in closed form
     "trunc_terms": (int, bounds.DEFAULT_TRUNC_TERMS),
     "max_n": (int, 200),
     "printed_display": (bool, False),

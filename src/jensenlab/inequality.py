@@ -53,7 +53,7 @@ class RhoParams:
         if self.family not in FAMILIES:
             raise FamilyError(f"family: expected one of {FAMILIES}, got {self.family!r}")
 
-    def _check_degenerate(self):
+    def check_degenerate(self):
         if self.alpha == 0:
             raise DegenerateParameterError("degenerate-parameter: alpha = 0")
         if self.family == "B" and not self.beta:
@@ -76,7 +76,7 @@ def admissible(params: RhoParams) -> Admissibility:
     oddness step of the additivity argument relies on |rho2| < 1 (implied by
     the main condition, since 3 |rho2| < 2).
     """
-    params._check_degenerate()
+    params.check_degenerate()
     r1 = abs(params.rho1)
     r2 = abs(params.rho2)
     if params.family == "A":
@@ -162,7 +162,7 @@ def defect_many(f: TestFunction, triples, params: RhoParams) -> list:
 def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
     """The triples as x, y, z arrays, and the number fields of DefectSample as
     arrays. A triple whose defect is not finite raises NumericError."""
-    params._check_degenerate()
+    params.check_degenerate()
     sp = f.space
     x, y, z = (sp.as_vectors([t[k] for t in triples]) for k in range(3))
     beta = float(params.beta) if params.family == "B" else 0.0
@@ -215,12 +215,24 @@ class MeasuredEnvelope:
         return np.where(s == 0.0, 0.0, self.cum_max[shell_index(self.edges, s)])[()]
 
 
+def _golden_section(fn, lo: float, hi: float) -> float:
+    """A minimizer of ``fn`` on [lo, hi]: the better inner point of the bracket
+    that a golden-section search (Kiefer, Proc. AMS 4, 1953) narrows to 1e-5."""
+    g = (5.0 ** 0.5 - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > 1e-5:
+        if f1 < f2:  # the minimum is in [lo, x2]
+            hi, x2, f2, x1 = x2, x1, f1, x2 - g * (x2 - lo)
+            f1 = fn(x1)
+        else:  # in [x1, hi]
+            lo, x1, f1, x2 = x1, x2, f2, x1 + g * (hi - x1)
+            f2 = fn(x2)
+    return x1 if f1 < f2 else x2
+
+
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
     """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0."""
-    # Imported here: scipy.optimize dominates the package's import time, and
-    # only measured controls fit a power law.
-    from scipy.optimize import minimize_scalar
-
     d = np.clip(defects, 0.0, None)
     if d.max(initial=0.0) <= 1e-14:
         return 0.0, 0.0
@@ -235,10 +247,8 @@ def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float
     def sse(r: float) -> float:
         return fit(r)[1]
 
-    grid = np.linspace(-2.0, 6.0, 161)
-    best = min(grid, key=sse)
-    res = minimize_scalar(sse, bounds=(best - 0.1, best + 0.1), method="bounded")
-    r_hat = float(res.x) if res.success else float(best)
+    best = float(min(np.linspace(-2.0, 6.0, 161), key=sse))
+    r_hat = _golden_section(sse, best - 0.1, best + 0.1)
     return fit(r_hat)[0], r_hat
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from jensenlab import (
     ControlFunction,
     RhoParams,
     SamplePlan,
+    Scheme,
     SeriesSpec,
     audit,
     backward,
@@ -20,6 +23,7 @@ from jensenlab import (
     measure_envelope,
     phi_tilde_norm,
 )
+from jensenlab import bounds
 from jensenlab.errors import (
     DivergentSeriesError,
     FamilyError,
@@ -214,13 +218,86 @@ def test_phi_tilde_homogeneity(c, r):
 
 
 def test_phi_tilde_partial_sums_monotone():
-    ctrl = ControlFunction.power(1.0, 0.5)
+    # a tabulated control is summed term by term; its table covers all 64
+    # forward-dyadic queries 2^i (i < 64), so every term is positive
+    ctrl = ControlFunction.tabulated(edges=np.geomspace(0.5, 2.0 ** 64, 9), values=np.ones(8))
     values = []
     for n in (1, 2, 4, 8, 16, 64):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0,
                           trunc_terms=n)
-        values.append(phi_tilde_norm(ctrl, 1.0, spec).value)
+        pt = phi_tilde_norm(ctrl, 1.0, spec)
+        assert pt.terms == n and not pt.coverage_truncated
+        values.append(pt.value)
     assert all(a <= b for a, b in zip(values, values[1:]))
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_power_phi_tilde_does_not_depend_on_trunc_terms():
+    ctrl = ControlFunction.power(1.0, 0.5)
+    pts = [phi_tilde_norm(ctrl, 1.3, SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3,
+                                                alpha=1.0, trunc_terms=n))
+           for n in (1, 8, 64)]
+    assert pts[0].total() == pts[1].total() == pts[2].total()
+    assert pts[0].value == pts[1].value == pts[2].value
+    assert all(pt.tail == 0.0 for pt in pts)
+
+
+def series_reference(control, nx, spec):
+    """The term-by-term power series: ``trunc_terms`` terms summed left to right
+    plus the geometric tail term_n / (1 - ratio)."""
+    ratio = bounds._term_ratio(spec.scheme, control.r)
+    nx = np.asarray([nx], dtype=float)
+    value = np.zeros(1)
+    for i in range(spec.trunc_terms):
+        value = value + bounds._series_term(control, nx, spec, i)
+    tail = bounds._series_term(control, nx, spec, spec.trunc_terms) / (1.0 - ratio)
+    return float(value[0] + tail[0])
+
+
+@st.composite
+def convergent_power_series(draw):
+    family = draw(st.sampled_from("AB"))
+    direction = draw(st.sampled_from(["forward", "backward"]))
+    if family == "A":
+        scale = draw(st.sampled_from([2.0, -2.0]))
+    else:
+        scale = draw(st.floats(0.25, 0.8) | st.floats(1.25, 4.0)) * draw(st.sampled_from([1, -1]))
+    ratio = draw(st.floats(0.05, 0.95))
+    # the r at which _term_ratio(scheme, r) == ratio
+    log_ratio = np.log(ratio) / np.log(abs(scale))
+    r = 1.0 + log_ratio if direction == "forward" else 1.0 - log_ratio
+    spec = SeriesSpec(scheme=Scheme(direction, scale), family=family,
+                      rho2_abs=draw(st.floats(0.0, 0.95)),
+                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
+                      printed_display=draw(st.booleans()), rho1_abs=draw(st.floats(0.0, 0.95)))
+    nx = draw(st.just(0.0) | st.floats(1e-3, 1e3))
+    return ControlFunction.power(draw(st.just(0.0) | st.floats(1e-3, 10.0)), r), nx, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=convergent_power_series())
+def test_phi_tilde_power_closed_form_matches_term_sum(case):
+    control, nx, spec = case
+    assert bounds._term_ratio(spec.scheme, control.r) <= 0.95 + 1e-12
+    if nx == 0.0 and control.r < 0:
+        with pytest.raises(SingularPointError):
+            phi_tilde_norm(control, nx, spec)
+        return
+    pt = phi_tilde_norm(control, nx, spec)
+    assert pt.tail == 0.0
+    assert pt.value == pytest.approx(series_reference(control, nx, spec), rel=1e-12, abs=0.0)
+
+
+def test_phi_tilde_power_degenerate_sums_are_positive_zero():
+    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
+    # theta = 0 with a divergent ratio (r = 2), and ||x|| = 0 with convergent
+    # and divergent ratios
+    for control, nx in ((ControlFunction.power(0.0, 2.0), 1.5),
+                        (ControlFunction.power(1.0, 0.5), 0.0),
+                        (ControlFunction.power(1.0, 2.0), 0.0)):
+        pt = phi_tilde_norm(control, nx, spec)
+        assert math.copysign(1.0, pt.value) == 1.0 and pt.value == 0.0
+        assert math.copysign(1.0, pt.total()) == 1.0 and pt.total() == 0.0
 
 
 def test_phi_tilde_errors():

@@ -119,6 +119,9 @@ MALFORMED = {
     "config-not-object": ("verify", [1, 2], ["--seed", "3"], "the config must be"),
     "audit-without-power-control": ("audit", changed("control", {"kind": "zero"}), [],
                                     "control.kind"),
+    "tabulated-control-edges-unsorted": ("verify", changed("control", {
+        "kind": "tabulated", "edges": [0.1, 10.0, 1.0], "values": [2.0, 5.0]}), [],
+        "control: tabulated control edges must be strictly increasing"),
 }
 
 
@@ -535,11 +538,22 @@ def test_cli_audit(tmp_path):
     assert payload["verdicts"]["derived_matches_paper"] == "consistent"
 
 
-def test_cli_exit_codes(tmp_path):
+AUDIT_SAMPLE = json.loads((CONFIGS / "audit_backward_dyadic.json").read_text())
+
+
+def test_cli_exit_codes(tmp_path, capsys):
     # divergent config -> 2; missing file -> 3
     doc = power_verify_doc(r=2.0, control={"kind": "power", "theta": 1.0, "r": 2.0})
     assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 3
+    # degenerate audit parameters -> 2, as verify and sweep report them
+    alpha_zero = changed("params.alpha", 0, AUDIT_SAMPLE)
+    beta_null = changed("params", {**AUDIT_SAMPLE["params"], "family": "B", "beta": None},
+                        changed("scheme.scale", 3, AUDIT_SAMPLE))
+    for doc, flags in ((alpha_zero, []), (beta_null, ["--force"])):
+        capsys.readouterr()
+        assert cli.main(["audit", "--config", write_config(tmp_path, doc)] + flags) == 2
+        assert capsys.readouterr().err.startswith("error[degenerate-parameter]: ")
 
 
 def test_cli_seed_override_changes_report(tmp_path):

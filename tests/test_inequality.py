@@ -224,6 +224,31 @@ def test_envelope_constant_defect(scalar_model):
     assert env.fit_theta == pytest.approx(1.0 / 3.0, rel=1e-3)
 
 
+@settings(max_examples=50, deadline=None)
+@given(center=st.floats(-1.0, 1.0), lo=st.floats(-2.0, -1.0), hi=st.floats(1.0, 2.0))
+def test_golden_section_brackets_a_unimodal_minimum(center, lo, hi):
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return (x - center) ** 2
+
+    x = inequality._golden_section(fn, lo, hi)
+    assert lo <= x <= hi
+    assert abs(x - center) <= 1e-5
+    assert len(calls) <= 40
+
+
+def test_power_law_fit_recovers_exact_exponent():
+    rng = np.random.default_rng(0)
+    norms = rng.uniform(0.1, 2.0, size=(500, 3))
+    r_want, theta_want = 0.73, 0.2
+    theta_hat, r_hat = inequality._fit_power_law(norms, theta_want * (norms ** r_want).sum(axis=1))
+    assert type(r_hat) is float and type(theta_hat) is float
+    assert r_hat == pytest.approx(r_want, abs=1e-5)
+    assert theta_hat == pytest.approx(theta_want, rel=1e-4)
+
+
 def test_envelope_zero_for_additive():
     f = make_additive(dim=2, seed=13)
     params = RhoParams("A", 0, 0, 1.0)
