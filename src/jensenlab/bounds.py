@@ -30,6 +30,7 @@ summed term by term, up to ``trunc_terms`` terms, with no tail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
     DivergentSeriesError,
     FamilyError,
     InadmissibleError,
+    NumericError,
     OutOfRegimeError,
     SingularPointError,
 )
@@ -54,6 +56,20 @@ CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
 CONSTANT_TAGS = ("c24", "c26", "c34", "c36")
 
 DEFAULT_TRUNC_TERMS = 64
+
+
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, with a power that overflows counted as +inf."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
+def _require_finite(what: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise NumericError(f"numeric: {what} is not finite")
+    return value
 
 
 def _pw(n, r: float):
@@ -194,7 +210,7 @@ def _series_term(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, i: 
 def _term_ratio(scheme: Scheme, r: float) -> float:
     """Ratio of consecutive power-control series terms."""
     L = abs(scheme.scale)
-    return L ** (r - 1.0) if scheme.direction == "forward" else L ** (1.0 - r)
+    return _power(L, r - 1.0 if scheme.direction == "forward" else 1.0 - r)
 
 
 def _check_prefactors(spec: SeriesSpec):
@@ -214,6 +230,7 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
     return phi_tilde_norms(control, [nx], spec)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
 def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
     """``phi_tilde_norm`` at each norm of a vector, each value rounding as it
     does alone; one point's error is the vector's."""
@@ -238,15 +255,16 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
         # series is geometric. A ratio >= 1 gets here only with every term 0.
         if ratio < 1.0:
             value = _series_term(control, nx, spec, 0) / (1.0 - ratio)
-        return [PhiTilde(v, 0.0, n_terms) for v in value.tolist()]
-    # tabulated / measured: sum until coverage runs out; no closed tail.
-    terms = np.zeros(nx.size, dtype=int)
-    for i in range(n_terms):
-        term = _series_term(control, nx, spec, i)
-        covered = (terms == i) & ~np.isnan(term)
-        value = np.where(covered, value + term, value)
-        terms += covered
-    return [PhiTilde(v, None, k, coverage_truncated=k < n_terms)
+        terms, tail = np.full(nx.size, n_terms), 0.0
+    else:  # tabulated / measured: sum until coverage runs out; no closed tail.
+        terms, tail = np.zeros(nx.size, dtype=int), None
+        for i in range(n_terms):
+            term = _series_term(control, nx, spec, i)
+            covered = (terms == i) & ~np.isnan(term)
+            value = np.where(covered, value + term, value)
+            terms += covered
+    _require_finite("phi~", value.max())
+    return [PhiTilde(v, tail, k, coverage_truncated=k < n_terms)
             for v, k in zip(value.tolist(), terms.tolist())]
 
 
@@ -261,8 +279,9 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
         2 theta / ((L - L^r)(1 - p2))           and
         2 theta / ((L^r - L)(1 - p2)).
 
-    Raises OutOfRegimeError when a printed denominator is not positive, naming
-    the violated inequality.
+    A power of r that overflows counts as +inf. Raises OutOfRegimeError when
+    a printed denominator is not positive, naming the violated inequality, and
+    NumericError when the constant is not finite.
     """
     if which not in CONSTANT_TAGS:
         raise ValueError(f"which must be one of {CONSTANT_TAGS}, got {which!r}")
@@ -272,21 +291,22 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
     if p2 >= 1.0:
         raise OutOfRegimeError(f"out-of-regime: needs |rho2| < 1, got {p2}")
     if which in ("c24", "c26"):
-        num, denom, need = ((2.0, 2.0 - 2.0 ** r, "2 - 2^r > 0 (r < 1)") if which == "c24"
-                            else (2.0 ** (1.0 + r), 2.0 ** r - 1.0, "2^r - 1 > 0 (r > 0)"))
+        num, denom, need = ((2.0, 2.0 - _power(2.0, r), "2 - 2^r > 0 (r < 1)") if which == "c24"
+                            else (_power(2.0, 1.0 + r), _power(2.0, r) - 1.0,
+                                  "2^r - 1 > 0 (r > 0)"))
         if denom <= 0:
             raise OutOfRegimeError(f"out-of-regime: {which} needs {need}, got r = {r}")
-        return num * theta / (denom * (1.0 - p2) * (2.0 - p2))
+        return _require_finite(which, num * theta / (denom * (1.0 - p2) * (2.0 - p2)))
     if beta is None:
         raise ValueError(f"{which} needs beta")
     L = abs(1.0 + beta)
     if L == 0.0 or L == 1.0:
         raise DegenerateScaleError(f"degenerate-scale: |1 + beta| = {L}")
-    denom, need = ((L - L ** r, "|1+beta| - |1+beta|^r") if which == "c34"
-                   else (L ** r - L, "|1+beta|^r - |1+beta|"))
+    denom, need = ((L - _power(L, r), "|1+beta| - |1+beta|^r") if which == "c34"
+                   else (_power(L, r) - L, "|1+beta|^r - |1+beta|"))
     if denom <= 0:
         raise OutOfRegimeError(f"out-of-regime: {which} needs {need} > 0, got L = {L}, r = {r}")
-    return 2.0 * theta / (denom * (1.0 - p2))
+    return _require_finite(which, 2.0 * theta / (denom * (1.0 - p2)))
 
 
 @dataclass(frozen=True)
@@ -407,9 +427,11 @@ def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction
 
 def empirical_sup(r: float, deviations) -> tuple[float, int]:
     """max ||f(x) - A(x)|| / ||x||^r over ``(||x||, ||f(x) - A(x)||)`` pairs
-    with ||x|| > 0 (0 when there are none), and the number of such pairs."""
-    ratios = [dev / nx**r for nx, dev in deviations if nx != 0.0]
-    return max(ratios, default=0.0), len(ratios)
+    with ||x|| > 0 (0 when there are none), and the number of such pairs; a
+    sup that is not finite (||x||^r underflows to 0, say) is a NumericError."""
+    powers = [(dev, _power(nx, r)) for nx, dev in deviations if nx != 0.0]
+    ratios = [dev / p if p else math.inf for dev, p in powers]
+    return _require_finite("empirical_sup", max(ratios, default=0.0)), len(ratios)
 
 
 def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction,

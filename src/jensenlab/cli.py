@@ -117,11 +117,9 @@ def _cmd_audit(args, doc: dict) -> int:
                        trunc_terms=exp.config["trunc_terms"], max_n=exp.config["max_n"])
     payload = aud.to_json_dict()
     if args.format == "csv":
-        header = ["which", "theta", "r", "rho2", "alpha", "beta",
-                  "paper_constant", "derived_constant", "empirical_sup",
-                  "derived_matches_paper"]
-        row = {**payload, "derived_matches_paper": payload["verdicts"]["derived_matches_paper"]}
-        _emit(harness.csv_table(header, [row]), args.out)
+        row = {k: v for k, v in payload.items() if k != "verdicts"}
+        row["derived_matches_paper"] = payload["verdicts"]["derived_matches_paper"]
+        _emit(harness.csv_table(list(row), [row]), args.out)
     else:
         _emit(harness.stable_json(payload), args.out)
     verdicts = aud.verdicts

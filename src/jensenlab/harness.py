@@ -74,9 +74,7 @@ def _csv_cell(v) -> str:
 
 
 def csv_table(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in header))
+    lines = [",".join(header)] + [",".join(_csv_cell(row[k]) for k in header) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -448,9 +446,7 @@ def render_report(report: RunReport, fmt: str = "json") -> str:
     if fmt == "json":
         return stable_json(report.to_json_dict())
     if fmt == "csv":
-        rows = [{"index": i, "x_norm": rec["x_norm"], "deviation": rec["deviation"],
-                 "bound": rec["bound"], "margin": rec["margin"]}
-                for i, rec in enumerate(report.points)]
+        rows = [{"index": i, **rec} for i, rec in enumerate(report.points)]
         return csv_table(VERIFY_CSV_HEADER, rows)
     raise ValueError(f"format must be json or csv, got {fmt!r}")
 

@@ -187,9 +187,8 @@ class Perturbation:
 
     def evaluate_many(self, space: NormedSpace, xs: np.ndarray) -> np.ndarray:
         """p at each row of an N x dim complex array."""
-        out = np.zeros_like(xs)
         if self.kind == "none":
-            return out
+            return np.zeros_like(xs)
         if self.kind == "tabulated":
             default = space.zero() if self.default is None else self.default
             keys = map(tuple, _quantized(xs, self.quant_step).tolist())
@@ -199,7 +198,9 @@ class Perturbation:
         if self.direction == "hashed" or self.kind == "bounded":
             words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step), 2 * d + 1)
         if self.direction == "radial":
-            u = np.divide(xs, nx[:, None], out=out, where=nx[:, None] != 0.0)
+            # per part: complex / real would multiply by 1 / ||x||, inf for a subnormal ||x||
+            n = np.where(nx == 0.0, 1.0, nx)[:, None]
+            u = xs.real / n + 1j * (xs.imag / n)
         else:
             # Box-Muller with u1 = (k + 1/2) / 2^52 in (0, 1) for the top 52 bits
             # k of a word: every radius is positive, so no vector is zero.

@@ -72,6 +72,8 @@ class SamplePlan:
     exclude_origin_below: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if not (0 <= self.exclude_origin_below < self.radius):

@@ -122,6 +122,8 @@ MALFORMED = {
     "tabulated-control-edges-unsorted": ("verify", changed("control", {
         "kind": "tabulated", "edges": [0.1, 10.0, 1.0], "values": [2.0, 5.0]}), [],
         "control: tabulated control edges must be strictly increasing"),
+    "negative-seed": ("verify", VERIFY_SAMPLE, ["--seed", "-1"], "plan: seed"),
+    "negative-envelope-seed": ("verify", changed("envelope.seed", -5), [], "envelope: seed"),
 }
 
 
@@ -554,6 +556,26 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["audit", "--config", write_config(tmp_path, doc)] + flags) == 2
         assert capsys.readouterr().err.startswith("error[degenerate-parameter]: ")
+    # a control exponent whose powers leave the double range: divergent or numeric, never a
+    # traceback, and no non-finite value in a row
+    forward_r = changed("scheme.direction", "forward", changed("control.r", 2000, AUDIT_SAMPLE))
+    huge = (("verify", forward_r, 2, "error[divergent]: "),
+            ("audit", changed("control.r", 400, AUDIT_SAMPLE), 3, "error[numeric]: "),
+            ("audit", changed("control.r", 320, AUDIT_SAMPLE), 3, "error[numeric]: "),
+            ("sweep", changed("grid.r", [2000], SWEEP_SAMPLE), 0, "divergent"),
+            ("sweep", changed("grid.r", [-400], SWEEP_SAMPLE), 0, "numeric"))
+    out = tmp_path / "out"
+    for command, doc, code, outcome in huge:
+        capsys.readouterr()
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--format", "json",
+                         "--out", str(out)]) == code
+        if command != "sweep":
+            assert capsys.readouterr().err.startswith(outcome)
+            continue
+        rows = json.loads(out.read_text())
+        assert {row["status"] for row in rows if row["admissible"]} == {outcome}
+        assert all(np.isfinite(v) for row in rows for v in row.values()
+                   if isinstance(v, float)), rows
 
 
 def test_cli_seed_override_changes_report(tmp_path):

@@ -20,6 +20,7 @@ from jensenlab import (
 )
 from jensenlab.errors import (
     DegenerateParameterError,
+    DimensionError,
     EmptySampleError,
     FamilyError,
     InadmissibleError,
@@ -75,6 +76,11 @@ def test_defect_a_constant_offset(scalar_model):
     p1 = RhoParams("A", 0.5, 0, 1.0)
     s1 = defect(scalar_model, [1.0], [2.0], [0.5], p1)
     assert s1.defect == pytest.approx(0.75, abs=1e-14)
+
+
+def test_defect_wrong_dimension(scalar_model):
+    with pytest.raises(DimensionError):
+        defect(scalar_model, [1, 2], [1], [1], RhoParams("A", 0, 0, 1.0))
 
 
 def test_defect_b_constant_offset(scalar_model):

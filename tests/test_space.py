@@ -67,6 +67,20 @@ def test_draw_samples_deterministic():
         assert (va == vb).all()  # bit-identical
 
 
+def test_draw_samples_prefix_and_triples():
+    # the first k vectors of a plan do not depend on its count, and a triple
+    # sample is the point sample of three times as many vectors, taken in threes
+    sp = NormedSpace(2)
+    plan = SamplePlan(seed=3, count=40, radius=2.0, exclude_origin_below=0.1)
+    short = SamplePlan(seed=3, count=7, radius=2.0, exclude_origin_below=0.1)
+    for arity in (1, 3):
+        full = np.asarray(draw_samples(sp, plan, arity))
+        assert (full[:7] == np.asarray(draw_samples(sp, short, arity))).all()
+    points = np.asarray(draw_samples(sp, SamplePlan(seed=3, count=120, radius=2.0,
+                                                    exclude_origin_below=0.1), arity=1))
+    assert (np.asarray(draw_samples(sp, plan, arity=3)) == points.reshape(40, 3, 2)).all()
+
+
 def test_draw_samples_empty_and_arity():
     sp = NormedSpace(2)
     assert draw_samples(sp, SamplePlan(seed=1, count=0, radius=1.0), arity=1) == []
@@ -100,3 +114,5 @@ def test_plan_validation():
         SamplePlan(seed=0, count=1, radius=1.0, exclude_origin_below=1.0)
     with pytest.raises(ValueError):
         SamplePlan(seed=0, count=-1, radius=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        SamplePlan(seed=-1, count=1, radius=1.0)
