@@ -150,9 +150,9 @@ def defect(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
 
 
 def defect_many(f: TestFunction, triples, params: RhoParams) -> list:
-    """Defects of a sequence of (x, y, z) triples: ``f`` is evaluated once per
-    distinct argument of the family (8 for family A, 7 for family B), each
-    time on the whole batch."""
+    """Defects of (x, y, z) triples, an ``(N, 3, dim)`` array or a sequence: ``f``
+    is evaluated once per distinct argument of the family (8 for family A, 7
+    for family B), each time on the whole batch."""
     xyz, columns = _defect_columns(f, triples, params)
     return [DefectSample(params.family, t, *row)
             for t, row in zip(zip(*xyz), zip(*(c.tolist() for c in columns)))]
@@ -164,7 +164,9 @@ def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
     arrays. A triple whose defect is not finite raises NumericError."""
     params.check_degenerate()
     sp = f.space
-    x, y, z = (sp.as_vectors([t[k] for t in triples]) for k in range(3))
+    xyz = (triples.swapaxes(0, 1) if isinstance(triples, np.ndarray)
+           else [[t[k] for t in triples] for k in range(3)])
+    x, y, z = map(sp.as_vectors, xyz)
     beta = float(params.beta) if params.family == "B" else 0.0
     basis = (x, y, beta * y, params.alpha * z)
     exprs = FAMILY_TERMS[params.family]
@@ -257,7 +259,7 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
     """Sample triples, bucket clamped defects into log-spaced norm shells."""
     require_admissible(params)
     triples = draw_samples(f.space, plan, arity=3)
-    if not triples:
+    if not len(triples):
         raise EmptySampleError("empty-sample: envelope needs at least one triple")
     if shells < 1:
         raise ValueError(f"shells must be positive, got {shells}")

@@ -89,28 +89,25 @@ class SamplePlan:
         return self.radius * ORIGIN_FLOOR
 
 
-def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int):
-    """Deterministic sample points (``arity=1``) or triples (``arity=3``).
+def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int) -> np.ndarray:
+    """Deterministic points, a ``(count, dim)`` array, or triples, ``(count, 3, dim)``.
 
     Each vector has a uniform (Gaussian-normalized) direction and a norm
     log-uniform in ``(lo, hi]``, so that samples cover several dyadic shells,
-    which is where the series bounds are probed. The stream is a pure
-    function of ``(space, plan, arity)``.
+    which is where the series bounds are probed. Directions and norms are one
+    bulk draw each from two PCG64 streams spawned from ``plan.seed``: the
+    first k vectors do not depend on ``count``, and triples are the points of
+    ``3 * count`` vectors in threes.
     """
     if arity not in (1, 3):
         raise ArityError(f"arity: expected 1 or 3, got {arity}")
-    rng = np.random.default_rng(plan.seed)
-    lo = plan.inner_radius()
-    hi = plan.radius
-    n = plan.count * arity
-    g = np.empty((n, 2 * space.dim))
-    u = np.empty(n)
-    for i in range(n):
-        g[i] = rng.standard_normal(2 * space.dim)
-        while not g[i].any():
-            g[i] = rng.standard_normal(2 * space.dim)
-        # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
-        u[i] = 1.0 - rng.random()
+    directions, radii = map(np.random.default_rng, np.random.SeedSequence(plan.seed).spawn(2))
+    lo, hi = plan.inner_radius(), plan.radius
+    g = directions.standard_normal((plan.count * arity, 2 * space.dim))
+    while (zero := ~g.any(axis=1)).any():  # a zero row has no direction: redraw it
+        g[zero] = directions.standard_normal((zero.sum(), 2 * space.dim))
+    # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
+    u = 1.0 - radii.random(len(g))
     vec = g[:, : space.dim] + 1j * g[:, space.dim :]
     target = np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo)))
     vec = vec * (target / space.norms(vec))[:, None]
@@ -118,7 +115,4 @@ def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int):
     norms = space.norms(vec)
     vec[norms > hi] *= 1.0 - 1e-12
     vec[norms <= lo] *= 1.0 + 1e-12
-    vectors = list(vec)
-    if arity == 1:
-        return vectors
-    return [tuple(vectors[3 * i : 3 * i + 3]) for i in range(plan.count)]
+    return vec.reshape(plan.count, 3, space.dim) if arity == 3 else vec

@@ -28,6 +28,7 @@ from jensenlab.errors import (
     DivergentSeriesError,
     FamilyError,
     InadmissibleError,
+    NumericError,
     OutOfRegimeError,
     SingularPointError,
 )
@@ -365,6 +366,24 @@ def test_corollary_out_of_regime():
         corollary_constant("c36", 1.0, 2.0, 0.0, beta=-1.5)
     with pytest.raises(ValueError):
         corollary_constant("c99", 1.0, 0.5, 0.0)
+
+
+def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
+    # a power of r that overflows counts as +inf: out of regime, divergent
+    for which, beta in (("c24", None), ("c34", 1.0)):
+        with pytest.raises(OutOfRegimeError):
+            corollary_constant(which, 1.0, 2000.0, 0.0, beta=beta)
+    assert not convergence_predicate(forward(2.0), 2000.0)
+    # a constant, phi~ value or empirical supremum that is still not finite is numeric
+    with pytest.raises(NumericError):
+        corollary_constant("c26", 1.0, 2000.0, 0.0)  # 2^2001 / (2^2000 - 1) = inf / inf
+    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
+    with pytest.raises(NumericError):
+        phi_tilde_norm(ControlFunction.power(1.0, -400.0), 0.1, spec)
+    for r in (320.0, 400.0):  # the ratio overflows; the power underflows to 0
+        with pytest.raises(NumericError):
+            bounds.empirical_sup(r, [(0.1, 0.05)])
+    assert bounds.empirical_sup(-400.0, [(0.1, 0.05)]) == (0.0, 1)
 
 
 # --- convergence predicate ---------------------------------------------------

@@ -557,11 +557,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli.main(["audit", "--config", write_config(tmp_path, doc)] + flags) == 2
         assert capsys.readouterr().err.startswith("error[degenerate-parameter]: ")
     # a control exponent whose powers leave the double range: divergent or numeric, never a
-    # traceback, and no non-finite value in a row
+    # traceback, and no non-finite value in a row; on the audit sample's points ||x||^400
+    # underflows to 0 and, at r = 330, ||f - A|| / ||x||^r overflows
     forward_r = changed("scheme.direction", "forward", changed("control.r", 2000, AUDIT_SAMPLE))
     huge = (("verify", forward_r, 2, "error[divergent]: "),
             ("audit", changed("control.r", 400, AUDIT_SAMPLE), 3, "error[numeric]: "),
-            ("audit", changed("control.r", 320, AUDIT_SAMPLE), 3, "error[numeric]: "),
+            ("audit", changed("control.r", 330, AUDIT_SAMPLE), 3, "error[numeric]: "),
             ("sweep", changed("grid.r", [2000], SWEEP_SAMPLE), 0, "divergent"),
             ("sweep", changed("grid.r", [-400], SWEEP_SAMPLE), 0, "numeric"))
     out = tmp_path / "out"

@@ -62,9 +62,8 @@ def test_draw_samples_deterministic():
     plan = SamplePlan(seed=1, count=5, radius=2.0, exclude_origin_below=0.1)
     a = draw_samples(sp, plan, arity=1)
     b = draw_samples(sp, plan, arity=1)
-    assert len(a) == 5
-    for va, vb in zip(a, b):
-        assert (va == vb).all()  # bit-identical
+    assert a.shape == (5, 2) and a.dtype == np.complex128
+    assert (a == b).all()  # bit-identical
 
 
 def test_draw_samples_prefix_and_triples():
@@ -74,16 +73,49 @@ def test_draw_samples_prefix_and_triples():
     plan = SamplePlan(seed=3, count=40, radius=2.0, exclude_origin_below=0.1)
     short = SamplePlan(seed=3, count=7, radius=2.0, exclude_origin_below=0.1)
     for arity in (1, 3):
-        full = np.asarray(draw_samples(sp, plan, arity))
-        assert (full[:7] == np.asarray(draw_samples(sp, short, arity))).all()
-    points = np.asarray(draw_samples(sp, SamplePlan(seed=3, count=120, radius=2.0,
-                                                    exclude_origin_below=0.1), arity=1))
-    assert (np.asarray(draw_samples(sp, plan, arity=3)) == points.reshape(40, 3, 2)).all()
+        assert (draw_samples(sp, plan, arity)[:7] == draw_samples(sp, short, arity)).all()
+    points = draw_samples(sp, SamplePlan(seed=3, count=120, radius=2.0,
+                                         exclude_origin_below=0.1), arity=1)
+    assert (draw_samples(sp, plan, arity=3) == points.reshape(40, 3, 2)).all()
+
+
+def test_draw_samples_redraws_a_zero_row(monkeypatch):
+    # the direction stream's bulk draw starts with a zero row; only that row is redrawn
+    real = np.random.default_rng
+    streams = []
+
+    class ZeroFirstRow:
+        def __init__(self, rng):
+            self.rng, self.first = rng, True
+
+        def standard_normal(self, size):
+            g = self.rng.standard_normal(size)
+            if self.first:
+                g[0], self.first = 0.0, False
+            return g
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    def stub(seed):
+        streams.append(ZeroFirstRow(real(seed)) if not streams else real(seed))
+        return streams[-1]
+
+    sp = NormedSpace(2)
+    plan = SamplePlan(seed=4, count=6, radius=2.0, exclude_origin_below=0.1)
+    plain = draw_samples(sp, plan, arity=1)
+    monkeypatch.setattr(np.random, "default_rng", stub)
+    redrawn = draw_samples(sp, plan, arity=1)
+    assert len(streams) == 2
+    assert (redrawn[1:] == plain[1:]).all()
+    assert (redrawn[0] != plain[0]).all() and sp.norm(redrawn[0]) == pytest.approx(
+        sp.norm(plain[0]), rel=1e-12)
 
 
 def test_draw_samples_empty_and_arity():
     sp = NormedSpace(2)
-    assert draw_samples(sp, SamplePlan(seed=1, count=0, radius=1.0), arity=1) == []
+    assert draw_samples(sp, SamplePlan(seed=1, count=0, radius=1.0), arity=1).shape == (0, 2)
+    assert draw_samples(sp, SamplePlan(seed=1, count=0, radius=1.0), arity=3).shape == (0, 3, 2)
     with pytest.raises(ArityError):
         draw_samples(sp, SamplePlan(seed=1, count=1, radius=1.0), arity=2)
 
@@ -92,9 +124,8 @@ def test_draw_samples_norm_range():
     sp = NormedSpace(2)
     plan = SamplePlan(seed=1, count=1000, radius=2.0, exclude_origin_below=0.1)
     triples = draw_samples(sp, plan, arity=3)
-    assert len(triples) == 1000
-    norms = [sp.norm(v) for t in triples for v in t]
-    assert len(norms) == 3000
+    assert triples.shape == (1000, 3, 2)
+    norms = sp.norms(triples.reshape(-1, 2))
     assert min(norms) > 0.1
     assert max(norms) <= 2.0
     assert all(np.isfinite(n) for n in norms)
@@ -104,7 +135,9 @@ def test_draw_samples_spans_shells():
     # log-uniform norms should populate every dyadic shell of the range
     sp = NormedSpace(2)
     plan = SamplePlan(seed=7, count=500, radius=2.0, exclude_origin_below=2.0 ** -6)
-    norms = [sp.norm(v) for v in draw_samples(sp, plan, arity=1)]
+    points = draw_samples(sp, plan, arity=1)
+    assert points.shape == (500, 2)
+    norms = sp.norms(points)
     occupied = {math.floor(math.log2(n)) for n in norms}
     assert {-6, -5, -4, -3, -2, -1, 0}.issubset(occupied)
 
