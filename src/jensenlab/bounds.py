@@ -279,9 +279,10 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
         2 theta / ((L - L^r)(1 - p2))           and
         2 theta / ((L^r - L)(1 - p2)).
 
-    A power of r that overflows counts as +inf. Raises OutOfRegimeError when
-    a printed denominator is not positive, naming the violated inequality, and
-    NumericError when the constant is not finite.
+    A power of r that overflows counts as +inf, and where the printed c26
+    overflows it is evaluated as 2 theta / ((1 - 2^-r)(1 - p2)(2 - p2)). Raises
+    OutOfRegimeError when a printed denominator is not positive, naming the
+    violated inequality, and NumericError when the constant is not finite.
     """
     if which not in CONSTANT_TAGS:
         raise ValueError(f"which must be one of {CONSTANT_TAGS}, got {which!r}")
@@ -296,7 +297,10 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
                                   "2^r - 1 > 0 (r > 0)"))
         if denom <= 0:
             raise OutOfRegimeError(f"out-of-regime: {which} needs {need}, got r = {r}")
-        return _require_finite(which, num * theta / (denom * (1.0 - p2) * (2.0 - p2)))
+        value = num * theta / (denom * (1.0 - p2) * (2.0 - p2))
+        if which == "c26" and not math.isfinite(value):  # 2^(1+r) theta overflowed
+            value = 2.0 * theta / ((1.0 - 2.0 ** -r) * (1.0 - p2) * (2.0 - p2))
+        return _require_finite(which, value)
     if beta is None:
         raise ValueError(f"{which} needs beta")
     L = abs(1.0 + beta)

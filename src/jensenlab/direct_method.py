@@ -28,6 +28,10 @@ DIRECTIONS = ("forward", "backward")
 MAX_ORBIT_INDEX = 512
 _LOG2_DOUBLE_MAX = 1023.0
 
+#: Row budget of one orbit block: with m points still running, one
+#: ``evaluate_many`` call evaluates ROWS // m consecutive orbit steps (at least one).
+ROWS = 2048
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -86,10 +90,17 @@ def orbit_term(f: TestFunction, x, scheme: Scheme, n: int) -> np.ndarray:
 
 def orbit_terms(f: TestFunction, xs: np.ndarray, scheme: Scheme, n: int) -> np.ndarray:
     """The n-th orbit term at each row of an N x dim array."""
-    p = _scale_power(scheme, n)
-    if scheme.direction == "forward":
-        return evaluate_many(f, p * xs) / p
-    return p * evaluate_many(f, xs / p)
+    return _orbit_block(f, xs, scheme, [_scale_power(scheme, n)])[0]
+
+
+def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) -> np.ndarray:
+    """The orbit terms with scale powers ``powers`` at each row of xs, from one
+    ``evaluate_many`` call: a len(powers) x N x dim array. Each step is scaled
+    by its Python float power as a term alone is, so a row's bits are the same."""
+    fwd = scheme.direction == "forward"
+    vals = evaluate_many(f, np.concatenate([p * xs if fwd else xs / p for p in powers]))
+    return np.stack([v / p if fwd else p * v
+                     for p, v in zip(powers, vals.reshape(len(powers), *xs.shape))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +167,11 @@ def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
     it is yielded with deviation None instead. A NumericError or
     ScaleOverflowError is raised at the point whose orbit has it.
 
-    The orbits run in lockstep, one batched term per step over the points
-    still iterating, so each report is what ``approximate`` gives alone.
+    The orbits run in blocks (``_orbits``): one ``evaluate_many`` call gives
+    several orbit steps of every point still iterating, about ``ROWS`` rows.
+    Each report is still what ``approximate`` gives alone: ``evaluate_many``
+    is row-local, each term is scaled as a term alone is, and rows past a
+    point's stop are never read.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -180,36 +194,56 @@ def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is a NumericError
 def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: int):
     """Per point: the last term, ||f(x) - term|| (0 unless converged), the
-    residuals (an array), whether it converged, and its error (or None)."""
+    residuals (an array), whether it converged, and its error (or None).
+
+    Blocked: one ``evaluate_many`` call gives the next k orbit terms of every
+    point still running, k = max(1, min(steps left, ROWS // points running)),
+    and each point's stop is found in the block's residual matrix, with its
+    count of residuals <= tol carried between blocks. Terms past a point's
+    stop are evaluated and discarded: ``evaluate_many`` is row-local and makes
+    a term it cannot evaluate non-finite rather than raise, and the scale
+    powers are screened before the call, so a discarded row cannot change a
+    report."""
     f0 = evaluate_many(f, xs)
     prev = f0.copy()
     running = np.isfinite(f0).all(axis=1)
     errors = np.where(running, None, NumericError("numeric: f(x) is not finite"))
     converged = np.zeros(len(xs), dtype=bool)
-    hits = np.zeros(len(xs), dtype=int)
-    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # (points, residuals) of each step
-    for n in range(1, max_n + 1):
+    hit = np.zeros(len(xs), dtype=bool)  # the point's last residual is <= tol
+    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # (points, residuals) of each block
+    n = 1
+    while n <= max_n and running.any():
         idx = np.flatnonzero(running)
-        if not idx.size:
-            break
+        powers = []
         try:
-            cur = orbit_terms(f, xs[idx], scheme, n)
-        except ScaleOverflowError as e:
-            errors[idx] = e
-            break
-        finite = np.isfinite(cur).all(axis=1)
-        errors[idx[~finite]] = NumericError(f"numeric: orbit term {n} is not finite")
-        running[idx[~finite]] = False
-        idx, cur = idx[finite], cur[finite]
-        r = f.space.norms(cur - prev[idx])
-        steps.append((idx, r))
-        prev[idx] = cur
-        hits[idx] = np.where(r <= tol, hits[idx] + 1, 0)
-        done = idx[(r == 0.0) | (hits[idx] >= 2)]
-        converged[done] = True
-        running[done] = False
+            for step in range(n, n + max(1, min(max_n - n + 1, ROWS // idx.size))):
+                powers.append(_scale_power(scheme, step))
+        except ScaleOverflowError as e:  # the block ends before it; the next one starts there
+            if not powers:
+                errors[idx] = e
+                break
+        k, m, cols = len(powers), idx.size, np.arange(idx.size)
+        terms = _orbit_block(f, xs[idx], scheme, powers)  # k x m x dim
+        finite = np.isfinite(terms).all(axis=2)
+        diffs = terms - np.concatenate([prev[idx][None], terms[:-1]])
+        r = f.space.norms(diffs.reshape(k * m, -1)).reshape(k, m)
+        small = r <= tol
+        # a point stops at a non-finite term, a zero residual or a second residual <= tol in a row
+        stop = ~finite | (r == 0.0) | (small & np.concatenate([hit[idx][None], small[:-1]]))
+        stopped = stop.any(axis=0)
+        last = np.where(stopped, stop.argmax(axis=0), k - 1)
+        bad = ~finite[last, cols]
+        kept = np.arange(k)[:, None] <= last  # the steps each point takes (an error's go unread)
+        steps.append((np.broadcast_to(idx, (k, m))[kept], r[kept]))
+        prev[idx] = terms[last, cols]
+        hit[idx] = small[last, cols]
+        for i, j in zip(idx[bad], last[bad]):
+            errors[i] = NumericError(f"numeric: orbit term {n + j} is not finite")
+        converged[idx[stopped & ~bad]] = True
+        running[idx[stopped]] = False
+        n += k
     deviations = f.space.norms(f0 - prev)  # read at converged points only
-    # each point's residuals in step order: a stable sort of all steps by point
+    # each point's residuals in step order: a stable sort of all blocks by point
     points, res = (np.concatenate(c) for c in zip(*steps))
     residuals = np.split(res[np.argsort(points, kind="stable")],
                          np.cumsum(np.bincount(points, minlength=len(xs)))[:-1])

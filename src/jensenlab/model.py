@@ -131,7 +131,7 @@ class Perturbation:
       none       p = 0
       bounded    ||p(x)|| <= epsilon everywhere
       power      ||p(x)|| = theta * ||x||^r at every evaluated point, p(0) = 0
-                 for r > 0
+                 for r > 0 and NaN (undefined) for r < 0
       tabulated  a map from quantized points to vectors, with an optional
                  default used for points outside the table (a constant offset
                  model is ``tabulated`` with an empty table and a default)
@@ -211,10 +211,10 @@ class Perturbation:
         if self.kind == "bounded":
             # Magnitude scale in [0, 1) hashed from the same point key.
             return (self.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
-        # power
-        if self.r < 0 and (nx == 0.0).any():
-            raise ZeroDivisionError("power perturbation with r < 0 evaluated at 0")
-        return (self.theta * nx ** self.r)[:, None] * u
+        # power; with r < 0, p(0) is undefined: a NaN row, which the callers report
+        undefined = (nx == 0.0) & (self.r < 0)
+        magnitude = self.theta * np.where(undefined, 1.0, nx) ** self.r
+        return np.where(undefined, np.nan, magnitude)[:, None] * u
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,8 @@
 """Batch invariance: every batched function gives each row exactly (bit for
 bit) what its scalar form gives that row alone, whatever else is in the batch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from jensenlab import (
     measure_envelope,
     phi_tilde_norm,
 )
+from jensenlab import direct_method
 from jensenlab.bounds import phi_tilde_norms
 from jensenlab.direct_method import Scheme
 from jensenlab.errors import JensenLabError, NotConvergedError
@@ -174,6 +177,42 @@ def test_scale_overflow_in_a_batch_fails_where_the_loop_fails(kinds, max_n):
                                                                  max_n=max_n)))
     assert got[1] == want[1]
     assert len(got[0]) == len(want[0])
+
+
+def _pass_outcome(f, pts, scheme, tol, max_n, strict, rows):
+    """Everything an approximation pass yields, and the error it ends with, at a row budget."""
+    done = []
+    with mock.patch.object(direct_method, "ROWS", rows):
+        try:
+            for rep, dev in approximate_points(f, pts, scheme, tol, max_n=max_n, strict=strict):
+                done.append((rep.point.tobytes(), rep.value.tobytes(), rep.iterations,
+                             rep.residuals, rep.tail_bound, rep.converged, dev))
+        except JensenLabError as e:
+            return done, (type(e), str(e))
+    return done, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 2), r=st.sampled_from([-0.5, 0.5, 2.0]),
+       direction=st.sampled_from(["hashed", "radial"]),
+       scheme=st.sampled_from([Scheme("forward", 2.0), Scheme("backward", 2.0),
+                               Scheme("backward", 1e10)]),
+       sizes=st.lists(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 7.5, 1e5]), min_size=1,
+                      max_size=8),
+       max_n=st.integers(1, 60), tol=st.sampled_from([1e-9, 1e-3]), strict=st.booleans(),
+       rows=st.sampled_from([None, 3, 7, 16, 40]))
+def test_blocked_orbits_equal_one_step_lockstep(dim, r, direction, scheme, sizes, max_n, tol,
+                                                 strict, rows):
+    # ROWS = 1 is one orbit step per evaluate_many call; rows None is the module's own row
+    # budget, which puts these orbits in one block. The batches mix points that converge,
+    # run out of max_n, overflow (r = 0.5 under backward 1e10 runs into the scale cap at
+    # term 31), reach 0 with r < 0 (a NaN term), or start at 0 with r < 0 (a NaN f(x)).
+    f = TestFunction(NormedSpace(dim), AdditiveCore.random(dim, 2, "real_linear"),
+                     Perturbation.power(0.1, r, direction_seed=5, direction=direction))
+    unit = np.array([0.6 + 0.8j, -0.5j][:dim])
+    pts = [s * unit for s in sizes]
+    want = _pass_outcome(f, pts, scheme, tol, max_n, strict, 1)
+    assert _pass_outcome(f, pts, scheme, tol, max_n, strict, rows or direct_method.ROWS) == want
 
 
 @pytest.mark.parametrize("params", [

@@ -368,6 +368,15 @@ def test_corollary_out_of_regime():
         corollary_constant("c99", 1.0, 0.5, 0.0)
 
 
+def test_c26_finite_where_its_printed_form_overflows():
+    # 2^(1+r) theta / (2^r - 1) = 2 theta / (1 - 2^-r): about 2 theta for large r
+    for r in (1022.0, 1023.5, 2000.0, 5000.0):
+        assert corollary_constant("c26", 1.0, r, 0.0) == 1.0
+        assert corollary_constant("c26", 2.5, r, 0.3) == pytest.approx(5.0 / (0.7 * 1.7),
+                                                                         rel=1e-15)
+    assert corollary_constant("c26", 0.0, 5000.0, 0.3) == 0.0
+
+
 def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
     # a power of r that overflows counts as +inf: out of regime, divergent
     for which, beta in (("c24", None), ("c34", 1.0)):
@@ -376,7 +385,7 @@ def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
     assert not convergence_predicate(forward(2.0), 2000.0)
     # a constant, phi~ value or empirical supremum that is still not finite is numeric
     with pytest.raises(NumericError):
-        corollary_constant("c26", 1.0, 2000.0, 0.0)  # 2^2001 / (2^2000 - 1) = inf / inf
+        corollary_constant("c26", 1e308, 2.0, 0.0)  # 8e308 / 6
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
     with pytest.raises(NumericError):
         phi_tilde_norm(ControlFunction.power(1.0, -400.0), 0.1, spec)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jensenlab import bounds, cli, harness
+from jensenlab import bounds, cli, direct_method, harness
 from jensenlab.errors import PairingError, StageFailure, UnknownKeyError
 from jensenlab.space import draw_samples
 
@@ -298,6 +298,24 @@ def test_audit_block_uses_config_max_n():
     assert rep.audit == direct.to_json_dict()
 
 
+@pytest.mark.parametrize("name, most", [("sweep_family_a", 3), ("verify_power_measured", 5)])
+def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, most):
+    # f(x), then a block of orbit steps per call: one call per step made 54 on either config
+    calls = []
+    original = direct_method.evaluate_many
+
+    def counting(f, xs):
+        calls.append(len(xs))
+        return original(f, xs)
+
+    monkeypatch.setattr(direct_method, "evaluate_many", counting)
+    exp = harness.build_experiment(json.loads((CONFIGS / f"{name}.json").read_text()))
+    approximated = harness._approximants(exp, draw_samples(exp.space, exp.plan, arity=1))
+    assert all(rep.converged for rep, _ in approximated)
+    assert 1 < len(calls) <= most
+    assert max(calls) <= direct_method.ROWS
+
+
 # --- reports -----------------------------------------------------------------
 
 
@@ -565,6 +583,12 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("audit", changed("control.r", 330, AUDIT_SAMPLE), 3, "error[numeric]: "),
             ("sweep", changed("grid.r", [2000], SWEEP_SAMPLE), 0, "divergent"),
             ("sweep", changed("grid.r", [-400], SWEEP_SAMPLE), 0, "numeric"))
+    # a power perturbation with r < 0 is undefined at 0, which a backward orbit from a
+    # point near 0 reaches: a numeric error at that term, not a traceback
+    near_zero = changed("function.perturbation.r", -0.5, changed("space.dim", 1, AUDIT_SAMPLE))
+    near_zero["plan"].update(radius=1e-300, exclude_origin_below=1e-301)
+    huge += (("approximate", near_zero, 3, "error[numeric]: "),
+             ("audit", near_zero, 3, "error[numeric]: "))
     out = tmp_path / "out"
     for command, doc, code, outcome in huge:
         capsys.readouterr()
