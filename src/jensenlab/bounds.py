@@ -25,7 +25,10 @@ Power controls evaluate as theta (||x||^r + ||y||^r + ||z||^r) with the
 convention that a zero norm contributes 0 for every r (the substituted
 series above rely on it, e.g. phi(x, x, 0) = 2 theta ||x||^r); their series
 is geometric and summed in closed form. Tabulated and measured controls are
-summed term by term, up to ``trunc_terms`` terms, with no tail.
+summed term by term, up to ``trunc_terms`` terms, with no tail: each point adds
+the rows of one terms x points matrix left to right until a term is not
+covered. A measured control whose first shell is positive diverges where the
+series arguments shrink.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import MeasuredEnvelope, RhoParams, shell_index
+from .inequality import CHUNK_ELEMENTS, MeasuredEnvelope, RhoParams, shell_index
 from .model import TestFunction
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
@@ -192,19 +195,30 @@ class PhiTilde:
         return self.value + (self.tail or 0.0)
 
 
-def _series_term(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, i: int):
-    """The i-th series term at each query norm in nx."""
+def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
+    """Terms ``steps`` of the series at each query norm in nx, one row per term.
+    Row i is scaled and weighted by the Python float powers of L that term i
+    uses alone, and phi is evaluated once per argument pattern on the matrix."""
     p2 = spec.rho2_abs
     L = abs(spec.scheme.scale)
     forward = spec.scheme.direction == "forward"
     printed = spec.printed_display and forward
-    s, weight = ((L ** i) * nx, L ** -(i + 1)) if forward else (nx / L ** (i + 1), L ** i)
+    if forward:
+        s, weight = np.array([L ** i for i in steps])[:, None] * nx, [L ** -(i + 1) for i in steps]
+    else:
+        s, weight = nx / np.array([L ** (i + 1) for i in steps])[:, None], [L ** i for i in steps]
     if spec.family == "A":
         third = s if printed else s / abs(spec.alpha)
-        return weight / (2.0 - p2) * (control.evaluate_norms(s, s, 0.0) + 2.0 * p2 / (1.0 - p2)
-                                      * control.evaluate_norms(0.0, 0.0, third))
+        return (np.array([w / (2.0 - p2) for w in weight])[:, None]
+                * (control.evaluate_norms(s, s, 0.0)
+                   + 2.0 * p2 / (1.0 - p2) * control.evaluate_norms(0.0, 0.0, third)))
     pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
-    return weight * pref * control.evaluate_norms(s, s, 0.0)
+    return np.array([w * pref for w in weight])[:, None] * control.evaluate_norms(s, s, 0.0)
+
+
+def _series_term(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, i: int):
+    """The i-th series term at each query norm in nx."""
+    return _series_terms(control, nx, spec, range(i, i + 1))[0]
 
 
 def _term_ratio(scheme: Scheme, r: float) -> float:
@@ -225,6 +239,21 @@ def _check_prefactors(spec: SeriesSpec):
         )
 
 
+def _check_measured_convergence(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec):
+    """A measured control keeps the value cum_max[0] below its first edge. Where the
+    series arguments shrink (backward with |scale| > 1, forward with |scale| < 1) the
+    weights grow geometrically, so with cum_max[0] > 0 the terms at ||x|| > 0 do too."""
+    if control.kind != "measured" or not (nx > 0.0).any():
+        return
+    floor = control.envelope.cum_max[0]
+    shrinking = (abs(spec.scheme.scale) > 1.0) == (spec.scheme.direction == "backward")
+    if floor > 0.0 and shrinking:
+        raise DivergentSeriesError(
+            f"divergent: the measured control is {floor:.6g} > 0 below its first shell edge "
+            f"and the {spec.scheme.direction} series arguments shrink"
+        )
+
+
 def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
     """The stability series phi~ for a query point of norm ``nx``."""
     return phi_tilde_norms(control, [nx], spec)[0]
@@ -233,7 +262,9 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
 def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
     """``phi_tilde_norm`` at each norm of a vector, each value rounding as it
-    does alone; one point's error is the vector's."""
+    does alone; one point's error is the vector's. A tabulated or measured
+    control's terms are a terms x points matrix, in blocks of about
+    CHUNK_ELEMENTS, summed left to right; see ``_check_measured_convergence``."""
     nx = np.asarray(norms, dtype=float)
     if not nx.size:
         return []
@@ -257,12 +288,16 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
             value = _series_term(control, nx, spec, 0) / (1.0 - ratio)
         terms, tail = np.full(nx.size, n_terms), 0.0
     else:  # tabulated / measured: sum until coverage runs out; no closed tail.
+        _check_measured_convergence(control, nx, spec)
         terms, tail = np.zeros(nx.size, dtype=int), None
-        for i in range(n_terms):
-            term = _series_term(control, nx, spec, i)
-            covered = (terms == i) & ~np.isnan(term)
-            value = np.where(covered, value + term, value)
-            terms += covered
+        rows = max(1, CHUNK_ELEMENTS // nx.size)
+        for lo in range(0, n_terms, rows):
+            block = _series_terms(control, nx, spec, range(lo, min(lo + rows, n_terms)))
+            # a point adds term i while terms 0 .. i are all covered (not NaN)
+            covered = np.logical_and.accumulate(~np.isnan(block), axis=0) & (terms == lo)
+            terms += covered.sum(axis=0)
+            for term in np.where(covered, block, 0.0):  # left to right, term by term
+                value = value + term
     _require_finite("phi~", value.max())
     return [PhiTilde(v, tail, k, coverage_truncated=k < n_terms)
             for v, k in zip(value.tolist(), terms.tolist())]

@@ -337,7 +337,8 @@ def _approximants(exp: Experiment, points) -> list | StageFailure:
 
 def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, points, approximated):
     """Per-point records of ||f - A|| against phi~ + tail, and the largest
-    violation ||f - A|| - phi~ - tail (0 when there are no points).
+    violation ||f - A|| - phi~ - tail (0 when there are no points). A record
+    whose series ran out of coverage also gives its term count.
 
     phi~ depends on ||x|| alone, so it is evaluated at every point first; then
     the failure of the approximation pass (``approximated``, from
@@ -355,6 +356,7 @@ def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, points, app
         "tail": "unavailable" if pt.tail is None else pt.tail,
         "margin": pt.total() - dev,
         "iterations": rep.iterations,
+        **({"terms": pt.terms, "coverage_truncated": True} if pt.coverage_truncated else {}),
     } for (rep, dev), nx, pt in zip(approximated, norms, phis)]
     return records, max((p["deviation"] - p["bound"] for p in records), default=0.0)
 

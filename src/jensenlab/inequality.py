@@ -37,6 +37,14 @@ from .space import SamplePlan, draw_samples
 
 FAMILIES = ("A", "B")
 
+#: Floats in one array of a blocked pass: the power-law fit's exponent grid and
+#: the series' term matrix (``bounds``) are evaluated in blocks of about this
+#: many elements, so their peak memory does not grow with the grid or the sample.
+CHUNK_ELEMENTS = 1 << 15
+
+#: The exponents the power-law fit tries before refining the best of them.
+FIT_GRID = np.linspace(-2.0, 6.0, 161)
+
 
 @dataclass(frozen=True)
 class RhoParams:
@@ -233,8 +241,31 @@ def _golden_section(fn, lo: float, hi: float) -> float:
     return x1 if f1 < f2 else x2
 
 
+def _grid_sse(norms: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The sum of squared errors of the least-squares fit at each exponent of
+    FIT_GRID, as ``_fit_power_law``'s scalar fit computes it, bit for bit, in
+    blocks of about CHUNK_ELEMENTS powers."""
+    sse = []
+    step = max(1, CHUNK_ELEMENTS // norms.size)
+    for lo in range(0, FIT_GRID.size, step):
+        rs = FIT_GRID[lo:lo + step]
+        p = np.empty((rs.size,) + norms.shape)  # filled row by row: stacking a list doubles it
+        for k, r in enumerate(rs):
+            # ``**`` with one exponent, as the scalar fit: at r = -1, 0.5 and 2 numpy
+            # takes an exact reciprocal, sqrt or square, not pow as on an exponent array
+            p[k] = norms ** r
+        g = p[..., 0] + p[..., 1] + p[..., 2]
+        denom = np.matmul(g[:, None], g[..., None])[:, 0, 0]  # each row's g @ g
+        gd = np.matmul(g[:, None], d[:, None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as float division
+            theta = np.where(denom != 0.0, np.maximum(gd / denom, 0.0), 0.0)
+        sse.append(((theta[:, None] * g - d) ** 2).sum(axis=1))
+    return np.concatenate(sse)
+
+
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
-    """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0."""
+    """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0: the best
+    exponent of FIT_GRID, refined by golden section."""
     d = np.clip(defects, 0.0, None)
     if d.max(initial=0.0) <= 1e-14:
         return 0.0, 0.0
@@ -246,11 +277,10 @@ def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float
         theta = max(float(g @ d) / denom, 0.0) if denom != 0.0 else 0.0
         return theta, float(((theta * g - d) ** 2).sum())
 
-    def sse(r: float) -> float:
-        return fit(r)[1]
-
-    best = float(min(np.linspace(-2.0, 6.0, 161), key=sse))
-    r_hat = _golden_section(sse, best - 0.1, best + 0.1)
+    sse = _grid_sse(norms, d)
+    # the first smallest SSE, as min() over the grid: a NaN wins only in first place
+    best = float(FIT_GRID[0 if np.isnan(sse[0]) else np.nanargmin(sse)])
+    r_hat = _golden_section(lambda r: fit(r)[1], best - 0.1, best + 0.1)
     return fit(r_hat)[0], r_hat
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from jensenlab import (
     phi_tilde_norm,
 )
 from jensenlab import bounds
+from jensenlab.inequality import MeasuredEnvelope
 from jensenlab.errors import (
     DivergentSeriesError,
     FamilyError,
@@ -324,6 +326,76 @@ def test_phi_tilde_tabulated_coverage_stops():
     assert pt.terms == 4
     assert pt.tail is None
     assert pt.value == pytest.approx(sum(2.0 ** -(i + 1) * 0.5 * 2.0 for i in range(4)), rel=1e-12)
+
+
+def summed_reference(control, nx, spec):
+    """The term-by-term sum of a tabulated or measured control: term i at every
+    norm, scaled by one Python float power of L, added while terms 0 .. i are
+    covered; the values and the term counts."""
+    p2 = spec.rho2_abs
+    L = abs(spec.scheme.scale)
+    forward = spec.scheme.direction == "forward"
+    printed = spec.printed_display and forward
+    value, terms = np.zeros(nx.size), np.zeros(nx.size, dtype=int)
+    for i in range(spec.trunc_terms):
+        s, weight = ((L ** i) * nx, L ** -(i + 1)) if forward else (nx / L ** (i + 1), L ** i)
+        if spec.family == "A":
+            third = s if printed else s / abs(spec.alpha)
+            term = weight / (2.0 - p2) * (control.evaluate_norms(s, s, 0.0) + 2.0 * p2 / (1.0 - p2)
+                                          * control.evaluate_norms(0.0, 0.0, third))
+        else:
+            pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
+            term = weight * pref * control.evaluate_norms(s, s, 0.0)
+        covered = (terms == i) & ~np.isnan(term)
+        value = np.where(covered, value + term, value)
+        terms += covered
+    return value, terms
+
+
+@st.composite
+def summed_series(draw):
+    """A tabulated or measured control, query norms, a series spec and a block budget."""
+    family = draw(st.sampled_from("AB"))
+    sign = draw(st.sampled_from([1, -1]))
+    scale = sign * (2.0 if family == "A" else draw(st.floats(0.25, 0.8) | st.floats(1.25, 4.0)))
+    spec = SeriesSpec(scheme=Scheme(draw(st.sampled_from(["forward", "backward"])), scale),
+                      family=family, rho2_abs=draw(st.just(0.0) | st.floats(0.0, 0.95)),
+                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
+                      trunc_terms=draw(st.integers(1, 64)), printed_display=draw(st.booleans()),
+                      rho1_abs=draw(st.floats(0.0, 0.95)))
+    shells = draw(st.integers(1, 6))
+    edges = np.geomspace(draw(st.floats(1e-3, 1.0)), draw(st.floats(1.5, 1e4)), shells + 1)
+    values = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0),
+                                    min_size=shells, max_size=shells)))
+    if draw(st.booleans()):
+        control = ControlFunction.tabulated(edges, values)
+    else:
+        control = ControlFunction.measured(MeasuredEnvelope(
+            edges=edges, shell_max=values, cum_max=np.maximum.accumulate(values),
+            fit_theta=0.0, fit_r=0.0, sample_count=shells))
+    norms = draw(st.lists(st.just(0.0) | st.sampled_from(edges.tolist()) | st.floats(1e-4, 1e5),
+                          min_size=1, max_size=12))
+    budget = draw(st.sampled_from([1, 2, 7, 64, bounds.CHUNK_ELEMENTS]))
+    return control, np.array(norms), spec, budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=summed_series())
+def test_term_matrix_sums_as_term_by_term(case):
+    # every block budget gives the reference's values, term counts and coverage flags
+    control, nx, spec, budget = case
+    L, forward = abs(spec.scheme.scale), spec.scheme.direction == "forward"
+    value, terms = summed_reference(control, nx, spec)
+    with mock.patch.object(bounds, "CHUNK_ELEMENTS", budget):
+        if (control.kind == "measured" and control.envelope.cum_max[0] > 0.0
+                and (L < 1.0 if forward else L > 1.0) and (nx > 0.0).any()):
+            # the arguments shrink below the first edge, where the control stays positive
+            with pytest.raises(DivergentSeriesError):
+                bounds.phi_tilde_norms(control, nx, spec)
+            return
+        got = bounds.phi_tilde_norms(control, nx, spec)
+    assert [(p.value, p.terms, p.coverage_truncated, p.tail) for p in got] == [
+        (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
 
 
 def test_phi_tilde_measured_full_extension(scalar_model):

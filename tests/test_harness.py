@@ -248,6 +248,39 @@ def test_run_verify_measured_detects_divergence():
     assert err.value.stage == "convergence-predicate"
 
 
+@pytest.mark.parametrize("trunc_terms", [32, 64, 128])
+def test_run_verify_divergent_measured_series(tmp_path, capsys, trunc_terms):
+    # backward dyadic on an r = 2 perturbation: the fitted exponent (about 2.3) passes the
+    # predicate, but the envelope is positive below its first edge while the arguments
+    # x / 2^(i+1) shrink, so term i grows like 2^i; no bound of any size may PASS
+    doc = changed("trunc_terms", trunc_terms, changed(
+        "scheme.direction", "backward", changed("function.perturbation.r", 2)))
+    with pytest.raises(StageFailure) as err:
+        harness.run_verify(doc)
+    assert (err.value.stage, err.value.code) == ("phi-tilde", "divergent")
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error[divergent]: phi-tilde: ")
+
+
+def test_run_verify_reports_coverage_truncation():
+    # the forward series at ||x|| reaches 2^63 ||x||: past the last edge above ||x|| ~ 1.08
+    doc = changed("control", {"kind": "tabulated", "edges": [0.01, 0.5, 1.0, 1e19],
+                              "values": [0.3, 0.2, 0.5]})
+    exp = harness.build_experiment(doc)
+    spec = harness._series_spec(exp)
+    keys = set(harness.run_verify(VERIFY_SAMPLE).points[0])
+    points = harness.run_verify(doc).points
+    truncated = [p for p in points if "terms" in p]
+    assert 0 < len(truncated) < len(points)
+    for p in points:
+        pt = bounds.phi_tilde_norm(exp.control, p["x_norm"], spec)
+        if pt.coverage_truncated:
+            assert set(p) == keys | {"terms", "coverage_truncated"}
+            assert p["coverage_truncated"] is True and p["terms"] == pt.terms < 64
+        else:
+            assert set(p) == keys
+
+
 def test_run_verify_inadmissible_abort():
     doc = scalar_verify_doc()
     doc["params"]["rho2"] = [0.7, 0]

@@ -1,14 +1,16 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_additive, make_power
 
 from jensenlab import (
     ControlFunction,
+    NormedSpace,
     RhoParams,
     SamplePlan,
     admissible,
@@ -253,6 +255,67 @@ def test_power_law_fit_recovers_exact_exponent():
     assert type(r_hat) is float and type(theta_hat) is float
     assert r_hat == pytest.approx(r_want, abs=1e-5)
     assert theta_hat == pytest.approx(theta_want, rel=1e-4)
+
+
+def fit_reference(norms, defects):
+    """The power-law fit exponent by exponent: min over the grid by SSE, then
+    the same golden section and the least-squares theta at its exponent."""
+    d = np.clip(defects, 0.0, None)
+    if d.max(initial=0.0) <= 1e-14:
+        return 0.0, 0.0
+
+    def fit(r):
+        g = (norms ** r).sum(axis=1)
+        denom = float(g @ g)
+        theta = max(float(g @ d) / denom, 0.0) if denom != 0.0 else 0.0
+        return theta, float(((theta * g - d) ** 2).sum())
+
+    best = float(min(np.linspace(-2.0, 6.0, 161), key=lambda r: fit(r)[1]))
+    r_hat = inequality._golden_section(lambda r: fit(r)[1], best - 0.1, best + 0.1)
+    return fit(r_hat)[0], r_hat
+
+
+@st.composite
+def envelope_samples(draw):
+    """Triple norms drawn as measure_envelope draws them, and defects around a power law."""
+    lo = draw(st.floats(1e-3, 1.0))
+    plan = SamplePlan(seed=draw(st.integers(0, 2 ** 32)), count=draw(st.integers(1, 400)),
+                      radius=lo * draw(st.floats(1.01, 1e3)), exclude_origin_below=lo)
+    space = NormedSpace(draw(st.integers(1, 3)))
+    triples = draw_samples(space, plan, arity=3)
+    norms = np.stack([space.norms(triples[:, k]) for k in range(3)], axis=1)
+    if draw(st.booleans()):  # every norm the same: the SSE is flat up to rounding
+        norms = np.full_like(norms, norms[0, 0])
+    rng = np.random.default_rng(plan.seed)
+    defects = (draw(st.floats(0.0, 10.0)) * (norms ** draw(st.floats(-2.0, 6.0))).sum(axis=1)
+               + draw(st.floats(0.0, 1.0)) * rng.normal(size=len(norms)))
+    return norms, defects, draw(st.sampled_from([1, 5, 3 * plan.count, inequality.CHUNK_ELEMENTS]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=envelope_samples())
+# equal norms leave the SSE flat up to rounding: powers over a whole exponent array
+# round differently at r = 2 (where ``**`` with one exponent squares) and pick r = 2
+# over the reference's -2
+@example(case=(np.full((3, 3), 1.6), np.array([1.2, 0.3, 0.7]), inequality.CHUNK_ELEMENTS))
+def test_power_law_fit_equals_exponent_by_exponent(case):
+    norms, defects, budget = case
+    with mock.patch.object(inequality, "CHUNK_ELEMENTS", budget):
+        assert inequality._fit_power_law(norms, defects) == fit_reference(norms, defects)
+
+
+def test_power_law_fit_ties_and_clamped_defects():
+    rng = np.random.default_rng(4)
+    norms = rng.uniform(0.1, 2.0, size=(50, 3))
+    # every defect clamped to 0: theta = 0 and every grid SSE ties
+    assert (inequality._grid_sse(norms, np.zeros(50)) == 0.0).all()
+    assert inequality._fit_power_law(norms, -rng.uniform(size=50)) == (0.0, 0.0)
+    # unit norms make every power 1, so every grid SSE ties: the first exponent wins
+    ones, defects = np.ones((50, 3)), rng.uniform(size=50)
+    sse = inequality._grid_sse(ones, defects)
+    assert (sse == sse[0]).all()
+    theta, r = inequality._fit_power_law(ones, defects)
+    assert (theta, r) == fit_reference(ones, defects) and -2.1 <= r <= -1.9
 
 
 def test_envelope_zero_for_additive():
