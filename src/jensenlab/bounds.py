@@ -24,11 +24,17 @@ telescoping argument actually guarantees to dominate ||f - A||.
 Power controls evaluate as theta (||x||^r + ||y||^r + ||z||^r) with the
 convention that a zero norm contributes 0 for every r (the substituted
 series above rely on it, e.g. phi(x, x, 0) = 2 theta ||x||^r); their series
-is geometric and summed in closed form. Tabulated and measured controls are
-summed term by term, up to ``trunc_terms`` terms, with no tail: each point adds
-the rows of one terms x points matrix left to right until a term is not
-covered. A measured control whose first shell is positive diverges where the
-series arguments shrink.
+is geometric and summed in closed form; a zero control is a power control
+with theta = 0. Tabulated and measured controls are summed term by term, up to
+``trunc_terms`` terms, with no tail: each point adds the rows of one terms x
+points matrix left to right until a term is not covered.
+
+``phi_tilde_norms`` alone decides whether a series diverges, by one rule: terms
+that behave as theta ||x||^r diverge where theta > 0, some ||x|| > 0 and
+``convergence_predicate(scheme, r)`` fails. A power control is judged on its
+own (theta, r); a measured control on (cum_max[0], 0), since below its first
+edge it is the constant cum_max[0]. A tabulated series ends where its
+coverage does.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class ControlFunction:
     """Nonnegative control phi(x, y, z), evaluated on the three norms.
 
     kinds:
-      zero       phi = 0
+      zero       phi = 0: a power control with theta = 0
       power      theta (||x||^r + ||y||^r + ||z||^r)
       tabulated  user shell table: value of the shell containing each norm,
                  summed over the three arguments; norms outside coverage stop
@@ -140,9 +146,7 @@ class ControlFunction:
     def evaluate_norms(self, nx, ny, nz):
         """phi on the three norms, elementwise over arrays of norms. A
         tabulated control has no value (NaN) at a norm outside its coverage."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "power":
+        if self.kind in ("zero", "power"):
             return self.theta * (_pw(nx, self.r) + _pw(ny, self.r) + _pw(nz, self.r))
         return self._component(nx) + self._component(ny) + self._component(nz)
 
@@ -204,9 +208,11 @@ def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, st
     forward = spec.scheme.direction == "forward"
     printed = spec.printed_display and forward
     if forward:
-        s, weight = np.array([L ** i for i in steps])[:, None] * nx, [L ** -(i + 1) for i in steps]
+        s = np.array([_power(L, i) for i in steps])[:, None] * nx
+        weight = [_power(L, -(i + 1)) for i in steps]
     else:
-        s, weight = nx / np.array([L ** (i + 1) for i in steps])[:, None], [L ** i for i in steps]
+        s = nx / np.array([_power(L, i + 1) for i in steps])[:, None]
+        weight = [_power(L, i) for i in steps]
     if spec.family == "A":
         third = s if printed else s / abs(spec.alpha)
         return (np.array([w / (2.0 - p2) for w in weight])[:, None]
@@ -239,19 +245,14 @@ def _check_prefactors(spec: SeriesSpec):
         )
 
 
-def _check_measured_convergence(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec):
-    """A measured control keeps the value cum_max[0] below its first edge. Where the
-    series arguments shrink (backward with |scale| > 1, forward with |scale| < 1) the
-    weights grow geometrically, so with cum_max[0] > 0 the terms at ||x|| > 0 do too."""
-    if control.kind != "measured" or not (nx > 0.0).any():
-        return
-    floor = control.envelope.cum_max[0]
-    shrinking = (abs(spec.scheme.scale) > 1.0) == (spec.scheme.direction == "backward")
-    if floor > 0.0 and shrinking:
+def _check_convergence(theta: float, r: float, nx: np.ndarray, scheme: Scheme) -> float:
+    """The term ratio of a series whose terms behave as theta ||x||^r; a
+    DivergentSeriesError where theta > 0, some ||x|| > 0 and the ratio is not below 1."""
+    verdict = convergence_predicate(scheme, r)
+    if theta > 0.0 and not verdict and (nx > 0.0).any():
         raise DivergentSeriesError(
-            f"divergent: the measured control is {floor:.6g} > 0 below its first shell edge "
-            f"and the {spec.scheme.direction} series arguments shrink"
-        )
+            f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
+    return verdict.ratio
 
 
 def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
@@ -262,25 +263,20 @@ def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> Phi
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
 def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
     """``phi_tilde_norm`` at each norm of a vector, each value rounding as it
-    does alone; one point's error is the vector's. A tabulated or measured
+    does alone; one point's error is the vector's, and a divergent series is a
+    DivergentSeriesError (see the module docstring). A tabulated or measured
     control's terms are a terms x points matrix, in blocks of about
-    CHUNK_ELEMENTS, summed left to right; see ``_check_measured_convergence``."""
+    CHUNK_ELEMENTS, summed left to right until no point is still covered."""
     nx = np.asarray(norms, dtype=float)
     if not nx.size:
         return []
     _check_prefactors(spec)
     n_terms = spec.trunc_terms
-    if control.kind == "zero":
-        return [PhiTilde(0.0, 0.0, n_terms)] * nx.size
     value = np.zeros(nx.size)
-    if control.kind == "power":
+    if control.kind in ("zero", "power"):
         if control.r < 0 and (nx == 0.0).any():
             raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
-        ratio = _term_ratio(spec.scheme, control.r)
-        if control.theta > 0.0 and not ratio < 1.0 and (nx > 0.0).any():
-            raise DivergentSeriesError(
-                f"divergent: series term ratio {ratio:.6g} >= 1 for r = {control.r}"
-            )
+        ratio = _check_convergence(control.theta, control.r, nx, spec.scheme)
         # phi is r-homogeneous and step i scales the weight by a fixed power of L
         # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
         # series is geometric. A ratio >= 1 gets here only with every term 0.
@@ -288,10 +284,13 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
             value = _series_term(control, nx, spec, 0) / (1.0 - ratio)
         terms, tail = np.full(nx.size, n_terms), 0.0
     else:  # tabulated / measured: sum until coverage runs out; no closed tail.
-        _check_measured_convergence(control, nx, spec)
+        if control.kind == "measured":
+            _check_convergence(control.envelope.cum_max[0], 0.0, nx, spec.scheme)
         terms, tail = np.zeros(nx.size, dtype=int), None
         rows = max(1, CHUNK_ELEMENTS // nx.size)
         for lo in range(0, n_terms, rows):
+            if not (terms == lo).any():  # every point has left coverage
+                break
             block = _series_terms(control, nx, spec, range(lo, min(lo + rows, n_terms)))
             # a point adds term i while terms 0 .. i are all covered (not NaN)
             covered = np.logical_and.accumulate(~np.isnan(block), axis=0) & (terms == lo)
@@ -365,8 +364,6 @@ def convergence_predicate(scheme: Scheme, r: float) -> ConvergenceVerdict:
     ratio is returned alongside the verdict; a boundary ratio of exactly 1
     counts as divergent.
     """
-    if abs(scheme.scale) == 1.0:
-        raise DegenerateScaleError("degenerate-scale: |scale| = 1")
     ratio = _term_ratio(scheme, r)
     exponent = "r-1" if scheme.direction == "forward" else "1-r"
     return ConvergenceVerdict(ratio < 1.0, ratio, f"|scale|^({exponent}) = {ratio:.6g} < 1")

@@ -10,6 +10,7 @@ identical configs produce byte-identical files).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -139,6 +140,18 @@ CONFIG_SCHEMA = {
 }
 
 
+def _finite(value, path: str) -> float:
+    """A JSON number as a finite float; NaN, an infinity or an int past the
+    float range raises ConfigError naming ``path``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config: {path} must be a finite number, got {value!r}")
+    return number
+
+
 def _checked(accepted, value, path: str):
     """``value`` checked against ``accepted`` (see CONFIG_SCHEMA), with the
     defaults of a section filled in; a fault raises ConfigError naming ``path``."""
@@ -167,7 +180,7 @@ def _checked(accepted, value, path: str):
     if accepted is complex:
         parts = value if isinstance(value, list) and len(value) == 2 else [value]
         if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-            return [float(p) for p in parts] if parts is value else float(value)
+            return [_finite(p, path) for p in parts] if parts is value else _finite(value, path)
         raise ConfigError(f"config: {path} must be [re, im] or a number, got {value!r}")
     accepted = accepted if isinstance(accepted, tuple) else (accepted,)
     if isinstance(accepted[0], str):
@@ -178,7 +191,7 @@ def _checked(accepted, value, path: str):
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in accepted):
         need = " or ".join("null" if t is NONE else t.__name__ for t in accepted)
         raise ConfigError(f"config: {path} must be {need}, got {value!r}")
-    return float(value) if float in accepted and type(value) is int else value
+    return _finite(value, path) if float in accepted and value is not None else value
 
 
 def normalize_config(doc: dict) -> dict:
@@ -280,7 +293,7 @@ def build_experiment(doc: dict) -> Experiment:
     forced = _check_pairing(cfg)
     for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]),
                         ("envelope.shells", cfg["envelope"]["shells"]),
-                        ("trunc_terms", cfg["trunc_terms"])):
+                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
         if not value > 0:
             raise ConfigError(f"config: {path} must be positive, got {value}")
     f = load_test_function({"space": cfg["space"], **cfg["function"]})
@@ -389,11 +402,11 @@ def run_verify(doc: dict) -> RunReport:
 
     Pipeline stages (each failure aborts naming the stage): admissibility,
     the control kind an audit needs (when one is asked for), control
-    construction (envelope measurement for measured controls), the
-    convergence predicate for the declared control, the series phi~ at every
-    sampled norm, the approximation pass, and the audit (when one is asked
-    for). Pass iff
-    max over points of (||f - A|| - phi_tilde - tail) <= tol.
+    construction (envelope measurement for measured controls), the series
+    phi~ at every sampled norm, which names a divergent series, the
+    approximation pass, and the audit (when one is asked for). A measured
+    control's power-law fit is echoed as ``control_fit`` and decides nothing.
+    Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
@@ -402,22 +415,6 @@ def run_verify(doc: dict) -> RunReport:
     if exp.config["audit"]:
         _stage("audit", lambda: bounds.require_power_control(exp.control))
     control, fit = _stage("envelope", lambda: _build_control(exp))
-
-    def check_predicate():
-        if control.kind == "power":
-            r_eff = control.r
-        elif control.kind == "measured":
-            r_eff = control.envelope.fit_r
-        else:
-            return None
-        verdict = bounds.convergence_predicate(exp.scheme, r_eff)
-        if not verdict:
-            raise DivergentSeriesError(
-                f"divergent: {verdict.condition} fails for the declared control"
-            )
-        return verdict
-
-    _stage("convergence-predicate", check_predicate)
 
     spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)

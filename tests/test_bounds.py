@@ -398,6 +398,40 @@ def test_term_matrix_sums_as_term_by_term(case):
         (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
 
 
+@settings(max_examples=200, deadline=None)
+@given(direction=st.sampled_from(["forward", "backward"]),
+       scale=st.sampled_from([0.5, -0.5, 1.5, -1.5, 3.0, -3.0]),
+       floor=st.just(0.0) | st.floats(1e-3, 10.0), fit_r=st.floats(-3.0, 3.0),
+       norms=st.lists(st.just(0.0), min_size=1, max_size=4)
+       | st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=6))
+def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scale, floor, fit_r,
+                                                                 norms):
+    # the measured control is judged as the power law cum_max[0] ||x||^0; the test it
+    # replaced: the series arguments shrink while the control is positive below its
+    # first edge, at some ||x|| > 0
+    old = ((abs(scale) > 1.0) == (direction == "backward") and floor > 0.0
+           and any(n > 0.0 for n in norms))
+    control = ControlFunction.measured(MeasuredEnvelope(
+        edges=np.array([0.5, 1.0, 2.0]), shell_max=np.array([floor, floor + 1.0]),
+        cum_max=np.array([floor, floor + 1.0]), fit_theta=1.0, fit_r=fit_r, sample_count=2))
+    spec = SeriesSpec(scheme=Scheme(direction, scale), family="B", rho2_abs=0.3, alpha=1.0,
+                      trunc_terms=16)
+    if old:
+        with pytest.raises(DivergentSeriesError):
+            bounds.phi_tilde_norms(control, norms, spec)
+    else:
+        assert len(bounds.phi_tilde_norms(control, norms, spec)) == len(norms)
+
+
+def test_phi_tilde_overflowing_weight_is_numeric():
+    # forward scale 0.5 weighs term i by 2^(i+1), past the float range at i = 1023;
+    # the table covers every argument 2^-i down to 1e-320
+    spec = SeriesSpec(scheme=forward(0.5), family="B", rho2_abs=0.0, alpha=1.0,
+                      trunc_terms=1100)
+    with pytest.raises(NumericError):
+        phi_tilde_norm(ControlFunction.tabulated([1e-320, 10.0], [1.0]), 1.0, spec)
+
+
 def test_phi_tilde_measured_full_extension(scalar_model):
     env = measure_envelope(scalar_model, RhoParams("A", 0, 0, 1.0),
                            SamplePlan(seed=3, count=400, radius=2.0,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,21 @@ MALFORMED = {
         "control: tabulated control edges must be strictly increasing"),
     "negative-seed": ("verify", VERIFY_SAMPLE, ["--seed", "-1"], "plan: seed"),
     "negative-envelope-seed": ("verify", changed("envelope.seed", -5), [], "envelope: seed"),
+    "max-n-zero": ("verify", changed("max_n", 0), [], "max_n"),
+    "tabulated-control-edge-infinite": ("verify", changed("control", {
+        "kind": "tabulated", "edges": [0.01, 0.5, float("inf"), 4.0], "values": [0.3, 0.2, 0.5]}),
+        [], "control.edges[2]"),
+    "tabulated-control-value-nan": ("verify", changed("control", {
+        "kind": "tabulated", "edges": [0.01, 0.5, 1.0, 4.0], "values": [0.3, float("nan"), 0.5]}),
+        [], "control.values[1]"),
+    "radius-infinite": ("verify", changed("plan.radius", float("inf")), [], "plan.radius"),
+    "rho2-pair-nan": ("verify", changed("params.rho2", [float("nan"), 0.0]), [], "params.rho2"),
+    "alpha-int-past-float-range": ("verify", changed("params.alpha", 10 ** 400), [],
+                                   "params.alpha"),
+    "grid-value-infinite": ("sweep", changed("grid.r", [0.5, float("-inf")], SWEEP_SAMPLE), [],
+                            "grid.r[1]"),
+    "grid-pair-nan": ("sweep", changed("grid.rho2", [[0.1, float("nan")]], SWEEP_SAMPLE), [],
+                      "grid.rho2[0]"),
 }
 
 
@@ -237,15 +253,36 @@ def test_run_verify_divergent_abort():
     doc = power_verify_doc(r=2.0, control={"kind": "power", "theta": 1.0, "r": 2.0})
     with pytest.raises(StageFailure) as err:
         harness.run_verify(doc)
-    assert err.value.stage == "convergence-predicate"
+    assert err.value.stage == "phi-tilde"
     assert err.value.code == "divergent"
 
 
 def test_run_verify_measured_detects_divergence():
-    # measured control on an r=2 perturbation: fitted exponent flags divergence
+    # measured control on an r=2 perturbation: the forward orbit does not converge
     with pytest.raises(StageFailure) as err:
         harness.run_verify(power_verify_doc(r=2.0))
-    assert err.value.stage == "convergence-predicate"
+    assert (err.value.stage, err.value.code) == ("approximate", "divergent")
+
+
+def test_run_verify_ignores_the_fitted_exponent(monkeypatch):
+    # a fitted r = 2 would fail |2|^(r-1) < 1 on the forward dyadic sample; it is
+    # echoed in control_fit and changes no record
+    plain = harness.run_verify(VERIFY_SAMPLE)
+    measure = harness.inequality.measure_envelope
+    monkeypatch.setattr(harness.inequality, "measure_envelope",
+                        lambda *a, **kw: replace(measure(*a, **kw), fit_r=2.0))
+    assert not bounds.convergence_predicate(direct_method.forward(2.0), 2.0)
+    rep = harness.run_verify(VERIFY_SAMPLE)
+    assert rep.control_fit["r"] == 2.0 != plain.control_fit["r"]
+    assert (rep.points, rep.summary) == (plain.points, plain.summary)
+
+
+def test_run_verify_zero_theta_power_control_runs_as_zero():
+    # theta = 0 with a term ratio of 2: every term is 0, as for kind zero
+    zero = harness.run_verify(changed("control", {"kind": "zero"}))
+    power = harness.run_verify(changed("control", {"kind": "power", "theta": 0.0, "r": 2.0}))
+    assert (power.points, power.summary) == (zero.points, zero.summary)
+    assert all(p["bound"] == 0.0 for p in power.points)
 
 
 @pytest.mark.parametrize("trunc_terms", [32, 64, 128])
@@ -279,6 +316,20 @@ def test_run_verify_reports_coverage_truncation():
             assert p["coverage_truncated"] is True and p["terms"] == pt.terms < 64
         else:
             assert set(p) == keys
+
+
+def test_run_verify_tabulated_series_stops_with_its_coverage(tmp_path, capsys):
+    # forward scale 0.5: the weights 2^(i+1) overflow past term 1023, but every point
+    # leaves coverage (arguments 2^-i ||x|| <= 0.01) within 8 terms
+    doc = changed("trunc_terms", 2000, changed("control", {
+        "kind": "tabulated", "edges": [0.01, 0.5, 1, 4], "values": [0.3, 0.2, 0.5]},
+        changed("function.perturbation", {"kind": "none"}, changed("params", {
+            "family": "B", "rho1": [0.0, 0.0], "rho2": [0.3, 0.0], "alpha": 1.0,
+            "beta": -0.5}))))
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    points = json.loads((tmp_path / "out").read_text())["points"]
+    assert all(p["coverage_truncated"] and 4 <= p["terms"] <= 8 for p in points)
 
 
 def test_run_verify_inadmissible_abort():
