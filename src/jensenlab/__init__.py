@@ -18,7 +18,7 @@ from .bounds import (
     phi_tilde_norm,
 )
 from .direct_method import (
-    ConvergenceReport,
+    Approximants, ConvergenceReport,
     Scheme,
     additive_limit_check,
     approximate,
@@ -59,7 +59,7 @@ from .space import NormedSpace, SamplePlan, draw_samples
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveCore", "Admissibility", "BoundAudit", "ControlFunction",
+    "AdditiveCore", "Admissibility", "Approximants", "BoundAudit", "ControlFunction",
     "ConvergenceReport", "DefectSample", "JensenLabError", "MeasuredEnvelope",
     "NormedSpace", "Perturbation", "PhiTilde", "RhoParams", "RunReport",
     "SamplePlan", "Scheme", "SeriesSpec", "TestFunction",

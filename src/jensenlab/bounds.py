@@ -211,7 +211,8 @@ def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, st
         s = np.array([_power(L, i) for i in steps])[:, None] * nx
         weight = [_power(L, -(i + 1)) for i in steps]
     else:
-        s = nx / np.array([_power(L, i + 1) for i in steps])[:, None]
+        with np.errstate(divide="ignore"):  # L^(i+1) underflowed to 0: +inf, as an overflow is
+            s = nx / np.array([_power(L, i + 1) for i in steps])[:, None]
         weight = [_power(L, i) for i in steps]
     if spec.family == "A":
         third = s if printed else s / abs(spec.alpha)
@@ -220,11 +221,6 @@ def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, st
                    + 2.0 * p2 / (1.0 - p2) * control.evaluate_norms(0.0, 0.0, third)))
     pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
     return np.array([w * pref for w in weight])[:, None] * control.evaluate_norms(s, s, 0.0)
-
-
-def _series_term(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, i: int):
-    """The i-th series term at each query norm in nx."""
-    return _series_terms(control, nx, spec, range(i, i + 1))[0]
 
 
 def _term_ratio(scheme: Scheme, r: float) -> float:
@@ -257,19 +253,21 @@ def _check_convergence(theta: float, r: float, nx: np.ndarray, scheme: Scheme) -
 
 def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
     """The stability series phi~ for a query point of norm ``nx``."""
-    return phi_tilde_norms(control, [nx], spec)[0]
+    value, tail, terms = phi_tilde_norms(control, [nx], spec)
+    k = int(terms[0])
+    return PhiTilde(float(value[0]), tail, k, coverage_truncated=k < spec.trunc_terms)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
-def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
-    """``phi_tilde_norm`` at each norm of a vector, each value rounding as it
-    does alone; one point's error is the vector's, and a divergent series is a
-    DivergentSeriesError (see the module docstring). A tabulated or measured
-    control's terms are a terms x points matrix, in blocks of about
-    CHUNK_ELEMENTS, summed left to right until no point is still covered."""
+def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
+    """``phi_tilde_norm`` at each norm of a vector as (values, one tail, term counts),
+    each value rounding as it does alone; one point's error is the vector's, and a
+    divergent series is a DivergentSeriesError (see the module docstring). A
+    tabulated or measured control's terms are a terms x points matrix, in blocks
+    of about CHUNK_ELEMENTS, summed left to right until no point is covered."""
     nx = np.asarray(norms, dtype=float)
     if not nx.size:
-        return []
+        return nx, None, np.zeros(0, dtype=int)
     _check_prefactors(spec)
     n_terms = spec.trunc_terms
     value = np.zeros(nx.size)
@@ -281,7 +279,7 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
         # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
         # series is geometric. A ratio >= 1 gets here only with every term 0.
         if ratio < 1.0:
-            value = _series_term(control, nx, spec, 0) / (1.0 - ratio)
+            value = _series_terms(control, nx, spec, range(1))[0] / (1.0 - ratio)
         terms, tail = np.full(nx.size, n_terms), 0.0
     else:  # tabulated / measured: sum until coverage runs out; no closed tail.
         if control.kind == "measured":
@@ -298,8 +296,7 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> list:
             for term in np.where(covered, block, 0.0):  # left to right, term by term
                 value = value + term
     _require_finite("phi~", value.max())
-    return [PhiTilde(v, tail, k, coverage_truncated=k < n_terms)
-            for v, k in zip(value.tolist(), terms.tolist())]
+    return value, tail, terms
 
 
 def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
@@ -428,9 +425,11 @@ def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
     ||x||^r over the supplied points, with A from ``approximate_points``.
     """
     xs = f.space.as_vectors(points)
-    deviations = zip(f.space.norms(xs).tolist(),
-                     (dev for _, dev in approximate_points(f, xs, scheme, tol, max_n=max_n)))
-    return audit_deviations(params, scheme, control, deviations, trunc_terms=trunc_terms)
+
+    def deviations():  # the pass runs once audit_deviations has checked the parameters
+        devs = approximate_points(f, xs, scheme, tol, max_n=max_n).deviations
+        yield from zip(f.space.norms(xs).tolist(), devs.tolist())
+    return audit_deviations(params, scheme, control, deviations(), trunc_terms=trunc_terms)
 
 
 def require_power_control(control: ControlFunction):

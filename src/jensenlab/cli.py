@@ -35,7 +35,7 @@ def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an int past Python's digit limit
             raise ConfigError(f"config: {path} is not JSON: {e}") from e
 
 
@@ -84,19 +84,19 @@ def _cmd_defect(args, doc: dict) -> int:
 def _cmd_approximate(args, doc: dict) -> int:
     exp = harness.build_experiment(doc)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    reports = [rep for rep, _ in direct_method.approximate_points(
-        exp.f, pts, exp.scheme, exp.tol, max_n=exp.config["max_n"], strict=False)]
+    out = direct_method.approximate_points(exp.f, pts, exp.scheme, exp.tol,
+                                           max_n=exp.config["max_n"], strict=False)
     if args.format == "csv":
         header = ["index", "x_norm", "iterations", "converged", "last_residual"]
-        rows = [{"index": i, "x_norm": exp.space.norm(r.point), "iterations": r.iterations,
-                 "converged": r.converged,
-                 "last_residual": r.residuals[-1] if r.residuals else 0.0}
-                for i, r in enumerate(reports)]
+        columns = (exp.space.norms(pts).tolist(), out.iterations.tolist(), out.converged.tolist(),
+                   [res[-1] if res.size else 0.0 for res in out.residuals])
+        rows = [dict(zip(header, (i, *row))) for i, row in enumerate(zip(*columns))]
         _emit(harness.csv_table(header, rows), args.out)
     else:
-        _emit(harness.stable_json([r.to_json_dict() for r in reports]), args.out)
-    bad = sum(1 for r in reports if not r.converged)
-    print(f"approximate: {len(reports)} points, {bad} not converged", file=sys.stderr)
+        _emit(harness.stable_json([out.report(i, x).to_json_dict()
+                                   for i, x in enumerate(pts)]), args.out)
+    bad = int((~out.converged).sum())
+    print(f"approximate: {len(pts)} points, {bad} not converged", file=sys.stderr)
     return EXIT_PASS if bad == 0 else EXIT_INADMISSIBLE
 
 

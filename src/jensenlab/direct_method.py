@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateScaleError, NotConvergedError, NumericError, ScaleOverflowError
-from .model import TestFunction, evaluate_many
+from .model import TestFunction, evaluate_many, pairs_from_vector
 
 DIRECTIONS = ("forward", "backward")
 
@@ -85,12 +86,7 @@ def _scale_power(scheme: Scheme, n: int) -> float:
 
 def orbit_term(f: TestFunction, x, scheme: Scheme, n: int) -> np.ndarray:
     """The n-th orbit term; n = 0 returns f(x)."""
-    return orbit_terms(f, f.space.as_vectors([x]), scheme, n)[0]
-
-
-def orbit_terms(f: TestFunction, xs: np.ndarray, scheme: Scheme, n: int) -> np.ndarray:
-    """The n-th orbit term at each row of an N x dim array."""
-    return _orbit_block(f, xs, scheme, [_scale_power(scheme, n)])[0]
+    return _orbit_block(f, f.space.as_vectors([x]), scheme, [_scale_power(scheme, n)])[0, 0]
 
 
 def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) -> np.ndarray:
@@ -120,16 +116,10 @@ class ConvergenceReport:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        from .model import pairs_from_vector
-
-        return {
-            "point": pairs_from_vector(self.point),
-            "value": pairs_from_vector(self.value),
-            "iterations": self.iterations,
-            "residuals": list(self.residuals),
-            "tail_bound": "unavailable" if self.tail_bound is None else self.tail_bound,
-            "converged": self.converged,
-        }
+        tail = "unavailable" if self.tail_bound is None else self.tail_bound
+        return {"point": pairs_from_vector(self.point), "value": pairs_from_vector(self.value),
+                "iterations": self.iterations, "residuals": list(self.residuals),
+                "tail_bound": tail, "converged": self.converged}
 
 
 def _tail_estimate(residuals: list) -> float | None:
@@ -145,6 +135,42 @@ def _tail_estimate(residuals: list) -> float | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
+class Approximants:
+    """The approximation pass over N points as columns: A(x) (N x dim), ||f(x) - A(x)||
+    (NaN where a point did not converge), residual counts, converged flags, each
+    failing orbit's error by point, and each block's (points, residuals) steps."""
+
+    values: np.ndarray
+    deviations: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    errors: dict
+    steps: list
+
+    @cached_property
+    def residuals(self) -> list:
+        """Each point's residual array in step order, split out on first use."""
+        points, res = (np.concatenate(c) for c in zip(*self.steps))
+        return np.split(res[np.argsort(points, kind="stable")], np.cumsum(self.iterations)[:-1])
+
+    def failure(self, scheme: Scheme, strict: bool = True) -> tuple:
+        """(index, error) of the first point in input order whose orbit has an error
+        or, when ``strict``, that did not converge; (N, None) when there is none."""
+        failed = np.flatnonzero(~self.converged).tolist() if strict else sorted(self.errors)
+        if not failed:
+            return len(self.converged), None
+        i = failed[0]
+        return i, self.errors.get(i) or NotConvergedError(
+            f"not-converged: point {i} did not converge within max_n under {scheme.label()}")
+
+    def report(self, i: int, point) -> ConvergenceReport:
+        """Point i's ConvergenceReport."""
+        res = self.residuals[i].tolist()
+        return ConvergenceReport(point, self.values[i], len(res), res, _tail_estimate(res),
+                                 bool(self.converged[i]))
+
+
 def approximate(f: TestFunction, x, scheme: Scheme, tol: float,
                 max_n: int = 200) -> ConvergenceReport:
     """Iterate orbit terms until Cauchy within tol, confirmed twice in a row.
@@ -155,47 +181,28 @@ def approximate(f: TestFunction, x, scheme: Scheme, tol: float,
     consecutive terms cannot refine further. Hitting ``max_n`` yields
     ``converged=False`` rather than an error; a batch of one of ``approximate_points``.
     """
-    rep, _ = next(approximate_points(f, [x], scheme, tol, max_n=max_n, strict=False))
-    return rep
+    xs = f.space.as_vectors([x])
+    return approximate_points(f, xs, scheme, tol, max_n=max_n, strict=False).report(0, xs[0])
 
 
 def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
-                       max_n: int = 200, strict: bool = True):
-    """The approximation pass: yields ``(report, ||f(x) - A(x)||)`` per point,
-    in order, with A(x) = ``report.value``. The first point that does not
-    converge within ``max_n`` raises NotConvergedError; with ``strict=False``
-    it is yielded with deviation None instead. A NumericError or
-    ScaleOverflowError is raised at the point whose orbit has it.
-
-    The orbits run in blocks (``_orbits``): one ``evaluate_many`` call gives
-    several orbit steps of every point still iterating, about ``ROWS`` rows.
-    Each report is still what ``approximate`` gives alone: ``evaluate_many``
-    is row-local, each term is scaled as a term alone is, and rows past a
-    point's stop are never read.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    xs = f.space.as_vectors(points)
-    values, deviations, residuals, converged, errors = _orbits(f, xs, scheme, tol, max_n)
-    for i, x in enumerate(xs):
-        if errors[i] is not None:
-            raise errors[i]
-        res = residuals[i].tolist()
-        rep = ConvergenceReport(x, values[i], len(res), res, _tail_estimate(res), converged[i])
-        if rep.converged:
-            yield rep, deviations[i]
-        elif strict:
-            raise NotConvergedError(f"not-converged: point {i} did not converge within "
-                                    f"max_n under {scheme.label()}")
-        else:
-            yield rep, None
+                       max_n: int = 200, strict: bool = True) -> Approximants:
+    """The approximation pass over ``points`` as columns, raising the first failure
+    in input order (see ``Approximants.failure``). The orbits run in blocks
+    (``_orbits``), and each point's columns are what ``approximate`` gives alone:
+    ``evaluate_many`` is row-local, each term is scaled as a term alone is, and
+    rows past a point's stop are never read."""
+    out = _orbits(f, f.space.as_vectors(points), scheme, tol, max_n)
+    _, err = out.failure(scheme, strict)
+    if err:
+        raise err
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is a NumericError
-def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: int):
-    """Per point: the last term, ||f(x) - term|| (0 unless converged), the
-    residuals (an array), whether it converged, and its error (or None).
-
+def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
+            max_n: int) -> Approximants:
+    """The approximation pass over the rows of xs, keeping every point's error.
     Blocked: one ``evaluate_many`` call gives the next k orbit terms of every
     point still running, k = max(1, min(steps left, ROWS // points running)),
     and each point's stop is found in the block's residual matrix, with its
@@ -203,13 +210,17 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: 
     stop are evaluated and discarded: ``evaluate_many`` is row-local and makes
     a term it cannot evaluate non-finite rather than raise, and the scale
     powers are screened before the call, so a discarded row cannot change a
-    report."""
+    point's columns."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     f0 = evaluate_many(f, xs)
     prev = f0.copy()
     running = np.isfinite(f0).all(axis=1)
-    errors = np.where(running, None, NumericError("numeric: f(x) is not finite"))
+    errors = dict.fromkeys(np.flatnonzero(~running).tolist(),
+                           NumericError("numeric: f(x) is not finite"))
     converged = np.zeros(len(xs), dtype=bool)
     hit = np.zeros(len(xs), dtype=bool)  # the point's last residual is <= tol
+    iterations = np.zeros(len(xs), dtype=np.intp)
     steps = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # (points, residuals) of each block
     n = 1
     while n <= max_n and running.any():
@@ -220,7 +231,7 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: 
                 powers.append(_scale_power(scheme, step))
         except ScaleOverflowError as e:  # the block ends before it; the next one starts there
             if not powers:
-                errors[idx] = e
+                errors.update(dict.fromkeys(idx.tolist(), e))
                 break
         k, m, cols = len(powers), idx.size, np.arange(idx.size)
         terms = _orbit_block(f, xs[idx], scheme, powers)  # k x m x dim
@@ -233,21 +244,18 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float, max_n: 
         stopped = stop.any(axis=0)
         last = np.where(stopped, stop.argmax(axis=0), k - 1)
         bad = ~finite[last, cols]
-        kept = np.arange(k)[:, None] <= last  # the steps each point takes (an error's go unread)
+        iterations[idx] += last + 1  # the steps each point takes (an error's go unread)
+        kept = np.arange(k)[:, None] <= last
         steps.append((np.broadcast_to(idx, (k, m))[kept], r[kept]))
         prev[idx] = terms[last, cols]
         hit[idx] = small[last, cols]
-        for i, j in zip(idx[bad], last[bad]):
+        for i, j in zip(idx[bad].tolist(), last[bad].tolist()):
             errors[i] = NumericError(f"numeric: orbit term {n + j} is not finite")
         converged[idx[stopped & ~bad]] = True
         running[idx[stopped]] = False
         n += k
-    deviations = f.space.norms(f0 - prev)  # read at converged points only
-    # each point's residuals in step order: a stable sort of all blocks by point
-    points, res = (np.concatenate(c) for c in zip(*steps))
-    residuals = np.split(res[np.argsort(points, kind="stable")],
-                         np.cumsum(np.bincount(points, minlength=len(xs)))[:-1])
-    return prev, deviations.tolist(), residuals, converged.tolist(), errors
+    deviations = np.where(converged, f.space.norms(f0 - prev), np.nan)
+    return Approximants(prev, deviations, iterations, converged, errors, steps)
 
 
 def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs) -> float:
@@ -255,15 +263,17 @@ def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs) -> 
     x, y = (f.space.as_vectors([p[k] for p in pairs]) for k in range(2))
     # x, y and x+y of each pair in turn, so that a failure is raised at its pair
     xs = np.stack([x, y, x + y], axis=1).reshape(-1, f.space.dim)
-    a = f.space.as_vectors([rep.value for rep, _ in approximate_points(f, xs, scheme, tol)])
+    a = approximate_points(f, xs, scheme, tol).values
     return float(f.space.norms(a[2::3] - a[0::3] - a[1::3]).max(initial=0.0))
 
 
 def uniqueness_crosscheck(f: TestFunction, scheme1: Scheme, scheme2: Scheme,
                           points, tol: float) -> float:
-    """Max pointwise disagreement between the two schemes' approximants."""
+    """Max pointwise disagreement between the two schemes' approximants. The first
+    failing point raises, scheme1's failure before scheme2's at the same point."""
     xs = f.space.as_vectors(points)
-    a = f.space.as_vectors([rep.value for pair in zip(approximate_points(f, xs, scheme1, tol),
-                                                      approximate_points(f, xs, scheme2, tol))
-                            for rep, _ in pair])
-    return float(f.space.norms(a[0::2] - a[1::2]).max(initial=0.0))
+    a1, a2 = outs = [_orbits(f, xs, s, tol, 200) for s in (scheme1, scheme2)]
+    _, err = min((o.failure(s) for o, s in zip(outs, (scheme1, scheme2))), key=lambda e: e[0])
+    if err:
+        raise err
+    return float(f.space.norms(a1.values - a2.values).max(initial=0.0))

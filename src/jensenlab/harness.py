@@ -9,6 +9,7 @@ identical configs produce byte-identical files).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -198,14 +199,19 @@ def normalize_config(doc: dict) -> dict:
     """The config checked against CONFIG_SCHEMA with every default filled in
     (pure data, JSON-serializable, echoed into reports)."""
     cfg = _checked(CONFIG_SCHEMA, doc, "")
-    p = cfg["params"]
-    if cfg["scheme"]["scale"] is None:
-        if p["family"] == "B" and p["beta"] is None:
-            raise PairingError("pairing: family B needs beta to derive the scheme scale")
-        cfg["scheme"]["scale"] = 2.0 if p["family"] == "A" else 1.0 + p["beta"]
+    cfg["scheme"] = _scheme_section(cfg["scheme"], cfg["params"])
     if cfg["envelope"]["seed"] is None:
         cfg["envelope"]["seed"] = cfg["plan"]["seed"]
     return cfg
+
+
+def _scheme_section(scheme: dict, params: dict) -> dict:
+    """``scheme`` with a null scale derived: 2 for family A, 1 + beta for family B."""
+    if scheme["scale"] is None:
+        if params["family"] == "B" and params["beta"] is None:
+            raise PairingError("pairing: family B needs beta to derive the scheme scale")
+        scheme = {**scheme, "scale": 2.0 if params["family"] == "A" else 1.0 + params["beta"]}
+    return scheme
 
 
 @dataclass(eq=False)
@@ -286,11 +292,8 @@ def load_test_function(doc: dict) -> model.TestFunction:
     return model.TestFunction(space, core, perturbation, cfg["force_zero_at_origin"])
 
 
-def build_experiment(doc: dict) -> Experiment:
-    """The one place a config becomes objects, after it is checked against
-    CONFIG_SCHEMA; a fault raises ConfigError naming the field, or PairingError."""
-    cfg = normalize_config(doc)
-    forced = _check_pairing(cfg)
+def _shared(cfg: dict) -> tuple:
+    """(f, plan, envelope plan) of a normalized config, which no sweep axis changes."""
     for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]),
                         ("envelope.shells", cfg["envelope"]["shells"]),
                         ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
@@ -298,8 +301,15 @@ def build_experiment(doc: dict) -> Experiment:
             raise ConfigError(f"config: {path} must be positive, got {value}")
     f = load_test_function({"space": cfg["space"], **cfg["function"]})
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
-    env, ctrl = cfg["envelope"], cfg["control"]
-    envelope_plan = _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
+    env = cfg["envelope"]
+    return f, plan, _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
+
+
+def _experiment(cfg: dict, shared) -> Experiment:
+    """A normalized config's Experiment: pairing check, ``shared()``, control, params, scheme."""
+    forced = _check_pairing(cfg)
+    f, plan, envelope_plan = shared()
+    ctrl = cfg["control"]
     control = _built("control", lambda: (
         bounds.ControlFunction.tabulated(ctrl["edges"], ctrl["values"])
         if ctrl["kind"] == "tabulated" else bounds.ControlFunction(**ctrl)))
@@ -307,6 +317,13 @@ def build_experiment(doc: dict) -> Experiment:
                       scheme=Scheme(cfg["scheme"]["direction"], cfg["scheme"]["scale"]),
                       plan=plan, envelope_plan=envelope_plan, control=control,
                       tol=cfg["tolerances"]["tol"], forced_pairing=forced)
+
+
+def build_experiment(doc: dict) -> Experiment:
+    """The one place a config becomes objects, after it is checked against
+    CONFIG_SCHEMA; a fault raises ConfigError naming the field, or PairingError."""
+    cfg = normalize_config(doc)
+    return _experiment(cfg, lambda: _shared(cfg))
 
 
 def _build_control(exp: Experiment):
@@ -335,43 +352,27 @@ def _stage(name: str, fn):
         raise StageFailure(name, e) from e
 
 
-def _approximants(exp: Experiment, points) -> list | StageFailure:
-    """The approximation pass over ``points`` as (report, deviation) pairs, or
-    its failure as the 'approximate' stage. A point that does not converge
-    makes the run divergent."""
+def _approximants(exp: Experiment, points) -> direct_method.Approximants | StageFailure:
+    """The approximation pass over ``points`` as columns, or its failure as the
+    'approximate' stage. A point that does not converge makes the run divergent."""
     try:
-        return list(direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
-                                                     max_n=exp.config["max_n"]))
+        return direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
+                                                max_n=exp.config["max_n"])
     except NotConvergedError as e:
         return StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
     except JensenLabError as e:
         return StageFailure("approximate", e)
 
 
-def _check_points(exp: Experiment, control, spec: bounds.SeriesSpec, points, approximated):
-    """Per-point records of ||f - A|| against phi~ + tail, and the largest
-    violation ||f - A|| - phi~ - tail (0 when there are no points). A record
-    whose series ran out of coverage also gives its term count.
-
-    phi~ depends on ||x|| alone, so it is evaluated at every point first; then
-    the failure of the approximation pass (``approximated``, from
-    ``_approximants``), if any, is raised.
-    """
-    norms = exp.space.norms(points).tolist()
-    phis = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
+def _check_points(control, spec: bounds.SeriesSpec, norms: np.ndarray, approximated):
+    """The bound column phi~ + tail at points of norms ``norms``, phi~'s columns and
+    the largest violation ||f - A|| - phi~ - tail (0 without points). phi~ depends
+    on ||x|| alone, so it is evaluated first; then ``approximated``'s failure is raised."""
+    phi = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
     if isinstance(approximated, StageFailure):
         raise approximated
-    records = [{
-        "x": model.pairs_from_vector(rep.point),
-        "x_norm": nx,
-        "deviation": dev,
-        "bound": pt.total(),
-        "tail": "unavailable" if pt.tail is None else pt.tail,
-        "margin": pt.total() - dev,
-        "iterations": rep.iterations,
-        **({"terms": pt.terms, "coverage_truncated": True} if pt.coverage_truncated else {}),
-    } for (rep, dev), nx, pt in zip(approximated, norms, phis)]
-    return records, max((p["deviation"] - p["bound"] for p in records), default=0.0)
+    bound = phi[0] + (phi[1] or 0.0)
+    return bound, phi, max((approximated.deviations - bound).tolist(), default=0.0)
 
 
 @dataclass(eq=False)
@@ -389,12 +390,9 @@ class RunReport:
         return bool(self.summary["passed"])
 
     def to_json_dict(self) -> dict:
-        out = {"config": self.config, "points": self.points, "summary": self.summary}
-        if self.audit is not None:
-            out["audit"] = self.audit
-        if self.control_fit is not None:
-            out["control_fit"] = self.control_fit
-        return out
+        out = {"config": self.config, "points": self.points, "summary": self.summary,
+               "audit": self.audit, "control_fit": self.control_fit}
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def run_verify(doc: dict) -> RunReport:
@@ -418,21 +416,26 @@ def run_verify(doc: dict) -> RunReport:
 
     spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    records, max_violation = _check_points(exp, control, spec, pts, _approximants(exp, pts))
+    norms, approximated = exp.space.norms(pts), _approximants(exp, pts)
+    bound, (_, tail, terms), max_violation = _check_points(control, spec, norms, approximated)
+    norms, devs = norms.tolist(), approximated.deviations.tolist()
+    # one record per point; a series that ran out of coverage also gives its term count
+    records = [{"x": [list(z) for z in zip(re, im)], "x_norm": nx, "deviation": dev, "bound": b,
+                "tail": "unavailable" if tail is None else tail, "margin": b - dev, "iterations": k,
+                **({"terms": t, "coverage_truncated": True} if t < spec.trunc_terms else {})}
+               for re, im, nx, dev, b, k, t in zip(
+                   pts.real.tolist(), pts.imag.tolist(), norms, devs, bound.tolist(),
+                   approximated.iterations.tolist(), terms.tolist())]
 
     audit_block = None
     if exp.config["audit"]:
         audit_block = _stage("audit", lambda: bounds.audit_deviations(
-            exp.params, exp.scheme, control, [(p["x_norm"], p["deviation"]) for p in records],
+            exp.params, exp.scheme, control, zip(norms, devs),
             trunc_terms=exp.config["trunc_terms"])).to_json_dict()
 
-    summary = {
-        "count": len(records),
-        "max_violation": max_violation,
-        "passed": bool(max_violation <= exp.tol),
-        "scheme": exp.scheme.label(),
-        "forced_pairing": exp.forced_pairing,
-    }
+    summary = {"count": len(records), "max_violation": max_violation,
+               "passed": bool(max_violation <= exp.tol), "scheme": exp.scheme.label(),
+               "forced_pairing": exp.forced_pairing}
     return RunReport(config=exp.config, points=records, summary=summary,
                      audit=audit_block, control_fit=fit,
                      runtime_seconds=time.perf_counter() - t0)
@@ -475,8 +478,10 @@ def run_sweep(doc: dict) -> list:
 
     The grid spans rho1, rho2 (complex as [re, im]), alpha, beta, theta, r;
     unspecified axes are pinned at the base config's value. Cells use a power
-    control built from (theta, r). The approximants depend on a cell only
-    through its scheme, so they are computed once per distinct scheme.
+    control built from (theta, r). The config is checked and what no axis changes
+    is built once; each cell builds its params, scheme and control. The
+    approximants depend on a cell only through its scheme, so they are computed
+    once per distinct scheme.
     """
     cfg = normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
@@ -484,30 +489,22 @@ def run_sweep(doc: dict) -> list:
     for axis in SWEEP_AXES:
         if axis not in grid:
             raise ConfigError(f"config: a sweep needs grid.{axis} or a power control")
-    approximated = {}  # Scheme -> (the cells' shared points, _approximants(...) of them)
+    shared = functools.cache(lambda: _shared(cfg))  # an error is raised again per cell
+    # a scale the config does not give is derived cell by cell
+    base_scheme = {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")}
+    approximated = {}  # Scheme -> (the cells' shared point norms, _approximants(...))
     rows = []
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
-        cell = {k: None for k in SWEEP_COLUMNS}
-        z1 = model.complex_from_pair(rho1)
-        z2 = model.complex_from_pair(rho2)
-        cell.update({
-            "family": cfg["params"]["family"],
-            "rho1_re": z1.real, "rho1_im": z1.imag,
-            "rho2_re": z2.real, "rho2_im": z2.imag,
-            "alpha": alpha, "beta": beta, "theta": theta, "r": r,
-            "status": "ok",
-        })
+        z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
+        cell = {**dict.fromkeys(SWEEP_COLUMNS), "family": cfg["params"]["family"],
+                "rho1_re": z1.real, "rho1_im": z1.imag, "rho2_re": z2.real, "rho2_im": z2.imag,
+                "alpha": alpha, "beta": beta, "theta": theta, "r": r, "status": "ok"}
         rows.append(cell)
-        cell_doc = {
-            **{k: v for k, v in cfg.items() if k != "grid"},
-            "params": {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha,
-                       "beta": beta},
-            "control": {"kind": "power", "theta": theta, "r": r},
-            # a scale the config does not give is derived cell by cell
-            "scheme": {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")},
-        }
+        params = {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha, "beta": beta}
         try:
-            exp = build_experiment(cell_doc)
+            cell_cfg = {**cfg, "params": params, "scheme": _scheme_section(base_scheme, params),
+                        "control": {"kind": "power", "theta": theta, "r": r}}
+            exp = _experiment(cell_cfg, shared)
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
             verdict = bounds.convergence_predicate(exp.scheme, r)
@@ -523,11 +520,11 @@ def run_sweep(doc: dict) -> list:
                 continue
             if exp.scheme not in approximated:
                 pts = draw_samples(exp.space, exp.plan, arity=1)
-                approximated[exp.scheme] = pts, _approximants(exp, pts)
-            records, cell["max_violation"] = _check_points(exp, exp.control, _series_spec(exp),
-                                                           *approximated[exp.scheme])
+                approximated[exp.scheme] = exp.space.norms(pts), _approximants(exp, pts)
+            norms, approx = approximated[exp.scheme]
+            cell["max_violation"] = _check_points(exp.control, _series_spec(exp), norms, approx)[2]
             cell["empirical_sup"], _ = bounds.empirical_sup(
-                r, ((p["x_norm"], p["deviation"]) for p in records))
+                r, zip(norms.tolist(), approx.deviations.tolist()))
         except JensenLabError as e:
             cell["status"] = e.code
     return rows

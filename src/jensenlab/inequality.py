@@ -306,9 +306,3 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
                             cum_max=np.maximum.accumulate(shell_max),
                             fit_theta=theta_hat, fit_r=r_hat,
                             sample_count=len(triples))
-
-
-def scale_of(f: TestFunction, points) -> float:
-    """Rough magnitude of f over a point set, floored at 1; used to express
-    'tiny relative to f' in tolerance checks."""
-    return max(1.0, float(f.space.norms(evaluate_many(f, points)).max(initial=0.0)))

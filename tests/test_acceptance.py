@@ -31,7 +31,13 @@ from jensenlab import (
     uniqueness_crosscheck,
 )
 from jensenlab import harness
-from jensenlab.inequality import scale_of
+from jensenlab.model import evaluate_many
+
+
+def scale_of(f, points) -> float:
+    """Rough magnitude of f over a point set, floored at 1; used to express
+    'tiny relative to f' in tolerance checks."""
+    return max(1.0, float(f.space.norms(evaluate_many(f, points)).max(initial=0.0)))
 
 
 def report(n, ok, detail):

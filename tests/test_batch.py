@@ -1,6 +1,7 @@
 """Batch invariance: every batched function gives each row exactly (bit for
 bit) what its scalar form gives that row alone, whatever else is in the batch."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from jensenlab import (
     ControlFunction,
     NormedSpace,
     Perturbation,
+    PhiTilde,
     RhoParams,
     SamplePlan,
     SeriesSpec,
@@ -104,14 +106,19 @@ def test_approximate_points_match_approximate(data, seed, r, direction):
     order = data.draw(st.permutations(range(len(pts))))
     subset = data.draw(st.lists(st.sampled_from(order), min_size=1, max_size=len(pts)))
     for picked in (order, subset):
-        batch = list(approximate_points(f, [pts[i] for i in picked], scheme, 1e-9,
-                                        max_n=60, strict=False))
-        assert all(_same_report(rep, alone[i]) for (rep, _), i in zip(batch, picked))
-        assert len(batch) == len(picked)
-    for (rep, dev), x in zip(approximate_points(f, pts, scheme, 1e-9, max_n=60, strict=False),
-                             pts):
-        want = f.space.norm(evaluate(f, x) - rep.value) if rep.converged else None
-        assert dev == want
+        xs = pts[picked]
+        out = approximate_points(f, xs, scheme, 1e-9, max_n=60, strict=False)
+        batch = [out.report(j, x) for j, x in enumerate(xs)]
+        assert all(_same_report(rep, alone[i]) for rep, i in zip(batch, picked))
+        assert len(out.iterations) == len(batch) == len(picked)
+    out = approximate_points(f, pts, scheme, 1e-9, max_n=60, strict=False)
+    assert "residuals" not in vars(out)  # split out only when read
+    assert out.iterations.tolist() == [rep.iterations for rep in alone]
+    for dev, value, converged, x in zip(out.deviations.tolist(), out.values, out.converged, pts):
+        if converged:
+            assert dev == f.space.norm(evaluate(f, x) - value)
+        else:  # was None; NaN in a float column
+            assert math.isnan(dev)
 
 
 def _per_point_loop(f, pts, scheme, tol, max_n):
@@ -132,6 +139,25 @@ def _outcome(run):
     except JensenLabError as e:
         return done, (type(e), str(e))
     return done, None
+
+
+def _pass_outcome(f, pts, scheme, tol, max_n, strict=True, rows=None):
+    """The (report, deviation) of each point an approximation pass gets through
+    before its first failure, and that failure (None without one), at a row
+    budget: the pass raises the failure, and its columns (``_orbits``, which keeps
+    every point's error) give the points before it."""
+    xs = f.space.as_vectors(pts)
+    with mock.patch.object(direct_method, "ROWS", rows or direct_method.ROWS):
+        try:
+            approximate_points(f, xs, scheme, tol, max_n=max_n, strict=strict)
+            err = None
+        except JensenLabError as e:
+            err = (type(e), str(e))
+        out = direct_method._orbits(f, xs, scheme, tol, max_n)
+    done, fail = out.failure(scheme, strict)
+    assert err == (None if fail is None else (type(fail), str(fail)))
+    return [(out.report(i, xs[i]), out.deviations[i] if out.converged[i] else None)
+            for i in range(done)], err
 
 
 #: On C^1 with the identity core: 1 converges at once (its orbit has no
@@ -155,11 +181,64 @@ def test_mixed_batch_fails_where_the_loop_fails(kinds, max_n):
     pts = [np.array([complex(k)]) for k in kinds]
     scheme = forward(2.0)
     want_done, want_err = _outcome(lambda: _per_point_loop(f, pts, scheme, 1e-9, max_n))
-    got_done, got_err = _outcome(
-        lambda: (rep for rep, _ in approximate_points(f, pts, scheme, 1e-9, max_n=max_n)))
+    got, got_err = _pass_outcome(f, pts, scheme, 1e-9, max_n)
+    got_done = [rep for rep, _ in got]
     assert got_err == want_err
     assert len(got_done) == len(want_done)
     assert all(_same_report(a, b) for a, b in zip(got_done, want_done))
+
+
+#: (function, scheme, point kinds) whose orbits mix every outcome of a point: the
+#: table above under scale 2 (converging, max_n-starved, a non-finite term, a
+#: non-finite f(x)), and a radial power perturbation under scale 2^300, where 0
+#: converges at once, 1 runs into the scale cap at term 4 (or is starved first)
+#: and 2^40 overflows to a non-finite term 3.
+MIXED_SETUPS = {
+    "table": (lambda: TestFunction(NormedSpace(1), AdditiveCore.identity(1), Perturbation.tabulated(
+        table=_MIXED_TABLE, default=np.array([0j]))), forward(2.0), [1.0, 3.0, 5.0, 7.0]),
+    "scale-cap": (lambda: TestFunction(NormedSpace(1), AdditiveCore.identity(1), Perturbation.power(
+        1.0, 1.1, direction="radial")), forward(2.0 ** 300), [0.0, 1.0, 2.0 ** 40]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), setup=st.sampled_from(sorted(MIXED_SETUPS)), max_n=st.integers(1, 6),
+       strict=st.booleans())
+def test_columnar_pass_equals_approximate_alone(data, setup, max_n, strict):
+    make, scheme, kinds = MIXED_SETUPS[setup]
+    f = make()
+    xs = np.array([[complex(k)] for k in data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                                            max_size=8))])
+    # the reference: approximate() on each point alone, and the first failure in input order
+    alone, want_err = [], None
+    for i, x in enumerate(xs):
+        try:
+            rep = approximate(f, x, scheme, 1e-9, max_n=max_n)
+        except JensenLabError as e:
+            alone.append(str(e))
+            want_err = want_err or (type(e), str(e))
+            continue
+        alone.append(rep)
+        if strict and not rep.converged:
+            want_err = want_err or (NotConvergedError, f"not-converged: point {i} did not "
+                                    f"converge within max_n under {scheme.label()}")
+    try:
+        out = approximate_points(f, xs, scheme, 1e-9, max_n=max_n, strict=strict)
+        got_err = None
+    except JensenLabError as e:  # every point's columns, with the errors kept
+        got_err, out = (type(e), str(e)), direct_method._orbits(f, xs, scheme, 1e-9, max_n)
+    assert got_err == want_err
+    for i, (x, rep) in enumerate(zip(xs, alone)):
+        if isinstance(rep, str):
+            assert str(out.errors[i]) == rep and not out.converged[i]
+            continue
+        assert i not in out.errors
+        assert out.values[i].tobytes() == rep.value.tobytes()
+        assert (out.iterations[i], out.converged[i]) == (rep.iterations, rep.converged)
+        if rep.converged:
+            assert out.deviations[i] == f.space.norm(evaluate(f, x) - rep.value)
+        else:
+            assert math.isnan(out.deviations[i])
 
 
 @settings(max_examples=30, deadline=None)
@@ -173,23 +252,16 @@ def test_scale_overflow_in_a_batch_fails_where_the_loop_fails(kinds, max_n):
     pts = [np.array([complex(k)]) for k in kinds]
     scheme = forward(2.0 ** 300)
     want = _outcome(lambda: _per_point_loop(f, pts, scheme, 1e-9, max_n))
-    got = _outcome(lambda: (rep for rep, _ in approximate_points(f, pts, scheme, 1e-9,
-                                                                 max_n=max_n)))
+    got = _pass_outcome(f, pts, scheme, 1e-9, max_n)
     assert got[1] == want[1]
     assert len(got[0]) == len(want[0])
 
 
-def _pass_outcome(f, pts, scheme, tol, max_n, strict, rows):
-    """Everything an approximation pass yields, and the error it ends with, at a row budget."""
-    done = []
-    with mock.patch.object(direct_method, "ROWS", rows):
-        try:
-            for rep, dev in approximate_points(f, pts, scheme, tol, max_n=max_n, strict=strict):
-                done.append((rep.point.tobytes(), rep.value.tobytes(), rep.iterations,
-                             rep.residuals, rep.tail_bound, rep.converged, dev))
-        except JensenLabError as e:
-            return done, (type(e), str(e))
-    return done, None
+def _flat_outcome(f, pts, scheme, tol, max_n, strict, rows):
+    """``_pass_outcome`` with each report as a tuple of its fields."""
+    done, err = _pass_outcome(f, pts, scheme, tol, max_n, strict, rows)
+    return [(rep.point.tobytes(), rep.value.tobytes(), rep.iterations, rep.residuals,
+             rep.tail_bound, rep.converged, dev) for rep, dev in done], err
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,8 +283,8 @@ def test_blocked_orbits_equal_one_step_lockstep(dim, r, direction, scheme, sizes
                      Perturbation.power(0.1, r, direction_seed=5, direction=direction))
     unit = np.array([0.6 + 0.8j, -0.5j][:dim])
     pts = [s * unit for s in sizes]
-    want = _pass_outcome(f, pts, scheme, tol, max_n, strict, 1)
-    assert _pass_outcome(f, pts, scheme, tol, max_n, strict, rows or direct_method.ROWS) == want
+    want = _flat_outcome(f, pts, scheme, tol, max_n, strict, 1)
+    assert _flat_outcome(f, pts, scheme, tol, max_n, strict, rows) == want
 
 
 @pytest.mark.parametrize("params", [
@@ -256,7 +328,9 @@ def test_phi_tilde_norms_equal_phi_tilde_norm(norms, kind, direction):
         control = ControlFunction.power(0.7, r)
     spec = SeriesSpec(scheme=Scheme(direction, 2.0), family="A", rho2_abs=0.3, alpha=1.5,
                       trunc_terms=20)
-    got = phi_tilde_norms(control, norms, spec)
+    value, tail, terms = phi_tilde_norms(control, norms, spec)
+    got = [PhiTilde(v, tail, k, coverage_truncated=k < spec.trunc_terms)
+           for v, k in zip(value.tolist(), terms.tolist())]
     assert got == [phi_tilde_norm(control, nx, spec) for nx in norms]
     if kind == "tabulated" and 5.0 in norms:
         assert got[norms.index(5.0)].coverage_truncated

@@ -252,8 +252,9 @@ def series_reference(control, nx, spec):
     nx = np.asarray([nx], dtype=float)
     value = np.zeros(1)
     for i in range(spec.trunc_terms):
-        value = value + bounds._series_term(control, nx, spec, i)
-    tail = bounds._series_term(control, nx, spec, spec.trunc_terms) / (1.0 - ratio)
+        value = value + bounds._series_terms(control, nx, spec, range(i, i + 1))[0]
+    n = spec.trunc_terms
+    tail = bounds._series_terms(control, nx, spec, range(n, n + 1))[0] / (1.0 - ratio)
     return float(value[0] + tail[0])
 
 
@@ -393,8 +394,9 @@ def test_term_matrix_sums_as_term_by_term(case):
             with pytest.raises(DivergentSeriesError):
                 bounds.phi_tilde_norms(control, nx, spec)
             return
-        got = bounds.phi_tilde_norms(control, nx, spec)
-    assert [(p.value, p.terms, p.coverage_truncated, p.tail) for p in got] == [
+        got_value, tail, got_terms = bounds.phi_tilde_norms(control, nx, spec)
+    got = zip(got_value.tolist(), got_terms.tolist())
+    assert [(v, k, k < spec.trunc_terms, tail) for v, k in got] == [
         (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
 
 
@@ -420,7 +422,7 @@ def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scal
         with pytest.raises(DivergentSeriesError):
             bounds.phi_tilde_norms(control, norms, spec)
     else:
-        assert len(bounds.phi_tilde_norms(control, norms, spec)) == len(norms)
+        assert len(bounds.phi_tilde_norms(control, norms, spec)[0]) == len(norms)
 
 
 def test_phi_tilde_overflowing_weight_is_numeric():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -5,8 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jensenlab import bounds, cli, direct_method, harness
-from jensenlab.errors import PairingError, StageFailure, UnknownKeyError
+from jensenlab import bounds, cli, direct_method, harness, inequality, model
+from jensenlab.errors import (
+    DivergentSeriesError,
+    JensenLabError,
+    PairingError,
+    StageFailure,
+    UnknownKeyError,
+)
 from jensenlab.space import draw_samples
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -332,6 +339,17 @@ def test_run_verify_tabulated_series_stops_with_its_coverage(tmp_path, capsys):
     assert all(p["coverage_truncated"] and 4 <= p["terms"] <= 8 for p in points)
 
 
+def test_run_verify_backward_contracting_series_divides_to_infinity():
+    # backward scale -0.5: the powers 0.5^(i+1) underflow to 0 past term 1074, and
+    # ||x|| / 0 is +inf, as an overflowing power is; no divide warning (an error here)
+    doc = changed("trunc_terms", 1100, changed("scheme.direction", "backward", changed(
+        "params", {**VERIFY_SAMPLE["params"], "family": "B", "rho2": [0.0, 0.0], "beta": -1.5})))
+    rep = harness.run_verify(doc)
+    assert rep.passed()
+    assert len(rep.points) == 100
+    assert all(np.isfinite(p["bound"]) and "terms" not in p for p in rep.points)
+
+
 def test_run_verify_inadmissible_abort():
     doc = scalar_verify_doc()
     doc["params"]["rho2"] = [0.7, 0]
@@ -395,7 +413,7 @@ def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, most):
     monkeypatch.setattr(direct_method, "evaluate_many", counting)
     exp = harness.build_experiment(json.loads((CONFIGS / f"{name}.json").read_text()))
     approximated = harness._approximants(exp, draw_samples(exp.space, exp.plan, arity=1))
-    assert all(rep.converged for rep, _ in approximated)
+    assert approximated.converged.all()
     assert 1 < len(calls) <= most
     assert max(calls) <= direct_method.ROWS
 
@@ -558,6 +576,99 @@ def test_sweep_family_b_beta_grid():
         assert row["derived_constant"] == pytest.approx(expected, rel=1e-9)
 
 
+def reference_sweep(doc):
+    """The sweep cell by cell: each cell's config through build_experiment, and
+    each point through phi_tilde_norm and approximate alone."""
+    cfg = harness.normalize_config(doc)
+    grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
+            **cfg.get("grid", {})}
+    rows = []
+    for rho1, rho2, alpha, beta, theta, r in itertools.product(
+            *(grid[a] for a in harness.SWEEP_AXES)):
+        z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
+        cell = dict.fromkeys(harness.SWEEP_COLUMNS)
+        cell.update(family=cfg["params"]["family"], rho1_re=z1.real, rho1_im=z1.imag,
+                    rho2_re=z2.real, rho2_im=z2.imag, alpha=alpha, beta=beta, theta=theta, r=r,
+                    status="ok")
+        rows.append(cell)
+        cell_doc = {**{k: v for k, v in cfg.items() if k != "grid"},
+                    "params": {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha,
+                               "beta": beta},
+                    "control": {"kind": "power", "theta": theta, "r": r},
+                    "scheme": {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")}}
+        try:
+            exp = harness.build_experiment(cell_doc)
+            adm = inequality.admissible(exp.params)
+            cell["admissible"] = bool(adm)
+            verdict = bounds.convergence_predicate(exp.scheme, r)
+            cell["converges"] = bool(verdict)
+            cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
+            if not adm:
+                cell["status"] = "inadmissible"
+                continue
+            cell["derived_constant"] = bounds.derived_constant(
+                exp.params, exp.scheme, exp.control, exp.config["trunc_terms"])
+            if not verdict:
+                cell["status"] = "divergent"
+                continue
+            pts = draw_samples(exp.space, exp.plan, arity=1)
+            norms = [exp.space.norm(x) for x in pts]
+            spec = harness._series_spec(exp)
+            phis = [bounds.phi_tilde_norm(exp.control, nx, spec) for nx in norms]
+            devs = []
+            for x in pts:
+                rep = direct_method.approximate(exp.f, x, exp.scheme, exp.tol,
+                                                max_n=exp.config["max_n"])
+                if not rep.converged:
+                    raise DivergentSeriesError("divergent: a point did not converge")
+                devs.append(exp.space.norm(model.evaluate(exp.f, x) - rep.value))
+            cell["max_violation"] = max((d - pt.total() for d, pt in zip(devs, phis)),
+                                        default=0.0)
+            cell["empirical_sup"], _ = bounds.empirical_sup(r, zip(norms, devs))
+        except JensenLabError as e:
+            cell["status"] = e.code
+    return rows
+
+
+def _small_sweep(grid, **changes):
+    doc = {**changed("plan.count", 8, SWEEP_SAMPLE), "grid": grid, **changes}
+    return doc
+
+
+_FAMILY_A_GRID = {"rho2": [[0.0, 0.0], [0.7, 0.0]], "alpha": [1.0, 0.0], "theta": [1.0, -1.0],
+                  "r": [0.5, 1.5]}
+_FAMILY_B_PARAMS = {"family": "B", "rho1": [0.0, 0.0], "rho2": [0.2, 0.0], "alpha": 1.0,
+                    "beta": 1.0}
+
+#: (config, the statuses its cells take)
+SWEEP_CASES = {
+    # rho2 0.7 is inadmissible, alpha 0 degenerate, theta < 0 a config fault, r 1.5 divergent
+    "family-a": (_small_sweep(_FAMILY_A_GRID),
+                 {"ok", "inadmissible", "degenerate-parameter", "config", "divergent"}),
+    # a fault no cell changes makes every cell a config fault
+    "family-a-max-n-zero": (_small_sweep(_FAMILY_A_GRID, max_n=0), {"config"}),
+    # a derived scale: beta null cannot derive one, and 1 + beta in {1, 0, -1} is degenerate
+    "family-b": (_small_sweep({"beta": [None, 0.0, -1.0, -2.0, 1.0]}, params=_FAMILY_B_PARAMS),
+                 {"pairing", "degenerate-scale", "ok"}),
+    # the pairing check comes before the faults no cell changes
+    "family-b-max-n-zero": (_small_sweep({"beta": [None, 1.0, 2.0]}, params=_FAMILY_B_PARAMS,
+                                         scheme={"direction": "forward", "scale": 3.0},
+                                         max_n=0), {"pairing", "config"}),
+    # a given scale: beta 1 does not pair with scale 3
+    "family-b-scale": (_small_sweep({"beta": [2.0, 1.0]}, params=_FAMILY_B_PARAMS,
+                                    scheme={"direction": "forward", "scale": 3.0}),
+                       {"ok", "pairing"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_equals_the_cell_by_cell_reference(case):
+    doc, statuses = SWEEP_CASES[case]
+    rows = harness.run_sweep(doc)
+    assert rows == reference_sweep(doc)
+    assert {row["status"] for row in rows} == statuses
+
+
 # --- CLI ---------------------------------------------------------------------
 
 
@@ -650,6 +761,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     doc = power_verify_doc(r=2.0, control={"kind": "power", "theta": 1.0, "r": 2.0})
     assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 3
+    # an int literal past Python's int-conversion digit limit is a config fault, not a traceback
+    huge_count = tmp_path / "huge.json"
+    huge_count.write_text('{"plan": {"count": 1' + "0" * 4400 + "}}")
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(huge_count)]) == 3
+    assert capsys.readouterr().err.startswith("error[config]: config: ")
     # degenerate audit parameters -> 2, as verify and sweep report them
     alpha_zero = changed("params.alpha", 0, AUDIT_SAMPLE)
     beta_null = changed("params", {**AUDIT_SAMPLE["params"], "family": "B", "beta": None},
