@@ -21,20 +21,21 @@ drops the /alpha in the third argument, and the family-B forward prefactor
 uses (1-|rho1|) in place of (1-|rho2|). The defaults are the forms that the
 telescoping argument actually guarantees to dominate ||f - A||.
 
-Power controls evaluate as theta (||x||^r + ||y||^r + ||z||^r) with the
-convention that a zero norm contributes 0 for every r (the substituted
-series above rely on it, e.g. phi(x, x, 0) = 2 theta ||x||^r); their series
-is geometric and summed in closed form; a zero control is a power control
-with theta = 0. Tabulated and measured controls are summed term by term, up to
-``trunc_terms`` terms, with no tail: each point adds the rows of one terms x
-points matrix left to right until a term is not covered.
+Every control is phi(x, y, z) = theta (e(||x||) + e(||y||) + e(||z||)), e(0) = 0,
+and the series reads it only as phi(s, s, 0) and phi(0, 0, t). A power control
+has e(s) = s^r; its series is geometric and summed in closed form (a zero
+control has theta = 0). Tabulated and measured controls have theta = 1 and e a
+shell table, extended past its edges by NaN (which ends a sum) or by its first
+and last value; they are summed term by term, up to ``trunc_terms`` terms, with
+no tail: each point adds the rows of one terms x points matrix left to right
+until a term is not covered.
 
 ``phi_tilde_norms`` alone decides whether a series diverges, by one rule: terms
 that behave as theta ||x||^r diverge where theta > 0, some ||x|| > 0 and
 ``convergence_predicate(scheme, r)`` fails. A power control is judged on its
-own (theta, r); a measured control on (cum_max[0], 0), since below its first
-edge it is the constant cum_max[0]. A tabulated series ends where its
-coverage does.
+own (theta, r); a table control on (e below its first edge, 0): a measured
+control keeps its first value there, and a tabulated one has none (NaN is not
+> 0), so its series ends where its coverage does.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import CHUNK_ELEMENTS, MeasuredEnvelope, RhoParams, shell_index
+from .inequality import CHUNK_ELEMENTS, RhoParams
 from .model import TestFunction
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
@@ -88,15 +89,14 @@ def _pw(n, r: float):
 
 @dataclass(frozen=True, eq=False)
 class ControlFunction:
-    """Nonnegative control phi(x, y, z), evaluated on the three norms.
+    """Nonnegative control phi(x, y, z) = theta (e(||x||) + e(||y||) + e(||z||)), e(0) = 0.
 
-    kinds:
-      zero       phi = 0: a power control with theta = 0
-      power      theta (||x||^r + ||y||^r + ||z||^r)
-      tabulated  user shell table: value of the shell containing each norm,
-                 summed over the three arguments; norms outside coverage stop
-                 a series sum rather than extrapolate
-      measured   a MeasuredEnvelope (monotone extension covers all norms)
+    kinds: zero (theta = 0) and power, with e(s) = s^r; tabulated and measured,
+    with theta = 1 and e the value of the shell (edges[i], edges[i+1]] holding s.
+    Past its edges a tabulated table is NaN, so a series sum stops rather than
+    extrapolate; a measured one (a MeasuredEnvelope's cum_max) keeps its first and
+    last value. A config's measured control has no table until its envelope is
+    measured, and raises if evaluated.
     """
 
     kind: str
@@ -104,7 +104,6 @@ class ControlFunction:
     r: float = 0.0
     edges: np.ndarray | None = None
     values: np.ndarray | None = None
-    envelope: MeasuredEnvelope | None = None
 
     def __post_init__(self):
         if self.kind not in CONTROL_KINDS:
@@ -126,29 +125,36 @@ class ControlFunction:
         values = np.asarray(values, dtype=float)
         if len(edges) != len(values) + 1 or len(values) < 1:
             raise ValueError("tabulated control needs len(edges) == len(values) + 1 >= 2")
+        if not np.isfinite(values).all():  # NaN marks a norm the table does not cover
+            raise ValueError("control values must be finite")
         if (values < 0).any():
             raise ValueError("control values must be nonnegative")
         if not (np.diff(edges) > 0).all():
             raise ValueError("tabulated control edges must be strictly increasing")
-        return cls("tabulated", edges=edges, values=values)
+        return cls("tabulated", theta=1.0, edges=edges, values=values)
 
     @classmethod
-    def measured(cls, envelope: MeasuredEnvelope) -> "ControlFunction":
-        return cls("measured", envelope=envelope)
+    def measured(cls, envelope) -> "ControlFunction":
+        """The control of a MeasuredEnvelope: its edges and cum_max table."""
+        return cls("measured", theta=1.0, edges=envelope.edges, values=envelope.cum_max)
 
-    def _component(self, s):
-        if self.kind == "measured":
-            return self.envelope.component_value(s)
-        covered = (s > self.edges[0]) & (s <= self.edges[-1])
-        return np.where(s == 0.0, 0.0,
-                        np.where(covered, self.values[shell_index(self.edges, s)], np.nan))
+    def table(self) -> np.ndarray:
+        """The shell values with e below the first edge in front and above the last behind."""
+        if self.values is None:
+            raise ValueError(f"a {self.kind} control has no table (is its envelope measured?)")
+        v = self.values
+        return np.r_[np.nan, v, np.nan] if self.kind == "tabulated" else np.r_[v[:1], v, v[-1:]]
+
+    def component(self, s):
+        """e at each norm in ``s``."""
+        if self.kind in ("zero", "power"):
+            return _pw(s, self.r)
+        return np.where(s == 0.0, 0.0, self.table()[np.searchsorted(self.edges, s)])
 
     def evaluate_norms(self, nx, ny, nz):
         """phi on the three norms, elementwise over arrays of norms. A
         tabulated control has no value (NaN) at a norm outside its coverage."""
-        if self.kind in ("zero", "power"):
-            return self.theta * (_pw(nx, self.r) + _pw(ny, self.r) + _pw(nz, self.r))
-        return self._component(nx) + self._component(ny) + self._component(nz)
+        return self.theta * (self.component(nx) + self.component(ny) + self.component(nz))
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,8 @@ class PhiTilde:
 def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
     """Terms ``steps`` of the series at each query norm in nx, one row per term.
     Row i is scaled and weighted by the Python float powers of L that term i
-    uses alone, and phi is evaluated once per argument pattern on the matrix."""
+    uses alone. e is evaluated once per argument pattern on the matrix, and
+    phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t) as e(0) = +0.0."""
     p2 = spec.rho2_abs
     L = abs(spec.scheme.scale)
     forward = spec.scheme.direction == "forward"
@@ -214,13 +221,14 @@ def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, st
         with np.errstate(divide="ignore"):  # L^(i+1) underflowed to 0: +inf, as an overflow is
             s = nx / np.array([_power(L, i + 1) for i in steps])[:, None]
         weight = [_power(L, i) for i in steps]
-    if spec.family == "A":
-        third = s if printed else s / abs(spec.alpha)
+    e_s = control.component(s)
+    phi_ss0 = control.theta * (e_s + e_s)
+    if spec.family == "A":  # phi(0, 0, t) with t = s, or s / |alpha|
+        e_t = e_s if printed else control.component(s / abs(spec.alpha))
         return (np.array([w / (2.0 - p2) for w in weight])[:, None]
-                * (control.evaluate_norms(s, s, 0.0)
-                   + 2.0 * p2 / (1.0 - p2) * control.evaluate_norms(0.0, 0.0, third)))
+                * (phi_ss0 + 2.0 * p2 / (1.0 - p2) * (control.theta * e_t)))
     pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
-    return np.array([w * pref for w in weight])[:, None] * control.evaluate_norms(s, s, 0.0)
+    return np.array([w * pref for w in weight])[:, None] * phi_ss0
 
 
 def _term_ratio(scheme: Scheme, r: float) -> float:
@@ -282,8 +290,7 @@ def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
             value = _series_terms(control, nx, spec, range(1))[0] / (1.0 - ratio)
         terms, tail = np.full(nx.size, n_terms), 0.0
     else:  # tabulated / measured: sum until coverage runs out; no closed tail.
-        if control.kind == "measured":
-            _check_convergence(control.envelope.cum_max[0], 0.0, nx, spec.scheme)
+        _check_convergence(control.table()[0], 0.0, nx, spec.scheme)
         terms, tail = np.zeros(nx.size, dtype=int), None
         rows = max(1, CHUNK_ELEMENTS // nx.size)
         for lo in range(0, n_terms, rows):

@@ -25,8 +25,7 @@ from .model import TestFunction, evaluate_many, pairs_from_vector
 
 DIRECTIONS = ("forward", "backward")
 
-#: Hard cap on the orbit index; lambda^n is screened in log space before use.
-MAX_ORBIT_INDEX = 512
+#: lambda^n is screened in log space before use: log2 of the largest power kept.
 _LOG2_DOUBLE_MAX = 1023.0
 
 #: Row budget of one orbit block: with m points still running, one
@@ -75,8 +74,6 @@ def _scale_power(scheme: Scheme, n: int) -> float:
     """lambda^n with overflow screening in log space."""
     if n < 0:
         raise ValueError(f"orbit index must be nonnegative, got {n}")
-    if n > MAX_ORBIT_INDEX:
-        raise ScaleOverflowError(f"scale-overflow: orbit index {n} exceeds cap {MAX_ORBIT_INDEX}")
     if n * abs(math.log2(abs(scheme.scale))) > _LOG2_DOUBLE_MAX:
         raise ScaleOverflowError(
             f"scale-overflow: |{scheme.scale:g}|^{n} leaves the double range"

@@ -285,7 +285,12 @@ def _perturbation(cfg: dict) -> model.Perturbation:
 
 def load_test_function(doc: dict) -> model.TestFunction:
     """A TestFunction from a ``function`` config section that may also give its ``space``."""
-    cfg = _checked({"space": CONFIG_SCHEMA["space"], **CONFIG_SCHEMA["function"][0]}, doc, "")
+    return _test_function(
+        _checked({"space": CONFIG_SCHEMA["space"], **CONFIG_SCHEMA["function"][0]}, doc, ""))
+
+
+def _test_function(cfg: dict) -> model.TestFunction:
+    """The TestFunction of a checked ``function`` section with its ``space``."""
     space = _built("space", lambda: NormedSpace(cfg["space"]["dim"], cfg["space"]["norm"]))
     core = _built("function.core", lambda: _core(cfg["core"], space.dim))
     perturbation = _built("function.perturbation", lambda: _perturbation(cfg["perturbation"]))
@@ -299,7 +304,7 @@ def _shared(cfg: dict) -> tuple:
                         ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
         if not value > 0:
             raise ConfigError(f"config: {path} must be positive, got {value}")
-    f = load_test_function({"space": cfg["space"], **cfg["function"]})
+    f = _test_function({"space": cfg["space"], **cfg["function"]})
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
     env = cfg["envelope"]
     return f, plan, _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))

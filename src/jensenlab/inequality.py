@@ -194,23 +194,15 @@ def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
 # --- measured control envelopes ---------------------------------------------
 
 
-def shell_index(edges: np.ndarray, s):
-    """Index i of the shell (edges[i], edges[i+1]] that holds each norm in
-    ``s``; norms outside the table are clamped to its first or last shell."""
-    return np.clip(np.searchsorted(edges, s, side="left") - 1, 0, len(edges) - 2)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasuredEnvelope:
     """Shell-wise empirical envelope of the clamped defect.
 
     Each sampled triple contributes max(0, defect) to the shell containing its
-    largest component norm. Evaluation is separable,
-    ``e(||x||) + e(||y||) + e(||z||)``, where e is the monotone (cumulative
-    max) step extension of the shell table: e(0) = 0, values below the first
-    edge use the first shell, values above the last edge use the global max.
-    ``fit_theta`` / ``fit_r`` is a least-squares power-law fit
-    defect ~ theta (||x||^r + ||y||^r + ||z||^r) over the same samples.
+    largest component norm; ``cum_max`` is the running max of that table, the
+    table e of ``bounds.ControlFunction.measured``. ``fit_theta`` / ``fit_r`` is
+    a least-squares power-law fit defect ~ theta (||x||^r + ||y||^r + ||z||^r)
+    over the same samples.
     """
 
     edges: np.ndarray
@@ -219,10 +211,6 @@ class MeasuredEnvelope:
     fit_theta: float
     fit_r: float
     sample_count: int
-
-    def component_value(self, s):
-        """e at each norm in ``s`` (a float for a float)."""
-        return np.where(s == 0.0, 0.0, self.cum_max[shell_index(self.edges, s)])[()]
 
 
 def _golden_section(fn, lo: float, hi: float) -> float:
@@ -299,7 +287,9 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
     _, (nx, ny, nz, _, _, defects) = _defect_columns(f, triples, params)
     norms = np.stack([nx, ny, nz], axis=1)
     shell_max = np.zeros(shells)
-    np.maximum.at(shell_max, shell_index(edges, norms.max(axis=1)), np.maximum(defects, 0.0))
+    # the shell (edges[i], edges[i+1]] of the largest norm, clamped to the table
+    shell = np.clip(np.searchsorted(edges, norms.max(axis=1)) - 1, 0, shells - 1)
+    np.maximum.at(shell_max, shell, np.maximum(defects, 0.0))
 
     theta_hat, r_hat = _fit_power_law(norms, defects)
     return MeasuredEnvelope(edges=edges, shell_max=shell_max,

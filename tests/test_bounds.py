@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_tabulated_control_lookup():
     ctrl = ControlFunction.tabulated(edges=[0.1, 1.0, 10.0], values=[2.0, 5.0])
     assert ctrl.evaluate_norms(0.5, 0.0, 0.0) == 2.0
     assert ctrl.evaluate_norms(3.0, 0.5, 0.0) == 7.0
+
+
+def test_tabulated_control_rejects_non_finite_values():
+    # NaN marks a norm the table does not cover: as a value it would end every series at once
+    for values in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ControlFunction.tabulated([0.1, 1.0, 10.0], values)
 
 
 def test_series_spec_validation():
@@ -388,7 +396,7 @@ def test_term_matrix_sums_as_term_by_term(case):
     L, forward = abs(spec.scheme.scale), spec.scheme.direction == "forward"
     value, terms = summed_reference(control, nx, spec)
     with mock.patch.object(bounds, "CHUNK_ELEMENTS", budget):
-        if (control.kind == "measured" and control.envelope.cum_max[0] > 0.0
+        if (control.kind == "measured" and control.table()[0] > 0.0
                 and (L < 1.0 if forward else L > 1.0) and (nx > 0.0).any()):
             # the arguments shrink below the first edge, where the control stays positive
             with pytest.raises(DivergentSeriesError):
@@ -398,6 +406,22 @@ def test_term_matrix_sums_as_term_by_term(case):
     got = zip(got_value.tolist(), got_terms.tolist())
     assert [(v, k, k < spec.trunc_terms, tail) for v, k in got] == [
         (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=convergent_power_series(), zero=st.booleans())
+def test_power_term_zero_is_the_three_argument_term_bit_for_bit(case, zero):
+    # theta (e(s) + e(s)) and theta e(t) round as evaluate_norms(s, s, 0.0) and
+    # evaluate_norms(0.0, 0.0, t); summed_reference over one term is that term plus +0.0
+    control, nx, spec = case
+    control = ControlFunction.zero() if zero else control
+    norms = np.array([0.0, nx])
+    term, _ = summed_reference(control, norms, replace(spec, trunc_terms=1))
+    assert bounds._series_terms(control, norms, spec, range(1))[0].tobytes() == term.tobytes()
+    ratio = bounds._term_ratio(spec.scheme, control.r)
+    if control.r >= 0.0 and ratio < 1.0:
+        value = bounds.phi_tilde_norms(control, norms, spec)[0]
+        assert value.tobytes() == (term / (1.0 - ratio)).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

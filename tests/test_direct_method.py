@@ -86,7 +86,7 @@ def test_orbit_term_power_deviation():
 def test_orbit_term_overflow():
     f = make_additive(dim=1, seed=0)
     with pytest.raises(ScaleOverflowError):
-        orbit_term(f, [1.0], forward(2.0), 513)  # index cap
+        orbit_term(f, [1.0], forward(2.0), 1024)  # 2^1024 overflows
     with pytest.raises(ScaleOverflowError):
         orbit_term(f, [1.0], forward(4.0), 512)  # 4^512 = 2^1024 overflows
 

@@ -418,6 +418,54 @@ def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, most):
     assert max(calls) <= direct_method.ROWS
 
 
+@pytest.mark.parametrize("run, name", [(harness.build_experiment, "verify_power_measured"),
+                                       (harness.run_verify, "verify_power_measured"),
+                                       (harness.run_sweep, "sweep_family_a")])
+def test_a_run_checks_its_config_once(monkeypatch, run, name):
+    # one schema pass over the whole config; the test function is built from its checked sections
+    roots = []
+    checked = harness._checked
+
+    def counting(accepted, value, path):
+        roots.extend([path] if path == "" else [])
+        return checked(accepted, value, path)
+
+    monkeypatch.setattr(harness, "_checked", counting)
+    run(json.loads((CONFIGS / f"{name}.json").read_text()))
+    assert roots == [""]
+
+
+def test_series_evaluates_each_argument_pattern_once(monkeypatch):
+    # 18 family-A blocks on the sample sweep, e once at s and once at s / |alpha|:
+    # each phi(s, s, 0) and phi(0, 0, t) read all three components, 108 in all
+    calls = []
+    pw = bounds._pw
+    monkeypatch.setattr(bounds, "_pw", lambda n, r: calls.append(r) or pw(n, r))
+    harness.run_sweep(json.loads((CONFIGS / "sweep_family_a.json").read_text()))
+    assert len(calls) == 36
+
+
+def test_unmeasured_control_raises_when_evaluated():
+    # a config's measured control is a placeholder until run_verify measures its envelope
+    control = harness.build_experiment(VERIFY_SAMPLE).control
+    spec = bounds.SeriesSpec(scheme=direct_method.forward(2.0), family="A", rho2_abs=0.3,
+                             alpha=1.0)
+    with pytest.raises(ValueError, match="no table"):
+        control.evaluate_norms(np.array([1.0]), 0.0, 0.0)
+    with pytest.raises(ValueError, match="no table"):
+        bounds.phi_tilde_norms(control, [1.0], spec)
+
+
+def test_max_n_is_the_only_orbit_limit():
+    # r = 0.97 converges in 600 to 700 orbit steps; an index cap of 512 used to stop it
+    doc = power_verify_doc(r=0.97, control={"kind": "power", "theta": 1.0, "r": 0.97})
+    doc["plan"]["count"] = 5
+    doc["max_n"] = 1000
+    rep = harness.run_verify(doc)
+    assert rep.passed()
+    assert min(p["iterations"] for p in rep.points) > 512
+
+
 # --- reports -----------------------------------------------------------------
 
 

@@ -227,7 +227,7 @@ def test_envelope_constant_defect(scalar_model):
     env = measure_envelope(scalar_model, params, plan)
     assert np.allclose(env.shell_max, 1.0, atol=1e-12)
     assert ControlFunction.measured(env).evaluate_norms(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
-    assert env.component_value(0.0) == 0.0
+    assert ControlFunction.measured(env).component(0.0) == 0.0
     assert abs(env.fit_r) < 0.05  # constant defect fits r ~ 0
     assert env.fit_theta == pytest.approx(1.0 / 3.0, rel=1e-3)
 
@@ -345,9 +345,10 @@ def test_envelope_monotone_extension():
     params = RhoParams("A", 0, 0, 1.0)
     env = measure_envelope(f, params, SamplePlan(seed=4, count=500, radius=2.0,
                                                  exclude_origin_below=0.1))
-    values = [env.component_value(s) for s in (0.15, 0.5, 1.0, 2.0, 50.0)]
+    e = ControlFunction.measured(env).component
+    values = [e(s) for s in (0.15, 0.5, 1.0, 2.0, 50.0)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-    assert env.component_value(1e9) == env.cum_max[-1]
+    assert e(1e9) == env.cum_max[-1]
 
 
 def test_envelope_errors(scalar_model):
