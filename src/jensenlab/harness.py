@@ -9,7 +9,6 @@ identical configs produce byte-identical files).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -198,8 +197,13 @@ def _checked(accepted, value, path: str):
 def normalize_config(doc: dict) -> dict:
     """The config checked against CONFIG_SCHEMA with every default filled in
     (pure data, JSON-serializable, echoed into reports)."""
+    cfg = _filled(doc)
+    return {**cfg, "scheme": _scheme_section(cfg["scheme"], cfg["params"])}
+
+
+def _filled(doc: dict) -> dict:
+    """The config checked with its defaults filled in, ``scheme.scale`` left as given."""
     cfg = _checked(CONFIG_SCHEMA, doc, "")
-    cfg["scheme"] = _scheme_section(cfg["scheme"], cfg["params"])
     if cfg["envelope"]["seed"] is None:
         cfg["envelope"]["seed"] = cfg["plan"]["seed"]
     return cfg
@@ -299,21 +303,20 @@ def _test_function(cfg: dict) -> model.TestFunction:
 
 def _shared(cfg: dict) -> tuple:
     """(f, plan, envelope plan) of a normalized config, which no sweep axis changes."""
-    for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]),
-                        ("envelope.shells", cfg["envelope"]["shells"]),
-                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
-        if not value > 0:
-            raise ConfigError(f"config: {path} must be positive, got {value}")
     f = _test_function({"space": cfg["space"], **cfg["function"]})
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
     env = cfg["envelope"]
+    for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]), ("plan.count", plan.count),
+                        ("envelope.shells", env["shells"]),
+                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
+        if not value > 0:
+            raise ConfigError(f"config: {path} must be positive, got {value}")
     return f, plan, _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
 
 
-def _experiment(cfg: dict, shared) -> Experiment:
-    """A normalized config's Experiment: pairing check, ``shared()``, control, params, scheme."""
+def _experiment(cfg: dict, f, plan, envelope_plan) -> Experiment:
+    """A normalized config's Experiment on ``_shared``'s parts: pairing check, control, params."""
     forced = _check_pairing(cfg)
-    f, plan, envelope_plan = shared()
     ctrl = cfg["control"]
     control = _built("control", lambda: (
         bounds.ControlFunction.tabulated(ctrl["edges"], ctrl["values"])
@@ -328,7 +331,7 @@ def build_experiment(doc: dict) -> Experiment:
     """The one place a config becomes objects, after it is checked against
     CONFIG_SCHEMA; a fault raises ConfigError naming the field, or PairingError."""
     cfg = normalize_config(doc)
-    return _experiment(cfg, lambda: _shared(cfg))
+    return _experiment(cfg, *_shared(cfg))
 
 
 def _build_control(exp: Experiment):
@@ -357,27 +360,19 @@ def _stage(name: str, fn):
         raise StageFailure(name, e) from e
 
 
-def _approximants(exp: Experiment, points) -> direct_method.Approximants | StageFailure:
-    """The approximation pass over ``points`` as columns, or its failure as the
-    'approximate' stage. A point that does not converge makes the run divergent."""
+def _approximants(exp: Experiment, points) -> direct_method.Approximants:
+    """The approximation pass over ``points``; a point that does not converge is divergent."""
     try:
         return direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
                                                 max_n=exp.config["max_n"])
     except NotConvergedError as e:
-        return StageFailure("approximate", DivergentSeriesError(f"divergent: {e}"))
-    except JensenLabError as e:
-        return StageFailure("approximate", e)
+        raise DivergentSeriesError(f"divergent: {e}") from e
 
 
-def _check_points(control, spec: bounds.SeriesSpec, norms: np.ndarray, approximated):
-    """The bound column phi~ + tail at points of norms ``norms``, phi~'s columns and
-    the largest violation ||f - A|| - phi~ - tail (0 without points). phi~ depends
-    on ||x|| alone, so it is evaluated first; then ``approximated``'s failure is raised."""
+def _bound(control, spec: bounds.SeriesSpec, norms: np.ndarray) -> tuple:
+    """phi~'s columns at ``norms`` and the bound column phi~ + tail: the 'phi-tilde' stage."""
     phi = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
-    if isinstance(approximated, StageFailure):
-        raise approximated
-    bound = phi[0] + (phi[1] or 0.0)
-    return bound, phi, max((approximated.deviations - bound).tolist(), default=0.0)
+    return phi, phi[0] + (phi[1] or 0.0)
 
 
 @dataclass(eq=False)
@@ -403,13 +398,14 @@ class RunReport:
 def run_verify(doc: dict) -> RunReport:
     """Full verification: A at every sample point, series bound, margins.
 
-    Pipeline stages (each failure aborts naming the stage): admissibility,
-    the control kind an audit needs (when one is asked for), control
-    construction (envelope measurement for measured controls), the series
-    phi~ at every sampled norm, which names a divergent series, the
-    approximation pass, and the audit (when one is asked for). A measured
-    control's power-law fit is echoed as ``control_fit`` and decides nothing.
-    Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol.
+    Pipeline stages, run in this order (each failure aborts naming the stage):
+    admissibility, the control kind an audit needs (when one is asked for),
+    control construction (envelope measurement for measured controls), the
+    series phi~ at every sampled norm, which names a divergent series before
+    any orbit is run, the approximation pass, and the audit (when one is asked
+    for). A measured control's power-law fit is echoed as ``control_fit`` and
+    decides nothing. Pass iff max over points of (||f - A|| - phi_tilde - tail)
+    <= tol; a plan needs at least one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
@@ -421,8 +417,10 @@ def run_verify(doc: dict) -> RunReport:
 
     spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    norms, approximated = exp.space.norms(pts), _approximants(exp, pts)
-    bound, (_, tail, terms), max_violation = _check_points(control, spec, norms, approximated)
+    norms = exp.space.norms(pts)
+    (_, tail, terms), bound = _bound(control, spec, norms)
+    approximated = _stage("approximate", lambda: _approximants(exp, pts))
+    max_violation = max((approximated.deviations - bound).tolist())
     norms, devs = norms.tolist(), approximated.deviations.tolist()
     # one record per point; a series that ran out of coverage also gives its term count
     records = [{"x": [list(z) for z in zip(re, im)], "x_norm": nx, "deviation": dev, "bound": b,
@@ -479,25 +477,27 @@ SWEEP_AXES = tuple(CONFIG_SCHEMA["grid"][0])
 
 
 def run_sweep(doc: dict) -> list:
-    """One row per grid cell; cell failures are encoded in-row, never raised.
+    """One row per grid cell. A fault that no cell changes fails the sweep as it
+    fails ``verify``; a fault that depends on the cell is encoded in its row.
 
     The grid spans rho1, rho2 (complex as [re, im]), alpha, beta, theta, r;
-    unspecified axes are pinned at the base config's value. Cells use a power
-    control built from (theta, r). The config is checked and what no axis changes
-    is built once; each cell builds its params, scheme and control. The
-    approximants depend on a cell only through its scheme, so they are computed
-    once per distinct scheme.
+    unspecified axes are pinned at the base config's value. The function, the
+    plans and the sample points (at least one) are built once. Each cell builds
+    its params, its scheme (a scale not given derives from the cell's beta) and
+    its power control from (theta, r), sums phi~, then reads its scheme's
+    approximation pass.
     """
-    cfg = normalize_config(doc)
+    cfg = _filled(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
     for axis in SWEEP_AXES:
         if axis not in grid:
             raise ConfigError(f"config: a sweep needs grid.{axis} or a power control")
-    shared = functools.cache(lambda: _shared(cfg))  # an error is raised again per cell
-    # a scale the config does not give is derived cell by cell
-    base_scheme = {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")}
-    approximated = {}  # Scheme -> (the cells' shared point norms, _approximants(...))
+    shared = _shared(cfg)
+    f, plan, _ = shared
+    pts = draw_samples(f.space, plan, arity=1)
+    norms = f.space.norms(pts)
+    passes = {}  # Scheme -> its approximation pass over pts, or the pass's error
     rows = []
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
         z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
@@ -507,9 +507,9 @@ def run_sweep(doc: dict) -> list:
         rows.append(cell)
         params = {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha, "beta": beta}
         try:
-            cell_cfg = {**cfg, "params": params, "scheme": _scheme_section(base_scheme, params),
-                        "control": {"kind": "power", "theta": theta, "r": r}}
-            exp = _experiment(cell_cfg, shared)
+            exp = _experiment({**cfg, "params": params,
+                               "scheme": _scheme_section(cfg["scheme"], params),
+                               "control": {"kind": "power", "theta": theta, "r": r}}, *shared)
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
             verdict = bounds.convergence_predicate(exp.scheme, r)
@@ -523,13 +523,18 @@ def run_sweep(doc: dict) -> list:
             if not verdict:
                 cell["status"] = "divergent"
                 continue
-            if exp.scheme not in approximated:
-                pts = draw_samples(exp.space, exp.plan, arity=1)
-                approximated[exp.scheme] = exp.space.norms(pts), _approximants(exp, pts)
-            norms, approx = approximated[exp.scheme]
-            cell["max_violation"] = _check_points(exp.control, _series_spec(exp), norms, approx)[2]
+            _, bound = _bound(exp.control, _series_spec(exp), norms)
+            if exp.scheme not in passes:  # a failed pass is kept, so it runs once too
+                try:
+                    passes[exp.scheme] = _approximants(exp, pts)
+                except JensenLabError as e:
+                    passes[exp.scheme] = e
+            approximated = passes[exp.scheme]
+            if isinstance(approximated, JensenLabError):
+                raise approximated
+            cell["max_violation"] = max((approximated.deviations - bound).tolist())
             cell["empirical_sup"], _ = bounds.empirical_sup(
-                r, zip(norms.tolist(), approx.deviations.tolist()))
+                r, zip(norms.tolist(), approximated.deviations.tolist()))
         except JensenLabError as e:
             cell["status"] = e.code
     return rows

@@ -229,26 +229,27 @@ def _golden_section(fn, lo: float, hi: float) -> float:
     return x1 if f1 < f2 else x2
 
 
-def _grid_sse(norms: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The sum of squared errors of the least-squares fit at each exponent of
-    FIT_GRID, as ``_fit_power_law``'s scalar fit computes it, bit for bit, in
-    blocks of about CHUNK_ELEMENTS powers."""
-    sse = []
+def _grid_sse(norms: np.ndarray, d: np.ndarray, rs: np.ndarray = FIT_GRID) -> tuple:
+    """(theta, SSE): the least-squares theta >= 0 of defect ~ theta (a^r + b^r + c^r)
+    and its sum of squared errors at each exponent r of ``rs``, in blocks of about
+    CHUNK_ELEMENTS powers; an exponent's values do not depend on the others."""
+    thetas, sses = [], []
     step = max(1, CHUNK_ELEMENTS // norms.size)
-    for lo in range(0, FIT_GRID.size, step):
-        rs = FIT_GRID[lo:lo + step]
-        p = np.empty((rs.size,) + norms.shape)  # filled row by row: stacking a list doubles it
-        for k, r in enumerate(rs):
-            # ``**`` with one exponent, as the scalar fit: at r = -1, 0.5 and 2 numpy
-            # takes an exact reciprocal, sqrt or square, not pow as on an exponent array
+    for lo in range(0, rs.size, step):
+        block = rs[lo:lo + step]
+        p = np.empty((block.size,) + norms.shape)  # filled row by row: stacking a list doubles it
+        for k, r in enumerate(block):
+            # ``**`` with one exponent: at r = -1, 0.5 and 2 numpy takes an exact
+            # reciprocal, sqrt or square, not pow as on an exponent array
             p[k] = norms ** r
         g = p[..., 0] + p[..., 1] + p[..., 2]
         denom = np.matmul(g[:, None], g[..., None])[:, 0, 0]  # each row's g @ g
         gd = np.matmul(g[:, None], d[:, None])[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as float division
             theta = np.where(denom != 0.0, np.maximum(gd / denom, 0.0), 0.0)
-        sse.append(((theta[:, None] * g - d) ** 2).sum(axis=1))
-    return np.concatenate(sse)
+        thetas.append(theta)
+        sses.append(((theta[:, None] * g - d) ** 2).sum(axis=1))
+    return np.concatenate(thetas), np.concatenate(sses)
 
 
 def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
@@ -257,19 +258,12 @@ def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float
     d = np.clip(defects, 0.0, None)
     if d.max(initial=0.0) <= 1e-14:
         return 0.0, 0.0
-
-    def fit(r: float) -> tuple[float, float]:
-        """The least-squares theta at exponent r, and its sum of squared errors."""
-        g = (norms ** r).sum(axis=1)
-        denom = float(g @ g)
-        theta = max(float(g @ d) / denom, 0.0) if denom != 0.0 else 0.0
-        return theta, float(((theta * g - d) ** 2).sum())
-
-    sse = _grid_sse(norms, d)
+    _, sse = _grid_sse(norms, d)
     # the first smallest SSE, as min() over the grid: a NaN wins only in first place
     best = float(FIT_GRID[0 if np.isnan(sse[0]) else np.nanargmin(sse)])
-    r_hat = _golden_section(lambda r: fit(r)[1], best - 0.1, best + 0.1)
-    return fit(r_hat)[0], r_hat
+    r_hat = _golden_section(lambda r: _grid_sse(norms, d, np.array([r]))[1][0],
+                            best - 0.1, best + 0.1)
+    return float(_grid_sse(norms, d, np.array([r_hat]))[0][0]), r_hat
 
 
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,

@@ -8,6 +8,7 @@ import pytest
 
 from jensenlab import bounds, cli, direct_method, harness, inequality, model
 from jensenlab.errors import (
+    ConfigError,
     DivergentSeriesError,
     JensenLabError,
     PairingError,
@@ -85,6 +86,7 @@ def changed(path, value, doc=VERIFY_SAMPLE):
 
 
 SWEEP_SAMPLE = json.loads((CONFIGS / "sweep_family_a.json").read_text())
+AUDIT_SAMPLE = json.loads((CONFIGS / "audit_backward_dyadic.json").read_text())
 
 #: (subcommand, config, extra flags, text the error line must name)
 MALFORMED = {
@@ -147,6 +149,20 @@ MALFORMED = {
                             "grid.r[1]"),
     "grid-pair-nan": ("sweep", changed("grid.rho2", [[0.1, float("nan")]], SWEEP_SAMPLE), [],
                       "grid.rho2[0]"),
+    # a run over no points checks nothing
+    "count-zero": ("verify", changed("plan.count", 0), [], "plan.count must be positive"),
+    "points-zero": ("verify", VERIFY_SAMPLE, ["--points", "0"], "plan.count must be positive"),
+    "audit-points-zero": ("audit", AUDIT_SAMPLE, ["--points", "0"],
+                          "plan.count must be positive"),
+    "sweep-count-zero": ("sweep", changed("plan.count", 0, SWEEP_SAMPLE), [],
+                         "plan.count must be positive"),
+    # a fault no sweep cell changes fails the whole sweep, as it fails verify
+    "sweep-radius-not-above-exclusion": ("sweep", changed("plan.radius", 0.05, SWEEP_SAMPLE), [],
+                                         "plan: need radius"),
+    "sweep-tol-zero": ("sweep", changed("tolerances.tol", 0, SWEEP_SAMPLE), [],
+                       "tolerances.tol"),
+    "sweep-max-n-zero": ("sweep", changed("max_n", 0, SWEEP_SAMPLE), [], "max_n"),
+    "sweep-dim-zero": ("sweep", changed("space.dim", 0, SWEEP_SAMPLE), [], "space: dim"),
 }
 
 
@@ -622,14 +638,22 @@ def test_sweep_family_b_beta_grid():
         expected = 2.0 / (L - L ** 0.5)  # c34 at theta=1, r=0.5, rho2=0
         assert row["paper_constant"] == pytest.approx(expected, rel=1e-12)
         assert row["derived_constant"] == pytest.approx(expected, rel=1e-9)
+    # each cell derives its scale from its own beta: the base config need not give one
+    del doc["params"]["beta"]
+    assert harness.render_sweep(harness.run_sweep(doc)) == harness.render_sweep(rows)
 
 
 def reference_sweep(doc):
     """The sweep cell by cell: each cell's config through build_experiment, and
-    each point through phi_tilde_norm and approximate alone."""
-    cfg = harness.normalize_config(doc)
+    each point through phi_tilde_norm and approximate alone. A fault that no
+    cell changes is one of the config with neutral params and control and
+    --force, and fails the sweep before its first cell."""
+    cfg = harness._filled(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
+    base = {k: v for k, v in cfg.items() if k != "grid"}
+    harness.build_experiment({**base, "params": {"family": "A"}, "control": {"kind": "zero"},
+                              "scheme": {"direction": "forward"}, "force": True})
     rows = []
     for rho1, rho2, alpha, beta, theta, r in itertools.product(
             *(grid[a] for a in harness.SWEEP_AXES)):
@@ -639,11 +663,9 @@ def reference_sweep(doc):
                     rho2_re=z2.real, rho2_im=z2.imag, alpha=alpha, beta=beta, theta=theta, r=r,
                     status="ok")
         rows.append(cell)
-        cell_doc = {**{k: v for k, v in cfg.items() if k != "grid"},
-                    "params": {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha,
-                               "beta": beta},
-                    "control": {"kind": "power", "theta": theta, "r": r},
-                    "scheme": {**cfg["scheme"], "scale": doc.get("scheme", {}).get("scale")}}
+        cell_doc = {**base, "params": {**cfg["params"], "rho1": rho1, "rho2": rho2,
+                                       "alpha": alpha, "beta": beta},
+                    "control": {"kind": "power", "theta": theta, "r": r}}
         try:
             exp = harness.build_experiment(cell_doc)
             adm = inequality.admissible(exp.params)
@@ -688,20 +710,20 @@ _FAMILY_A_GRID = {"rho2": [[0.0, 0.0], [0.7, 0.0]], "alpha": [1.0, 0.0], "theta"
 _FAMILY_B_PARAMS = {"family": "B", "rho1": [0.0, 0.0], "rho2": [0.2, 0.0], "alpha": 1.0,
                     "beta": 1.0}
 
-#: (config, the statuses its cells take)
+#: (config, the statuses its cells take, or the field named by a fault no cell changes)
 SWEEP_CASES = {
     # rho2 0.7 is inadmissible, alpha 0 degenerate, theta < 0 a config fault, r 1.5 divergent
     "family-a": (_small_sweep(_FAMILY_A_GRID),
                  {"ok", "inadmissible", "degenerate-parameter", "config", "divergent"}),
-    # a fault no cell changes makes every cell a config fault
-    "family-a-max-n-zero": (_small_sweep(_FAMILY_A_GRID, max_n=0), {"config"}),
+    # a fault no cell changes fails the sweep
+    "family-a-max-n-zero": (_small_sweep(_FAMILY_A_GRID, max_n=0), "max_n"),
     # a derived scale: beta null cannot derive one, and 1 + beta in {1, 0, -1} is degenerate
     "family-b": (_small_sweep({"beta": [None, 0.0, -1.0, -2.0, 1.0]}, params=_FAMILY_B_PARAMS),
                  {"pairing", "degenerate-scale", "ok"}),
-    # the pairing check comes before the faults no cell changes
+    # the faults no cell changes come before any cell's pairing check
     "family-b-max-n-zero": (_small_sweep({"beta": [None, 1.0, 2.0]}, params=_FAMILY_B_PARAMS,
                                          scheme={"direction": "forward", "scale": 3.0},
-                                         max_n=0), {"pairing", "config"}),
+                                         max_n=0), "max_n"),
     # a given scale: beta 1 does not pair with scale 3
     "family-b-scale": (_small_sweep({"beta": [2.0, 1.0]}, params=_FAMILY_B_PARAMS,
                                     scheme={"direction": "forward", "scale": 3.0}),
@@ -712,9 +734,38 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_equals_the_cell_by_cell_reference(case):
     doc, statuses = SWEEP_CASES[case]
+    if isinstance(statuses, str):
+        for sweep in (harness.run_sweep, reference_sweep):
+            with pytest.raises(ConfigError, match=statuses):
+                sweep(doc)
+        return
     rows = harness.run_sweep(doc)
     assert rows == reference_sweep(doc)
     assert {row["status"] for row in rows} == statuses
+
+
+def test_sweep_builds_its_shared_parts_once(monkeypatch):
+    calls = []
+    for name in ("_shared", "draw_samples"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+    rows = harness.run_sweep(SWEEP_SAMPLE)
+    assert len(rows) == 12
+    assert sorted(calls) == ["_shared", "draw_samples"]
+
+
+def test_divergent_verify_makes_no_approximation_pass(monkeypatch):
+    calls = []
+    original = direct_method.approximate_points
+    monkeypatch.setattr(direct_method, "approximate_points",
+                        lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    doc = power_verify_doc(r=2.0, control={"kind": "power", "theta": 1.0, "r": 2.0})
+    doc["plan"]["count"] = 2000
+    with pytest.raises(StageFailure) as err:
+        harness.run_verify(doc)
+    assert (err.value.stage, err.value.code) == ("phi-tilde", "divergent")
+    assert calls == []
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -799,9 +850,6 @@ def test_cli_audit(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["which"] == "c24"
     assert payload["verdicts"]["derived_matches_paper"] == "consistent"
-
-
-AUDIT_SAMPLE = json.loads((CONFIGS / "audit_backward_dyadic.json").read_text())
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -275,6 +275,17 @@ def fit_reference(norms, defects):
     return fit(r_hat)[0], r_hat
 
 
+@pytest.mark.parametrize("r", [0.37, 0.5, 1.234, 2.0])
+def test_one_exponent_fit_equals_the_scalar_fit(r):
+    rng = np.random.default_rng(7)
+    norms, defects = rng.uniform(0.1, 2.0, size=(1000, 3)), rng.uniform(size=1000)
+    g = (norms ** r).sum(axis=1)
+    theta = max(float(g @ defects) / float(g @ g), 0.0)
+    thetas, sses = inequality._grid_sse(norms, defects, np.array([r]))
+    sse = float(((theta * g - defects) ** 2).sum())
+    assert (thetas.tolist(), sses.tolist()) == ([theta], [sse])
+
+
 @st.composite
 def envelope_samples(draw):
     """Triple norms drawn as measure_envelope draws them, and defects around a power law."""
@@ -308,11 +319,11 @@ def test_power_law_fit_ties_and_clamped_defects():
     rng = np.random.default_rng(4)
     norms = rng.uniform(0.1, 2.0, size=(50, 3))
     # every defect clamped to 0: theta = 0 and every grid SSE ties
-    assert (inequality._grid_sse(norms, np.zeros(50)) == 0.0).all()
+    assert (inequality._grid_sse(norms, np.zeros(50))[1] == 0.0).all()
     assert inequality._fit_power_law(norms, -rng.uniform(size=50)) == (0.0, 0.0)
     # unit norms make every power 1, so every grid SSE ties: the first exponent wins
     ones, defects = np.ones((50, 3)), rng.uniform(size=50)
-    sse = inequality._grid_sse(ones, defects)
+    _, sse = inequality._grid_sse(ones, defects)
     assert (sse == sse[0]).all()
     theta, r = inequality._fit_power_law(ones, defects)
     assert (theta, r) == fit_reference(ones, defects) and -2.1 <= r <= -1.9
