@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DegenerateScaleError, NotConvergedError, NumericError, ScaleOverflowError
 from .model import TestFunction, evaluate_many, pairs_from_vector
+from .space import fold
 
 DIRECTIONS = ("forward", "backward")
 
@@ -212,7 +213,7 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
         raise ValueError(f"tol must be positive, got {tol}")
     f0 = evaluate_many(f, xs)
     prev = f0.copy()
-    running = np.isfinite(f0).all(axis=1)
+    running = fold(np.logical_and, np.isfinite(f0).T)
     errors = dict.fromkeys(np.flatnonzero(~running).tolist(),
                            NumericError("numeric: f(x) is not finite"))
     converged = np.zeros(len(xs), dtype=bool)
@@ -232,7 +233,7 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
                 break
         k, m, cols = len(powers), idx.size, np.arange(idx.size)
         terms = _orbit_block(f, xs[idx], scheme, powers)  # k x m x dim
-        finite = np.isfinite(terms).all(axis=2)
+        finite = fold(np.logical_and, np.isfinite(terms).transpose(2, 0, 1))
         diffs = terms - np.concatenate([prev[idx][None], terms[:-1]])
         r = f.space.norms(diffs.reshape(k * m, -1)).reshape(k, m)
         small = r <= tol

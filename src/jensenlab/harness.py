@@ -307,7 +307,7 @@ def _shared(cfg: dict) -> tuple:
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
     env = cfg["envelope"]
     for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]), ("plan.count", plan.count),
-                        ("envelope.shells", env["shells"]),
+                        ("envelope.count", env["count"]), ("envelope.shells", env["shells"]),
                         ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
         if not value > 0:
             raise ConfigError(f"config: {path} must be positive, got {value}")

@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
 )
 from .model import TestFunction, evaluate_many
-from .space import SamplePlan, draw_samples
+from .space import SamplePlan, draw_samples, fold
 
 FAMILIES = ("A", "B")
 
@@ -279,13 +279,12 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
     lo = plan.inner_radius()
     edges = np.geomspace(lo, plan.radius, shells + 1)
     _, (nx, ny, nz, _, _, defects) = _defect_columns(f, triples, params)
-    norms = np.stack([nx, ny, nz], axis=1)
     shell_max = np.zeros(shells)
     # the shell (edges[i], edges[i+1]] of the largest norm, clamped to the table
-    shell = np.clip(np.searchsorted(edges, norms.max(axis=1)) - 1, 0, shells - 1)
+    shell = np.clip(np.searchsorted(edges, fold(np.maximum, (nx, ny, nz))) - 1, 0, shells - 1)
     np.maximum.at(shell_max, shell, np.maximum(defects, 0.0))
 
-    theta_hat, r_hat = _fit_power_law(norms, defects)
+    theta_hat, r_hat = _fit_power_law(np.stack([nx, ny, nz], axis=1), defects)
     return MeasuredEnvelope(edges=edges, shell_max=shell_max,
                             cum_max=np.maximum.accumulate(shell_max),
                             fit_theta=theta_hat, fit_r=r_hat,

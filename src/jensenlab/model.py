@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .space import NormedSpace
+from .space import NormedSpace, fold
 
 #: Quantization step for hashing / tabulated lookups; coarse enough that
 #: floating-point noise below ~1e-7 cannot move a point across grid cells.
@@ -116,10 +116,8 @@ class AdditiveCore:
         if m.shape != (2 * d, 2 * d):
             raise DimensionError(
                 f"dimension: {self.kind} core matrix {self.matrix.shape} does not act on C^{d}")
-        x2 = np.concatenate([xs.real, xs.imag], axis=1)
-        y2 = x2[:, :1] * m[:, 0]
-        for j in range(1, 2 * d):
-            y2 = y2 + x2[:, j : j + 1] * m[:, j]
+        x2 = np.concatenate([xs.real.T, xs.imag.T])  # the 2d real input columns
+        y2 = np.stack([fold(np.add, map(np.multiply, x2, row)) for row in m], axis=1)
         return y2[:, :d] + 1j * y2[:, d:]
 
 
@@ -196,7 +194,8 @@ class Perturbation:
                             ).reshape(xs.shape)
         d, nx = space.dim, space.norms(xs)
         if self.direction == "hashed" or self.kind == "bounded":
-            words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step), 2 * d + 1)
+            words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step),
+                                2 * d + (self.kind == "bounded"))
         if self.direction == "radial":
             # per part: complex / real would multiply by 1 / ||x||, inf for a subnormal ||x||
             n = np.where(nx == 0.0, 1.0, nx)[:, None]
@@ -241,7 +240,9 @@ def evaluate_many(f: TestFunction, xs) -> np.ndarray:
     """f at each row of an N x dim array; row i equals ``evaluate(f, xs[i])``
     bit for bit, whatever the other rows are."""
     xs = f.space.as_vectors(xs)
-    live = xs.any(axis=1) if f.force_zero_at_origin else slice(None)
+    if not f.force_zero_at_origin:
+        return f.core.apply_many(xs) + f.perturbation.evaluate_many(f.space, xs)
+    live = fold(np.logical_or, (xs != 0).T)
     out = np.zeros_like(xs)
     out[live] = f.core.apply_many(xs[live]) + f.perturbation.evaluate_many(f.space, xs[live])
     return out

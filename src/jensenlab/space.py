@@ -6,6 +6,7 @@ Vectors are plain ``numpy`` arrays of ``complex128`` with shape ``(dim,)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -16,6 +17,15 @@ NORM_KINDS = ("l1", "l2", "linf")
 #: Inner-radius floor used when a plan does not exclude the origin: sampled
 #: norms are log-uniform, which needs a positive lower edge.
 ORIGIN_FLOOR = 2.0 ** -20
+
+
+def fold(op, columns) -> np.ndarray:
+    """``op`` folded left to right over a sequence of equal-shape arrays c0, c1, ...:
+    op(op(c0, c1), c2) and so on (``a.T`` gives the columns of an N x dim array).
+    Each step is one ufunc call on whole columns. numpy reduces a short axis one
+    row at a time, which is far slower, and for fewer than 8 columns its sum is
+    left to right too, so the bits are the same as ``op.reduce``."""
+    return reduce(op, columns)
 
 
 @dataclass(frozen=True)
@@ -43,16 +53,19 @@ class NormedSpace:
         return arr
 
     def norms(self, vs) -> np.ndarray:
-        """Norm of each row of an N x dim array; row i does not depend on the others."""
+        """Norm of each row of an N x dim array; row i does not depend on the others.
+        The max, the l1 sum and the l2 sum of squares are folds over the components
+        in index order (``fold``), so the order is the same for every dim."""
         mags = np.abs(self.as_vectors(vs))
         if self.norm_kind == "l1":
-            return mags.sum(axis=1)
-        m = mags.max(axis=1)
+            return fold(np.add, mags.T)
+        m = fold(np.maximum, mags.T)
         if self.norm_kind == "linf":
             return m
-        # scaled so that tiny entries do not underflow when squared
-        scale = np.where(m == 0.0, 1.0, m)[:, None]
-        return m * np.sqrt(((mags / scale) ** 2).sum(axis=1))
+        # scaled by the row max so that tiny entries do not underflow when squared;
+        # by 1 where that max is 0 or +inf, so that a row with an infinite entry is +inf
+        scale = np.where((m == 0.0) | (m == np.inf), 1.0, m)
+        return m * np.sqrt(fold(np.add, (mags.T / scale) ** 2))
 
     def norm(self, v) -> float:
         return float(self.norms([v])[0])
@@ -104,7 +117,7 @@ def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int) -> np.ndarray
     directions, radii = map(np.random.default_rng, np.random.SeedSequence(plan.seed).spawn(2))
     lo, hi = plan.inner_radius(), plan.radius
     g = directions.standard_normal((plan.count * arity, 2 * space.dim))
-    while (zero := ~g.any(axis=1)).any():  # a zero row has no direction: redraw it
+    while (zero := ~fold(np.logical_or, g.T)).any():  # a zero row has no direction: redraw it
         g[zero] = directions.standard_normal((zero.sum(), 2 * space.dim))
     # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
     u = 1.0 - radii.random(len(g))

@@ -110,6 +110,8 @@ MALFORMED = {
     "trunc-terms-zero": ("verify", changed("trunc_terms", 0), [], "trunc_terms"),
     "tol-zero": ("verify", changed("tolerances.tol", 0), [], "tolerances.tol"),
     "shells-zero": ("verify", changed("envelope.shells", 0), [], "envelope.shells"),
+    "envelope-count-zero": ("verify", changed("envelope.count", 0), [],
+                            "envelope.count must be positive"),
     "tabulated-control-lengths": ("verify", changed("control", {"kind": "tabulated",
                                                                 "edges": [0.1, 1.0, 2.0],
                                                                 "values": [1.0]}),
