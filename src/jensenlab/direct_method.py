@@ -21,17 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateScaleError, NotConvergedError, NumericError, ScaleOverflowError
-from .model import TestFunction, evaluate_many, pairs_from_vector
+from .model import ROWS, TestFunction, evaluate_many, pairs_from_vector
 from .space import fold
 
 DIRECTIONS = ("forward", "backward")
 
 #: lambda^n is screened in log space before use: log2 of the largest power kept.
 _LOG2_DOUBLE_MAX = 1023.0
-
-#: Row budget of one orbit block: with m points still running, one
-#: ``evaluate_many`` call evaluates ROWS // m consecutive orbit steps (at least one).
-ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,18 @@ def orbit_term(f: TestFunction, x, scheme: Scheme, n: int) -> np.ndarray:
 
 def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) -> np.ndarray:
     """The orbit terms with scale powers ``powers`` at each row of xs, from one
-    ``evaluate_many`` call: a len(powers) x N x dim array. Each step is scaled
-    by its Python float power as a term alone is, so a row's bits are the same."""
-    fwd = scheme.direction == "forward"
-    vals = evaluate_many(f, np.concatenate([p * xs if fwd else xs / p for p in powers]))
-    return np.stack([v / p if fwd else p * v
-                     for p, v in zip(powers, vals.reshape(len(powers), *xs.shape))])
+    ``evaluate_many`` call: a len(powers) x N x dim array, scaled by one broadcast
+    complex product (or quotient) with the power column, the loop a Python float
+    power runs, so a row's bits are a term's alone. Step 0's rows are xs and its
+    terms f(x), unscaled: a complex product with 1.0 can flip a zero part's sign."""
+    fwd, p = scheme.direction == "forward", np.array(powers)[:, None, None]
+    step0 = slice(int(powers[0] == 1.0))  # lambda^n = 1 only at n = 0
+    rows = p * xs if fwd else xs / p
+    rows[step0] = xs
+    vals = evaluate_many(f, rows.reshape(-1, xs.shape[1])).reshape(rows.shape)
+    terms = vals / p if fwd else p * vals
+    terms[step0] = vals[step0]
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +139,7 @@ def _tail_estimate(residuals: list) -> float | None:
 class Approximants:
     """The approximation pass over N points as columns: A(x) (N x dim), ||f(x) - A(x)||
     (NaN where a point did not converge), residual counts, converged flags, each
-    failing orbit's error by point, and each block's (points, residuals) steps."""
+    failing orbit's error by point, and each block's (points, residuals, last read) steps."""
 
     values: np.ndarray
     deviations: np.ndarray
@@ -149,7 +151,10 @@ class Approximants:
     @cached_property
     def residuals(self) -> list:
         """Each point's residual array in step order, split out on first use."""
-        points, res = (np.concatenate(c) for c in zip(*self.steps))
+        kept = [(idx, r, np.arange(len(r))[:, None] <= last) for idx, r, last in self.steps]
+        points = np.concatenate([np.zeros(0, np.intp), *(np.broadcast_to(i, r.shape)[k]
+                                                         for i, r, k in kept)])
+        res = np.concatenate([np.zeros(0), *(r[k] for _, r, k in kept)])
         return np.split(res[np.argsort(points, kind="stable")], np.cumsum(self.iterations)[:-1])
 
     def failure(self, scheme: Scheme, strict: bool = True) -> tuple:
@@ -197,42 +202,60 @@ def approximate_points(f: TestFunction, points, scheme: Scheme, tol: float,
     return out
 
 
+def _predicted_stop(r: np.ndarray, tol: float) -> int:
+    """Steps until the slowest point of a block's residuals r (steps x running points)
+    has two in a row <= tol at its mean contraction; ROWS if one shows no contraction."""
+    log_first, log_last = np.log(r[0]), np.log(r[-1])
+    log_q = (log_last - log_first) / max(1, len(r) - 1)  # 0 for a single residual
+    if not (log_q < 0.0).all():  # NaN where a residual is +inf
+        return ROWS
+    need = np.ceil(np.maximum(0.0, (math.log(tol) - log_last) / log_q)).max(initial=0.0)
+    return int(min(ROWS, need + 1.0))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite term is a NumericError
 def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
             max_n: int) -> Approximants:
     """The approximation pass over the rows of xs, keeping every point's error.
-    Blocked: one ``evaluate_many`` call gives the next k orbit terms of every
-    point still running, k = max(1, min(steps left, ROWS // points running)),
-    and each point's stop is found in the block's residual matrix, with its
-    count of residuals <= tol carried between blocks. Terms past a point's
-    stop are evaluated and discarded: ``evaluate_many`` is row-local and makes
-    a term it cannot evaluate non-finite rather than raise, and the scale
-    powers are screened before the call, so a discarded row cannot change a
-    point's columns."""
+    Blocked: one ``evaluate_many`` call gives the next k orbit terms of every point
+    still running, f(x) (step 0) first. k = max(1, min(steps left, ROWS // points
+    running, the ``_predicted_stop`` of the last block)), and each point's stop is
+    found in the block's residual matrix, with its count of residuals <= tol
+    carried between blocks. Terms past a point's stop are evaluated and discarded:
+    ``evaluate_many`` is row-local and makes a term it cannot evaluate non-finite
+    rather than raise, and the scale powers are screened before the call, so
+    neither a discarded row nor the block sizes can change a point's columns."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    f0 = evaluate_many(f, xs)
-    prev = f0.copy()
-    running = fold(np.logical_and, np.isfinite(f0).T)
-    errors = dict.fromkeys(np.flatnonzero(~running).tolist(),
-                           NumericError("numeric: f(x) is not finite"))
+    f0 = prev = np.zeros_like(xs)
+    running = np.ones(len(xs), dtype=bool)
+    errors = {}
     converged = np.zeros(len(xs), dtype=bool)
     hit = np.zeros(len(xs), dtype=bool)  # the point's last residual is <= tol
     iterations = np.zeros(len(xs), dtype=np.intp)
-    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # (points, residuals) of each block
-    n = 1
-    while n <= max_n and running.any():
+    steps = []  # (points, residuals, last row read) of each block
+    n, predicted = 0, ROWS
+    while running.any() and n <= max(max_n, 0):
         idx = np.flatnonzero(running)
         powers = []
         try:
-            for step in range(n, n + max(1, min(max_n - n + 1, ROWS // idx.size))):
+            for step in range(n, n + max(1, min(max_n - n + 1, ROWS // idx.size, predicted))):
                 powers.append(_scale_power(scheme, step))
         except ScaleOverflowError as e:  # the block ends before it; the next one starts there
             if not powers:
                 errors.update(dict.fromkeys(idx.tolist(), e))
                 break
-        k, m, cols = len(powers), idx.size, np.arange(idx.size)
-        terms = _orbit_block(f, xs[idx], scheme, powers)  # k x m x dim
+        terms = _orbit_block(f, xs[idx], scheme, powers)  # steps n .. n + len(powers) - 1
+        if n == 0:  # every point's f(x), then its steps from 1
+            f0, prev, n = terms[0], terms[0].copy(), 1
+            ok = fold(np.logical_and, np.isfinite(f0).T)
+            errors.update(dict.fromkeys(np.flatnonzero(~ok).tolist(),
+                                        NumericError("numeric: f(x) is not finite")))
+            running[:] = ok
+            idx, terms = (idx, terms[1:]) if ok.all() else (idx[ok], terms[1:, ok])
+            if not terms.size:  # f(x) alone, or no f(x) finite
+                continue
+        k, m, cols = len(terms), idx.size, np.arange(idx.size)
         finite = fold(np.logical_and, np.isfinite(terms).transpose(2, 0, 1))
         diffs = terms - np.concatenate([prev[idx][None], terms[:-1]])
         r = f.space.norms(diffs.reshape(k * m, -1)).reshape(k, m)
@@ -243,14 +266,14 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
         last = np.where(stopped, stop.argmax(axis=0), k - 1)
         bad = ~finite[last, cols]
         iterations[idx] += last + 1  # the steps each point takes (an error's go unread)
-        kept = np.arange(k)[:, None] <= last
-        steps.append((np.broadcast_to(idx, (k, m))[kept], r[kept]))
+        steps.append((idx, r, last))
         prev[idx] = terms[last, cols]
         hit[idx] = small[last, cols]
         for i, j in zip(idx[bad].tolist(), last[bad].tolist()):
             errors[i] = NumericError(f"numeric: orbit term {n + j} is not finite")
         converged[idx[stopped & ~bad]] = True
         running[idx[stopped]] = False
+        predicted = _predicted_stop(r[:, ~stopped], tol)
         n += k
     deviations = np.where(converged, f.space.norms(f0 - prev), np.nan)
     return Approximants(prev, deviations, iterations, converged, errors, steps)

@@ -32,7 +32,7 @@ from .errors import (
     InadmissibleError,
     NumericError,
 )
-from .model import TestFunction, evaluate_many
+from .model import ROWS, TestFunction, evaluate_many
 from .space import SamplePlan, draw_samples, fold
 
 FAMILIES = ("A", "B")
@@ -178,8 +178,11 @@ def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
     beta = float(params.beta) if params.family == "B" else 0.0
     basis = (x, y, beta * y, params.alpha * z)
     exprs = FAMILY_TERMS[params.family]
-    args = dict.fromkeys(arg for terms in exprs.values() for _, arg in terms)
-    values = {arg: evaluate_many(f, _combine(zip(arg, basis))) for arg in args}
+    args = list(dict.fromkeys(arg for terms in exprs.values() for _, arg in terms))
+    values, per = {}, max(1, ROWS // max(1, len(x)))  # distinct arguments per evaluate_many call
+    for group in (args[i:i + per] for i in range(0, len(args), per)):
+        rows = evaluate_many(f, np.concatenate([_combine(zip(arg, basis)) for arg in group]))
+        values.update(zip(group, np.split(rows, len(group))))
     lhs, e1, e2 = (_combine((-beta if c == "-b" else c, values[arg]) for c, arg in exprs[name])
                    for name in ("lhs", "e1", "e2"))
     lhs_norm = sp.norms(lhs)

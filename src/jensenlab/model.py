@@ -26,6 +26,9 @@ QUANT_STEP = 2.0 ** -20
 
 _MASK64 = (1 << 64) - 1
 
+#: Row budget of one ``evaluate_many`` call of the orbit pass or the defect.
+ROWS = 2048
+
 CORE_KINDS = ("complex_linear", "real_linear")
 PERTURBATION_KINDS = ("none", "bounded", "power", "tabulated")
 DIRECTION_KINDS = ("hashed", "radial")
@@ -58,13 +61,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hash_words(seed: int, keys: np.ndarray, count: int) -> np.ndarray:
-    """``count`` words per row of an int64 key array, ``mix(state + j gamma)``: a
-    counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``."""
+def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
+    """Words ``first`` .. ``count`` per row of an int64 key array, ``mix(state + j gamma)``:
+    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``."""
     state = np.full(len(keys), seed & _MASK64, dtype=np.uint64)
     for k in keys.view(np.uint64).T:
         state = _mix64((state + _GAMMA) ^ k)
-    return _mix64(state[:, None] + _GAMMA * np.arange(1, count + 1, dtype=np.uint64))
+    return _mix64(state[:, None] + _GAMMA * np.arange(first, count + 1, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +196,10 @@ class Perturbation:
             return np.array([self.table.get(k, default) for k in keys], dtype=np.complex128
                             ).reshape(xs.shape)
         d, nx = space.dim, space.norms(xs)
-        if self.direction == "hashed" or self.kind == "bounded":
+        if self.direction == "hashed" or self.kind == "bounded":  # radial: word 2d + 1 alone
+            first = 1 if self.direction == "hashed" else 2 * d + 1
             words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step),
-                                2 * d + (self.kind == "bounded"))
+                                2 * d + (self.kind == "bounded"), first)
         if self.direction == "radial":
             # per part: complex / real would multiply by 1 / ||x||, inf for a subnormal ||x||
             n = np.where(nx == 0.0, 1.0, nx)[:, None]

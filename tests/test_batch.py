@@ -30,7 +30,7 @@ from jensenlab import (
 )
 from jensenlab import direct_method
 from jensenlab.bounds import phi_tilde_norms
-from jensenlab.direct_method import Scheme
+from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
 from jensenlab.errors import JensenLabError, NotConvergedError
 from jensenlab.inequality import defect_many
 from jensenlab.model import _hash_words, _quantized, evaluate_many, quantize
@@ -285,6 +285,78 @@ def test_blocked_orbits_equal_one_step_lockstep(dim, r, direction, scheme, sizes
     pts = [s * unit for s in sizes]
     want = _flat_outcome(f, pts, scheme, tol, max_n, strict, 1)
     assert _flat_outcome(f, pts, scheme, tol, max_n, strict, rows) == want
+
+
+def _columns(out):
+    """An ``Approximants``' columns, residuals and errors, in comparable form."""
+    return (out.values.tobytes(), out.deviations.tobytes(), out.iterations.tolist(),
+            out.converged.tolist(), [r.tobytes() for r in out.residuals],
+            {i: (type(e), str(e)) for i, e in out.errors.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 2), r=st.sampled_from([-0.5, 0.5, 2.0]),
+       scheme=st.sampled_from([Scheme("forward", 2.0), Scheme("backward", 2.0),
+                               Scheme("backward", 1e10)]),
+       sizes=st.lists(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 7.5, 1e5]), min_size=1,
+                      max_size=8),
+       max_n=st.integers(1, 60), tol=st.sampled_from([1e-9, 1e-3]),
+       predicted=st.sampled_from([1, direct_method.ROWS]), rows=st.sampled_from([None, 3, 16]))
+def test_the_block_schedule_moves_no_column(dim, r, scheme, sizes, max_n, tol, predicted, rows):
+    # the stop predictor only sizes blocks: answering one step, or the whole row
+    # budget, gives the columns of the default schedule
+    f = TestFunction(NormedSpace(dim), AdditiveCore.random(dim, 2, "real_linear"),
+                     Perturbation.power(0.1, r, direction_seed=5))
+    xs = np.array([s * np.array([0.6 + 0.8j, -0.5j][:dim]) for s in sizes])
+    with mock.patch.object(direct_method, "ROWS", rows or direct_method.ROWS):
+        want = _columns(direct_method._orbits(f, xs, scheme, tol, max_n))
+        with mock.patch.object(direct_method, "_predicted_stop", lambda r, tol: predicted):
+            assert _columns(direct_method._orbits(f, xs, scheme, tol, max_n)) == want
+
+
+def per_step_block(f, xs, scheme, powers):
+    """The rows and terms of an orbit block as each step was once scaled alone: by
+    its Python float power, the steps joined for one call and stacked again."""
+    fwd = scheme.direction == "forward"
+    rows = np.concatenate([p * xs if fwd else xs / p for p in powers])
+    vals = evaluate_many(f, rows).reshape(len(powers), *xs.shape)
+    return rows, np.stack([v / p if fwd else p * v for p, v in zip(powers, vals)])
+
+
+#: parts with zeros of either sign and subnormals, whose signs a product can flip
+orbit_parts = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2e-308, 0.5])
+               | st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), direction=st.sampled_from(["forward", "backward"]),
+       scale=st.sampled_from([2.0, -2.0, 1.5, 3.0, 1e10]), first=st.integers(0, 3),
+       k=st.integers(1, 12))
+def test_block_scaling_equals_the_per_step_scaling(data, dim, direction, scale, first, k):
+    # one broadcast product or quotient with the power column gives every step's bits;
+    # step 0 is xs itself and f(x) unscaled
+    f = TestFunction(NormedSpace(dim), AdditiveCore.random(dim, 2, "real_linear"),
+                     Perturbation.power(0.1, 0.5, direction_seed=5))
+    xs = np.array([[complex(data.draw(orbit_parts), data.draw(orbit_parts)) for _ in range(dim)]
+                   for _ in range(data.draw(st.integers(1, 6)))])
+    scheme = Scheme(direction, scale)
+    powers = [_scale_power(scheme, n) for n in range(first, first + k)]
+    seen = []
+
+    def recording(f, rows):
+        seen.append(rows.copy())
+        return evaluate_many(f, rows)
+
+    with mock.patch.object(direct_method, "evaluate_many", recording):
+        terms = _orbit_block(f, xs, scheme, powers)
+    want_rows, want_terms = per_step_block(f, xs, scheme, powers)
+    skip = int(first == 0)
+    if skip:
+        assert seen[0][: len(xs)].tobytes() == xs.tobytes()
+        assert terms[0].tobytes() == evaluate_many(f, xs).tobytes()
+    assert len(seen) == 1
+    assert seen[0][skip * len(xs):].tobytes() == want_rows[skip * len(xs):].tobytes()
+    assert terms[skip:].tobytes() == want_terms[skip:].tobytes()
 
 
 @pytest.mark.parametrize("params", [

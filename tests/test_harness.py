@@ -418,9 +418,9 @@ def test_audit_block_uses_config_max_n():
     assert rep.audit == direct.to_json_dict()
 
 
-@pytest.mark.parametrize("name, most", [("sweep_family_a", 3), ("verify_power_measured", 5)])
-def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, most):
-    # f(x), then a block of orbit steps per call: one call per step made 54 on either config
+def _orbit_rows(monkeypatch, name, count=None):
+    """The approximation pass over a sample config's points (``count`` of them if
+    given), and the row count of each ``evaluate_many`` call it made."""
     calls = []
     original = direct_method.evaluate_many
 
@@ -429,11 +429,31 @@ def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, most):
         return original(f, xs)
 
     monkeypatch.setattr(direct_method, "evaluate_many", counting)
-    exp = harness.build_experiment(json.loads((CONFIGS / f"{name}.json").read_text()))
-    approximated = harness._approximants(exp, draw_samples(exp.space, exp.plan, arity=1))
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["plan"]["count"] = count or doc["plan"]["count"]
+    exp = harness.build_experiment(doc)
+    return harness._approximants(exp, draw_samples(exp.space, exp.plan, arity=1)), calls
+
+
+@pytest.mark.parametrize("name, count, calls", [("sweep_family_a", None, [1]),
+                                                ("verify_power_measured", None, [3]),
+                                                ("audit_backward_dyadic", 600, range(1, 11))],
+                         ids=["sweep_family_a", "verify_power_measured",
+                              "audit_backward_dyadic-600"])
+def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, count, calls):
+    # f(x) and the first steps in one call, then blocks sized to the predicted stop;
+    # one call per step made 54 on the sweep or verify config
+    approximated, rows = _orbit_rows(monkeypatch, name, count)
     assert approximated.converged.all()
-    assert 1 < len(calls) <= most
-    assert max(calls) <= direct_method.ROWS
+    assert len(rows) in calls
+    assert max(rows) <= direct_method.ROWS
+
+
+def test_orbit_blocks_waste_few_rows(monkeypatch):
+    # the rows the pass needs are each point's f(x) and one per residual; a tail
+    # block of ROWS // points steps made 1.18 times that on this sample
+    approximated, rows = _orbit_rows(monkeypatch, "audit_backward_dyadic", 600)
+    assert sum(rows) <= 1.08 * (approximated.iterations.sum() + 600)
 
 
 @pytest.mark.parametrize("run, name", [(harness.build_experiment, "verify_power_measured"),

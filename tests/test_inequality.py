@@ -141,7 +141,8 @@ def test_defect_matches_docstring_formulas(params):
     (RhoParams("B", 0.3, 0.2, 1.5, beta=2.0), 7),
 ])
 def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
-    # one batched f call per distinct argument, however many triples
+    # each distinct argument once, max(1, ROWS // triples) arguments per batched f call:
+    # all of them for 1 or 25 triples, 2 at a time for 1000
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
     seen = []
     original = inequality.evaluate_many
@@ -152,11 +153,12 @@ def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
 
     monkeypatch.setattr(inequality, "evaluate_many", counting)
     defect(f, np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]), params)
-    assert seen == [1] * calls
-    seen.clear()
-    triples = draw_samples(f.space, SamplePlan(seed=4, count=25, radius=2.0), arity=3)
-    inequality.defect_many(f, triples, params)
-    assert seen == [25] * calls
+    assert seen == [calls]
+    for count, want in ((25, [25 * calls]), (1000, [2000] * (calls // 2) + [1000] * (calls % 2))):
+        seen.clear()
+        triples = draw_samples(f.space, SamplePlan(seed=4, count=count, radius=2.0), arity=3)
+        inequality.defect_many(f, triples, params)
+        assert seen == want
 
 
 def test_exact_additive_defect_vanishes():

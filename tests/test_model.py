@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_additive, make_power
 
@@ -13,7 +15,7 @@ from jensenlab import (
     load_test_function,
 )
 from jensenlab.errors import DimensionError
-from jensenlab.model import quantize
+from jensenlab.model import _hash_words, _quantized, quantize
 
 
 def test_evaluate_identity_no_perturbation():
@@ -73,6 +75,22 @@ def test_bounded_perturbation_bounds():
         assert sp.norm(f.perturbation.evaluate(sp, x)) <= eps * (1 + 1e-12)
         # triangle inequality over the three perturbation evaluations
         assert additivity_defect(f, x, y) <= 3 * eps * (1 + 1e-12) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), seed=st.integers(0, 2 ** 64 - 1))
+def test_radial_bounded_magnitude_is_the_last_word_of_the_full_row(data, dim, seed):
+    # a radial direction hashes only the magnitude word 2 dim + 1 of the point's stream
+    part = st.sampled_from([0.0, -0.0, 0.5]) | st.floats(-4.0, 4.0)
+    xs = np.array([[complex(data.draw(part), data.draw(part)) for _ in range(dim)]
+                   for _ in range(data.draw(st.integers(1, 6)))])
+    p, space = Perturbation.bounded(0.3, direction_seed=seed, direction="radial"), NormedSpace(dim)
+    word = _hash_words(seed, _quantized(xs, p.quant_step), 2 * dim + 1)[:, -1]
+    n = space.norms(xs)
+    n = np.where(n == 0.0, 1.0, n)[:, None]
+    u = xs.real / n + 1j * (xs.imag / n)
+    want = (0.3 * ((word >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
+    assert p.evaluate_many(space, xs).tobytes() == want.tobytes()
 
 
 def test_real_linear_core_additive_not_complex_linear():
