@@ -190,21 +190,6 @@ class SeriesSpec:
             raise ValueError("rho moduli must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PhiTilde:
-    """A series value plus tail: 0.0 for a closed form (zero and power controls),
-    None when unavailable. ``terms``: how many terms a term-by-term sum added (fewer
-    than ``trunc_terms`` once coverage ran out); ``trunc_terms`` for a closed form."""
-
-    value: float
-    tail: float | None
-    terms: int
-    coverage_truncated: bool = False
-
-    def total(self) -> float:
-        return self.value + (self.tail or 0.0)
-
-
 def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
     """Terms ``steps`` of the series at each query norm in nx, one row per term.
     Row i is scaled and weighted by the Python float powers of L that term i
@@ -259,17 +244,13 @@ def _check_convergence(theta: float, r: float, nx: np.ndarray, scheme: Scheme) -
     return verdict.ratio
 
 
-def phi_tilde_norm(control: ControlFunction, nx: float, spec: SeriesSpec) -> PhiTilde:
-    """The stability series phi~ for a query point of norm ``nx``."""
-    value, tail, terms = phi_tilde_norms(control, [nx], spec)
-    k = int(terms[0])
-    return PhiTilde(float(value[0]), tail, k, coverage_truncated=k < spec.trunc_terms)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
 def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
-    """``phi_tilde_norm`` at each norm of a vector as (values, one tail, term counts),
-    each value rounding as it does alone; one point's error is the vector's, and a
+    """The stability series phi~ at each norm of a vector as (values, tail, terms).
+    ``tail`` is one for all points: 0.0 for a closed form (zero and power controls),
+    None for a term-by-term sum. ``terms`` counts the terms each point added, fewer
+    than ``trunc_terms`` where coverage ran out (``trunc_terms`` for a closed form).
+    Each value rounds as it does alone; one point's error is the vector's, and a
     divergent series is a DivergentSeriesError (see the module docstring). A
     tabulated or measured control's terms are a terms x points matrix, in blocks
     of about CHUNK_ELEMENTS, summed left to right until no point is covered."""
@@ -462,7 +443,8 @@ def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction
     spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=abs(params.rho2),
                       alpha=params.alpha, trunc_terms=trunc_terms)
     try:
-        return phi_tilde_norm(control, 1.0, spec).total()
+        value, tail, _ = phi_tilde_norms(control, [1.0], spec)
+        return float(value[0]) + (tail or 0.0)
     except (DivergentSeriesError, InadmissibleError):
         return "divergent"
 

@@ -78,11 +78,6 @@ def _scale_power(scheme: Scheme, n: int) -> float:
     return float(scheme.scale) ** n
 
 
-def orbit_term(f: TestFunction, x, scheme: Scheme, n: int) -> np.ndarray:
-    """The n-th orbit term; n = 0 returns f(x)."""
-    return _orbit_block(f, f.space.as_vectors([x]), scheme, [_scale_power(scheme, n)])[0, 0]
-
-
 def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) -> np.ndarray:
     """The orbit terms with scale powers ``powers`` at each row of xs, from one
     ``evaluate_many`` call: a len(powers) x N x dim array, scaled by one broadcast
@@ -279,21 +274,22 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
     return Approximants(prev, deviations, iterations, converged, errors, steps)
 
 
-def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs) -> float:
+def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs,
+                         max_n: int = 200) -> float:
     """Max additivity defect ||A(x+y) - A(x) - A(y)|| of the approximant."""
     x, y = (f.space.as_vectors([p[k] for p in pairs]) for k in range(2))
     # x, y and x+y of each pair in turn, so that a failure is raised at its pair
     xs = np.stack([x, y, x + y], axis=1).reshape(-1, f.space.dim)
-    a = approximate_points(f, xs, scheme, tol).values
+    a = approximate_points(f, xs, scheme, tol, max_n=max_n).values
     return float(f.space.norms(a[2::3] - a[0::3] - a[1::3]).max(initial=0.0))
 
 
 def uniqueness_crosscheck(f: TestFunction, scheme1: Scheme, scheme2: Scheme,
-                          points, tol: float) -> float:
+                          points, tol: float, max_n: int = 200) -> float:
     """Max pointwise disagreement between the two schemes' approximants. The first
     failing point raises, scheme1's failure before scheme2's at the same point."""
     xs = f.space.as_vectors(points)
-    a1, a2 = outs = [_orbits(f, xs, s, tol, 200) for s in (scheme1, scheme2)]
+    a1, a2 = outs = [_orbits(f, xs, s, tol, max_n) for s in (scheme1, scheme2)]
     _, err = min((o.failure(s) for o, s in zip(outs, (scheme1, scheme2))), key=lambda e: e[0])
     if err:
         raise err

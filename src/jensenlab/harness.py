@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds, direct_method, inequality, model
-from .direct_method import Scheme, approximate  # noqa: F401 - harness.approximate stays public
+# harness.approximate stays while the benchmark's traced-run self-test reads it
+from .direct_method import Scheme, approximate  # noqa: F401
 from .errors import (
     ConfigError,
     DivergentSeriesError,
@@ -287,23 +288,13 @@ def _perturbation(cfg: dict) -> model.Perturbation:
     return model.Perturbation.tabulated(table=table, default=default, quant_step=step)
 
 
-def load_test_function(doc: dict) -> model.TestFunction:
-    """A TestFunction from a ``function`` config section that may also give its ``space``."""
-    return _test_function(
-        _checked({"space": CONFIG_SCHEMA["space"], **CONFIG_SCHEMA["function"][0]}, doc, ""))
-
-
-def _test_function(cfg: dict) -> model.TestFunction:
-    """The TestFunction of a checked ``function`` section with its ``space``."""
-    space = _built("space", lambda: NormedSpace(cfg["space"]["dim"], cfg["space"]["norm"]))
-    core = _built("function.core", lambda: _core(cfg["core"], space.dim))
-    perturbation = _built("function.perturbation", lambda: _perturbation(cfg["perturbation"]))
-    return model.TestFunction(space, core, perturbation, cfg["force_zero_at_origin"])
-
-
 def _shared(cfg: dict) -> tuple:
     """(f, plan, envelope plan) of a normalized config, which no sweep axis changes."""
-    f = _test_function({"space": cfg["space"], **cfg["function"]})
+    fn = cfg["function"]
+    space = _built("space", lambda: NormedSpace(cfg["space"]["dim"], cfg["space"]["norm"]))
+    core = _built("function.core", lambda: _core(fn["core"], space.dim))
+    perturbation = _built("function.perturbation", lambda: _perturbation(fn["perturbation"]))
+    f = model.TestFunction(space, core, perturbation, fn["force_zero_at_origin"])
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
     env = cfg["envelope"]
     for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]), ("plan.count", plan.count),
@@ -454,14 +445,6 @@ def render_report(report: RunReport, fmt: str = "json") -> str:
         rows = [{"index": i, **rec} for i, rec in enumerate(report.points)]
         return csv_table(VERIFY_CSV_HEADER, rows)
     raise ValueError(f"format must be json or csv, got {fmt!r}")
-
-
-def write_report(report: RunReport, fmt: str, path) -> str:
-    """Serialize and write; returns the rendered text. Byte-stable per config."""
-    text = render_report(report, fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return text
 
 
 # --- sweep --------------------------------------------------------------------

@@ -108,20 +108,6 @@ def require_admissible(params: RhoParams):
         raise InadmissibleError(f"inadmissible: {adm.detail}")
 
 
-@dataclass(frozen=True, eq=False)
-class DefectSample:
-    """One evaluated triple. ``defect = lhs_norm - rhs_norm`` exactly as computed."""
-
-    family: str
-    triple: tuple
-    x_norm: float
-    y_norm: float
-    z_norm: float
-    lhs_norm: float
-    rhs_norm: float
-    defect: float
-
-
 #: Each family's lhs, e1 and e2 as (coefficient, argument) terms, summed left
 #: to right as the module docstring prints them; "-b" stands for -beta. An
 #: argument gives the coefficients of (x, y, beta y, alpha z), also combined
@@ -152,24 +138,13 @@ def _combine(terms):
     return total
 
 
-def defect(f: TestFunction, x, y, z, params: RhoParams) -> DefectSample:
-    """Defect of one triple for the family of ``params``."""
-    return defect_many(f, [(x, y, z)], params)[0]
-
-
-def defect_many(f: TestFunction, triples, params: RhoParams) -> list:
-    """Defects of (x, y, z) triples, an ``(N, 3, dim)`` array or a sequence: ``f``
-    is evaluated once per distinct argument of the family (8 for family A, 7
-    for family B), each time on the whole batch."""
-    xyz, columns = _defect_columns(f, triples, params)
-    return [DefectSample(params.family, t, *row)
-            for t, row in zip(zip(*xyz), zip(*(c.tolist() for c in columns)))]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite defect is a NumericError
-def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
-    """The triples as x, y, z arrays, and the number fields of DefectSample as
-    arrays. A triple whose defect is not finite raises NumericError."""
+def defect_many(f: TestFunction, triples, params: RhoParams) -> tuple:
+    """The defects of (x, y, z) triples, an ``(N, 3, dim)`` array or a sequence, as
+    the columns (x_norm, y_norm, z_norm, lhs_norm, rhs_norm, defect), where
+    defect = lhs_norm - rhs_norm exactly as computed. ``f`` is evaluated once per
+    distinct argument of the family (8 for family A, 7 for family B), on every
+    triple at once. A triple whose defect is not finite raises NumericError."""
     params.check_degenerate()
     sp = f.space
     xyz = (triples.swapaxes(0, 1) if isinstance(triples, np.ndarray)
@@ -191,7 +166,7 @@ def _defect_columns(f: TestFunction, triples, params: RhoParams) -> tuple:
     bad = np.flatnonzero(~np.isfinite(defects))
     if bad.size:
         raise NumericError(f"numeric: the defect of triple {bad[0]} is not finite")
-    return (x, y, z), (sp.norms(x), sp.norms(y), sp.norms(z), lhs_norm, rhs_norm, defects)
+    return sp.norms(x), sp.norms(y), sp.norms(z), lhs_norm, rhs_norm, defects
 
 
 # --- measured control envelopes ---------------------------------------------
@@ -281,7 +256,7 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
 
     lo = plan.inner_radius()
     edges = np.geomspace(lo, plan.radius, shells + 1)
-    _, (nx, ny, nz, _, _, defects) = _defect_columns(f, triples, params)
+    nx, ny, nz, _, _, defects = defect_many(f, triples, params)
     shell_max = np.zeros(shells)
     # the shell (edges[i], edges[i+1]] of the largest norm, clamped to the table
     shell = np.clip(np.searchsorted(edges, fold(np.maximum, (nx, ny, nz))) - 1, 0, shells - 1)

@@ -6,8 +6,8 @@ departure from additivity. Perturbations are deterministic: their direction is
 either radial (x / ||x||) or hashed from the quantized input point together
 with a seed, so repeated evaluation never needs stored tables.
 
-``evaluate_many`` maps the rows of an N x dim array, and ``evaluate`` is a batch
-of one; every step works row by row, so a row's bits never depend on its batch.
+``evaluate_many`` maps the rows of an N x dim array; every step works row by
+row, so a row's bits never depend on its batch.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class Perturbation:
     Box-Muller from the SplitMix64 words of (direction_seed, quantized
     point): words 1..dim give the radii, dim+1..2dim the angles, and word
     2dim+1 the magnitude scale of a bounded perturbation; 'radial' uses
-    x / ||x||. ``evaluate`` is a batch of one of ``evaluate_many``.
+    x / ||x||.
     """
 
     kind: str = "none"
@@ -182,9 +182,6 @@ class Perturbation:
         tab = {} if table is None else dict(table)
         dflt = None if default is None else np.asarray(default, dtype=np.complex128)
         return cls("tabulated", table=tab, default=dflt, quant_step=quant_step)
-
-    def evaluate(self, space: NormedSpace, x: np.ndarray) -> np.ndarray:
-        return self.evaluate_many(space, space.as_vectors([x]))[0]
 
     def evaluate_many(self, space: NormedSpace, xs: np.ndarray) -> np.ndarray:
         """p at each row of an N x dim complex array."""
@@ -231,18 +228,11 @@ class TestFunction:
     perturbation: Perturbation
     force_zero_at_origin: bool = False
 
-    def __call__(self, x) -> np.ndarray:
-        return evaluate(self, x)
-
-
-def evaluate(f: TestFunction, x) -> np.ndarray:
-    """f(x) = core(x) + p(x); exactly zero at the origin when forced."""
-    return evaluate_many(f, [x])[0]
-
 
 def evaluate_many(f: TestFunction, xs) -> np.ndarray:
-    """f at each row of an N x dim array; row i equals ``evaluate(f, xs[i])``
-    bit for bit, whatever the other rows are."""
+    """f(x) = core(x) + p(x) at each row x of an N x dim array, exactly zero at
+    the origin when forced; row i is ``evaluate_many(f, [xs[i]])[0]`` bit for bit,
+    whatever the other rows are."""
     xs = f.space.as_vectors(xs)
     if not f.force_zero_at_origin:
         return f.core.apply_many(xs) + f.perturbation.evaluate_many(f.space, xs)

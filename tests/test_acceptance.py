@@ -6,6 +6,7 @@ brute-force sums or hand arithmetic before the implementation was trusted.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +24,12 @@ from jensenlab import (
     cli,
     corollary_constant,
     convergence_predicate,
-    defect,
     draw_samples,
-    evaluate,
     forward,
-    phi_tilde_norm,
     uniqueness_crosscheck,
 )
-from jensenlab import harness
+from jensenlab import bounds, harness
+from jensenlab.inequality import defect_many
 from jensenlab.model import evaluate_many
 
 
@@ -62,14 +61,13 @@ def test_criterion_1_additivity_oracle():
                               exclude_origin_below=0.1)
             triples = draw_samples(f.space, plan, arity=3)
             scale = scale_of(f, [v for t in triples for v in t])
-            for x, y, z in triples:
-                worst_rel = max(worst_rel,
-                                abs(defect(f, x, y, z, params[fam]).defect) / scale)
+            worst_rel = max(worst_rel,
+                            abs(defect_many(f, triples, params[fam])[-1]).max() / scale)
             for x in [t[0] for t in triples[:2]]:  # 2 points x 50 functions = 100
                 rep = approximate(f, x, schemes[fam], tol=1e-10)
                 worst_approx = max(
                     worst_approx,
-                    f.space.norm(rep.value - evaluate(f, x)) / scale)
+                    f.space.norm(rep.value - evaluate_many(f, [x])[0]) / scale)
     ok = worst_rel <= 1e-10 and worst_approx <= 1e-10
     report(1, ok, f"max relative defect {worst_rel:.3g}, "
                   f"max |A - f| / scale {worst_approx:.3g}, both <= 1e-10")
@@ -113,14 +111,17 @@ def test_criterion_3_series_matches_closed_forms():
             for theta in (0.5, 1.0):
                 spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2,
                                   alpha=1.0)
-                got = phi_tilde_norm(ControlFunction.power(theta, r), 1.3, spec).total()
+                value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(theta, r),
+                                                        [1.3], spec)
+                got = value[0] + tail
                 want = corollary_constant("c24", theta, r, p2) * 1.3 ** r
                 worst = max(worst, abs(got - want) / want)
     for beta in (1.0, 2.0):
         for r in (0.25, 0.5):
             spec = SeriesSpec(scheme=forward(1.0 + beta), family="B", rho2_abs=0.3,
                               alpha=1.0)
-            got = phi_tilde_norm(ControlFunction.power(1.0, r), 1.3, spec).total()
+            value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.3], spec)
+            got = value[0] + tail
             want = corollary_constant("c34", 1.0, r, 0.3, beta=beta) * 1.3 ** r
             worst = max(worst, abs(got - want) / want)
     spot1 = corollary_constant("c24", 1.0, 0.5, 0.0)
@@ -219,3 +220,12 @@ def test_criterion_8_determinism(tmp_path):
           and outs[2].read_bytes() == outs[3].read_bytes())
     report(8, ok, f"verify bytes {len(outs[0].read_bytes())}, "
                   f"sweep bytes {len(outs[2].read_bytes())}, reruns identical")
+
+
+def test_readme_library_example_runs():
+    """The fenced python block under the README's ``## Library`` heading runs
+    against the package, so the documented API cannot drift from it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md (Library)", "exec"), {})

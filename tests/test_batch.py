@@ -1,5 +1,6 @@
 """Batch invariance: every batched function gives each row exactly (bit for
-bit) what its scalar form gives that row alone, whatever else is in the batch."""
+bit) what the same function gives on that row alone, a batch of one, whatever
+else is in the batch."""
 
 import math
 from unittest import mock
@@ -14,19 +15,15 @@ from jensenlab import (
     ControlFunction,
     NormedSpace,
     Perturbation,
-    PhiTilde,
     RhoParams,
     SamplePlan,
     SeriesSpec,
     TestFunction,
     approximate,
     approximate_points,
-    defect,
     draw_samples,
-    evaluate,
     forward,
     measure_envelope,
-    phi_tilde_norm,
 )
 from jensenlab import direct_method
 from jensenlab.bounds import phi_tilde_norms
@@ -61,13 +58,13 @@ def batches(draw, dim):
 @given(data=st.data(), dim=st.integers(1, 3), kind=st.sampled_from(sorted(PERTURBATIONS)),
        core=st.sampled_from(["complex_linear", "real_linear"]),
        norm=st.sampled_from(["l1", "l2", "linf"]), forced=st.booleans())
-def test_evaluate_many_rows_equal_evaluate(data, dim, kind, core, norm, forced):
+def test_evaluate_many_rows_equal_a_batch_of_one(data, dim, kind, core, norm, forced):
     f = TestFunction(NormedSpace(dim, norm), AdditiveCore.random(dim, 4, core),
                      PERTURBATIONS[kind](dim), force_zero_at_origin=forced)
     xs = data.draw(batches(dim))
     batch = evaluate_many(f, xs)
     for i, x in enumerate(xs):
-        assert batch[i].tobytes() == evaluate(f, x).tobytes()
+        assert batch[i].tobytes() == evaluate_many(f, [x])[0].tobytes()
     order = data.draw(st.permutations(range(len(xs))))
     assert evaluate_many(f, xs[order]).tobytes() == batch[order].tobytes()
 
@@ -83,7 +80,7 @@ def test_hash_words_pinned():
     # the direction goes through log, cos and sin: equal to within rounding
     f = TestFunction(NormedSpace(2), AdditiveCore.identity(2), Perturbation.power(1.0, 1.0, 5))
     x = np.array([0.5 + 0.25j, -1.5j])
-    p = evaluate(f, x) - x
+    p = evaluate_many(f, [x])[0] - x
     want = [0.47718396136220353 + 0.06321484185765502j, -0.5738392776922354 - 1.4147465618142494j]
     assert np.allclose(p, want, rtol=0.0, atol=1e-14)
 
@@ -116,7 +113,7 @@ def test_approximate_points_match_approximate(data, seed, r, direction):
     assert out.iterations.tolist() == [rep.iterations for rep in alone]
     for dev, value, converged, x in zip(out.deviations.tolist(), out.values, out.converged, pts):
         if converged:
-            assert dev == f.space.norm(evaluate(f, x) - value)
+            assert dev == f.space.norm(evaluate_many(f, [x])[0] - value)
         else:  # was None; NaN in a float column
             assert math.isnan(dev)
 
@@ -236,7 +233,7 @@ def test_columnar_pass_equals_approximate_alone(data, setup, max_n, strict):
         assert out.values[i].tobytes() == rep.value.tobytes()
         assert (out.iterations[i], out.converged[i]) == (rep.iterations, rep.converged)
         if rep.converged:
-            assert out.deviations[i] == f.space.norm(evaluate(f, x) - rep.value)
+            assert out.deviations[i] == f.space.norm(evaluate_many(f, [x])[0] - rep.value)
         else:
             assert math.isnan(out.deviations[i])
 
@@ -363,14 +360,14 @@ def test_block_scaling_equals_the_per_step_scaling(data, dim, direction, scale, 
     RhoParams("A", 0.3 + 0.2j, -0.1 + 0.25j, -1.7),
     RhoParams("B", 0.4 - 0.3j, 0.2 + 0.5j, 0.6, beta=-2.3),
 ])
-def test_defect_many_equals_defect(params):
+def test_defect_many_equals_a_batch_of_one(params):
     f = TestFunction(NormedSpace(3), AdditiveCore.random(3, 2, "complex_linear"),
                      Perturbation.power(0.2, 0.5, direction_seed=21))
     triples = draw_samples(f.space, SamplePlan(seed=17, count=40, radius=4.0), arity=3)
-    for got, (x, y, z) in zip(defect_many(f, triples, params), triples):
-        want = defect(f, x, y, z, params)
-        assert (got.x_norm, got.y_norm, got.z_norm, got.lhs_norm, got.rhs_norm, got.defect) == (
-            want.x_norm, want.y_norm, want.z_norm, want.lhs_norm, want.rhs_norm, want.defect)
+    # rows of (x_norm, y_norm, z_norm, lhs_norm, rhs_norm, defect)
+    for got, (x, y, z) in zip(zip(*defect_many(f, triples, params)), triples):
+        want = tuple(c[0] for c in defect_many(f, [(x, y, z)], params))
+        assert got == want
 
 
 def _measured_control():
@@ -393,7 +390,7 @@ CONTROLS = {
 @given(norms=st.lists(st.floats(0.0, 8.0) | st.sampled_from([0.0, 0.5, 4.0, 5.0]),
                       min_size=1, max_size=10),
        kind=st.sampled_from(sorted(CONTROLS)), direction=st.sampled_from(["forward", "backward"]))
-def test_phi_tilde_norms_equal_phi_tilde_norm(norms, kind, direction):
+def test_phi_tilde_norms_equal_a_batch_of_one(norms, kind, direction):
     control = CONTROLS[kind]()
     r = 0.5 if direction == "forward" else 2.0
     if kind == "power":
@@ -401,8 +398,12 @@ def test_phi_tilde_norms_equal_phi_tilde_norm(norms, kind, direction):
     spec = SeriesSpec(scheme=Scheme(direction, 2.0), family="A", rho2_abs=0.3, alpha=1.5,
                       trunc_terms=20)
     value, tail, terms = phi_tilde_norms(control, norms, spec)
-    got = [PhiTilde(v, tail, k, coverage_truncated=k < spec.trunc_terms)
-           for v, k in zip(value.tolist(), terms.tolist())]
-    assert got == [phi_tilde_norm(control, nx, spec) for nx in norms]
+    # (value, tail, terms, coverage truncated) per norm
+    got = [(v, tail, k, k < spec.trunc_terms) for v, k in zip(value.tolist(), terms.tolist())]
+    want = []
+    for nx in norms:
+        v, t, k = phi_tilde_norms(control, [nx], spec)
+        want.append((v[0], t, k[0], k[0] < spec.trunc_terms))
+    assert got == want
     if kind == "tabulated" and 5.0 in norms:
-        assert got[norms.index(5.0)].coverage_truncated
+        assert got[norms.index(5.0)][3]

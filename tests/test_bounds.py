@@ -23,7 +23,6 @@ from jensenlab import (
     draw_samples,
     forward,
     measure_envelope,
-    phi_tilde_norm,
 )
 from jensenlab import bounds
 from jensenlab.inequality import MeasuredEnvelope
@@ -118,21 +117,21 @@ def test_series_spec_validation():
 
 def test_phi_tilde_zero_control():
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
-    pt = phi_tilde_norm(ControlFunction.zero(), 1.0, spec)
-    assert pt.value == 0.0 and pt.tail == 0.0
+    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.zero(), [1.0], spec)
+    assert value[0] == 0.0 and tail == 0.0
 
 
 def test_phi_tilde_spot_values():
     # theta=1, r=0.5, rho2=0, alpha=1, ||x||=1: 1/(2 - sqrt 2)
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    pt = phi_tilde_norm(ControlFunction.power(1.0, 0.5), 1.0, spec)
-    assert pt.total() == pytest.approx(1.7071067811865475, rel=1e-12)
+    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    assert value[0] + tail == pytest.approx(1.7071067811865475, rel=1e-12)
     # rho2 = 0.5: brute-force series gives 4.552284749830793
     spec2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0)
-    pt2 = phi_tilde_norm(ControlFunction.power(1.0, 0.5), 1.0, spec2)
+    value2, tail2, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec2)
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 1.0, 1.0)
     assert oracle == pytest.approx(4.552284749830793, rel=1e-12)
-    assert pt2.total() == pytest.approx(oracle, rel=1e-9)
+    assert value2[0] + tail2 == pytest.approx(oracle, rel=1e-9)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
@@ -140,45 +139,47 @@ def test_phi_tilde_spot_values():
 def test_phi_tilde_matches_c24_at_unit_alpha(r, p2):
     for alpha in (1.0, -1.0):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2, alpha=alpha)
-        pt = phi_tilde_norm(ControlFunction.power(1.0, r), 1.5, spec)
+        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.5], spec)
         expected = corollary_constant("c24", 1.0, r, p2) * 1.5 ** r
-        assert pt.total() == pytest.approx(expected, rel=1e-9)
+        assert value[0] + tail == pytest.approx(expected, rel=1e-9)
 
 
 def test_phi_tilde_alpha_dependence():
     # away from |alpha| = 1 the series and the printed constant split
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0)
-    pt = phi_tilde_norm(ControlFunction.power(1.0, 0.5), 1.0, spec)
+    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0)
-    assert pt.total() == pytest.approx(oracle, rel=1e-9)
-    assert pt.total() != pytest.approx(corollary_constant("c24", 1.0, 0.5, 0.5), rel=1e-3)
+    assert value[0] + tail == pytest.approx(oracle, rel=1e-9)
+    assert value[0] + tail != pytest.approx(corollary_constant("c24", 1.0, 0.5, 0.5), rel=1e-3)
 
 
 def test_phi_tilde_printed_display_forward_dyadic():
     # display form drops the /alpha in the third argument
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0,
                       printed_display=True)
-    pt = phi_tilde_norm(ControlFunction.power(1.0, 0.5), 1.0, spec)
-    assert pt.total() == pytest.approx(
+    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    assert value[0] + tail == pytest.approx(
         brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0, display=True), rel=1e-9)
     # at |alpha| = 1 both forms agree
     s1 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0)
     s2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0,
                     printed_display=True)
     c = ControlFunction.power(1.0, 0.5)
-    assert phi_tilde_norm(c, 1.0, s1).total() == pytest.approx(
-        phi_tilde_norm(c, 1.0, s2).total(), rel=1e-12)
+    (v1, t1, _), (v2, t2, _) = (bounds.phi_tilde_norms(c, [1.0], s) for s in (s1, s2))
+    assert v1[0] + t1 == pytest.approx(v2[0] + t2, rel=1e-12)
 
 
 def test_phi_tilde_backward_dyadic_matches_telescoping():
     # derived constant 2 theta / ((2^r - 2)(1 - p2)(2 - p2)), not the printed c26
     spec = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    pt = phi_tilde_norm(ControlFunction.power(1.0, 2.0), 1.0, spec)
-    assert pt.total() == pytest.approx(0.5, rel=1e-9)
-    assert pt.total() == pytest.approx(brute_backward_dyadic(1.0, 2.0, 0.0, 1.0, 1.0), rel=1e-9)
+    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
+    assert value[0] + tail == pytest.approx(0.5, rel=1e-9)
+    assert value[0] + tail == pytest.approx(brute_backward_dyadic(1.0, 2.0, 0.0, 1.0, 1.0),
+                                            rel=1e-9)
     for r, p2 in ((1.5, 0.0), (2.0, 0.3), (3.0, 0.6)):
         s = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=p2, alpha=1.0)
-        got = phi_tilde_norm(ControlFunction.power(1.0, r), 1.0, s).total()
+        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], s)
+        got = value[0] + tail
         derived = 2.0 / ((2.0 ** r - 2.0) * (1 - p2) * (2 - p2))
         assert got == pytest.approx(derived, rel=1e-9)
         assert got == pytest.approx(brute_backward_dyadic(1.0, r, p2, 1.0, 1.0), rel=1e-9)
@@ -190,10 +191,10 @@ def test_phi_tilde_matches_c34(beta, r):
     scale = 1.0 + beta
     for p2 in (0.0, 0.3):
         spec = SeriesSpec(scheme=forward(scale), family="B", rho2_abs=p2, alpha=1.0)
-        pt = phi_tilde_norm(ControlFunction.power(1.0, r), 2.0, spec)
+        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [2.0], spec)
         expected = corollary_constant("c34", 1.0, r, p2, beta=beta) * 2.0 ** r
-        assert pt.total() == pytest.approx(expected, rel=1e-9)
-        assert pt.total() == pytest.approx(
+        assert value[0] + tail == pytest.approx(expected, rel=1e-9)
+        assert value[0] + tail == pytest.approx(
             brute_family_b(1.0, r, p2, scale, 2.0, "forward"), rel=1e-9)
 
 
@@ -202,10 +203,10 @@ def test_phi_tilde_matches_c36_contracting_scale():
     beta = -1.5  # scale -0.5
     for r, p2 in ((0.5, 0.0), (0.25, 0.3)):
         spec = SeriesSpec(scheme=backward(-0.5), family="B", rho2_abs=p2, alpha=1.0)
-        pt = phi_tilde_norm(ControlFunction.power(1.0, r), 1.0, spec)
+        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], spec)
         expected = corollary_constant("c36", 1.0, r, p2, beta=beta)
-        assert pt.total() == pytest.approx(expected, rel=1e-9)
-        assert pt.total() == pytest.approx(
+        assert value[0] + tail == pytest.approx(expected, rel=1e-9)
+        assert value[0] + tail == pytest.approx(
             brute_family_b(1.0, r, p2, -0.5, 1.0, "backward"), rel=1e-9)
 
 
@@ -214,7 +215,8 @@ def test_phi_tilde_printed_display_family_b():
     c = ControlFunction.power(1.0, 0.5)
     spec = SeriesSpec(scheme=forward(2.0), family="B", rho2_abs=0.5, alpha=1.0,
                       printed_display=True, rho1_abs=0.2)
-    assert phi_tilde_norm(c, 1.0, spec).total() == pytest.approx(
+    value, tail, _ = bounds.phi_tilde_norms(c, [1.0], spec)
+    assert value[0] + tail == pytest.approx(
         brute_family_b(1.0, 0.5, 0.5, 2.0, 1.0, "forward", pref_rho=0.2), rel=1e-9)
 
 
@@ -223,8 +225,8 @@ def test_phi_tilde_printed_display_family_b():
 def test_phi_tilde_homogeneity(c, r):
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
     ctrl = ControlFunction.power(1.0, r)
-    base = phi_tilde_norm(ctrl, 1.0, spec).total()
-    scaled = phi_tilde_norm(ctrl, c, spec).total()
+    (base, scaled), tail, _ = bounds.phi_tilde_norms(ctrl, [1.0, c], spec)
+    base, scaled = base + tail, scaled + tail
     assert scaled == pytest.approx(c ** r * base, rel=1e-12)
 
 
@@ -236,21 +238,22 @@ def test_phi_tilde_partial_sums_monotone():
     for n in (1, 2, 4, 8, 16, 64):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0,
                           trunc_terms=n)
-        pt = phi_tilde_norm(ctrl, 1.0, spec)
-        assert pt.terms == n and not pt.coverage_truncated
-        values.append(pt.value)
+        value, _, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
+        assert terms[0] == n and not terms[0] < spec.trunc_terms  # not coverage-truncated
+        values.append(value[0])
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_power_phi_tilde_does_not_depend_on_trunc_terms():
     ctrl = ControlFunction.power(1.0, 0.5)
-    pts = [phi_tilde_norm(ctrl, 1.3, SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3,
-                                                alpha=1.0, trunc_terms=n))
+    pts = [bounds.phi_tilde_norms(ctrl, [1.3], SeriesSpec(
+        scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0, trunc_terms=n))
            for n in (1, 8, 64)]
-    assert pts[0].total() == pts[1].total() == pts[2].total()
-    assert pts[0].value == pts[1].value == pts[2].value
-    assert all(pt.tail == 0.0 for pt in pts)
+    (v0, t0, _), (v1, t1, _), (v2, t2, _) = pts
+    assert v0[0] + t0 == v1[0] + t1 == v2[0] + t2
+    assert v0[0] == v1[0] == v2[0]
+    assert all(tail == 0.0 for _, tail, _ in pts)
 
 
 def series_reference(control, nx, spec):
@@ -293,11 +296,11 @@ def test_phi_tilde_power_closed_form_matches_term_sum(case):
     assert bounds._term_ratio(spec.scheme, control.r) <= 0.95 + 1e-12
     if nx == 0.0 and control.r < 0:
         with pytest.raises(SingularPointError):
-            phi_tilde_norm(control, nx, spec)
+            bounds.phi_tilde_norms(control, [nx], spec)
         return
-    pt = phi_tilde_norm(control, nx, spec)
-    assert pt.tail == 0.0
-    assert pt.value == pytest.approx(series_reference(control, nx, spec), rel=1e-12, abs=0.0)
+    value, tail, _ = bounds.phi_tilde_norms(control, [nx], spec)
+    assert tail == 0.0
+    assert value[0] == pytest.approx(series_reference(control, nx, spec), rel=1e-12, abs=0.0)
 
 
 def test_phi_tilde_power_degenerate_sums_are_positive_zero():
@@ -307,34 +310,34 @@ def test_phi_tilde_power_degenerate_sums_are_positive_zero():
     for control, nx in ((ControlFunction.power(0.0, 2.0), 1.5),
                         (ControlFunction.power(1.0, 0.5), 0.0),
                         (ControlFunction.power(1.0, 2.0), 0.0)):
-        pt = phi_tilde_norm(control, nx, spec)
-        assert math.copysign(1.0, pt.value) == 1.0 and pt.value == 0.0
-        assert math.copysign(1.0, pt.total()) == 1.0 and pt.total() == 0.0
+        value, tail, _ = bounds.phi_tilde_norms(control, [nx], spec)
+        assert math.copysign(1.0, value[0]) == 1.0 and value[0] == 0.0
+        assert math.copysign(1.0, value[0] + tail) == 1.0 and value[0] + tail == 0.0
 
 
 def test_phi_tilde_errors():
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
     with pytest.raises(DivergentSeriesError):
-        phi_tilde_norm(ControlFunction.power(1.0, 2.0), 1.0, spec)
+        bounds.phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
     with pytest.raises(DivergentSeriesError):  # ratio exactly 1
-        phi_tilde_norm(ControlFunction.power(1.0, 1.0), 1.0, spec)
+        bounds.phi_tilde_norms(ControlFunction.power(1.0, 1.0), [1.0], spec)
     with pytest.raises(SingularPointError):
-        phi_tilde_norm(ControlFunction.power(1.0, -0.5), 0.0, spec)
+        bounds.phi_tilde_norms(ControlFunction.power(1.0, -0.5), [0.0], spec)
     bad = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=1.0, alpha=1.0)
     with pytest.raises(InadmissibleError):
-        phi_tilde_norm(ControlFunction.power(1.0, 0.5), 1.0, bad)
+        bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], bad)
 
 
 def test_phi_tilde_tabulated_coverage_stops():
     ctrl = ControlFunction.tabulated(edges=[0.1, 1.0, 8.0], values=[1.0, 1.0])
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0,
                       trunc_terms=64)
-    pt = phi_tilde_norm(ctrl, 1.0, spec)
+    value, tail, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
     # queries at 2^i are covered for i <= 3 (2^3 = 8), then the sum stops
-    assert pt.coverage_truncated
-    assert pt.terms == 4
-    assert pt.tail is None
-    assert pt.value == pytest.approx(sum(2.0 ** -(i + 1) * 0.5 * 2.0 for i in range(4)), rel=1e-12)
+    assert terms[0] < spec.trunc_terms  # coverage-truncated
+    assert terms[0] == 4
+    assert tail is None
+    assert value[0] == pytest.approx(sum(2.0 ** -(i + 1) * 0.5 * 2.0 for i in range(4)), rel=1e-12)
 
 
 def summed_reference(control, nx, spec):
@@ -455,7 +458,7 @@ def test_phi_tilde_overflowing_weight_is_numeric():
     spec = SeriesSpec(scheme=forward(0.5), family="B", rho2_abs=0.0, alpha=1.0,
                       trunc_terms=1100)
     with pytest.raises(NumericError):
-        phi_tilde_norm(ControlFunction.tabulated([1e-320, 10.0], [1.0]), 1.0, spec)
+        bounds.phi_tilde_norms(ControlFunction.tabulated([1e-320, 10.0], [1.0]), [1.0], spec)
 
 
 def test_phi_tilde_measured_full_extension(scalar_model):
@@ -464,10 +467,10 @@ def test_phi_tilde_measured_full_extension(scalar_model):
                                       exclude_origin_below=0.1))
     ctrl = ControlFunction.measured(env)
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    pt = phi_tilde_norm(ctrl, 1.0, spec)
-    assert not pt.coverage_truncated
-    assert pt.terms == 64
-    assert pt.value == pytest.approx(1.0, rel=1e-9)
+    value, _, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
+    assert not terms[0] < spec.trunc_terms  # not coverage-truncated
+    assert terms[0] == 64
+    assert value[0] == pytest.approx(1.0, rel=1e-9)
 
 
 # --- closed-form constants ---------------------------------------------------
@@ -520,7 +523,7 @@ def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
         corollary_constant("c26", 1e308, 2.0, 0.0)  # 8e308 / 6
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
     with pytest.raises(NumericError):
-        phi_tilde_norm(ControlFunction.power(1.0, -400.0), 0.1, spec)
+        bounds.phi_tilde_norms(ControlFunction.power(1.0, -400.0), [0.1], spec)
     for r in (320.0, 400.0):  # the ratio overflows; the power underflows to 0
         with pytest.raises(NumericError):
             bounds.empirical_sup(r, [(0.1, 0.05)])

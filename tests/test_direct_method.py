@@ -11,19 +11,17 @@ from jensenlab import (
     additive_limit_check,
     approximate,
     backward,
-    evaluate,
     forward,
-    orbit_term,
     uniqueness_crosscheck,
 )
-from jensenlab.direct_method import Scheme
+from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
 from jensenlab.errors import (
     DegenerateScaleError,
     NotConvergedError,
     NumericError,
     ScaleOverflowError,
 )
-from jensenlab.model import quantize
+from jensenlab.model import evaluate_many, quantize
 
 
 # --- schemes -----------------------------------------------------------------
@@ -51,11 +49,11 @@ def test_scheme_normalization():
 
 def test_backward_small_scale_equals_forward_large():
     f = make_power(dim=1, theta=0.3, r=0.5, direction="radial")
-    x = [1.0]
+    xs = np.array([[1.0 + 0j]])
+    a, b = (_orbit_block(f, xs, s, [_scale_power(s, n) for n in range(6)])
+            for s in (backward(0.5), forward(2.0)))
     for n in range(6):
-        a = orbit_term(f, x, backward(0.5), n)
-        b = orbit_term(f, x, forward(2.0), n)
-        assert np.allclose(a, b, rtol=1e-12, atol=0)
+        assert np.allclose(a[n, 0], b[n, 0], rtol=1e-12, atol=0)
 
 
 # --- orbit terms -------------------------------------------------------------
@@ -63,46 +61,54 @@ def test_backward_small_scale_equals_forward_large():
 
 def test_orbit_term_additive_invariant():
     f = make_additive(dim=2, seed=1)
-    x = np.array([1.0 + 2j, -0.5])
-    base = evaluate(f, x)
-    for n in (0, 1, 5, 20):
-        assert (orbit_term(f, x, forward(2.0), n) == base).all()
+    xs = np.array([[1.0 + 2j, -0.5]])
+    base = evaluate_many(f, xs)[0]
+    steps = (0, 1, 5, 20)
+    terms = _orbit_block(f, xs, forward(2.0), [_scale_power(forward(2.0), n) for n in steps])
+    for term in terms[:, 0]:
+        assert (term == base).all()
 
 
 def test_orbit_term_constant_offset_closed_form(scalar_model):
     # (2^10 x + c) / 2^10 = x + c / 1024, exactly (powers of two)
-    t = orbit_term(scalar_model, [3.0], forward(2.0), 10)
+    t = _orbit_block(scalar_model, np.array([[3.0 + 0j]]), forward(2.0),
+                     [_scale_power(forward(2.0), 10)])[0, 0]
     assert t[0] == 3.0 + 0.5 / 1024
 
 
 def test_orbit_term_power_deviation():
     # ||term_n - x|| = theta ||x||^r lambda^{n(r-1)} = 2^{-n/2} at theta=1, r=0.5
     f = make_power(dim=1, theta=1.0, r=0.5)
-    for n in (1, 4, 9):
-        dev = f.space.norm(orbit_term(f, [1.0], forward(2.0), n) - np.array([1.0]))
+    steps = (1, 4, 9)
+    terms = _orbit_block(f, np.array([[1.0 + 0j]]), forward(2.0),
+                         [_scale_power(forward(2.0), n) for n in steps])
+    for n, term in zip(steps, terms[:, 0]):
+        dev = f.space.norm(term - np.array([1.0]))
         assert dev == pytest.approx(2.0 ** (-n / 2), rel=1e-12)
 
 
 def test_orbit_term_overflow():
     f = make_additive(dim=1, seed=0)
+    xs = np.array([[1.0 + 0j]])
     with pytest.raises(ScaleOverflowError):
-        orbit_term(f, [1.0], forward(2.0), 1024)  # 2^1024 overflows
+        _orbit_block(f, xs, forward(2.0), [_scale_power(forward(2.0), 1024)])  # 2^1024 overflows
     with pytest.raises(ScaleOverflowError):
-        orbit_term(f, [1.0], forward(4.0), 512)  # 4^512 = 2^1024 overflows
+        _orbit_block(f, xs, forward(4.0), [_scale_power(forward(4.0), 512)])  # 4^512 = 2^1024
 
 
 def test_one_step_identity():
     # forward terms satisfy term_{n+1}(x) = term_n(lambda x) / lambda
     f = make_power(dim=2, theta=0.2, r=0.5, seed=7)
     x = np.array([0.75, -0.25j])
-    for n in (0, 1, 3):
-        lhs = orbit_term(f, x, forward(2.0), n + 1)
-        rhs = orbit_term(f, 2.0 * x, forward(2.0), n) / 2.0
-        assert (lhs == rhs).all()  # bitwise for dyadic scale
-    for n in (0, 1, 3):
-        lhs = orbit_term(f, x, forward(3.0), n + 1)
-        rhs = orbit_term(f, 3.0 * x, forward(3.0), n) / 3.0
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+    steps = (0, 1, 3)
+    for scale in (2.0, 3.0):
+        s = forward(scale)
+        lhs = _orbit_block(f, x[None], s, [_scale_power(s, n + 1) for n in steps])[:, 0]
+        rhs = _orbit_block(f, scale * x[None], s, [_scale_power(s, n) for n in steps])[:, 0] / scale
+        if scale == 2.0:
+            assert (lhs == rhs).all()  # bitwise for dyadic scale
+        else:
+            assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 # --- approximate -------------------------------------------------------------
@@ -115,7 +121,7 @@ def test_approximate_exact_additive():
     assert rep.converged
     assert rep.iterations == 1
     assert rep.residuals == [0.0]
-    assert (rep.value == evaluate(f, x)).all()
+    assert (rep.value == evaluate_many(f, [x])[0]).all()
     assert rep.tail_bound == 0.0
 
 
@@ -123,7 +129,7 @@ def test_approximate_constant_offset(scalar_model):
     rep = approximate(scalar_model, [1.0], forward(2.0), tol=1e-9)
     assert rep.converged
     assert abs(rep.value[0] - 1.0) <= 1e-9
-    dev = scalar_model.space.norm(evaluate(scalar_model, [1.0]) - rep.value)
+    dev = scalar_model.space.norm(evaluate_many(scalar_model, [[1.0]])[0] - rep.value)
     assert dev == pytest.approx(0.5, abs=1e-9)
     assert len(rep.residuals) == rep.iterations
     assert rep.residuals[-1] <= 1e-9  # converged implies last residual <= tol
@@ -206,6 +212,20 @@ def test_not_converged_propagates():
     with pytest.raises(NotConvergedError):
         additive_limit_check(f, forward(2.0), 1e-9,
                              [(np.array([1.0]), np.array([0.5]))])
+
+
+def test_cross_checks_pass_max_n_to_the_pass():
+    # r = 0.9 contracts each residual by 2^-0.1: about 264 steps to tol
+    f = make_power(dim=2, theta=1.0, r=0.9, seed=5)
+    tol = 1e-9
+    x, y = np.array([0.6 + 0.8j, -0.5j]), np.array([1.0, 0.5j])
+    with pytest.raises(NotConvergedError):
+        uniqueness_crosscheck(f, forward(2.0), forward(3.0), [x, y], tol)
+    with pytest.raises(NotConvergedError):
+        additive_limit_check(f, forward(2.0), tol, [(x, y)])
+    # each approximant is within about 13 tol of its exact limit, x itself
+    assert uniqueness_crosscheck(f, forward(2.0), forward(3.0), [x, y], tol, max_n=400) <= 30 * tol
+    assert additive_limit_check(f, forward(2.0), tol, [(x, y)], max_n=400) <= 45 * tol
 
 
 def test_limit_homogeneity():

@@ -335,10 +335,10 @@ def test_run_verify_reports_coverage_truncation():
     truncated = [p for p in points if "terms" in p]
     assert 0 < len(truncated) < len(points)
     for p in points:
-        pt = bounds.phi_tilde_norm(exp.control, p["x_norm"], spec)
-        if pt.coverage_truncated:
+        _, _, (terms,) = bounds.phi_tilde_norms(exp.control, [p["x_norm"]], spec)
+        if terms < spec.trunc_terms:  # coverage-truncated
             assert set(p) == keys | {"terms", "coverage_truncated"}
-            assert p["coverage_truncated"] is True and p["terms"] == pt.terms < 64
+            assert p["coverage_truncated"] is True and p["terms"] == terms < 64
         else:
             assert set(p) == keys
 
@@ -507,12 +507,10 @@ def test_max_n_is_the_only_orbit_limit():
 # --- reports -----------------------------------------------------------------
 
 
-def test_write_report_byte_stable(tmp_path):
+def test_write_report_byte_stable():
     doc = scalar_verify_doc()
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    harness.write_report(harness.run_verify(doc), "json", p1)
-    harness.write_report(harness.run_verify(doc), "json", p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    first, second = (harness.render_report(harness.run_verify(doc), "json") for _ in range(2))
+    assert first.encode() == second.encode()
 
 
 def test_report_shapes(tmp_path):
@@ -624,10 +622,14 @@ def test_sweep_cells_match_verify_and_audit():
 
 def test_sweep_computes_one_derived_series_per_admissible_cell(monkeypatch):
     calls = []
-    phi_tilde_norm = bounds.phi_tilde_norm
-    monkeypatch.setattr(bounds, "phi_tilde_norm", lambda *a: calls.append(a) or phi_tilde_norm(*a))
+    phi_tilde_norms = bounds.phi_tilde_norms
+    monkeypatch.setattr(bounds, "phi_tilde_norms",
+                        lambda *a: calls.append(a) or phi_tilde_norms(*a))
     rows = harness.run_sweep(json.loads((CONFIGS / "sweep_family_a.json").read_text()))
-    assert len(calls) == sum(row["admissible"] for row in rows) == 9
+    derived = [a for a in calls if np.array_equal(a[1], [1.0])]  # the series at ||x|| = 1
+    assert len(derived) == sum(row["admissible"] for row in rows) == 9
+    # and one bound vector over the sample points per cell that reads its pass
+    assert len(calls) - len(derived) == sum(row["status"] == "ok" for row in rows)
 
 
 def test_phi_tilde_failure_named_before_approximation_failure():
@@ -667,7 +669,7 @@ def test_sweep_family_b_beta_grid():
 
 def reference_sweep(doc):
     """The sweep cell by cell: each cell's config through build_experiment, and
-    each point through phi_tilde_norm and approximate alone. A fault that no
+    each point through phi_tilde_norms and approximate alone. A fault that no
     cell changes is one of the config with neutral params and control and
     --force, and fails the sweep before its first cell."""
     cfg = harness._filled(doc)
@@ -706,16 +708,16 @@ def reference_sweep(doc):
             pts = draw_samples(exp.space, exp.plan, arity=1)
             norms = [exp.space.norm(x) for x in pts]
             spec = harness._series_spec(exp)
-            phis = [bounds.phi_tilde_norm(exp.control, nx, spec) for nx in norms]
+            phis = [bounds.phi_tilde_norms(exp.control, [nx], spec) for nx in norms]
             devs = []
             for x in pts:
                 rep = direct_method.approximate(exp.f, x, exp.scheme, exp.tol,
                                                 max_n=exp.config["max_n"])
                 if not rep.converged:
                     raise DivergentSeriesError("divergent: a point did not converge")
-                devs.append(exp.space.norm(model.evaluate(exp.f, x) - rep.value))
-            cell["max_violation"] = max((d - pt.total() for d, pt in zip(devs, phis)),
-                                        default=0.0)
+                devs.append(exp.space.norm(model.evaluate_many(exp.f, [x])[0] - rep.value))
+            cell["max_violation"] = max((d - (float(v[0]) + (t or 0.0))
+                                         for d, (v, t, _) in zip(devs, phis)), default=0.0)
             cell["empirical_sup"], _ = bounds.empirical_sup(r, zip(norms, devs))
         except JensenLabError as e:
             cell["status"] = e.code

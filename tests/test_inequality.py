@@ -1,3 +1,4 @@
+import functools
 import json
 from unittest import mock
 
@@ -15,7 +16,6 @@ from jensenlab import (
     SamplePlan,
     admissible,
     cli,
-    defect,
     draw_samples,
     inequality,
     measure_envelope,
@@ -27,6 +27,8 @@ from jensenlab.errors import (
     FamilyError,
     InadmissibleError,
 )
+from jensenlab.inequality import defect_many
+from jensenlab.model import evaluate_many
 
 
 # --- admissibility -----------------------------------------------------------
@@ -53,7 +55,7 @@ def test_degenerate_parameters(scalar_model):
     with pytest.raises(DegenerateParameterError):
         admissible(RhoParams("A", 0, 0, 0.0))
     with pytest.raises(DegenerateParameterError):
-        defect(scalar_model, [1.0], [2.0], [0.5], RhoParams("A", 0, 0, 0.0))
+        defect_many(scalar_model, [([1.0], [2.0], [0.5])], RhoParams("A", 0, 0, 0.0))
     with pytest.raises(DegenerateParameterError):
         admissible(RhoParams("B", 0, 0, 1.0, beta=0.0))
     with pytest.raises(DegenerateParameterError):
@@ -70,44 +72,43 @@ def test_family_tag_validation():
 
 def test_defect_a_constant_offset(scalar_model):
     # lhs collapses to |-2c| = 1.0 for f(x) = x + c with c = 0.5
-    p0 = RhoParams("A", 0, 0, 1.0)
-    s = defect(scalar_model, [1.0], [2.0], [0.5], p0)
-    assert s.lhs_norm == pytest.approx(1.0, abs=1e-14)
-    assert s.defect == pytest.approx(1.0, abs=1e-14)
+    triple = [([1.0], [2.0], [0.5])]
+    *_, lhs, _, d = defect_many(scalar_model, triple, RhoParams("A", 0, 0, 1.0))
+    assert lhs[0] == pytest.approx(1.0, abs=1e-14)
+    assert d[0] == pytest.approx(1.0, abs=1e-14)
     # rho1 term evaluates to -c, so rhs = 0.5 * 0.5 and defect = 0.75
-    p1 = RhoParams("A", 0.5, 0, 1.0)
-    s1 = defect(scalar_model, [1.0], [2.0], [0.5], p1)
-    assert s1.defect == pytest.approx(0.75, abs=1e-14)
+    d1 = defect_many(scalar_model, triple, RhoParams("A", 0.5, 0, 1.0))[-1]
+    assert d1[0] == pytest.approx(0.75, abs=1e-14)
 
 
 def test_defect_wrong_dimension(scalar_model):
     with pytest.raises(DimensionError):
-        defect(scalar_model, [1, 2], [1], [1], RhoParams("A", 0, 0, 1.0))
+        defect_many(scalar_model, [([1, 2], [1], [1])], RhoParams("A", 0, 0, 1.0))
 
 
 def test_defect_b_constant_offset(scalar_model):
     # lhs collapses to |-(beta+2) c| = 1.5 for beta = 1, c = 0.5
-    p0 = RhoParams("B", 0, 0, 1.0, beta=1.0)
-    s = defect(scalar_model, [1.0], [2.0], [0.5], p0)
-    assert s.lhs_norm == pytest.approx(1.5, abs=1e-14)
-    p1 = RhoParams("B", 0.5, 0, 1.0, beta=1.0)
-    s1 = defect(scalar_model, [1.0], [2.0], [0.5], p1)
-    assert s1.defect == pytest.approx(1.25, abs=1e-14)
+    triple = [([1.0], [2.0], [0.5])]
+    lhs = defect_many(scalar_model, triple, RhoParams("B", 0, 0, 1.0, beta=1.0))[3]
+    assert lhs[0] == pytest.approx(1.5, abs=1e-14)
+    d1 = defect_many(scalar_model, triple, RhoParams("B", 0.5, 0, 1.0, beta=1.0))[-1]
+    assert d1[0] == pytest.approx(1.25, abs=1e-14)
 
 
 def test_defect_family_a_ignores_beta():
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
-    x, y, z = (np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))
-    base = defect(f, x, y, z, RhoParams("A", 0.3, 0.2, 1.5))
+    triple = [(np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))]
+    base = [c.tolist() for c in defect_many(f, triple, RhoParams("A", 0.3, 0.2, 1.5))[3:]]
     for beta in (1.0, -2.5):
-        s = defect(f, x, y, z, RhoParams("A", 0.3, 0.2, 1.5, beta=beta))
-        assert s.family == "A"
-        assert (s.lhs_norm, s.rhs_norm, s.defect) == (base.lhs_norm, base.rhs_norm, base.defect)
+        p = RhoParams("A", 0.3, 0.2, 1.5, beta=beta)
+        assert p.family == "A"
+        assert [c.tolist() for c in defect_many(f, triple, p)[3:]] == base  # lhs, rhs, defect
 
 
 def _reference_defect(f, x, y, z, params):
-    """The module docstring's formulas, written out term by term."""
-    E = f
+    """The module docstring's formulas, written out term by term on the rows of
+    x, y and z: each f call evaluates one argument of every triple."""
+    E = functools.partial(evaluate_many, f)
     a = params.alpha
     if params.family == "A":
         lhs = E(x + y + a * z) + E(x + y - a * z) - 2 * E(x) - 2 * E(y)
@@ -119,9 +120,9 @@ def _reference_defect(f, x, y, z, params):
         e1 = E(x + a * z) - E(x) - E(a * z)
         e2 = E(x + b * y - a * z) - E(x) - b * E(y) + E(a * z)
     sp = f.space
-    lhs_norm = sp.norm(lhs)
-    rhs_norm = abs(params.rho1) * sp.norm(e1) + abs(params.rho2) * sp.norm(e2)
-    return lhs_norm, rhs_norm, lhs_norm - rhs_norm
+    lhs_norm = sp.norms(lhs)
+    rhs_norm = abs(params.rho1) * sp.norms(e1) + abs(params.rho2) * sp.norms(e2)
+    return lhs_norm.tolist(), rhs_norm.tolist(), (lhs_norm - rhs_norm).tolist()
 
 
 @pytest.mark.parametrize("params", [
@@ -131,9 +132,8 @@ def _reference_defect(f, x, y, z, params):
 def test_defect_matches_docstring_formulas(params):
     f = make_power(dim=3, theta=0.2, r=0.5, seed=21)
     triples = draw_samples(f.space, SamplePlan(seed=17, count=60, radius=4.0), arity=3)
-    for x, y, z in triples:
-        s = defect(f, x, y, z, params)
-        assert (s.lhs_norm, s.rhs_norm, s.defect) == _reference_defect(f, x, y, z, params)
+    lhs, rhs, d = (c.tolist() for c in defect_many(f, triples, params)[3:])
+    assert (lhs, rhs, d) == _reference_defect(f, *triples.swapaxes(0, 1), params)
 
 
 @pytest.mark.parametrize("params, calls", [
@@ -152,12 +152,13 @@ def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
         return original(f, vs)
 
     monkeypatch.setattr(inequality, "evaluate_many", counting)
-    defect(f, np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]), params)
+    defect_many(f, [(np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))],
+                params)
     assert seen == [calls]
     for count, want in ((25, [25 * calls]), (1000, [2000] * (calls // 2) + [1000] * (calls % 2))):
         seen.clear()
         triples = draw_samples(f.space, SamplePlan(seed=4, count=count, radius=2.0), arity=3)
-        inequality.defect_many(f, triples, params)
+        defect_many(f, triples, params)
         assert seen == want
 
 
@@ -167,34 +168,33 @@ def test_exact_additive_defect_vanishes():
     pb = RhoParams("B", 0.5, 0.5, 1.0, beta=1.0)
     triples = draw_samples(f.space, SamplePlan(seed=8, count=100, radius=2.0,
                                                exclude_origin_below=0.1), arity=3)
-    for x, y, z in triples:
-        assert abs(defect(f, x, y, z, pa).defect) <= 1e-12
-        assert abs(defect(f, x, y, z, pb).defect) <= 1e-12
+    for params in (pa, pb):
+        assert (abs(defect_many(f, triples, params)[-1]) <= 1e-12).all()
 
 
 def test_rho_scaling_unimodular_exact():
     # multiplying rho by a unit in {1, -1, i, -i} swaps/negates components,
     # which |.| ignores exactly
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
-    x, y, z = (np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))
-    base = defect(f, x, y, z, RhoParams("A", 0.3 + 0.1j, 0.2 - 0.05j, 1.0))
+    triple = [(np.array([1.0, 0.5j]), np.array([0.25, -1.0]), np.array([0.5, 0.5]))]
+    *_, base_rhs, base = defect_many(f, triple, RhoParams("A", 0.3 + 0.1j, 0.2 - 0.05j, 1.0))
     for u1 in (1, -1, 1j, -1j):
         for u2 in (1, -1, 1j, -1j):
             p = RhoParams("A", u1 * (0.3 + 0.1j), u2 * (0.2 - 0.05j), 1.0)
-            s = defect(f, x, y, z, p)
-            assert s.rhs_norm == base.rhs_norm  # bitwise
-            assert s.defect == base.defect
+            *_, rhs, d = defect_many(f, triple, p)
+            assert rhs[0] == base_rhs[0]  # bitwise
+            assert d[0] == base[0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(phi1=st.floats(0, 2 * np.pi), phi2=st.floats(0, 2 * np.pi))
 def test_rho_scaling_unimodular_property(phi1, phi2):
     f = make_power(dim=1, theta=0.3, r=0.5, seed=5)
-    x, y, z = np.array([1.0]), np.array([0.5]), np.array([0.25])
-    base = defect(f, x, y, z, RhoParams("A", 0.4, 0.3, 1.0))
+    triple = [(np.array([1.0]), np.array([0.5]), np.array([0.25]))]
+    base = defect_many(f, triple, RhoParams("A", 0.4, 0.3, 1.0))[4]
     p = RhoParams("A", 0.4 * np.exp(1j * phi1), 0.3 * np.exp(1j * phi2), 1.0)
-    got = defect(f, x, y, z, p)
-    assert got.rhs_norm == pytest.approx(base.rhs_norm, rel=1e-12, abs=1e-12)
+    got = defect_many(f, triple, p)[4]
+    assert got[0] == pytest.approx(base[0], rel=1e-12, abs=1e-12)
 
 
 def test_defect_monotone_in_rho_modulus():
@@ -203,8 +203,8 @@ def test_defect_monotone_in_rho_modulus():
                                                exclude_origin_below=0.1), arity=3)
     small = RhoParams("A", 0.1, 0.1, 1.0)
     large = RhoParams("A", 0.4, 0.3, 1.0)
-    for x, y, z in triples:
-        assert defect(f, x, y, z, large).defect <= defect(f, x, y, z, small).defect + 1e-12
+    assert (defect_many(f, triples, large)[-1]
+            <= defect_many(f, triples, small)[-1] + 1e-12).all()
 
 
 def test_equality_case_oracle():
@@ -214,7 +214,7 @@ def test_equality_case_oracle():
     params = RhoParams("A", 0.2, 0.3, 1.0)
     plan = SamplePlan(seed=12, count=200, radius=2.0, exclude_origin_below=0.1)
     triples = draw_samples(f.space, plan, arity=3)
-    assert max(abs(defect(f, x, y, z, params).defect) for x, y, z in triples) <= atol
+    assert abs(defect_many(f, triples, params)[-1]).max() <= atol
     from jensenlab import additivity_defect
 
     assert max(additivity_defect(f, x, y) for x, y, _ in triples) <= 10 * atol

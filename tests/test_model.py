@@ -11,36 +11,35 @@ from jensenlab import (
     Perturbation,
     TestFunction,
     additivity_defect,
-    evaluate,
-    load_test_function,
+    build_experiment,
 )
 from jensenlab.errors import DimensionError
-from jensenlab.model import _hash_words, _quantized, quantize
+from jensenlab.model import _hash_words, _quantized, evaluate_many, quantize
 
 
 def test_evaluate_identity_no_perturbation():
     sp = NormedSpace(2)
     f = TestFunction(sp, AdditiveCore.identity(2), Perturbation.none())
-    out = evaluate(f, [1.0, 2j])
+    out = evaluate_many(f, [[1.0, 2j]])[0]
     assert (out == np.array([1.0, 2j])).all()
 
 
 def test_constant_offset_model(scalar_model):
     # tabulated p with default 0.5: f(x) = x + 0.5 at every queried point
     for x in (0.0, 1.0, -3.25, 2.5j, 100.0):
-        assert evaluate(scalar_model, [x])[0] == x + 0.5
+        assert evaluate_many(scalar_model, [[x]])[0][0] == x + 0.5
 
 
 def test_power_magnitude_exact():
     # d=1, theta=1, r=0.5: ||f(4) - 4|| = 4^0.5 = 2
     f = make_power(dim=1, theta=1.0, r=0.5)
-    dev = f.space.norm(evaluate(f, [4.0]) - np.array([4.0]))
+    dev = f.space.norm(evaluate_many(f, [[4.0]])[0] - np.array([4.0]))
     assert dev == pytest.approx(2.0, rel=1e-12)
 
 
 def test_power_zero_at_origin():
     f = make_power(dim=2, theta=1.0, r=0.5)
-    assert (evaluate(f, [0, 0]) == 0).all()
+    assert (evaluate_many(f, [[0, 0]])[0] == 0).all()
 
 
 def test_additivity_defect_zero_for_additive():
@@ -72,7 +71,7 @@ def test_bounded_perturbation_bounds():
     for _ in range(300):
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert sp.norm(f.perturbation.evaluate(sp, x)) <= eps * (1 + 1e-12)
+        assert sp.norm(f.perturbation.evaluate_many(sp, sp.as_vectors([x]))[0]) <= eps * (1 + 1e-12)
         # triangle inequality over the three perturbation evaluations
         assert additivity_defect(f, x, y) <= 3 * eps * (1 + 1e-12) + 1e-12
 
@@ -107,8 +106,8 @@ def test_real_linear_core_additive_not_complex_linear():
 def test_hashed_perturbation_deterministic():
     f = make_power(dim=2, theta=0.3, r=0.7, seed=21)
     x = np.array([0.5 + 0.25j, -1.5j])
-    a = evaluate(f, x)
-    b = evaluate(f, x)
+    a = evaluate_many(f, [x])[0]
+    b = evaluate_many(f, [x])[0]
     assert (a == b).all()
     # quantization keeps keys stable under sub-grid noise
     assert quantize(x) == quantize(x + 1e-9)
@@ -118,38 +117,40 @@ def test_force_zero_at_origin():
     sp = NormedSpace(1)
     pert = Perturbation.tabulated(default=np.array([0.5 + 0j]))
     f0 = TestFunction(sp, AdditiveCore.identity(1), pert, force_zero_at_origin=True)
-    assert (evaluate(f0, [0.0]) == 0).all()
+    assert (evaluate_many(f0, [[0.0]])[0] == 0).all()
     f1 = TestFunction(sp, AdditiveCore.identity(1), pert, force_zero_at_origin=False)
-    assert evaluate(f1, [0.0])[0] == 0.5
+    assert evaluate_many(f1, [[0.0]])[0][0] == 0.5
 
 
 def test_dimension_mismatch():
     f = make_additive(dim=2)
     with pytest.raises(DimensionError):
-        evaluate(f, [1.0, 2.0, 3.0])
+        evaluate_many(f, [[1.0, 2.0, 3.0]])
 
 
 def test_load_test_function_json():
     doc = {
         "space": {"dim": 1, "norm": "l2"},
-        "core": {"kind": "complex_linear", "matrix": [[[2.0, 0.0]]]},
-        "perturbation": {"kind": "tabulated",
-                         "table": [{"point": [[1.0, 0.0]], "value": [[0.25, 0.0]]}],
-                         "default": [[0.0, 0.0]]},
+        "function": {
+            "core": {"kind": "complex_linear", "matrix": [[[2.0, 0.0]]]},
+            "perturbation": {"kind": "tabulated",
+                             "table": [{"point": [[1.0, 0.0]], "value": [[0.25, 0.0]]}],
+                             "default": [[0.0, 0.0]]},
+        },
     }
-    f = load_test_function(doc)
-    assert evaluate(f, [1.0])[0] == 2.0 + 0.25  # matrix doubles, table adds 0.25
-    assert evaluate(f, [3.0])[0] == 6.0         # off-table point takes the default
+    f = build_experiment(doc).f
+    assert evaluate_many(f, [[1.0]])[0][0] == 2.0 + 0.25  # matrix doubles, table adds 0.25
+    assert evaluate_many(f, [[3.0]])[0][0] == 6.0         # off-table point takes the default
 
 
 def test_load_power_json_matches_manual():
     doc = {
         "space": {"dim": 2, "norm": "linf"},
-        "perturbation": {"kind": "power", "theta": 0.4, "r": 1.5,
-                         "direction": "hashed", "direction_seed": 17},
+        "function": {"perturbation": {"kind": "power", "theta": 0.4, "r": 1.5,
+                                      "direction": "hashed", "direction_seed": 17}},
     }
-    f = load_test_function(doc)
+    f = build_experiment(doc).f
     g = TestFunction(NormedSpace(2, "linf"), AdditiveCore.identity(2),
                      Perturbation.power(0.4, 1.5, direction_seed=17))
     x = np.array([1.25 - 0.5j, 0.75j])
-    assert (evaluate(f, x) == evaluate(g, x)).all()
+    assert (evaluate_many(f, [x])[0] == evaluate_many(g, [x])[0]).all()
