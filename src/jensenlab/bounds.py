@@ -41,7 +41,7 @@ control keeps its first value there, and a tabulated one has none (NaN is not
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .errors import (
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import CHUNK_ELEMENTS, RhoParams
+from .inequality import CHUNK_ELEMENTS, RhoParams, require_admissible
 from .model import TestFunction
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
@@ -359,7 +359,7 @@ class BoundAudit:
     """Reconciliation of the published constant, the derivation-consistent
     series constant, and the empirical supremum of ||f - A|| / ||x||^r.
 
-    Constants are floats or the string 'divergent'. Verdicts:
+    ``rho2`` is |rho2|. Constants are floats or the string 'divergent'. Verdicts:
       empirical_le_derived / empirical_le_paper: bool or None (constant divergent)
       derived_matches_paper: 'consistent' | 'mismatched' | None
     """
@@ -367,7 +367,7 @@ class BoundAudit:
     which: str
     theta: float
     r: float
-    rho2_abs: float
+    rho2: float
     alpha: float
     beta: float | None
     paper_constant: float | str
@@ -377,18 +377,7 @@ class BoundAudit:
     points: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "which": self.which,
-            "theta": self.theta,
-            "r": self.r,
-            "rho2": self.rho2_abs,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "paper_constant": self.paper_constant,
-            "derived_constant": self.derived_constant,
-            "empirical_sup": self.empirical_sup,
-            "verdicts": dict(self.verdicts),
-        }
+        return {k: v for k, v in asdict(self).items() if k != "points"}
 
 
 AUDIT_REL_TOL = 1e-6
@@ -465,7 +454,7 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
     The parameters are checked and the constants evaluated before ``deviations`` is iterated.
     """
     require_power_control(control)
-    params.check_degenerate()
+    require_admissible(params)
     which = constant_tag(params.family, scheme.direction)
     paper = paper_constant(params, scheme, control)
     derived = derived_constant(params, scheme, control, trunc_terms)
@@ -487,7 +476,7 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
         "empirical_le_paper": le(paper),
         "derived_matches_paper": match,
     }
-    return BoundAudit(which=which, theta=control.theta, r=control.r, rho2_abs=abs(params.rho2),
+    return BoundAudit(which=which, theta=control.theta, r=control.r, rho2=abs(params.rho2),
                       alpha=params.alpha, beta=params.beta, paper_constant=paper,
                       derived_constant=derived, empirical_sup=sup, verdicts=verdicts,
                       points=count)

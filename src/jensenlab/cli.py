@@ -63,7 +63,7 @@ def _emit(text: str, out: str | None):
 def _cmd_check_params(args, doc: dict) -> int:
     params = harness.rho_params(harness.normalize_config(doc))
     adm = inequality.admissible(params)
-    print(("admissible" if adm else "inadmissible") + ": " + adm.detail)
+    _emit(f"{'admissible' if adm else 'inadmissible'}: {adm.detail}\n", args.out)
     return EXIT_PASS if adm else EXIT_INADMISSIBLE
 
 
@@ -154,15 +154,17 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, fn in handlers.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=fn)
         p.add_argument("--config", required=True, help="path to a JSON config")
+        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+        if name == "check-params":  # reads only the config's params
+            continue
         p.add_argument("--seed", type=int, default=None, help="override plan seed")
         p.add_argument("--points", type=int, default=None, help="override plan count")
         p.add_argument("--format", choices=("json", "csv"),
                        default="csv" if name in ("defect", "sweep") else "json")
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
         p.add_argument("--force", action="store_true",
                        help="allow family/scheme cross-pairing")
-        p.set_defaults(handler=fn)
     return parser
 
 

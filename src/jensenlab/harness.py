@@ -10,6 +10,7 @@ identical configs produce byte-identical files).
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -36,47 +37,33 @@ from .space import NORM_KINDS, NormedSpace, SamplePlan, draw_samples
 def format_float(x: float) -> str:
     if isinstance(x, bool):  # bools are ints; keep them out of the float path
         raise TypeError("bool is not a float")
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} cannot be serialized")
     return f"{x:.17g}"
 
 
+def _emit(o) -> str:
+    """JSON of a JSON-native value: floats as ``format_float``, dict keys sorted; a
+    value ``json.dumps`` cannot write (a numpy scalar or array, say) is a TypeError."""
+    if isinstance(o, float):
+        return format_float(o)
+    if isinstance(o, dict):
+        return "{" + ",".join([f"{json.dumps(k)}:{_emit(o[k])}" for k in sorted(o)]) + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join([_emit(v) for v in o]) + "]"
+    return json.dumps(o)
+
+
 def stable_json(obj) -> str:
     """Deterministic JSON: sorted keys, %.17g floats, no whitespace variance."""
-    import json as _json
-
-    def emit(o) -> str:
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return format_float(float(o))
-        if isinstance(o, str):
-            return _json.dumps(o)
-        if isinstance(o, (list, tuple)):
-            return "[" + ",".join(emit(v) for v in o) + "]"
-        if isinstance(o, dict):
-            items = sorted(o.items(), key=lambda kv: kv[0])
-            return "{" + ",".join(f"{_json.dumps(k)}:{emit(v)}" for k, v in items) + "}"
-        if isinstance(o, np.ndarray):
-            return emit(o.tolist())
-        raise TypeError(f"cannot serialize {type(o).__name__}")
-
-    return emit(obj) + "\n"
-
-
-def _csv_cell(v) -> str:
-    """A CSV cell: empty for None, a string as it is, any other value as in JSON."""
-    if v is None:
-        return ""
-    return v if isinstance(v, str) else stable_json(v)[:-1]
+    return _emit(obj) + "\n"
 
 
 def csv_table(header: list, rows: list) -> str:
-    lines = [",".join(header)] + [",".join(_csv_cell(row[k]) for k in header) for row in rows]
+    """One line per row: a cell is empty for None, a string as it is, any other value as in JSON."""
+    lines = [",".join(header)] + [
+        ",".join(["" if v is None else v if isinstance(v, str) else _emit(v)
+                  for v in [row[k] for k in header]]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -390,23 +377,24 @@ def run_verify(doc: dict) -> RunReport:
     """Full verification: A at every sample point, series bound, margins.
 
     Pipeline stages, run in this order (each failure aborts naming the stage):
-    admissibility, the control kind an audit needs (when one is asked for),
-    control construction (envelope measurement for measured controls), the
-    series phi~ at every sampled norm, which names a divergent series before
-    any orbit is run, the approximation pass, and the audit (when one is asked
-    for). A measured control's power-law fit is echoed as ``control_fit`` and
-    decides nothing. Pass iff max over points of (||f - A|| - phi_tilde - tail)
-    <= tol; a plan needs at least one point.
+    admissibility (the parameters, then the series spec), the control kind an
+    audit needs (when one is asked for), control construction (envelope
+    measurement for measured controls), the series phi~ at every sampled norm,
+    which names a divergent series before any orbit is run, the approximation
+    pass, and the audit (when one is asked for). A measured control's power-law
+    fit is echoed as ``control_fit`` and decides nothing. Pass iff max over
+    points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least one
+    point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
 
     _stage("admissibility", lambda: inequality.require_admissible(exp.params))
+    spec = _stage("admissibility", lambda: _series_spec(exp))
     if exp.config["audit"]:
         _stage("audit", lambda: bounds.require_power_control(exp.control))
     control, fit = _stage("envelope", lambda: _build_control(exp))
 
-    spec = _series_spec(exp)
     pts = draw_samples(exp.space, exp.plan, arity=1)
     norms = exp.space.norms(pts)
     (_, tail, terms), bound = _bound(control, spec, norms)

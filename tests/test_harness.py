@@ -400,6 +400,21 @@ def test_audit_block_with_wrong_control_fails_before_the_envelope(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_forced_off_dyadic_family_a_fails_in_admissibility(tmp_path, capsys, monkeypatch):
+    # --force passes the pairing check; the series spec refuses the scale before the envelope
+    calls = []
+    measure = harness.inequality.measure_envelope
+    monkeypatch.setattr(harness.inequality, "measure_envelope",
+                        lambda *a, **kw: calls.append(a) or measure(*a, **kw))
+    doc = changed("scheme.scale", 3)
+    with pytest.raises(StageFailure) as err:
+        harness.run_verify(changed("force", True, doc))
+    assert (err.value.stage, err.value.code, len(calls)) == ("admissibility", "family", 0)
+    assert cli.main(["verify", "--force", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error[family]: admissibility: family: ")
+    assert calls == []
+
+
 def test_audit_block_uses_config_max_n():
     # r = 0.9 needs more than 200 orbit terms at some points; the audit block
     # must reuse the run's approximants rather than re-run them at max_n=200
@@ -529,6 +544,9 @@ def test_report_float_format():
     assert harness.format_float(1.0) == "1"
     with pytest.raises(ValueError):
         harness.format_float(float("nan"))
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            harness.stable_json({"x": [value]})
 
 
 # --- sweep -------------------------------------------------------------------
@@ -819,6 +837,15 @@ def test_cli_check_params(tmp_path, capsys):
     assert cli.main(["check-params", "--config",
                      write_config(tmp_path, doc, "bad.json")]) == 2
     assert "inadmissible" in capsys.readouterr().out
+    # --out writes the line to a file; a flag check-params does not read is refused
+    out = tmp_path / "cp.txt"
+    assert cli.main(["check-params", "--config", str(tmp_path / "bad.json"),
+                     "--out", str(out)]) == 2
+    assert out.read_text().startswith("inadmissible: family A: ")
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["check-params", "--config", str(tmp_path / "bad.json"), "--seed", "3"])
+    assert exit_.value.code == 2
 
 
 def test_cli_defect_csv(tmp_path):
@@ -895,6 +922,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["audit", "--config", write_config(tmp_path, doc)] + flags) == 2
         assert capsys.readouterr().err.startswith("error[degenerate-parameter]: ")
+    # inadmissible audit parameters (|rho1| + 3|rho2| = 2.4) -> 2, as verify and sweep report them
+    inadmissible = changed("params", {**AUDIT_SAMPLE["params"], "rho1": [1.5, 0], "rho2": [0.3, 0]},
+                           AUDIT_SAMPLE)
+    capsys.readouterr()
+    assert cli.main(["audit", "--config", write_config(tmp_path, inadmissible)]) == 2
+    assert capsys.readouterr().err.startswith("error[inadmissible]: ")
     # a control exponent whose powers leave the double range: divergent or numeric, never a
     # traceback, and no non-finite value in a row; on the audit sample's points ||x||^400
     # underflows to 0 and, at r = 330, ||f - A|| / ||x||^r overflows
