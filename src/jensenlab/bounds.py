@@ -56,7 +56,7 @@ from .errors import (
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import CHUNK_ELEMENTS, RhoParams, require_admissible
+from .inequality import RhoParams, require_admissible
 from .model import TestFunction
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
@@ -66,6 +66,11 @@ CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
 CONSTANT_TAGS = ("c24", "c26", "c34", "c36")
 
 DEFAULT_TRUNC_TERMS = 64
+
+#: Floats in one block of the series' term matrix: a tabulated or measured
+#: control's terms are summed in blocks of about this many elements, so peak
+#: memory does not grow with ``trunc_terms`` or the sample.
+CHUNK_ELEMENTS = 1 << 15
 
 
 def _power(base: float, exponent: float) -> float:

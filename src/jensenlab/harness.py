@@ -51,6 +51,12 @@ def _emit(o) -> str:
         return "{" + ",".join([f"{json.dumps(k)}:{_emit(o[k])}" for k in sorted(o)]) + "}"
     if isinstance(o, (list, tuple)):
         return "[" + ",".join([_emit(v) for v in o]) + "]"
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):  # bools are caught above; json.dumps writes an int so too
+        return int.__repr__(o)
     return json.dumps(o)
 
 
@@ -313,14 +319,13 @@ def build_experiment(doc: dict) -> Experiment:
 
 
 def _build_control(exp: Experiment):
-    """(control, fit_info | None), measuring the envelope of a measured control."""
+    """(control, shell table | None), measuring the envelope of a measured control."""
     if exp.control.kind != "measured":
         return exp.control, None
     env = inequality.measure_envelope(exp.f, exp.params, exp.envelope_plan,
                                       shells=exp.config["envelope"]["shells"])
-    fit = {"theta": env.fit_theta, "r": env.fit_r,
-           "shell_edges": env.edges.tolist(), "shell_max": env.shell_max.tolist()}
-    return bounds.ControlFunction.measured(env), fit
+    table = {"shell_edges": env.edges.tolist(), "shell_max": env.shell_max.tolist()}
+    return bounds.ControlFunction.measured(env), table
 
 
 def _series_spec(exp: Experiment) -> bounds.SeriesSpec:
@@ -381,10 +386,10 @@ def run_verify(doc: dict) -> RunReport:
     audit needs (when one is asked for), control construction (envelope
     measurement for measured controls), the series phi~ at every sampled norm,
     which names a divergent series before any orbit is run, the approximation
-    pass, and the audit (when one is asked for). A measured control's power-law
-    fit is echoed as ``control_fit`` and decides nothing. Pass iff max over
-    points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least one
-    point.
+    pass, and the audit (when one is asked for). A measured control's shell
+    table, the one its phi reads, is echoed as ``control_fit``. Pass iff max
+    over points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least
+    one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
@@ -393,7 +398,7 @@ def run_verify(doc: dict) -> RunReport:
     spec = _stage("admissibility", lambda: _series_spec(exp))
     if exp.config["audit"]:
         _stage("audit", lambda: bounds.require_power_control(exp.control))
-    control, fit = _stage("envelope", lambda: _build_control(exp))
+    control, table = _stage("envelope", lambda: _build_control(exp))
 
     pts = draw_samples(exp.space, exp.plan, arity=1)
     norms = exp.space.norms(pts)
@@ -419,7 +424,7 @@ def run_verify(doc: dict) -> RunReport:
                "passed": bool(max_violation <= exp.tol), "scheme": exp.scheme.label(),
                "forced_pairing": exp.forced_pairing}
     return RunReport(config=exp.config, points=records, summary=summary,
-                     audit=audit_block, control_fit=fit,
+                     audit=audit_block, control_fit=table,
                      runtime_seconds=time.perf_counter() - t0)
 
 
@@ -483,17 +488,13 @@ def run_sweep(doc: dict) -> list:
                                "control": {"kind": "power", "theta": theta, "r": r}}, *shared)
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
-            verdict = bounds.convergence_predicate(exp.scheme, r)
-            cell["converges"] = bool(verdict)
+            cell["converges"] = bool(bounds.convergence_predicate(exp.scheme, r))
             cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
             cell["derived_constant"] = bounds.derived_constant(
                 exp.params, exp.scheme, exp.control, exp.config["trunc_terms"])
-            if not verdict:
-                cell["status"] = "divergent"
-                continue
             _, bound = _bound(exp.control, _series_spec(exp), norms)
             if exp.scheme not in passes:  # a failed pass is kept, so it runs once too
                 try:

@@ -37,14 +37,6 @@ from .space import SamplePlan, draw_samples, fold
 
 FAMILIES = ("A", "B")
 
-#: Floats in one array of a blocked pass: the power-law fit's exponent grid and
-#: the series' term matrix (``bounds``) are evaluated in blocks of about this
-#: many elements, so their peak memory does not grow with the grid or the sample.
-CHUNK_ELEMENTS = 1 << 15
-
-#: The exponents the power-law fit tries before refining the best of them.
-FIT_GRID = np.linspace(-2.0, 6.0, 161)
-
 
 @dataclass(frozen=True)
 class RhoParams:
@@ -178,70 +170,12 @@ class MeasuredEnvelope:
 
     Each sampled triple contributes max(0, defect) to the shell containing its
     largest component norm; ``cum_max`` is the running max of that table, the
-    table e of ``bounds.ControlFunction.measured``. ``fit_theta`` / ``fit_r`` is
-    a least-squares power-law fit defect ~ theta (||x||^r + ||y||^r + ||z||^r)
-    over the same samples.
+    table e of ``bounds.ControlFunction.measured``.
     """
 
     edges: np.ndarray
     shell_max: np.ndarray
     cum_max: np.ndarray
-    fit_theta: float
-    fit_r: float
-    sample_count: int
-
-
-def _golden_section(fn, lo: float, hi: float) -> float:
-    """A minimizer of ``fn`` on [lo, hi]: the better inner point of the bracket
-    that a golden-section search (Kiefer, Proc. AMS 4, 1953) narrows to 1e-5."""
-    g = (5.0 ** 0.5 - 1.0) / 2.0
-    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > 1e-5:
-        if f1 < f2:  # the minimum is in [lo, x2]
-            hi, x2, f2, x1 = x2, x1, f1, x2 - g * (x2 - lo)
-            f1 = fn(x1)
-        else:  # in [x1, hi]
-            lo, x1, f1, x2 = x1, x2, f2, x1 + g * (hi - x1)
-            f2 = fn(x2)
-    return x1 if f1 < f2 else x2
-
-
-def _grid_sse(norms: np.ndarray, d: np.ndarray, rs: np.ndarray = FIT_GRID) -> tuple:
-    """(theta, SSE): the least-squares theta >= 0 of defect ~ theta (a^r + b^r + c^r)
-    and its sum of squared errors at each exponent r of ``rs``, in blocks of about
-    CHUNK_ELEMENTS powers; an exponent's values do not depend on the others."""
-    thetas, sses = [], []
-    step = max(1, CHUNK_ELEMENTS // norms.size)
-    for lo in range(0, rs.size, step):
-        block = rs[lo:lo + step]
-        p = np.empty((block.size,) + norms.shape)  # filled row by row: stacking a list doubles it
-        for k, r in enumerate(block):
-            # ``**`` with one exponent: at r = -1, 0.5 and 2 numpy takes an exact
-            # reciprocal, sqrt or square, not pow as on an exponent array
-            p[k] = norms ** r
-        g = p[..., 0] + p[..., 1] + p[..., 2]
-        denom = np.matmul(g[:, None], g[..., None])[:, 0, 0]  # each row's g @ g
-        gd = np.matmul(g[:, None], d[:, None])[:, 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as float division
-            theta = np.where(denom != 0.0, np.maximum(gd / denom, 0.0), 0.0)
-        thetas.append(theta)
-        sses.append(((theta[:, None] * g - d) ** 2).sum(axis=1))
-    return np.concatenate(thetas), np.concatenate(sses)
-
-
-def _fit_power_law(norms: np.ndarray, defects: np.ndarray) -> tuple[float, float]:
-    """Least squares for defect ~ theta (a^r + b^r + c^r); theta >= 0: the best
-    exponent of FIT_GRID, refined by golden section."""
-    d = np.clip(defects, 0.0, None)
-    if d.max(initial=0.0) <= 1e-14:
-        return 0.0, 0.0
-    _, sse = _grid_sse(norms, d)
-    # the first smallest SSE, as min() over the grid: a NaN wins only in first place
-    best = float(FIT_GRID[0 if np.isnan(sse[0]) else np.nanargmin(sse)])
-    r_hat = _golden_section(lambda r: _grid_sse(norms, d, np.array([r]))[1][0],
-                            best - 0.1, best + 0.1)
-    return float(_grid_sse(norms, d, np.array([r_hat]))[0][0]), r_hat
 
 
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
@@ -261,9 +195,5 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
     # the shell (edges[i], edges[i+1]] of the largest norm, clamped to the table
     shell = np.clip(np.searchsorted(edges, fold(np.maximum, (nx, ny, nz))) - 1, 0, shells - 1)
     np.maximum.at(shell_max, shell, np.maximum(defects, 0.0))
-
-    theta_hat, r_hat = _fit_power_law(np.stack([nx, ny, nz], axis=1), defects)
     return MeasuredEnvelope(edges=edges, shell_max=shell_max,
-                            cum_max=np.maximum.accumulate(shell_max),
-                            fit_theta=theta_hat, fit_r=r_hat,
-                            sample_count=len(triples))
+                            cum_max=np.maximum.accumulate(shell_max))
