@@ -234,8 +234,8 @@ def _check_prefactors(spec: SeriesSpec):
         )
     if (spec.printed_display and spec.family == "B"
             and spec.scheme.direction == "forward" and spec.rho1_abs >= 1.0):
-        raise InadmissibleError(
-            f"inadmissible: printed display needs |rho1| < 1, got {spec.rho1_abs}"
+        raise OutOfRegimeError(
+            f"out-of-regime: printed display needs |rho1| < 1, got {spec.rho1_abs}"
         )
 
 
@@ -433,13 +433,13 @@ def paper_constant(params: RhoParams, scheme: Scheme, control: ControlFunction) 
 def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction,
                      trunc_terms: int = DEFAULT_TRUNC_TERMS) -> float | str:
     """The derivation-consistent series constant phi~(1), or 'divergent' when
-    the series diverges or its prefactor is inadmissible."""
+    the series diverges."""
     spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=abs(params.rho2),
                       alpha=params.alpha, trunc_terms=trunc_terms)
     try:
         value, tail, _ = phi_tilde_norms(control, [1.0], spec)
         return float(value[0]) + (tail or 0.0)
-    except (DivergentSeriesError, InadmissibleError):
+    except DivergentSeriesError:
         return "divergent"
 
 

@@ -22,9 +22,7 @@ from . import bounds, direct_method, inequality, model
 from .direct_method import Scheme, approximate  # noqa: F401
 from .errors import (
     ConfigError,
-    DivergentSeriesError,
     JensenLabError,
-    NotConvergedError,
     PairingError,
     StageFailure,
     UnknownKeyError,
@@ -92,8 +90,8 @@ _CORE_MATRIX = {"matrix": ((list, NONE), None), "seed": (int, 0)}
 #: is not a number), ``complex`` for [re, im] or a real number, a tuple of
 #: allowed strings, ``[accepted]`` for a list of such values, or a section:
 #: a dict of fields, or ``Kinds``. ``default`` is a value (``{}`` for a
-#: section), ``REQUIRED`` or ``OPTIONAL``. ``normalize_config`` derives
-#: ``scheme.scale`` and ``envelope.seed`` when they are null.
+#: section), ``REQUIRED`` or ``OPTIONAL``. A null ``envelope.seed`` is derived
+#: by ``normalize_config``, and a null ``scheme.scale`` by ``_experiment``.
 CONFIG_SCHEMA = {
     "space": ({"dim": (int, 2), "norm": (NORM_KINDS, "l2")}, {}),
     "function": ({
@@ -189,27 +187,12 @@ def _checked(accepted, value, path: str):
 
 
 def normalize_config(doc: dict) -> dict:
-    """The config checked against CONFIG_SCHEMA with every default filled in
-    (pure data, JSON-serializable, echoed into reports)."""
-    cfg = _filled(doc)
-    return {**cfg, "scheme": _scheme_section(cfg["scheme"], cfg["params"])}
-
-
-def _filled(doc: dict) -> dict:
-    """The config checked with its defaults filled in, ``scheme.scale`` left as given."""
+    """The config checked against CONFIG_SCHEMA with every default filled in but a
+    null ``scheme.scale`` (pure data, JSON-serializable, echoed into reports)."""
     cfg = _checked(CONFIG_SCHEMA, doc, "")
     if cfg["envelope"]["seed"] is None:
         cfg["envelope"]["seed"] = cfg["plan"]["seed"]
     return cfg
-
-
-def _scheme_section(scheme: dict, params: dict) -> dict:
-    """``scheme`` with a null scale derived: 2 for family A, 1 + beta for family B."""
-    if scheme["scale"] is None:
-        if params["family"] == "B" and params["beta"] is None:
-            raise PairingError("pairing: family B needs beta to derive the scheme scale")
-        scheme = {**scheme, "scale": 2.0 if params["family"] == "A" else 1.0 + params["beta"]}
-    return scheme
 
 
 @dataclass(eq=False)
@@ -229,19 +212,25 @@ class Experiment:
     forced_pairing: bool
 
 
-def _check_pairing(cfg: dict) -> bool:
-    """Enforce family A <-> dyadic, family B <-> scale 1+beta; --force overrides."""
-    scale, beta = cfg["scheme"]["scale"], cfg["params"]["beta"]
-    if cfg["params"]["family"] == "A":
+def _scheme(cfg: dict) -> tuple:
+    """(the scheme section with a null scale derived, forced): the derived scale is 2
+    for family A and 1 + beta for family B. Family A pairs with dyadic schemes and
+    family B with scale 1 + beta; --force runs any other pairing."""
+    scheme, beta = cfg["scheme"], cfg["params"]["beta"]
+    family_a = cfg["params"]["family"] == "A"
+    if scheme["scale"] is None:
+        if not family_a and beta is None:
+            raise PairingError("pairing: family B needs beta to derive the scheme scale")
+        scheme = {**scheme, "scale": 2.0 if family_a else 1.0 + beta}
+    scale = scheme["scale"]
+    if family_a:
         ok = abs(scale) == 2.0
         why = f"family A pairs with dyadic schemes (|scale| = 2), got {scale}"
     else:
         ok = beta is not None and abs(scale - (1.0 + beta)) <= 1e-12
         why = f"family B pairs with scale 1 + beta = {None if beta is None else 1 + beta}, got {scale}"
-    if ok:
-        return False
-    if cfg["force"]:
-        return True
+    if ok or cfg["force"]:
+        return scheme, not ok
     raise PairingError(f"pairing: {why} (use --force to override)")
 
 
@@ -261,52 +250,63 @@ def rho_params(cfg: dict) -> inequality.RhoParams:
 
 
 def _core(cfg: dict, dim: int) -> model.AdditiveCore:
-    if cfg["kind"] == "identity":
+    kind, rows = cfg["kind"], cfg.get("matrix")  # identity has no matrix
+    if kind == "identity":
         return model.AdditiveCore.identity(dim)
-    if cfg["matrix"] is None:
-        return model.AdditiveCore.random(dim, seed=cfg["seed"], kind=cfg["kind"])
-    if cfg["kind"] == "complex_linear":
-        return model.AdditiveCore(cfg["kind"], np.array(
-            [model.vector_from_pairs(row) for row in cfg["matrix"]], dtype=np.complex128))
-    return model.AdditiveCore(cfg["kind"], np.array(cfg["matrix"], dtype=float))
+    if rows is None:
+        return model.AdditiveCore.random(dim, seed=cfg["seed"], kind=kind)
+    n = dim if kind == "complex_linear" else 2 * dim
+    matrix = (np.array([model.vector_from_pairs(row) for row in rows], dtype=np.complex128)
+              if kind == "complex_linear" else np.array(rows, dtype=float))
+    if matrix.shape != (n, n):
+        raise ValueError(f"{kind} matrix {matrix.shape} does not act on C^{dim}: need ({n}, {n})")
+    return model.AdditiveCore(kind, matrix)
 
 
-def _perturbation(cfg: dict) -> model.Perturbation:
+def _perturbation(cfg: dict, dim: int) -> model.Perturbation:
     if cfg["kind"] != "tabulated":
         return model.Perturbation(**cfg)
-    step = cfg["quant_step"]
-    table = {model.quantize(model.vector_from_pairs(e["point"]), step):
+    vectors = {f"table[{i}].{k}": e[k]
+               for i, e in enumerate(cfg["table"]) for k in ("point", "value")}
+    for field, pairs in {**vectors, "default": cfg["default"]}.items():
+        if pairs is not None and len(pairs) != dim:
+            raise ValueError(f"{field} has length {len(pairs)}, need space.dim {dim}")
+    table = {model.quantize(model.vector_from_pairs(e["point"]), cfg["quant_step"]):
              model.vector_from_pairs(e["value"]) for e in cfg["table"]}
     default = None if cfg["default"] is None else model.vector_from_pairs(cfg["default"])
-    return model.Perturbation.tabulated(table=table, default=default, quant_step=step)
+    return model.Perturbation.tabulated(table=table, default=default, quant_step=cfg["quant_step"])
 
 
 def _shared(cfg: dict) -> tuple:
     """(f, plan, envelope plan) of a normalized config, which no sweep axis changes."""
-    fn = cfg["function"]
+    fn, env = cfg["function"], cfg["envelope"]
     space = _built("space", lambda: NormedSpace(cfg["space"]["dim"], cfg["space"]["norm"]))
     core = _built("function.core", lambda: _core(fn["core"], space.dim))
-    perturbation = _built("function.perturbation", lambda: _perturbation(fn["perturbation"]))
-    f = model.TestFunction(space, core, perturbation, fn["force_zero_at_origin"])
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
-    env = cfg["envelope"]
+    step = fn["perturbation"].get("quant_step", model.QUANT_STEP)  # a field of tabulated only
     for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]), ("plan.count", plan.count),
                         ("envelope.count", env["count"]), ("envelope.shells", env["shells"]),
-                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"])):
+                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"]),
+                        ("function.perturbation.quant_step", step)):
         if not value > 0:
             raise ConfigError(f"config: {path} must be positive, got {value}")
+    perturbation = _built("function.perturbation",
+                          lambda: _perturbation(fn["perturbation"], space.dim))
+    f = model.TestFunction(space, core, perturbation, fn["force_zero_at_origin"])
     return f, plan, _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
 
 
 def _experiment(cfg: dict, f, plan, envelope_plan) -> Experiment:
-    """A normalized config's Experiment on ``_shared``'s parts: pairing check, control, params."""
-    forced = _check_pairing(cfg)
+    """A normalized config's Experiment on ``_shared``'s parts: the one place a
+    scheme is derived and paired, for ``verify`` and every sweep cell."""
+    scheme, forced = _scheme(cfg)
+    cfg = {**cfg, "scheme": scheme}
     ctrl = cfg["control"]
     control = _built("control", lambda: (
         bounds.ControlFunction.tabulated(ctrl["edges"], ctrl["values"])
         if ctrl["kind"] == "tabulated" else bounds.ControlFunction(**ctrl)))
     return Experiment(config=cfg, space=f.space, f=f, params=rho_params(cfg),
-                      scheme=Scheme(cfg["scheme"]["direction"], cfg["scheme"]["scale"]),
+                      scheme=Scheme(scheme["direction"], scheme["scale"]),
                       plan=plan, envelope_plan=envelope_plan, control=control,
                       tol=cfg["tolerances"]["tol"], forced_pairing=forced)
 
@@ -341,15 +341,6 @@ def _stage(name: str, fn):
         return fn()
     except JensenLabError as e:
         raise StageFailure(name, e) from e
-
-
-def _approximants(exp: Experiment, points) -> direct_method.Approximants:
-    """The approximation pass over ``points``; a point that does not converge is divergent."""
-    try:
-        return direct_method.approximate_points(exp.f, points, exp.scheme, exp.tol,
-                                                max_n=exp.config["max_n"])
-    except NotConvergedError as e:
-        raise DivergentSeriesError(f"divergent: {e}") from e
 
 
 def _bound(control, spec: bounds.SeriesSpec, norms: np.ndarray) -> tuple:
@@ -403,7 +394,8 @@ def run_verify(doc: dict) -> RunReport:
     pts = draw_samples(exp.space, exp.plan, arity=1)
     norms = exp.space.norms(pts)
     (_, tail, terms), bound = _bound(control, spec, norms)
-    approximated = _stage("approximate", lambda: _approximants(exp, pts))
+    approximated = _stage("approximate", lambda: direct_method.approximate_points(
+        exp.f, pts, exp.scheme, exp.tol, max_n=exp.config["max_n"]))
     max_violation = max((approximated.deviations - bound).tolist())
     norms, devs = norms.tolist(), approximated.deviations.tolist()
     # one record per point; a series that ran out of coverage also gives its term count
@@ -458,12 +450,12 @@ def run_sweep(doc: dict) -> list:
 
     The grid spans rho1, rho2 (complex as [re, im]), alpha, beta, theta, r;
     unspecified axes are pinned at the base config's value. The function, the
-    plans and the sample points (at least one) are built once. Each cell builds
-    its params, its scheme (a scale not given derives from the cell's beta) and
-    its power control from (theta, r), sums phi~, then reads its scheme's
-    approximation pass.
+    plans and the sample points (at least one) are built once. Each cell's config,
+    with its params and power control (theta, r), goes through ``_experiment``,
+    which derives (from the cell's beta) and pairs its scheme; the cell sums phi~,
+    then reads its scheme's approximation pass, whose failure is the cell's status.
     """
-    cfg = _filled(doc)
+    cfg = normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
     for axis in SWEEP_AXES:
@@ -484,7 +476,6 @@ def run_sweep(doc: dict) -> list:
         params = {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha, "beta": beta}
         try:
             exp = _experiment({**cfg, "params": params,
-                               "scheme": _scheme_section(cfg["scheme"], params),
                                "control": {"kind": "power", "theta": theta, "r": r}}, *shared)
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
@@ -498,12 +489,14 @@ def run_sweep(doc: dict) -> list:
             _, bound = _bound(exp.control, _series_spec(exp), norms)
             if exp.scheme not in passes:  # a failed pass is kept, so it runs once too
                 try:
-                    passes[exp.scheme] = _approximants(exp, pts)
+                    passes[exp.scheme] = direct_method.approximate_points(
+                        exp.f, pts, exp.scheme, exp.tol, max_n=cfg["max_n"])
                 except JensenLabError as e:
                     passes[exp.scheme] = e
             approximated = passes[exp.scheme]
             if isinstance(approximated, JensenLabError):
-                raise approximated
+                cell["status"] = approximated.code
+                continue
             cell["max_violation"] = max((approximated.deviations - bound).tolist())
             cell["empirical_sup"], _ = bounds.empirical_sup(
                 r, zip(norms.tolist(), approximated.deviations.tolist()))

@@ -234,11 +234,9 @@ def evaluate_many(f: TestFunction, xs) -> np.ndarray:
     the origin when forced; row i is ``evaluate_many(f, [xs[i]])[0]`` bit for bit,
     whatever the other rows are."""
     xs = f.space.as_vectors(xs)
-    if not f.force_zero_at_origin:
-        return f.core.apply_many(xs) + f.perturbation.evaluate_many(f.space, xs)
-    live = fold(np.logical_or, (xs != 0).T)
-    out = np.zeros_like(xs)
-    out[live] = f.core.apply_many(xs[live]) + f.perturbation.evaluate_many(f.space, xs[live])
+    out = f.core.apply_many(xs) + f.perturbation.evaluate_many(f.space, xs)
+    if f.force_zero_at_origin:
+        out[~fold(np.logical_or, (xs != 0).T)] = 0.0
     return out
 
 

@@ -8,8 +8,8 @@ import pytest
 from jensenlab import bounds, cli, direct_method, harness, inequality, model
 from jensenlab.errors import (
     ConfigError,
-    DivergentSeriesError,
     JensenLabError,
+    NotConvergedError,
     PairingError,
     StageFailure,
     UnknownKeyError,
@@ -48,7 +48,7 @@ def power_verify_doc(r=0.5, control=None):
 
 def test_normalize_config_echoes_defaults():
     cfg = harness.normalize_config({"params": {"family": "A"}})
-    assert cfg["scheme"]["scale"] == 2.0
+    assert harness.build_experiment({"params": {"family": "A"}}).config["scheme"]["scale"] == 2.0
     assert cfg["plan"]["count"] == 100
     assert cfg["tolerances"]["tol"] == 1e-9
     assert cfg["envelope"]["seed"] == cfg["plan"]["seed"]
@@ -164,6 +164,24 @@ MALFORMED = {
                        "tolerances.tol"),
     "sweep-max-n-zero": ("sweep", changed("max_n", 0, SWEEP_SAMPLE), [], "max_n"),
     "sweep-dim-zero": ("sweep", changed("space.dim", 0, SWEEP_SAMPLE), [], "space: dim"),
+    "sweep-measured-control-without-theta-axis": ("sweep", changed("control", {"kind": "measured"},
+                                                                   SWEEP_SAMPLE), [], "grid.theta"),
+    # function fields that depend on space.dim are checked when the function is built
+    "tabulated-default-wrong-dim": ("verify", changed("function.perturbation", {
+        "kind": "tabulated", "default": [[0.1, 0.0]] * 3}), [], "function.perturbation: default"),
+    "sweep-tabulated-default-wrong-dim": ("sweep", changed("function.perturbation", {
+        "kind": "tabulated", "default": [[0.1, 0.0]] * 3}, SWEEP_SAMPLE), [],
+        "function.perturbation: default"),
+    "table-value-wrong-dim": ("verify", changed("function.perturbation", {
+        "kind": "tabulated", "table": [{"point": [[1, 0], [0, 0]], "value": [[1, 0]]}]}), [],
+        "function.perturbation: table[0].value"),
+    "table-point-wrong-dim": ("verify", changed("function.perturbation", {
+        "kind": "tabulated", "table": [{"point": [[1, 0]], "value": [[1, 0], [0, 0]]}]}), [],
+        "function.perturbation: table[0].point"),
+    "quant-step-zero": ("verify", changed("function.perturbation", {
+        "kind": "tabulated", "quant_step": 0}), [], "function.perturbation.quant_step"),
+    "core-matrix-wrong-dim": ("verify", changed("function.core", {
+        "kind": "complex_linear", "matrix": [[[1, 0]] * 3] * 3}), [], "function.core"),
 }
 
 
@@ -225,6 +243,16 @@ def test_echoed_config_is_complete_and_replayable(case, tmp_path):
 def test_sample_configs_run(path, tmp_path):
     command = path.stem.split("_")[0]
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_real_linear_matrix_core_runs_as_given():
+    # the 6 x 6 real identity acts on (Re x, Im x) in C^3 as the identity core does
+    linf = json.loads((CONFIGS / "verify_linf_dim3.json").read_text())
+    rep = harness.run_verify(changed("function.core",
+                                     {"kind": "real_linear", "matrix": np.eye(6).tolist()}, linf))
+    assert rep.passed()
+    assert rep.points == harness.run_verify(changed("function.core", {"kind": "identity"},
+                                                    linf)).points
 
 
 def test_family_scheme_pairing():
@@ -294,11 +322,11 @@ def test_run_verify_divergent_abort():
     assert err.value.code == "divergent"
 
 
-def test_run_verify_measured_detects_divergence():
+def test_run_verify_measured_detects_non_convergence():
     # measured control on an r=2 perturbation: the forward orbit does not converge
     with pytest.raises(StageFailure) as err:
         harness.run_verify(power_verify_doc(r=2.0))
-    assert (err.value.stage, err.value.code) == ("approximate", "divergent")
+    assert (err.value.stage, err.value.code) == ("approximate", "not-converged")
 
 
 def test_run_verify_zero_theta_power_control_runs_as_zero():
@@ -446,7 +474,8 @@ def _orbit_rows(monkeypatch, name, count=None):
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
     doc["plan"]["count"] = count or doc["plan"]["count"]
     exp = harness.build_experiment(doc)
-    return harness._approximants(exp, draw_samples(exp.space, exp.plan, arity=1)), calls
+    return direct_method.approximate_points(exp.f, draw_samples(exp.space, exp.plan, arity=1),
+                                            exp.scheme, exp.tol, max_n=exp.config["max_n"]), calls
 
 
 @pytest.mark.parametrize("name, count, calls", [("sweep_family_a", None, [1]),
@@ -659,8 +688,8 @@ def test_phi_tilde_failure_named_before_approximation_failure():
         doc = printed_family_b_doc(rho1=1.5, beta=3.0, max_n=max_n)
         with pytest.raises(StageFailure) as err:
             harness.run_verify(doc)
-        assert (err.value.stage, err.value.code) == ("phi-tilde", "inadmissible")
-        assert [row["status"] for row in harness.run_sweep(doc)] == ["inadmissible"]
+        assert (err.value.stage, err.value.code) == ("phi-tilde", "out-of-regime")
+        assert [row["status"] for row in harness.run_sweep(doc)] == ["out-of-regime"]
 
 
 def test_sweep_family_b_beta_grid():
@@ -692,7 +721,7 @@ def reference_sweep(doc):
     each point through phi_tilde_norms and approximate alone. A fault that no
     cell changes is one of the config with neutral params and control and
     --force, and fails the sweep before its first cell."""
-    cfg = harness._filled(doc)
+    cfg = harness.normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
     base = {k: v for k, v in cfg.items() if k != "grid"}
@@ -730,7 +759,7 @@ def reference_sweep(doc):
                 rep = direct_method.approximate(exp.f, x, exp.scheme, exp.tol,
                                                 max_n=exp.config["max_n"])
                 if not rep.converged:
-                    raise DivergentSeriesError("divergent: a point did not converge")
+                    raise NotConvergedError("not-converged: a point did not converge")
                 devs.append(exp.space.norm(model.evaluate_many(exp.f, [x])[0] - rep.value))
             cell["max_violation"] = max((d - (float(v[0]) + (t or 0.0))
                                          for d, (v, t, _) in zip(devs, phis)), default=0.0)
@@ -755,6 +784,10 @@ SWEEP_CASES = {
     # rho2 0.7 is inadmissible, alpha 0 degenerate, theta < 0 a config fault, r 1.5 divergent
     "family-a": (_small_sweep(_FAMILY_A_GRID),
                  {"ok", "inadmissible", "degenerate-parameter", "config", "divergent"}),
+    # max_n 5 is too few orbit steps: every cell that reads the failed pass is not-converged
+    "family-a-max-n-small": (_small_sweep({"rho2": [[0.0, 0.0], [0.3, 0.0], [0.7, 0.0]],
+                                           "r": [0.5, 1.5]}, max_n=5),
+                             {"not-converged", "divergent", "inadmissible"}),
     # a fault no cell changes fails the sweep
     "family-a-max-n-zero": (_small_sweep(_FAMILY_A_GRID, max_n=0), "max_n"),
     # a derived scale: beta null cannot derive one, and 1 + beta in {1, 0, -1} is degenerate
@@ -782,6 +815,10 @@ def test_sweep_equals_the_cell_by_cell_reference(case):
     rows = harness.run_sweep(doc)
     assert rows == reference_sweep(doc)
     assert {row["status"] for row in rows} == statuses
+    # each status agrees with the row's own columns: one judge per status
+    for row in rows:
+        assert (row["status"] == "inadmissible") == (row["admissible"] is False), row
+        assert row["status"] != "divergent" or row["converges"] is False, row
 
 
 def test_sweep_builds_its_shared_parts_once(monkeypatch):
@@ -899,6 +936,13 @@ def test_cli_audit(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["which"] == "c24"
     assert payload["verdicts"]["derived_matches_paper"] == "consistent"
+    # backward dyadic at r = 0.5: c26 is finite, the series diverges; exit 2, payload written
+    doc = changed("control.r", 0.5, AUDIT_SAMPLE)
+    assert cli.main(["audit", "--config", write_config(tmp_path, doc, "divergent.json"),
+                     "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert payload["paper_constant"] == pytest.approx(2.0 + 2.0 ** 0.5, rel=1e-12)
+    assert payload["derived_constant"] == "divergent"
 
 
 def test_cli_exit_codes(tmp_path, capsys):
