@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 bound violation, 2 inadmissible/divergent parameters,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -180,9 +181,12 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
 
 
-def entry():  # console_scripts hook
-    raise SystemExit(main())
+def entry():
+    """The process entry of the console script, ``-m jensenlab`` and ``-m jensenlab.cli``."""
+    code = main()
+    gc.freeze()  # the process is exiting: spare shutdown's collections the live import-time heap
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

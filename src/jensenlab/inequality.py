@@ -57,7 +57,7 @@ class RhoParams:
         if self.alpha == 0:
             raise DegenerateParameterError("degenerate-parameter: alpha = 0")
         if self.family == "B" and not self.beta:
-            raise DegenerateParameterError("degenerate-parameter: family B requires beta != 0")
+            raise DegenerateParameterError(f"degenerate-parameter: family B, beta = {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,72 @@
+"""The process entry: a ``python -m`` child writes what an in-process ``cli.main`` writes,
+and only ``cli.entry`` freezes the collector before the process exits."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from jensenlab import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "verify_power_measured.json"
+
+
+def run_child(module, args):
+    """(exit code, stdout bytes, stderr text) of ``python -m <module> <args>`` on this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def in_process(args, out):
+    code = cli.main([*args, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["jensenlab", "jensenlab.cli"])
+def test_child_writes_the_in_process_bytes(module, tmp_path):
+    args = ["verify", "--config", str(CONFIG)]
+    code, expected = in_process(args, tmp_path / "main.json")
+    assert code == cli.EXIT_PASS
+    out = tmp_path / "child.json"
+    assert run_child(module, [*args, "--out", str(out)])[:2] == (code, b"")
+    assert out.read_bytes() == expected
+    # on stdout too: freezing before the exit loses no buffered output
+    child_code, stdout, stderr = run_child(module, args)
+    assert (child_code, stdout) == (code, expected)
+    assert stderr.startswith("verify: PASS max_violation=")
+
+
+def test_child_exits_1_on_a_violation(tmp_path):
+    doc = {**json.loads(CONFIG.read_text()), "control": {"kind": "zero"}}
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(doc))
+    args = ["verify", "--config", str(cfg)]
+    code, expected = in_process(args, tmp_path / "main.json")
+    assert code == cli.EXIT_VIOLATION
+    assert run_child("jensenlab", args)[:2] == (code, expected)
+
+
+def test_main_does_not_freeze_the_collector(tmp_path):
+    before = gc.get_freeze_count()
+    assert cli.main(["verify", "--config", str(CONFIG), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_then_exits_with_the_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["jensenlab", "verify", "--config", str(CONFIG),
+                                      "--out", str(tmp_path / "out")])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entry()
+        assert exit_.value.code == cli.EXIT_PASS
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()

@@ -883,6 +883,14 @@ def test_cli_check_params(tmp_path, capsys):
     assert exit_.value.code == 2
 
 
+@pytest.mark.parametrize("beta, shown", [(None, "None"), (0, "0.0")])
+def test_degenerate_beta_names_the_value_given(beta, shown, tmp_path, capsys):
+    doc = changed("params", {**VERIFY_SAMPLE["params"], "family": "B", "beta": beta})
+    assert cli.main(["check-params", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("error[degenerate-parameter]: degenerate-parameter: "
+                                       f"family B, beta = {shown}\n")
+
+
 def test_cli_defect_csv(tmp_path):
     cfg = write_config(tmp_path, scalar_verify_doc())
     out = tmp_path / "defects.csv"
