@@ -30,7 +30,7 @@ and last value; they are summed term by term, up to ``trunc_terms`` terms, with
 no tail: each point adds the rows of one terms x points matrix left to right
 until a term is not covered.
 
-``phi_tilde_norms`` alone decides whether a series diverges, by one rule: terms
+``phi_tilde_cells`` alone decides whether a series diverges, by one rule: terms
 that behave as theta ||x||^r diverge where theta > 0, some ||x|| > 0 and
 ``convergence_predicate(scheme, r)`` fails. A power control is judged on its
 own (theta, r); a table control on (e below its first edge, 0): a measured
@@ -41,7 +41,7 @@ control keeps its first value there, and a tabulated one has none (NaN is not
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .errors import (
     DivergentSeriesError,
     FamilyError,
     InadmissibleError,
+    JensenLabError,
     NumericError,
     OutOfRegimeError,
     SingularPointError,
@@ -195,30 +196,36 @@ class SeriesSpec:
             raise ValueError("rho moduli must be nonnegative")
 
 
-def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
-    """Terms ``steps`` of the series at each query norm in nx, one row per term.
-    Row i is scaled and weighted by the Python float powers of L that term i
-    uses alone. e is evaluated once per argument pattern on the matrix, and
-    phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t) as e(0) = +0.0."""
-    p2 = spec.rho2_abs
-    L = abs(spec.scheme.scale)
+def _term_rows(e, theta, rows: list, nx: np.ndarray):
+    """Term ``step`` of series ``spec`` at each norm in nx, a row per ``(spec, step)`` in
+    rows (specs of one direction, family and display), scaled and weighted by the Python
+    float powers of its L; theta is a float or a column. e is evaluated once per argument
+    pattern, and phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t), e(0) = +0.0."""
+    spec = rows[0][0]
     forward = spec.scheme.direction == "forward"
     printed = spec.printed_display and forward
+    Ls = [(abs(sp.scheme.scale), i) for sp, i in rows]
     if forward:
-        s = np.array([_power(L, i) for i in steps])[:, None] * nx
-        weight = [_power(L, -(i + 1)) for i in steps]
+        s = np.array([_power(L, i) for L, i in Ls])[:, None] * nx
+        weight = [_power(L, -(i + 1)) for L, i in Ls]
     else:
         with np.errstate(divide="ignore"):  # L^(i+1) underflowed to 0: +inf, as an overflow is
-            s = nx / np.array([_power(L, i + 1) for i in steps])[:, None]
-        weight = [_power(L, i) for i in steps]
-    e_s = control.component(s)
-    phi_ss0 = control.theta * (e_s + e_s)
+            s = nx / np.array([_power(L, i + 1) for L, i in Ls])[:, None]
+        weight = [_power(L, i) for L, i in Ls]
+    e_s = e(s)
+    phi_ss0 = theta * (e_s + e_s)
     if spec.family == "A":  # phi(0, 0, t) with t = s, or s / |alpha|
-        e_t = e_s if printed else control.component(s / abs(spec.alpha))
-        return (np.array([w / (2.0 - p2) for w in weight])[:, None]
-                * (phi_ss0 + 2.0 * p2 / (1.0 - p2) * (control.theta * e_t)))
-    pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
-    return np.array([w * pref for w in weight])[:, None] * phi_ss0
+        e_t = e_s if printed else e(s / np.array([abs(sp.alpha) for sp, _ in rows])[:, None])
+        p2 = [sp.rho2_abs for sp, _ in rows]
+        return (np.array([w / (2.0 - p) for w, p in zip(weight, p2)])[:, None]
+                * (phi_ss0 + np.array([2.0 * p / (1.0 - p) for p in p2])[:, None] * (theta * e_t)))
+    pref = [1.0 / (1.0 - (sp.rho1_abs if printed else sp.rho2_abs)) for sp, _ in rows]
+    return np.array([w * p for w, p in zip(weight, pref)])[:, None] * phi_ss0
+
+
+def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
+    """Terms ``steps`` of one cell's series at each norm in nx, one row per term."""
+    return _term_rows(control.component, control.theta, [(spec, i) for i in steps], nx)
 
 
 def _term_ratio(scheme: Scheme, r: float) -> float:
@@ -230,66 +237,78 @@ def _term_ratio(scheme: Scheme, r: float) -> float:
 def _check_prefactors(spec: SeriesSpec):
     if spec.rho2_abs >= 1.0:
         raise InadmissibleError(
-            f"inadmissible: series prefactor needs |rho2| < 1, got {spec.rho2_abs}"
-        )
+            f"inadmissible: series prefactor needs |rho2| < 1, got {spec.rho2_abs}")
     if (spec.printed_display and spec.family == "B"
             and spec.scheme.direction == "forward" and spec.rho1_abs >= 1.0):
         raise OutOfRegimeError(
-            f"out-of-regime: printed display needs |rho1| < 1, got {spec.rho1_abs}"
-        )
-
-
-def _check_convergence(theta: float, r: float, nx: np.ndarray, scheme: Scheme) -> float:
-    """The term ratio of a series whose terms behave as theta ||x||^r; a
-    DivergentSeriesError where theta > 0, some ||x|| > 0 and the ratio is not below 1."""
-    verdict = convergence_predicate(scheme, r)
-    if theta > 0.0 and not verdict and (nx > 0.0).any():
-        raise DivergentSeriesError(
-            f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
-    return verdict.ratio
+            f"out-of-regime: printed display needs |rho1| < 1, got {spec.rho1_abs}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
-def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
-    """The stability series phi~ at each norm of a vector as (values, tail, terms).
-    ``tail`` is one for all points: 0.0 for a closed form (zero and power controls),
-    None for a term-by-term sum. ``terms`` counts the terms each point added, fewer
-    than ``trunc_terms`` where coverage ran out (``trunc_terms`` for a closed form).
-    Each value rounds as it does alone; one point's error is the vector's, and a
-    divergent series is a DivergentSeriesError (see the module docstring). A
-    tabulated or measured control's terms are a terms x points matrix, in blocks
-    of about CHUNK_ELEMENTS, summed left to right until no point is covered."""
+def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
+    """phi~ of each ``(control, spec)`` cell at the norms of one vector as (values, tails,
+    terms, errors): cells x points values; each cell's tail, 0.0 for a closed form (zero
+    and power controls), None for a term-by-term sum; the terms each point added, fewer
+    than ``trunc_terms`` where coverage ran out; each cell's error or None. Entries round
+    as they do alone. ``verdicts``, if given, holds convergence_predicate(spec.scheme,
+    control.r) of each cell, all of power or zero controls.
+    A table control's terms x points matrix is summed in blocks of about CHUNK_ELEMENTS,
+    left to right until no point is covered."""
     nx = np.asarray(norms, dtype=float)
-    if not nx.size:
-        return nx, None, np.zeros(0, dtype=int)
-    _check_prefactors(spec)
-    n_terms = spec.trunc_terms
-    value = np.zeros(nx.size)
-    if control.kind in ("zero", "power"):
-        if control.r < 0 and (nx == 0.0).any():
-            raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
-        ratio = _check_convergence(control.theta, control.r, nx, spec.scheme)
-        # phi is r-homogeneous and step i scales the weight by a fixed power of L
-        # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
-        # series is geometric. A ratio >= 1 gets here only with every term 0.
-        if ratio < 1.0:
-            value = _series_terms(control, nx, spec, range(1))[0] / (1.0 - ratio)
-        terms, tail = np.full(nx.size, n_terms), 0.0
-    else:  # tabulated / measured: sum until coverage runs out; no closed tail.
-        _check_convergence(control.table()[0], 0.0, nx, spec.scheme)
-        terms, tail = np.zeros(nx.size, dtype=int), None
-        rows = max(1, CHUNK_ELEMENTS // nx.size)
-        for lo in range(0, n_terms, rows):
-            if not (terms == lo).any():  # every point has left coverage
+    values, terms = np.zeros((len(cells), nx.size)), np.zeros((len(cells), nx.size), dtype=int)
+    tails, errors, closed = [None] * len(cells), [None] * len(cells), {}  # layout -> cells
+    for k, (control, spec) in enumerate(cells if nx.size else []):  # no norms, no checks
+        power = control.kind in ("zero", "power")
+        try:
+            _check_prefactors(spec)
+            if power and control.r < 0 and (nx == 0.0).any():
+                raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
+            theta, r = (control.theta, control.r) if power else (control.table()[0], 0.0)
+            verdict = convergence_predicate(spec.scheme, r) if verdicts is None else verdicts[k]
+            if theta > 0.0 and not verdict and (nx > 0.0).any():
+                raise DivergentSeriesError(
+                    f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
+        except JensenLabError as e:
+            errors[k] = e
+            continue
+        if power:
+            terms[k], tails[k] = spec.trunc_terms, 0.0
+            # phi is r-homogeneous and step i scales the weight by a fixed power of L
+            # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
+            # series is geometric. A ratio >= 1 gets here only with every term 0.
+            # numpy's power loop takes its exact shortcuts (x * x for r = 2, sqrt, 1 / x)
+            # only for an exponent that is one scalar, so each r is its own matrix
+            if verdict.ratio < 1.0:
+                layout = (spec.scheme.direction, spec.family, spec.printed_display, r)
+                closed.setdefault(layout, []).append((k, verdict.ratio))
+            continue
+        block = max(1, CHUNK_ELEMENTS // nx.size)
+        for lo in range(0, spec.trunc_terms, block):  # sum until coverage runs out
+            if not (terms[k] == lo).any():  # every point has left coverage
                 break
-            block = _series_terms(control, nx, spec, range(lo, min(lo + rows, n_terms)))
+            rows = _series_terms(control, nx, spec, range(lo, min(lo + block, spec.trunc_terms)))
             # a point adds term i while terms 0 .. i are all covered (not NaN)
-            covered = np.logical_and.accumulate(~np.isnan(block), axis=0) & (terms == lo)
-            terms += covered.sum(axis=0)
-            for term in np.where(covered, block, 0.0):  # left to right, term by term
-                value = value + term
-    _require_finite("phi~", value.max())
-    return value, tail, terms
+            covered = np.logical_and.accumulate(~np.isnan(rows), axis=0) & (terms[k] == lo)
+            terms[k] += covered.sum(axis=0)
+            for term in np.where(covered, rows, 0.0):  # left to right, term by term
+                values[k] = values[k] + term
+    for (*_, r), group in closed.items():
+        ks = [k for k, _ in group]
+        theta = np.array([cells[k][0].theta for k in ks])[:, None]
+        first = _term_rows(lambda s: _pw(s, r), theta, [(cells[k][1], 0) for k in ks], nx)
+        values[ks] = first / np.array([1.0 - ratio for _, ratio in group])[:, None]
+    for k, top in enumerate(values.max(axis=1, initial=0.0).tolist()):
+        if errors[k] is None and not math.isfinite(top):
+            errors[k] = NumericError("numeric: phi~ is not finite")
+    return values, tails, terms, errors
+
+
+def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
+    """phi_tilde_cells of one cell as (values, tail, terms), raising its error."""
+    values, (tail,), terms, (error,) = phi_tilde_cells([(control, spec)], norms)
+    if error is not None:
+        raise error
+    return values[0], tail, terms[0]
 
 
 def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
@@ -430,17 +449,26 @@ def paper_constant(params: RhoParams, scheme: Scheme, control: ControlFunction) 
         return "divergent"
 
 
+def derived_constants(cells: list, verdicts: list | None = None) -> list:
+    """phi~(1) of each ``(control, spec)`` cell's derivation-consistent series (its
+    spec without printed_display): a float, 'divergent', or the cell's other error."""
+    cells = [(c, replace(s, printed_display=False) if s.printed_display else s) for c, s in cells]
+    values, tails, _, errors = phi_tilde_cells(cells, [1.0], verdicts)
+    return [value + (tail or 0.0) if error is None
+            else "divergent" if isinstance(error, DivergentSeriesError) else error
+            for value, tail, error in zip(values[:, 0].tolist(), tails, errors)]
+
+
 def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction,
                      trunc_terms: int = DEFAULT_TRUNC_TERMS) -> float | str:
     """The derivation-consistent series constant phi~(1), or 'divergent' when
     the series diverges."""
     spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=abs(params.rho2),
                       alpha=params.alpha, trunc_terms=trunc_terms)
-    try:
-        value, tail, _ = phi_tilde_norms(control, [1.0], spec)
-        return float(value[0]) + (tail or 0.0)
-    except DivergentSeriesError:
-        return "divergent"
+    [constant] = derived_constants([(control, spec)])
+    if isinstance(constant, JensenLabError):
+        raise constant
+    return constant
 
 
 def empirical_sup(r: float, deviations) -> tuple[float, int]:

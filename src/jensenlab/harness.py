@@ -343,12 +343,6 @@ def _stage(name: str, fn):
         raise StageFailure(name, e) from e
 
 
-def _bound(control, spec: bounds.SeriesSpec, norms: np.ndarray) -> tuple:
-    """phi~'s columns at ``norms`` and the bound column phi~ + tail: the 'phi-tilde' stage."""
-    phi = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
-    return phi, phi[0] + (phi[1] or 0.0)
-
-
 @dataclass(eq=False)
 class RunReport:
     """In-memory verification outcome; ``runtime_seconds`` never hits the file."""
@@ -393,7 +387,8 @@ def run_verify(doc: dict) -> RunReport:
 
     pts = draw_samples(exp.space, exp.plan, arity=1)
     norms = exp.space.norms(pts)
-    (_, tail, terms), bound = _bound(control, spec, norms)
+    phi, tail, terms = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
+    bound = phi + (tail or 0.0)
     approximated = _stage("approximate", lambda: direct_method.approximate_points(
         exp.f, pts, exp.scheme, exp.tol, max_n=exp.config["max_n"]))
     max_violation = max((approximated.deviations - bound).tolist())
@@ -452,8 +447,9 @@ def run_sweep(doc: dict) -> list:
     unspecified axes are pinned at the base config's value. The function, the
     plans and the sample points (at least one) are built once. Each cell's config,
     with its params and power control (theta, r), goes through ``_experiment``,
-    which derives (from the cell's beta) and pairs its scheme; the cell sums phi~,
-    then reads its scheme's approximation pass, whose failure is the cell's status.
+    which derives (from the cell's beta) and pairs its scheme. The admissible cells sum
+    phi~ in two batches, at ||x|| = 1 and at the sample norms, then read their scheme's
+    approximation pass, whose failure is the cell's status.
     """
     cfg = normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
@@ -465,8 +461,7 @@ def run_sweep(doc: dict) -> list:
     f, plan, _ = shared
     pts = draw_samples(f.space, plan, arity=1)
     norms = f.space.norms(pts)
-    passes = {}  # Scheme -> its approximation pass over pts, or the pass's error
-    rows = []
+    rows, series = [], []  # (row, experiment, bound spec, verdict) of each admissible cell
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
         z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
         cell = {**dict.fromkeys(SWEEP_COLUMNS), "family": cfg["params"]["family"],
@@ -478,28 +473,39 @@ def run_sweep(doc: dict) -> list:
             exp = _experiment({**cfg, "params": params,
                                "control": {"kind": "power", "theta": theta, "r": r}}, *shared)
             adm = inequality.admissible(exp.params)
-            cell["admissible"] = bool(adm)
-            cell["converges"] = bool(bounds.convergence_predicate(exp.scheme, r))
+            verdict = bounds.convergence_predicate(exp.scheme, r)
+            cell["admissible"], cell["converges"] = bool(adm), bool(verdict)
             cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
-            cell["derived_constant"] = bounds.derived_constant(
-                exp.params, exp.scheme, exp.control, exp.config["trunc_terms"])
-            _, bound = _bound(exp.control, _series_spec(exp), norms)
-            if exp.scheme not in passes:  # a failed pass is kept, so it runs once too
-                try:
-                    passes[exp.scheme] = direct_method.approximate_points(
-                        exp.f, pts, exp.scheme, exp.tol, max_n=cfg["max_n"])
-                except JensenLabError as e:
-                    passes[exp.scheme] = e
-            approximated = passes[exp.scheme]
-            if isinstance(approximated, JensenLabError):
-                cell["status"] = approximated.code
-                continue
-            cell["max_violation"] = max((approximated.deviations - bound).tolist())
-            cell["empirical_sup"], _ = bounds.empirical_sup(
-                r, zip(norms.tolist(), approximated.deviations.tolist()))
+            series.append((cell, exp, _series_spec(exp), verdict))
+        except JensenLabError as e:
+            cell["status"] = e.code
+    cells, verdicts = [(exp.control, spec) for _, exp, spec, _ in series], [v for *_, v in series]
+    derived = bounds.derived_constants(cells, verdicts)
+    values, tails, _, errors = bounds.phi_tilde_cells(cells, norms, verdicts)
+    norms, passes = norms.tolist(), {}  # Scheme -> (deviations, as a list), or the pass's error
+    for (cell, exp, *_), constant, phi, tail, error in zip(series, derived, values, tails, errors):
+        if isinstance(constant, JensenLabError):
+            cell["status"] = constant.code
+            continue
+        cell["derived_constant"] = constant
+        if error is None and exp.scheme not in passes:  # a failed pass is kept, so it runs once
+            try:
+                devs = direct_method.approximate_points(
+                    exp.f, pts, exp.scheme, exp.tol, max_n=cfg["max_n"]).deviations
+                passes[exp.scheme] = devs, devs.tolist()
+            except JensenLabError as e:
+                passes[exp.scheme] = e
+        approximated = passes[exp.scheme] if error is None else error
+        if isinstance(approximated, JensenLabError):
+            cell["status"] = approximated.code
+            continue
+        deviations, devs = approximated
+        cell["max_violation"] = max((deviations - (phi + (tail or 0.0))).tolist())
+        try:
+            cell["empirical_sup"], _ = bounds.empirical_sup(exp.control.r, zip(norms, devs))
         except JensenLabError as e:
             cell["status"] = e.code
     return rows

@@ -26,7 +26,7 @@ from jensenlab import (
     measure_envelope,
 )
 from jensenlab import direct_method
-from jensenlab.bounds import phi_tilde_norms
+from jensenlab.bounds import phi_tilde_cells, phi_tilde_norms
 from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
 from jensenlab.errors import JensenLabError, NotConvergedError
 from jensenlab.inequality import defect_many
@@ -407,3 +407,66 @@ def test_phi_tilde_norms_equal_a_batch_of_one(norms, kind, direction):
     assert got == want
     if kind == "tabulated" and 5.0 in norms:
         assert got[norms.index(5.0)][3]
+
+
+@st.composite
+def series_cells(draw, layouts):
+    """One (control, spec) cell of a (family, direction, display) from ``layouts``, with
+    its own beta (family B), |rho2| and |rho1| up to past 1, theta 0 and r on both
+    sides of 1: every error phi_tilde_cells gives occurs."""
+    family, direction, printed = draw(layouts)
+    if family == "A":
+        scale = draw(st.sampled_from([2.0, -2.0]))
+    else:  # scale 1 + beta, away from the degenerate 0 and +-1
+        scale = 1.0 + draw(st.sampled_from([-2.5, -0.5, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0))
+        if abs(scale) < 0.1 or abs(abs(scale) - 1.0) < 0.05:
+            scale = 3.0
+    spec = SeriesSpec(scheme=Scheme(direction, scale), family=family,
+                      rho2_abs=draw(st.floats(0.0, 0.95) | st.sampled_from([0.0, 0.3, 1.0, 1.2])),
+                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
+                      trunc_terms=draw(st.integers(1, 24)), printed_display=printed,
+                      rho1_abs=draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.0, 1.5)))
+    kind = draw(st.sampled_from(["zero", "power", "power", "power", "tabulated"]))
+    if kind == "zero":
+        return ControlFunction.zero(), spec
+    if kind == "tabulated":
+        return CONTROLS["tabulated"](), spec
+    theta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0))
+    # mostly r on the convergent side of 1, below it where the series' arguments grow;
+    # numpy's power loop has exact shortcuts for r = -1, 0.5 and 2, and r = -2000
+    # overflows (numeric) at every norm below 1
+    grows = (abs(scale) > 1.0) == (direction == "forward")
+    below = st.floats(-2.0, 0.95) | st.sampled_from([-1.0, 0.5])
+    above = st.floats(1.05, 3.0) | st.just(2.0)
+    r = draw(st.sampled_from([below if grows else above] * 3 + [above if grows else below,
+                                                                st.sampled_from([1.0, -2000.0])]))
+    return ControlFunction.power(theta, draw(r)), spec
+
+
+@st.composite
+def cell_batches(draw):
+    """2 to 12 cells of at most three layouts, so that closed forms share a matrix."""
+    layouts = draw(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from(
+        ["forward", "backward"]), st.booleans()), min_size=1, max_size=3))
+    return draw(st.lists(series_cells(st.sampled_from(layouts)), min_size=2, max_size=12))
+
+
+def _cell_outcomes(cells, norms):
+    """phi_tilde_cells' outcome per cell: value bytes, tail, terms and error (type, message)."""
+    values, tails, terms, errors = phi_tilde_cells(cells, norms)
+    return [(v.tobytes(), tail, k.tolist(), e and (type(e), str(e)))
+            for v, tail, k, e in zip(values, tails, terms, errors)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=cell_batches(),
+       norms=st.lists(st.sampled_from([0.0, 0.5, 1.0, 5.0]) | st.floats(1e-3, 8.0), max_size=8,
+                      min_size=1))
+def test_phi_tilde_cells_equal_each_cell_alone(cells, norms):
+    got = _cell_outcomes(cells, norms)
+    assert got == [_cell_outcomes([cell], norms)[0] for cell in cells]
+    for (control, spec), (values, _, terms, error) in zip(cells, got):
+        if error is None:  # and each entry is that cell's at its one point
+            alone = [_cell_outcomes([(control, spec)], [nx])[0] for nx in norms]
+            assert values == b"".join(v for v, *_ in alone)
+            assert terms == [k for _, _, (k,), _ in alone]

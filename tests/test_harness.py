@@ -517,13 +517,15 @@ def test_a_run_checks_its_config_once(monkeypatch, run, name):
 
 
 def test_series_evaluates_each_argument_pattern_once(monkeypatch):
-    # 18 family-A blocks on the sample sweep, e once at s and once at s / |alpha|:
-    # each phi(s, s, 0) and phi(0, 0, t) read all three components, 108 in all
+    # two family-A batches on the sample sweep: the derived constants at ||x|| = 1 and the
+    # bounds at the 25 sample norms, each one matrix per r (0.25, 0.5, 0.75) with a row per
+    # admissible cell; each matrix evaluates e once at s and once at s / |alpha|
     calls = []
     pw = bounds._pw
-    monkeypatch.setattr(bounds, "_pw", lambda n, r: calls.append(r) or pw(n, r))
+    monkeypatch.setattr(bounds, "_pw", lambda n, r: calls.append((n.shape, r)) or pw(n, r))
     harness.run_sweep(json.loads((CONFIGS / "sweep_family_a.json").read_text()))
-    assert len(calls) == 36
+    assert calls == [((3, points), r) for points in (1, 25) for r in (0.25, 0.5, 0.75)
+                     for _ in range(2)]
 
 
 def test_unmeasured_control_raises_when_evaluated():
@@ -670,15 +672,21 @@ def test_sweep_cells_match_verify_and_audit():
 
 
 def test_sweep_computes_one_derived_series_per_admissible_cell(monkeypatch):
-    calls = []
-    phi_tilde_norms = bounds.phi_tilde_norms
-    monkeypatch.setattr(bounds, "phi_tilde_norms",
-                        lambda *a: calls.append(a) or phi_tilde_norms(*a))
+    calls, verdicts = [], []
+    phi_tilde_cells, predicate = bounds.phi_tilde_cells, bounds.convergence_predicate
+    monkeypatch.setattr(bounds, "phi_tilde_cells",
+                        lambda *a: calls.append(a) or phi_tilde_cells(*a))
+    monkeypatch.setattr(bounds, "convergence_predicate",
+                        lambda *a: verdicts.append(a) or predicate(*a))
     rows = harness.run_sweep(json.loads((CONFIGS / "sweep_family_a.json").read_text()))
-    derived = [a for a in calls if np.array_equal(a[1], [1.0])]  # the series at ||x|| = 1
-    assert len(derived) == sum(row["admissible"] for row in rows) == 9
-    # and one bound vector over the sample points per cell that reads its pass
-    assert len(calls) - len(derived) == sum(row["status"] == "ok" for row in rows)
+    # two batched series per sweep: the derived constants at ||x|| = 1, then the bounds
+    derived, bound = calls
+    assert np.array_equal(derived[1], [1.0]) and not np.array_equal(bound[1], [1.0])
+    assert len(derived[0]) == len(bound[0]) == sum(row["admissible"] for row in rows) == 9
+    assert sum(row["status"] == "ok" for row in rows) == 9
+    # each cell's convergence verdict is computed once, and both batches read it
+    assert len(verdicts) == len(rows) == 12
+    assert derived[2] is bound[2] and len(bound[2]) == 9
 
 
 def test_phi_tilde_failure_named_before_approximation_failure():
