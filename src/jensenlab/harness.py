@@ -485,7 +485,7 @@ def run_sweep(doc: dict) -> list:
     cells, verdicts = [(exp.control, spec) for _, exp, spec, _ in series], [v for *_, v in series]
     derived = bounds.derived_constants(cells, verdicts)
     values, tails, _, errors = bounds.phi_tilde_cells(cells, norms, verdicts)
-    norms, passes = norms.tolist(), {}  # Scheme -> (deviations, as a list), or the pass's error
+    norms, passes, sups = norms.tolist(), {}, {}  # passes: Scheme -> (deviations, list) or error
     for (cell, exp, *_), constant, phi, tail, error in zip(series, derived, values, tails, errors):
         if isinstance(constant, JensenLabError):
             cell["status"] = constant.code
@@ -504,10 +504,13 @@ def run_sweep(doc: dict) -> list:
             continue
         deviations, devs = approximated
         cell["max_violation"] = max((deviations - (phi + (tail or 0.0))).tolist())
-        try:
-            cell["empirical_sup"], _ = bounds.empirical_sup(exp.control.r, zip(norms, devs))
-        except JensenLabError as e:
-            cell["status"] = e.code
+        key = exp.scheme, exp.control.r  # sups: the sup's cell update, once per pass and r
+        if key not in sups:
+            try:
+                sups[key] = {"empirical_sup": bounds.empirical_sup(key[1], zip(norms, devs))[0]}
+            except JensenLabError as e:
+                sups[key] = {"status": e.code}
+        cell.update(sups[key])
     return rows
 
 

@@ -134,9 +134,10 @@ def _combine(terms):
 def defect_many(f: TestFunction, triples, params: RhoParams) -> tuple:
     """The defects of (x, y, z) triples, an ``(N, 3, dim)`` array or a sequence, as
     the columns (x_norm, y_norm, z_norm, lhs_norm, rhs_norm, defect), where
-    defect = lhs_norm - rhs_norm exactly as computed. ``f`` is evaluated once per
-    distinct argument of the family (8 for family A, 7 for family B), on every
-    triple at once. A triple whose defect is not finite raises NumericError."""
+    defect = lhs_norm - rhs_norm exactly as computed. Only an expression of nonzero
+    weight (lhs 1, e1 |rho1|, e2 |rho2|) is evaluated, ``f`` once per distinct argument
+    on every triple at once: 8 for family A, 7 for B, 6 with one rho zero, 4 with
+    both. A triple whose defect is not finite raises NumericError."""
     params.check_degenerate()
     sp = f.space
     xyz = (triples.swapaxes(0, 1) if isinstance(triples, np.ndarray)
@@ -144,16 +145,17 @@ def defect_many(f: TestFunction, triples, params: RhoParams) -> tuple:
     x, y, z = map(sp.as_vectors, xyz)
     beta = float(params.beta) if params.family == "B" else 0.0
     basis = (x, y, beta * y, params.alpha * z)
-    exprs = FAMILY_TERMS[params.family]
+    weights = {"lhs": 1.0, "e1": abs(params.rho1), "e2": abs(params.rho2)}
+    exprs = {name: terms for name, terms in FAMILY_TERMS[params.family].items() if weights[name]}
     args = list(dict.fromkeys(arg for terms in exprs.values() for _, arg in terms))
     values, per = {}, max(1, ROWS // max(1, len(x)))  # distinct arguments per evaluate_many call
     for group in (args[i:i + per] for i in range(0, len(args), per)):
         rows = evaluate_many(f, np.concatenate([_combine(zip(arg, basis)) for arg in group]))
         values.update(zip(group, np.split(rows, len(group))))
-    lhs, e1, e2 = (_combine((-beta if c == "-b" else c, values[arg]) for c, arg in exprs[name])
-                   for name in ("lhs", "e1", "e2"))
-    lhs_norm = sp.norms(lhs)
-    rhs_norm = abs(params.rho1) * sp.norms(e1) + abs(params.rho2) * sp.norms(e2)
+    norms = {name: sp.norms(_combine((-beta if c == "-b" else c, values[arg]) for c, arg in terms))
+             for name, terms in exprs.items()}
+    lhs_norm = norms.pop("lhs")
+    rhs_norm = sum((weights[name] * n for name, n in norms.items()), np.zeros_like(lhs_norm))
     defects = lhs_norm - rhs_norm
     bad = np.flatnonzero(~np.isfinite(defects))
     if bad.size:

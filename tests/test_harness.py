@@ -786,6 +786,9 @@ _FAMILY_A_GRID = {"rho2": [[0.0, 0.0], [0.7, 0.0]], "alpha": [1.0, 0.0], "theta"
                   "r": [0.5, 1.5]}
 _FAMILY_B_PARAMS = {"family": "B", "rho1": [0.0, 0.0], "rho2": [0.2, 0.0], "alpha": 1.0,
                     "beta": 1.0}
+#: f with an r = 2 perturbation, which a backward scheme's orbits approximate
+_BACKWARD_FUNCTION = {**SWEEP_SAMPLE["function"],
+                      "perturbation": {**SWEEP_SAMPLE["function"]["perturbation"], "r": 2.0}}
 
 #: (config, the statuses its cells take, or the field named by a fault no cell changes)
 SWEEP_CASES = {
@@ -805,6 +808,12 @@ SWEEP_CASES = {
     "family-b-max-n-zero": (_small_sweep({"beta": [None, 1.0, 2.0]}, params=_FAMILY_B_PARAMS,
                                          scheme={"direction": "forward", "scale": 3.0},
                                          max_n=0), "max_n"),
+    # backward with r 400: ||x||^r underflows to 0 at the small sample norms, so the empirical
+    # sup is not finite; the error is kept for the (scheme, r) and is each such cell's status
+    "family-a-backward-sup-underflow": (
+        _small_sweep({"rho1": [[0.0, 0.0], [0.1, 0.0]], "r": [2.0, 400.0]},
+                     scheme={"direction": "backward"}, function=_BACKWARD_FUNCTION),
+        {"ok", "numeric"}),
     # a given scale: beta 1 does not pair with scale 3
     "family-b-scale": (_small_sweep({"beta": [2.0, 1.0]}, params=_FAMILY_B_PARAMS,
                                     scheme={"direction": "forward", "scale": 3.0}),
@@ -827,6 +836,24 @@ def test_sweep_equals_the_cell_by_cell_reference(case):
     for row in rows:
         assert (row["status"] == "inadmissible") == (row["admissible"] is False), row
         assert row["status"] != "divergent" or row["converges"] is False, row
+
+
+@pytest.mark.parametrize("doc, sups, cells", [
+    # one scheme (forward dyadic) for every cell: 714 ok cells read 7 distinct r
+    (json.loads((CONFIGS / "sweep_scale_family_a.json").read_text()),
+     [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9], 714),
+    # a failed sup is kept too: 2 ok and 2 numeric cells read 2 distinct r
+    (SWEEP_CASES["family-a-backward-sup-underflow"][0], [2.0, 400.0], 4),
+])
+def test_sweep_takes_one_empirical_sup_per_scheme_and_r(monkeypatch, doc, sups, cells):
+    calls = []
+    original = bounds.empirical_sup
+    monkeypatch.setattr(bounds, "empirical_sup",
+                        lambda r, devs: calls.append(r) or original(r, devs))
+    rows = harness.run_sweep(doc)
+    read = [row for row in rows if row["status"] in ("ok", "numeric")]
+    assert len(read) == cells
+    assert calls == sorted({row["r"] for row in read}) == sups
 
 
 def test_sweep_builds_its_shared_parts_once(monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from jensenlab.errors import (
     EmptySampleError,
     FamilyError,
     InadmissibleError,
+    NumericError,
 )
 from jensenlab.inequality import defect_many
 from jensenlab.model import evaluate_many
@@ -126,21 +128,37 @@ def _reference_defect(f, x, y, z, params):
 @pytest.mark.parametrize("params", [
     RhoParams("A", 0.3 + 0.2j, -0.1 + 0.25j, -1.7),
     RhoParams("B", 0.4 - 0.3j, 0.2 + 0.5j, 0.6, beta=-2.3),
+    # a zero rho skips its expression; the reference still multiplies its norm by 0.0
+    RhoParams("A", 0, -0.1 + 0.25j, -1.7),
+    RhoParams("A", 0.3 + 0.2j, 0, -1.7),
+    RhoParams("A", 0, 0, -1.7),
+    RhoParams("B", 0, 0.2 + 0.5j, 0.6, beta=-2.3),
+    RhoParams("B", 0.4 - 0.3j, 0, 0.6, beta=-2.3),
+    RhoParams("B", 0, 0, 0.6, beta=-2.3),
 ])
 def test_defect_matches_docstring_formulas(params):
     f = make_power(dim=3, theta=0.2, r=0.5, seed=21)
     triples = draw_samples(f.space, SamplePlan(seed=17, count=60, radius=4.0), arity=3)
     lhs, rhs, d = (c.tolist() for c in defect_many(f, triples, params)[3:])
     assert (lhs, rhs, d) == _reference_defect(f, *triples.swapaxes(0, 1), params)
+    if params.rho1 == params.rho2 == 0:  # +0.0, which == does not tell from -0.0
+        assert all(math.copysign(1.0, v) == 1.0 and v == 0.0 for v in rhs)
 
 
 @pytest.mark.parametrize("params, calls", [
     (RhoParams("A", 0.3, 0.2, 1.5), 8),
     (RhoParams("B", 0.3, 0.2, 1.5, beta=2.0), 7),
+    # an expression of zero weight is not evaluated: its own arguments are skipped
+    (RhoParams("A", 0, 0.2, 1.5), 6),  # x + y and alpha z
+    (RhoParams("A", 0.3, 0, 1.5), 6),  # -x and alpha z - y
+    (RhoParams("A", 0, 0, 1.5), 4),
+    (RhoParams("B", 0, 0.2, 1.5, beta=2.0), 6),  # x + alpha z
+    (RhoParams("B", 0.3, 0, 1.5, beta=2.0), 6),  # x + beta y - alpha z
+    (RhoParams("B", 0, 0, 1.5, beta=2.0), 4),
 ])
 def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
-    # each distinct argument once, max(1, ROWS // triples) arguments per batched f call:
-    # all of them for 1 or 25 triples, 2 at a time for 1000
+    # each distinct argument of a nonzero-weight expression once, max(1, ROWS // triples)
+    # arguments per batched f call: all of them for 1 or 25 triples, 2 at a time for 1000
     f = make_power(dim=2, theta=0.2, r=0.5, seed=3)
     seen = []
     original = inequality.evaluate_many
@@ -158,6 +176,18 @@ def test_defect_evaluates_each_argument_once(monkeypatch, params, calls):
         triples = draw_samples(f.space, SamplePlan(seed=4, count=count, radius=2.0), arity=3)
         defect_many(f, triples, params)
         assert seen == want
+
+
+def test_defect_skips_an_argument_only_a_zero_weight_reads():
+    # r < 0 leaves f(0) undefined (a NaN row); with y = -x, f(x + y) = f(0) is read by e1
+    # alone, so with rho1 = 0 it is not in the inequality and the defect is finite
+    f = make_power(dim=2, theta=0.2, r=-0.5, seed=3)
+    x = np.array([1.0, 0.5j])
+    triple = [(x, -x, np.array([0.5, 0.25]))]
+    *_, rhs, d = defect_many(f, triple, RhoParams("A", 0, 0.2, 1.5))
+    assert np.isfinite(d).all() and rhs[0] > 0.0
+    with pytest.raises(NumericError, match="triple 0"):
+        defect_many(f, triple, RhoParams("A", 0.1, 0.2, 1.5))
 
 
 def test_exact_additive_defect_vanishes():
