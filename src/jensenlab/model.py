@@ -41,9 +41,11 @@ _QUANT_CAP = float(1 << 53)
 
 
 def _quantized(xs: np.ndarray, step: float) -> np.ndarray:
-    """Quantized int64 keys of the rows of an N x dim array (real parts, then imaginary)."""
+    """Quantized int64 keys of the rows of an N x dim array (real parts, then imaginary);
+    the steps after the first copy write into that copy, not into ``xs``."""
     parts = np.concatenate([xs.real, xs.imag], axis=1)
-    return np.clip(np.round(parts / step), -_QUANT_CAP, _QUANT_CAP).astype(np.int64)
+    parts /= step
+    return np.clip(np.round(parts, out=parts), -_QUANT_CAP, _QUANT_CAP, out=parts).astype(np.int64)
 
 
 def quantize(x: np.ndarray, step: float = QUANT_STEP) -> tuple:
@@ -56,17 +58,24 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's mix of each word, into a new array updated in place; ``z`` is only read."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
     """Words ``first`` .. ``count`` per row of an int64 key array, ``mix(state + j gamma)``:
-    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``."""
+    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``. The
+    state is its own array, updated in place; ``keys`` is only read."""
     state = np.full(len(keys), seed & _MASK64, dtype=np.uint64)
     for k in keys.view(np.uint64).T:
-        state = _mix64((state + _GAMMA) ^ k)
+        state += _GAMMA
+        state ^= k
+        state = _mix64(state)
     return _mix64(state[:, None] + _GAMMA * np.arange(first, count + 1, dtype=np.uint64))
 
 
@@ -110,16 +119,36 @@ class AdditiveCore:
         return m if self.kind == "real_linear" else np.block([[m.real, -m.imag],
                                                                [m.imag, m.real]])
 
+    @cached_property
+    def _kept(self) -> list:
+        """Per output part (Re y0, Im y0, Re y1, ...: a complex row's memory order), the
+        (column, entry) pairs of its nonzero ``_real_matrix`` entries, or of its first if none."""
+        m, d = self._real_matrix, len(self._real_matrix) // 2
+        return [[(j, v) for j, v in enumerate(m[i]) if v] or [(0, m[i, 0])]
+                for k in range(d) for i in (k, k + d)]
+
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """The core at each row of an N x dim array, in real arithmetic summed
         column by column in a fixed order: not BLAS, and no complex product,
         whose rounding can depend on the numpy loop (fused or not) that runs
-        it, so a row's bits never depend on the batch."""
+        it, so a row's bits never depend on the batch. An output part sums only
+        its ``_kept`` products (an entry of 1.0 adds its input unmultiplied) into
+        the complex result. A skipped product of a finite part is +-0 and
+        ``re + 1j * im`` moves only zeros and non-finite parts, so a batch with a
+        non-finite part or output part, or a zero output part, is summed over
+        every entry and joined as ``re + 1j * im``: all of it, since which NaN a
+        numpy loop keeps depends on the array's length."""
         d, m = xs.shape[1], self._real_matrix
         if m.shape != (2 * d, 2 * d):
             raise DimensionError(
                 f"dimension: {self.kind} core matrix {self.matrix.shape} does not act on C^{d}")
-        x2 = np.concatenate([xs.real.T, xs.imag.T])  # the 2d real input columns
+        # the 2d real input columns (real parts, then imaginary), each contiguous
+        x2 = np.concatenate([xs.real.T, xs.imag.T], out=np.empty((2 * d, len(xs))))
+        y = np.stack([fold(np.add, (x2[j] if v == 1.0 else x2[j] * v for j, v in kept))
+                      for kept in self._kept], axis=1)
+        if (np.isfinite(x2) & np.isfinite(y.T) & (y.T != 0.0)).all():
+            return y.view(np.complex128)
+        x2 = np.concatenate([xs.real.T, xs.imag.T])  # the full fold's own layout and loops
         y2 = np.stack([fold(np.add, map(np.multiply, x2, row)) for row in m], axis=1)
         return y2[:, :d] + 1j * y2[:, d:]
 
@@ -206,8 +235,10 @@ class Perturbation:
             # k of a word: every radius is positive, so no vector is zero.
             radius = np.sqrt(-2.0 * np.log(((words[:, :d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
             angle = 2.0 * np.pi * ((words[:, d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
-            g = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
-            u = g / space.norms(g)[:, None]
+            u = np.empty(radius.shape, dtype=np.complex128)
+            np.multiply(radius, np.cos(angle), out=u.real)
+            np.multiply(radius, np.sin(angle), out=u.imag)
+            u /= space.norms(u)[:, None]
         if self.kind == "bounded":
             # Magnitude scale in [0, 1) hashed from the same point key.
             return (self.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53))[:, None] * u

@@ -44,6 +44,24 @@ PERTURBATIONS = {
         default=np.full(dim, 0.25j)),
 }
 
+
+def sparse_core(dim):
+    """A real_linear core with planted 0.0, -0.0 and 1.0 entries, whose products the
+    core's fold skips or passes through unmultiplied."""
+    m = AdditiveCore.random(dim, 4, "real_linear").matrix.copy()
+    m[::2, 1::2], m[1::2, ::2] = 0.0, -0.0
+    np.fill_diagonal(m, 1.0)
+    return AdditiveCore("real_linear", m)
+
+
+CORES = {
+    "complex_linear": lambda dim: AdditiveCore.random(dim, 4, "complex_linear"),
+    "real_linear": lambda dim: AdditiveCore.random(dim, 4, "real_linear"),
+    "identity": AdditiveCore.identity,
+    "sparse": sparse_core,
+}
+
+#: 0.0 gives rows with a zero output, whose batch the core's fold sums again in full
 coords = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0, allow_nan=False)
 
 
@@ -56,10 +74,10 @@ def batches(draw, dim):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3), kind=st.sampled_from(sorted(PERTURBATIONS)),
-       core=st.sampled_from(["complex_linear", "real_linear"]),
+       core=st.sampled_from(sorted(CORES)),
        norm=st.sampled_from(["l1", "l2", "linf"]), forced=st.booleans())
 def test_evaluate_many_rows_equal_a_batch_of_one(data, dim, kind, core, norm, forced):
-    f = TestFunction(NormedSpace(dim, norm), AdditiveCore.random(dim, 4, core),
+    f = TestFunction(NormedSpace(dim, norm), CORES[core](dim),
                      PERTURBATIONS[kind](dim), force_zero_at_origin=forced)
     xs = data.draw(batches(dim))
     batch = evaluate_many(f, xs)
@@ -83,6 +101,46 @@ def test_hash_words_pinned():
     p = evaluate_many(f, [x])[0] - x
     want = [0.47718396136220353 + 0.06321484185765502j, -0.5738392776922354 - 1.4147465618142494j]
     assert np.allclose(p, want, rtol=0.0, atol=1e-14)
+
+
+def reference_hash_words(seed, keys, count, first=1):
+    """``_hash_words`` as it was written before it updated its state in place."""
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+    state = np.full(len(keys), seed & (2 ** 64 - 1), dtype=np.uint64)
+    for k in keys.view(np.uint64).T:
+        state = mix((state + gamma) ^ k)
+    return mix(state[:, None] + gamma * np.arange(first, count + 1, dtype=np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), first=st.integers(1, 5), extra=st.integers(0, 5),
+       keys=st.lists(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=4, max_size=4),
+                     min_size=1, max_size=6))
+def test_hash_words_match_the_out_of_place_formula(seed, first, extra, keys):
+    keys = np.array(keys, dtype=np.int64)
+    words = _hash_words(seed, keys, first + extra, first)
+    assert words.tobytes() == reference_hash_words(seed, keys, first + extra, first).tobytes()
+
+
+@pytest.mark.parametrize("core", sorted(CORES))
+@pytest.mark.parametrize("kind", sorted(PERTURBATIONS))
+def test_the_kernel_leaves_its_inputs_unchanged(kind, core):
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2))
+    xs[::7], xs[1::7, 0] = 0.0, -0.0  # origin rows and zero parts: fallback batches
+    before = xs.tobytes()
+    f = TestFunction(NormedSpace(2), CORES[core](2), PERTURBATIONS[kind](2))
+    evaluate_many(f, xs)
+    assert xs.tobytes() == before
+    keys = _quantized(xs, 2.0 ** -20)
+    assert xs.tobytes() == before
+    kept = keys.tobytes()
+    _hash_words(5, keys, 5)
+    assert keys.tobytes() == kept
 
 
 def _same_report(a, b):

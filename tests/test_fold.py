@@ -4,6 +4,8 @@ Each reference below is the formula the kernel used before its reductions over
 a vector's components became left-to-right folds (``space.fold``). Below 8
 components numpy sums left to right too, so every result must be equal bit for
 bit; from 8 on, the fold keeps the same order where numpy sums pairwise.
+``full_fold_apply_many`` is the core before it skipped the products of zero
+entries, whose bits the core keeps, NaN signs included.
 """
 
 import operator
@@ -11,6 +13,7 @@ import warnings
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +39,23 @@ def reference_apply_many(core, xs):
     for j in range(1, 2 * d):
         y2 = y2 + x2[:, j : j + 1] * m[:, j]
     return y2[:, :d] + 1j * y2[:, d:]
+
+
+def full_fold_apply_many(core, xs):
+    """``apply_many`` before it skipped zero products: every entry's product, summed
+    column by column, and the parts joined as ``re + 1j * im``."""
+    m, d = core._real_matrix, xs.shape[1]
+    x2 = np.concatenate([xs.real.T, xs.imag.T])
+    y2 = np.stack([reduce(np.add, map(np.multiply, x2, row)) for row in m], axis=1)
+    return y2[:, :d] + 1j * y2[:, d:]
+
+
+def one_nan(a):
+    """The parts of ``a`` with every NaN made the same NaN: which NaN operand a numpy
+    loop keeps depends on the loop, so two formulas agree on where NaN is, not its sign."""
+    parts = np.array(a).view(np.float64)
+    parts[np.isnan(parts)] = np.nan
+    return parts
 
 
 def reference_evaluate_many(f, xs):
@@ -100,12 +120,60 @@ def test_l2_norm_of_a_row_with_an_infinite_entry_is_inf():
         assert same_bits(space.norms([[3.0, 4.0], [0.0, 0.0]]), np.array([5.0, 0.0]))
 
 
-@settings(max_examples=100, deadline=None)
+#: every part a product or a sum can turn into a zero of either sign, an infinity or NaN
+special_parts = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308,
+                                  np.inf, -np.inf, np.nan])
+                 | st.floats(-1e100, 1e100))
+
+
+@st.composite
+def cores(draw, dim, seed, kind):
+    """A random core of ``kind``, or one whose skipped products the sparse fold must
+    restore: the identity, a real diagonal, or planted 0.0, -0.0 and 1.0 entries."""
+    if kind == "identity":
+        return AdditiveCore.identity(dim)
+    if kind == "diagonal":
+        diagonal = draw(st.lists(st.sampled_from([1.0, -1.0, 2.0, -0.5, 0.0]),
+                                 min_size=dim, max_size=dim))
+        return AdditiveCore("complex_linear", np.diag(diagonal).astype(np.complex128))
+    if kind == "planted":
+        m = AdditiveCore.random(dim, seed, "real_linear").matrix.copy()
+        planted = draw(st.lists(st.sampled_from([None, 0.0, -0.0, 1.0]),
+                                min_size=m.size, max_size=m.size))
+        for i, value in enumerate(planted):
+            if value is not None:
+                m.flat[i] = value
+        return AdditiveCore("real_linear", m)
+    return AdditiveCore.random(dim, seed, kind)
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3), seed=st.integers(0, 50),
-       kind=st.sampled_from(["complex_linear", "real_linear"]))
+       kind=st.sampled_from(["complex_linear", "real_linear", "identity", "diagonal",
+                             "planted"]))
 def test_apply_many_matches_the_column_sum_bit_for_bit(data, dim, seed, kind):
-    core, xs = AdditiveCore.random(dim, seed, kind), data.draw(batches(dim, modest_parts))
+    core = data.draw(cores(dim, seed, kind))
+    xs = data.draw(batches(dim, modest_parts))
     assert same_bits(core.apply_many(xs), reference_apply_many(core, xs))
+    # a zero or non-finite part: the full fold's bits, NaN signs too
+    xs = data.draw(batches(dim, special_parts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = core.apply_many(xs)
+        assert same_bits(result, full_fold_apply_many(core, xs))
+        assert same_bits(one_nan(result), one_nan(reference_apply_many(core, xs)))
+
+
+@pytest.mark.parametrize("core, row", [
+    (AdditiveCore.identity(2), [-0.0 - 0.0j, -1.0 + 3.0j]),  # a zero output's sign
+    (AdditiveCore.identity(2), [np.inf, 1.0 + 1.0j]),  # a non-finite input
+    (AdditiveCore("complex_linear", np.diag([2.0 + 0.0j])), [5.0 + 1e308j]),  # an overflow
+    # a non-finite input that no entry reads
+    (AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]])), [complex(3.0, np.inf)]),
+], ids=["zero-output", "non-finite-input", "overflow", "unread-input"])
+def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row):
+    xs = np.array([[0.5 + 0.25j] * len(row), row])  # and a row of the fast sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(core.apply_many(xs), full_fold_apply_many(core, xs))
 
 
 @settings(max_examples=100, deadline=None)
