@@ -41,7 +41,6 @@ control keeps its first value there, and a tabulated one has none (NaN is not
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -93,7 +92,6 @@ def _pw(n, r: float):
     return np.power(n, r, out=np.zeros_like(n, dtype=float), where=n != 0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class ControlFunction:
     """Nonnegative control phi(x, y, z) = theta (e(||x||) + e(||y||) + e(||z||)), e(0) = 0.
 
@@ -105,13 +103,9 @@ class ControlFunction:
     measured, and raises if evaluated.
     """
 
-    kind: str
-    theta: float = 0.0
-    r: float = 0.0
-    edges: np.ndarray | None = None
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
+    def __init__(self, kind: str, theta: float = 0.0, r: float = 0.0,
+                 edges: np.ndarray | None = None, values: np.ndarray | None = None):
+        self.kind, self.theta, self.r, self.edges, self.values = kind, theta, r, edges, values
         if self.kind not in CONTROL_KINDS:
             raise ValueError(f"control kind must be one of {CONTROL_KINDS}")
         if self.kind == "power" and self.theta < 0:
@@ -163,9 +157,8 @@ class ControlFunction:
         return self.theta * (self.component(nx) + self.component(ny) + self.component(nz))
 
 
-@dataclass(frozen=True)
 class SeriesSpec:
-    """Which series to sum, and how far.
+    """Which series to sum, and how far; equal and hashed by all seven fields.
 
     ``family`` selects the series form ('A' dyadic two-term, 'B' single-term);
     it cannot be inferred from the scale alone since 1+beta = +/-2 collides
@@ -173,15 +166,12 @@ class SeriesSpec:
     printed-display variant of the family-B forward series.
     """
 
-    scheme: Scheme
-    family: str
-    rho2_abs: float
-    alpha: float
-    trunc_terms: int = DEFAULT_TRUNC_TERMS
-    printed_display: bool = False
-    rho1_abs: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, scheme: Scheme, family: str, rho2_abs: float, alpha: float,
+                 trunc_terms: int = DEFAULT_TRUNC_TERMS, printed_display: bool = False,
+                 rho1_abs: float = 0.0):
+        self.scheme, self.family, self.rho2_abs, self.alpha = scheme, family, rho2_abs, alpha
+        self.trunc_terms, self.printed_display = trunc_terms, printed_display
+        self.rho1_abs = rho1_abs
         if self.family not in ("A", "B"):
             raise FamilyError(f"family: expected A or B, got {self.family!r}")
         if self.family == "A" and abs(self.scheme.scale) != 2.0:
@@ -194,6 +184,16 @@ class SeriesSpec:
             raise ValueError("alpha must be nonzero")
         if self.rho2_abs < 0 or self.rho1_abs < 0:
             raise ValueError("rho moduli must be nonnegative")
+
+    def _key(self) -> tuple:
+        return (self.scheme, self.family, self.rho2_abs, self.alpha, self.trunc_terms,
+                self.printed_display, self.rho1_abs)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _term_rows(e, theta, rows: list, nx: np.ndarray):
@@ -356,11 +356,20 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
     return _require_finite(which, 2.0 * theta / (denom * (1.0 - p2)))
 
 
-@dataclass(frozen=True)
 class ConvergenceVerdict:
-    converges: bool
-    ratio: float
-    condition: str
+    """A series' convergence verdict, equal and hashed by (converges, ratio, condition)."""
+
+    def __init__(self, converges: bool, ratio: float, condition: str):
+        self.converges, self.ratio, self.condition = converges, ratio, condition
+
+    def _key(self) -> tuple:
+        return self.converges, self.ratio, self.condition
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __bool__(self) -> bool:
         return self.converges
@@ -378,7 +387,6 @@ def convergence_predicate(scheme: Scheme, r: float) -> ConvergenceVerdict:
     return ConvergenceVerdict(ratio < 1.0, ratio, f"|scale|^({exponent}) = {ratio:.6g} < 1")
 
 
-@dataclass(frozen=True, eq=False)
 class BoundAudit:
     """Reconciliation of the published constant, the derivation-consistent
     series constant, and the empirical supremum of ||f - A|| / ||x||^r.
@@ -388,20 +396,20 @@ class BoundAudit:
       derived_matches_paper: 'consistent' | 'mismatched' | None
     """
 
-    which: str
-    theta: float
-    r: float
-    rho2: float
-    alpha: float
-    beta: float | None
-    paper_constant: float | str
-    derived_constant: float | str
-    empirical_sup: float
-    verdicts: dict
-    points: int
+    def __init__(self, which: str, theta: float, r: float, rho2: float, alpha: float,
+                 beta: float | None, paper_constant: float | str, derived_constant: float | str,
+                 empirical_sup: float, verdicts: dict, points: int):
+        self.which, self.theta, self.r, self.rho2, self.alpha = which, theta, r, rho2, alpha
+        self.beta, self.paper_constant = beta, paper_constant
+        self.derived_constant, self.empirical_sup = derived_constant, empirical_sup
+        self.verdicts, self.points = verdicts, points
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "points"}
+        """Every field but ``points``, in field order (a CSV's column order)."""
+        return {"which": self.which, "theta": self.theta, "r": self.r, "rho2": self.rho2,
+                "alpha": self.alpha, "beta": self.beta, "paper_constant": self.paper_constant,
+                "derived_constant": self.derived_constant, "empirical_sup": self.empirical_sup,
+                "verdicts": dict(self.verdicts)}
 
 
 AUDIT_REL_TOL = 1e-6
@@ -452,7 +460,8 @@ def paper_constant(params: RhoParams, scheme: Scheme, control: ControlFunction) 
 def derived_constants(cells: list, verdicts: list | None = None) -> list:
     """phi~(1) of each ``(control, spec)`` cell's derivation-consistent series (its
     spec without printed_display): a float, 'divergent', or the cell's other error."""
-    cells = [(c, replace(s, printed_display=False) if s.printed_display else s) for c, s in cells]
+    cells = [(c, SeriesSpec(s.scheme, s.family, s.rho2_abs, s.alpha, s.trunc_terms, False,
+                            s.rho1_abs) if s.printed_display else s) for c, s in cells]
     values, tails, _, errors = phi_tilde_cells(cells, [1.0], verdicts)
     return [value + (tail or 0.0) if error is None
             else "divergent" if isinstance(error, DivergentSeriesError) else error

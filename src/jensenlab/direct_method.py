@@ -15,7 +15,6 @@ limit of the orbit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,12 +29,11 @@ DIRECTIONS = ("forward", "backward")
 _LOG2_DOUBLE_MAX = 1023.0
 
 
-@dataclass(frozen=True)
 class Scheme:
-    direction: str
-    scale: float
+    """An orbit scheme, equal and hashed by (direction, scale)."""
 
-    def __post_init__(self):
+    def __init__(self, direction: str, scale: float):
+        self.direction, self.scale = direction, scale
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         s = float(self.scale)
@@ -43,6 +41,15 @@ class Scheme:
             raise DegenerateScaleError(
                 f"degenerate-scale: scale must be finite with |scale| not in {{0, 1}}, got {s}"
             )
+
+    def _key(self) -> tuple:
+        return self.direction, self.scale
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def normalized(self) -> "Scheme":
         """Equivalent scheme with |scale| > 1 (same term sequence)."""
@@ -94,7 +101,6 @@ def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) 
     return terms
 
 
-@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Per-point iteration outcome.
 
@@ -103,12 +109,10 @@ class ConvergenceReport:
     limit from the trailing geometric decay (None when no ratio is available).
     """
 
-    point: np.ndarray
-    value: np.ndarray
-    iterations: int
-    residuals: list
-    tail_bound: float | None
-    converged: bool
+    def __init__(self, point: np.ndarray, value: np.ndarray, iterations: int, residuals: list,
+                 tail_bound: float | None, converged: bool):
+        self.point, self.value, self.iterations = point, value, iterations
+        self.residuals, self.tail_bound, self.converged = residuals, tail_bound, converged
 
     def to_json_dict(self) -> dict:
         tail = "unavailable" if self.tail_bound is None else self.tail_bound
@@ -130,18 +134,15 @@ def _tail_estimate(residuals: list) -> float | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
 class Approximants:
     """The approximation pass over N points as columns: A(x) (N x dim), ||f(x) - A(x)||
     (NaN where a point did not converge), residual counts, converged flags, each
     failing orbit's error by point, and each block's (points, residuals, last read) steps."""
 
-    values: np.ndarray
-    deviations: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    errors: dict
-    steps: list
+    def __init__(self, values: np.ndarray, deviations: np.ndarray, iterations: np.ndarray,
+                 converged: np.ndarray, errors: dict, steps: list):
+        self.values, self.deviations, self.iterations = values, deviations, iterations
+        self.converged, self.errors, self.steps = converged, errors, steps
 
     @cached_property
     def residuals(self) -> list:

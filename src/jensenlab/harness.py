@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,21 +194,17 @@ def normalize_config(doc: dict) -> dict:
     return cfg
 
 
-@dataclass(eq=False)
 class Experiment:
     """Materialized config: live objects ready to run. A measured control has no
     envelope until ``_build_control`` measures one on ``envelope_plan``."""
 
-    config: dict
-    space: NormedSpace
-    f: model.TestFunction
-    params: inequality.RhoParams
-    scheme: Scheme
-    plan: SamplePlan
-    envelope_plan: SamplePlan
-    control: bounds.ControlFunction
-    tol: float
-    forced_pairing: bool
+    def __init__(self, config: dict, space: NormedSpace, f: model.TestFunction,
+                 params: inequality.RhoParams, scheme: Scheme, plan: SamplePlan,
+                 envelope_plan: SamplePlan, control: bounds.ControlFunction, tol: float,
+                 forced_pairing: bool):
+        self.config, self.space, self.f, self.params, self.scheme = config, space, f, params, scheme
+        self.plan, self.envelope_plan, self.control = plan, envelope_plan, control
+        self.tol, self.forced_pairing = tol, forced_pairing
 
 
 def _scheme(cfg: dict) -> tuple:
@@ -293,7 +288,8 @@ def _shared(cfg: dict) -> tuple:
     perturbation = _built("function.perturbation",
                           lambda: _perturbation(fn["perturbation"], space.dim))
     f = model.TestFunction(space, core, perturbation, fn["force_zero_at_origin"])
-    return f, plan, _built("envelope", lambda: replace(plan, seed=env["seed"], count=env["count"]))
+    return f, plan, _built("envelope", lambda: SamplePlan(
+        env["seed"], env["count"], plan.radius, plan.exclude_origin_below))
 
 
 def _experiment(cfg: dict, f, plan, envelope_plan) -> Experiment:
@@ -343,16 +339,13 @@ def _stage(name: str, fn):
         raise StageFailure(name, e) from e
 
 
-@dataclass(eq=False)
 class RunReport:
     """In-memory verification outcome; ``runtime_seconds`` never hits the file."""
 
-    config: dict
-    points: list
-    summary: dict
-    audit: dict | None
-    control_fit: dict | None
-    runtime_seconds: float
+    def __init__(self, config: dict, points: list, summary: dict, audit: dict | None,
+                 control_fit: dict | None, runtime_seconds: float):
+        self.config, self.points, self.summary = config, points, summary
+        self.audit, self.control_fit, self.runtime_seconds = audit, control_fit, runtime_seconds
 
     def passed(self) -> bool:
         return bool(self.summary["passed"])

@@ -21,8 +21,6 @@ exactly when defect <= phi(x, y, z). Admissibility is strict, as printed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -38,20 +36,24 @@ from .space import SamplePlan, draw_samples, fold
 FAMILIES = ("A", "B")
 
 
-@dataclass(frozen=True)
 class RhoParams:
     """Inequality parameters: complex rho1/rho2, real alpha (both families),
-    real beta (family B only; ignored by family A)."""
+    real beta (family B only; ignored by family A); equal and hashed by all five."""
 
-    family: str
-    rho1: complex
-    rho2: complex
-    alpha: float
-    beta: float | None = None
-
-    def __post_init__(self):
+    def __init__(self, family: str, rho1: complex, rho2: complex, alpha: float,
+                 beta: float | None = None):
+        self.family, self.rho1, self.rho2, self.alpha, self.beta = family, rho1, rho2, alpha, beta
         if self.family not in FAMILIES:
             raise FamilyError(f"family: expected one of {FAMILIES}, got {self.family!r}")
+
+    def _key(self) -> tuple:
+        return self.family, self.rho1, self.rho2, self.alpha, self.beta
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def check_degenerate(self):
         if self.alpha == 0:
@@ -60,10 +62,20 @@ class RhoParams:
             raise DegenerateParameterError(f"degenerate-parameter: family B, beta = {self.beta}")
 
 
-@dataclass(frozen=True)
 class Admissibility:
-    ok: bool
-    detail: str
+    """An admissibility verdict and its diagnostic, equal and hashed by (ok, detail)."""
+
+    def __init__(self, ok: bool, detail: str):
+        self.ok, self.detail = ok, detail
+
+    def _key(self) -> tuple:
+        return self.ok, self.detail
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __bool__(self) -> bool:
         return self.ok
@@ -166,7 +178,6 @@ def defect_many(f: TestFunction, triples, params: RhoParams) -> tuple:
 # --- measured control envelopes ---------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class MeasuredEnvelope:
     """Shell-wise empirical envelope of the clamped defect.
 
@@ -175,9 +186,8 @@ class MeasuredEnvelope:
     table e of ``bounds.ControlFunction.measured``.
     """
 
-    edges: np.ndarray
-    shell_max: np.ndarray
-    cum_max: np.ndarray
+    def __init__(self, edges: np.ndarray, shell_max: np.ndarray, cum_max: np.ndarray):
+        self.edges, self.shell_max, self.cum_max = edges, shell_max, cum_max
 
 
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,

@@ -12,7 +12,6 @@ row, so a row's bits never depend on its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +78,6 @@ def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.n
     return _mix64(state[:, None] + _GAMMA * np.arange(first, count + 1, dtype=np.uint64))
 
 
-@dataclass(frozen=True, eq=False)
 class AdditiveCore:
     """Linear operator on the space; additive by construction.
 
@@ -89,10 +87,8 @@ class AdditiveCore:
     R-homogeneous without being C-linear.
     """
 
-    kind: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, kind: str, matrix: np.ndarray):
+        self.kind, self.matrix = kind, matrix
         if self.kind not in CORE_KINDS:
             raise ValueError(f"core kind must be one of {CORE_KINDS}, got {self.kind!r}")
 
@@ -133,11 +129,11 @@ class AdditiveCore:
         whose rounding can depend on the numpy loop (fused or not) that runs
         it, so a row's bits never depend on the batch. An output part sums only
         its ``_kept`` products (an entry of 1.0 adds its input unmultiplied) into
-        the complex result. A skipped product of a finite part is +-0 and
-        ``re + 1j * im`` moves only zeros and non-finite parts, so a batch with a
-        non-finite part or output part, or a zero output part, is summed over
-        every entry and joined as ``re + 1j * im``: all of it, since which NaN a
-        numpy loop keeps depends on the array's length."""
+        the complex result. A skipped product of a finite part is +-0, which moves
+        only a zero sum's sign, so a batch with a non-finite part or output part,
+        or a zero output part, is summed over every entry, into the complex result
+        too: all of it, since which NaN a numpy loop keeps depends on the array's
+        length."""
         d, m = xs.shape[1], self._real_matrix
         if m.shape != (2 * d, 2 * d):
             raise DimensionError(
@@ -149,11 +145,10 @@ class AdditiveCore:
         if (np.isfinite(x2) & np.isfinite(y.T) & (y.T != 0.0)).all():
             return y.view(np.complex128)
         x2 = np.concatenate([xs.real.T, xs.imag.T])  # the full fold's own layout and loops
-        y2 = np.stack([fold(np.add, map(np.multiply, x2, row)) for row in m], axis=1)
-        return y2[:, :d] + 1j * y2[:, d:]
+        return np.stack([fold(np.add, map(np.multiply, x2, m[i])) for k in range(d)
+                         for i in (k, k + d)], axis=1).view(np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Deterministic perturbation p with a selectable magnitude law.
 
@@ -173,17 +168,14 @@ class Perturbation:
     x / ||x||.
     """
 
-    kind: str = "none"
-    epsilon: float = 0.0
-    theta: float = 0.0
-    r: float = 1.0
-    direction: str = "hashed"
-    direction_seed: int = 0
-    table: dict = field(default_factory=dict)
-    default: np.ndarray | None = None
-    quant_step: float = QUANT_STEP
-
-    def __post_init__(self):
+    def __init__(self, kind: str = "none", epsilon: float = 0.0, theta: float = 0.0,
+                 r: float = 1.0, direction: str = "hashed", direction_seed: int = 0,
+                 table: dict | None = None, default: np.ndarray | None = None,
+                 quant_step: float = QUANT_STEP):
+        self.kind, self.epsilon, self.theta, self.r = kind, epsilon, theta, r
+        self.direction, self.direction_seed = direction, direction_seed
+        self.table = {} if table is None else table  # a new dict per perturbation
+        self.default, self.quant_step = default, quant_step
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
         if self.direction not in DIRECTION_KINDS:
@@ -248,16 +240,15 @@ class Perturbation:
         return np.where(undefined, np.nan, magnitude)[:, None] * u
 
 
-@dataclass(frozen=True, eq=False)
 class TestFunction:
     """f = core + perturbation on a normed space."""
 
     __test__ = False  # not a pytest collection target
 
-    space: NormedSpace
-    core: AdditiveCore
-    perturbation: Perturbation
-    force_zero_at_origin: bool = False
+    def __init__(self, space: NormedSpace, core: AdditiveCore, perturbation: Perturbation,
+                 force_zero_at_origin: bool = False):
+        self.space, self.core, self.perturbation = space, core, perturbation
+        self.force_zero_at_origin = force_zero_at_origin
 
 
 def evaluate_many(f: TestFunction, xs) -> np.ndarray:

@@ -5,7 +5,6 @@ Vectors are plain ``numpy`` arrays of ``complex128`` with shape ``(dim,)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -28,18 +27,25 @@ def fold(op, columns) -> np.ndarray:
     return reduce(op, columns)
 
 
-@dataclass(frozen=True)
 class NormedSpace:
-    """A complex coordinate space C^dim with an l1, l2 or linf norm."""
+    """A complex coordinate space C^dim with an l1, l2 or linf norm; equal and
+    hashed by (dim, norm_kind)."""
 
-    dim: int
-    norm_kind: str = "l2"
-
-    def __post_init__(self):
+    def __init__(self, dim: int, norm_kind: str = "l2"):
+        self.dim, self.norm_kind = dim, norm_kind
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
+
+    def _key(self) -> tuple:
+        return self.dim, self.norm_kind
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def as_vectors(self, vs) -> np.ndarray:
         """Coerce a sequence of vectors to an N x dim complex array, checking the
@@ -74,17 +80,13 @@ class NormedSpace:
         return np.zeros(self.dim, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
 class SamplePlan:
     """Seeded sampling plan: ``count`` draws in the norm shell
-    ``(exclude_origin_below, radius]``."""
+    ``(exclude_origin_below, radius]``; equal and hashed by its four fields."""
 
-    seed: int
-    count: int
-    radius: float
-    exclude_origin_below: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, seed: int, count: int, radius: float, exclude_origin_below: float = 0.0):
+        self.seed, self.count, self.radius = seed, count, radius
+        self.exclude_origin_below = exclude_origin_below
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.count < 0:
@@ -94,6 +96,15 @@ class SamplePlan:
                 f"need radius > exclude_origin_below >= 0, got radius={self.radius}, "
                 f"exclude_origin_below={self.exclude_origin_below}"
             )
+
+    def _key(self) -> tuple:
+        return self.seed, self.count, self.radius, self.exclude_origin_below
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def inner_radius(self) -> float:
         """Positive lower edge of the sampled norm range."""

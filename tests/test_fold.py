@@ -5,7 +5,8 @@ a vector's components became left-to-right folds (``space.fold``). Below 8
 components numpy sums left to right too, so every result must be equal bit for
 bit; from 8 on, the fold keeps the same order where numpy sums pairwise.
 ``full_fold_apply_many`` is the core before it skipped the products of zero
-entries, whose bits the core keeps, NaN signs included.
+entries, whose bits the core keeps, NaN signs included. Both write a sum's parts
+straight into the complex result.
 """
 
 import operator
@@ -32,22 +33,30 @@ def reference_norms(space, vs):
     return m * np.sqrt(((mags / scale) ** 2).sum(axis=1))
 
 
+def complex_parts(y2):
+    """The N x d complex array of real parts y2[:, :d] and imaginary parts y2[:, d:],
+    each written as it is: a join ``re + 1j * im`` would move zero signs and non-finite parts."""
+    d = y2.shape[1] // 2
+    out = np.empty((len(y2), d), dtype=np.complex128)
+    out.real, out.imag = y2[:, :d], y2[:, d:]
+    return out
+
+
 def reference_apply_many(core, xs):
     m, d = core._real_matrix, xs.shape[1]
     x2 = np.concatenate([xs.real, xs.imag], axis=1)
     y2 = x2[:, :1] * m[:, 0]
     for j in range(1, 2 * d):
         y2 = y2 + x2[:, j : j + 1] * m[:, j]
-    return y2[:, :d] + 1j * y2[:, d:]
+    return complex_parts(y2)
 
 
 def full_fold_apply_many(core, xs):
     """``apply_many`` before it skipped zero products: every entry's product, summed
-    column by column, and the parts joined as ``re + 1j * im``."""
-    m, d = core._real_matrix, xs.shape[1]
+    column by column."""
     x2 = np.concatenate([xs.real.T, xs.imag.T])
-    y2 = np.stack([reduce(np.add, map(np.multiply, x2, row)) for row in m], axis=1)
-    return y2[:, :d] + 1j * y2[:, d:]
+    return complex_parts(np.stack([reduce(np.add, map(np.multiply, x2, row))
+                                   for row in core._real_matrix], axis=1))
 
 
 def one_nan(a):
@@ -163,17 +172,26 @@ def test_apply_many_matches_the_column_sum_bit_for_bit(data, dim, seed, kind):
         assert same_bits(one_nan(result), one_nan(reference_apply_many(core, xs)))
 
 
-@pytest.mark.parametrize("core, row", [
-    (AdditiveCore.identity(2), [-0.0 - 0.0j, -1.0 + 3.0j]),  # a zero output's sign
-    (AdditiveCore.identity(2), [np.inf, 1.0 + 1.0j]),  # a non-finite input
-    (AdditiveCore("complex_linear", np.diag([2.0 + 0.0j])), [5.0 + 1e308j]),  # an overflow
+@pytest.mark.parametrize("core, row, expected", [
+    (AdditiveCore.identity(2), [-0.0 - 0.0j, -1.0 + 3.0j], None),  # a zero output's sign
+    (AdditiveCore.identity(2), [np.inf, 1.0 + 1.0j], None),  # a non-finite input
+    (AdditiveCore("complex_linear", np.diag([2.0 + 0.0j])), [5.0 + 1e308j], None),  # an overflow
     # a non-finite input that no entry reads
-    (AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]])), [complex(3.0, np.inf)]),
-], ids=["zero-output", "non-finite-input", "overflow", "unread-input"])
-def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row):
+    (AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]])), [complex(3.0, np.inf)],
+     None),
+    # the identity keeps a part's bits where no product of the other part is NaN: -0.0 stays
+    # -0.0, and inf stays inf, while inf times the identity's -0.0 entry makes Re NaN
+    (AdditiveCore.identity(1), [complex(-0.0, 2.0)], [complex(-0.0, 2.0)]),
+    (AdditiveCore.identity(1), [complex(1.0, np.inf)], [complex(np.nan, np.inf)]),
+], ids=["zero-output", "non-finite-input", "overflow", "unread-input", "identity-negative-zero",
+        "identity-infinite-part"])
+def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row, expected):
     xs = np.array([[0.5 + 0.25j] * len(row), row])  # and a row of the fast sum
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(core.apply_many(xs), full_fold_apply_many(core, xs))
+        result = core.apply_many(xs)
+        assert same_bits(result, full_fold_apply_many(core, xs))
+    if expected is not None:
+        assert same_bits(one_nan(result[1]), one_nan(np.array(expected)))
 
 
 @settings(max_examples=100, deadline=None)
