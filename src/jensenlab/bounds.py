@@ -36,6 +36,11 @@ that behave as theta ||x||^r diverge where theta > 0, some ||x|| > 0 and
 own (theta, r); a table control on (e below its first edge, 0): a measured
 control keeps its first value there, and a tabulated one has none (NaN is not
 > 0), so its series ends where its coverage does.
+
+``run_cells`` is the one path of a cell for ``verify``, the sweep and ``audit``, in these
+stages: admissibility (the parameters, then the series spec), audit (an audit needs a
+power control), envelope (a measured control's), phi-tilde (phi~ at every norm),
+approximate, and audit (the published constant, phi~(1), then the empirical sup).
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ import math
 
 import numpy as np
 
-from .direct_method import Scheme, approximate_points
+from . import direct_method, inequality
+from .direct_method import Scheme
 from .errors import (
     ConfigError,
     DegenerateScaleError,
@@ -251,7 +257,7 @@ def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
     and power controls), None for a term-by-term sum; the terms each point added, fewer
     than ``trunc_terms`` where coverage ran out; each cell's error or None. Entries round
     as they do alone. ``verdicts``, if given, holds convergence_predicate(spec.scheme,
-    control.r) of each cell, all of power or zero controls.
+    control.r) of each cell (a table control has r = 0, the exponent it is judged on).
     A table control's terms x points matrix is summed in blocks of about CHUNK_ELEMENTS,
     left to right until no point is covered."""
     nx = np.asarray(norms, dtype=float)
@@ -425,36 +431,10 @@ def constant_tag(family: str, direction: str) -> str:
         raise FamilyError(f"family: no constant for family={family!r}, direction={direction!r}")
 
 
-def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
-          control: ControlFunction, points, tol: float = 1e-9,
-          trunc_terms: int = DEFAULT_TRUNC_TERMS, max_n: int = 200) -> BoundAudit:
-    """Cross-validate the closed-form constant against the series and data.
-
-    Requires a power control; ``empirical_sup`` is max ||f(x) - A(x)|| /
-    ||x||^r over the supplied points, with A from ``approximate_points``.
-    """
-    xs = f.space.as_vectors(points)
-
-    def deviations():  # the pass runs once audit_deviations has checked the parameters
-        devs = approximate_points(f, xs, scheme, tol, max_n=max_n).deviations
-        yield from zip(f.space.norms(xs).tolist(), devs.tolist())
-    return audit_deviations(params, scheme, control, deviations(), trunc_terms=trunc_terms)
-
-
 def require_power_control(control: ControlFunction):
     """An audit needs a power control: its constants are closed forms in theta and r."""
     if control.kind != "power":
         raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
-
-
-def paper_constant(params: RhoParams, scheme: Scheme, control: ControlFunction) -> float | str:
-    """The published closed-form constant of the regime, or 'divergent' when
-    its printed denominator is not positive."""
-    try:
-        return corollary_constant(constant_tag(params.family, scheme.direction), control.theta,
-                                  control.r, abs(params.rho2), beta=params.beta)
-    except OutOfRegimeError:
-        return "divergent"
 
 
 def derived_constants(cells: list, verdicts: list | None = None) -> list:
@@ -468,18 +448,6 @@ def derived_constants(cells: list, verdicts: list | None = None) -> list:
             for value, tail, error in zip(values[:, 0].tolist(), tails, errors)]
 
 
-def derived_constant(params: RhoParams, scheme: Scheme, control: ControlFunction,
-                     trunc_terms: int = DEFAULT_TRUNC_TERMS) -> float | str:
-    """The derivation-consistent series constant phi~(1), or 'divergent' when
-    the series diverges."""
-    spec = SeriesSpec(scheme=scheme, family=params.family, rho2_abs=abs(params.rho2),
-                      alpha=params.alpha, trunc_terms=trunc_terms)
-    [constant] = derived_constants([(control, spec)])
-    if isinstance(constant, JensenLabError):
-        raise constant
-    return constant
-
-
 def empirical_sup(r: float, deviations) -> tuple[float, int]:
     """max ||f(x) - A(x)|| / ||x||^r over ``(||x||, ||f(x) - A(x)||)`` pairs
     with ||x|| > 0 (0 when there are none), and the number of such pairs; a
@@ -489,18 +457,21 @@ def empirical_sup(r: float, deviations) -> tuple[float, int]:
     return _require_finite("empirical_sup", max(ratios, default=0.0)), len(ratios)
 
 
-def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction,
-                     deviations, trunc_terms: int = DEFAULT_TRUNC_TERMS) -> BoundAudit:
-    """``audit`` on ``(||x||, ||f(x) - A(x)||)`` pairs already computed.
+def _once(cache: dict, key, compute):
+    """cache[key], computed on first use; a failure is kept, and raised on every use."""
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except JensenLabError as e:  # kept without the traceback that holds this frame
+            cache[key] = e.with_traceback(None)
+    if isinstance(value := cache[key], JensenLabError):
+        raise value
+    return value
 
-    The parameters are checked and the constants evaluated before ``deviations`` is iterated.
-    """
-    require_power_control(control)
-    require_admissible(params)
-    which = constant_tag(params.family, scheme.direction)
-    paper = paper_constant(params, scheme, control)
-    derived = derived_constant(params, scheme, control, trunc_terms)
-    sup, count = empirical_sup(control.r, deviations)
+
+def bound_audit(params: RhoParams, scheme: Scheme, control: ControlFunction, cols: dict):
+    """The BoundAudit of one cell from its audit columns (``run_cells``)."""
+    paper, derived, sup = cols["paper_constant"], cols["derived_constant"], cols["empirical_sup"]
 
     def le(bound):
         if isinstance(bound, str):
@@ -518,7 +489,105 @@ def audit_deviations(params: RhoParams, scheme: Scheme, control: ControlFunction
         "empirical_le_paper": le(paper),
         "derived_matches_paper": match,
     }
-    return BoundAudit(which=which, theta=control.theta, r=control.r, rho2=abs(params.rho2),
-                      alpha=params.alpha, beta=params.beta, paper_constant=paper,
-                      derived_constant=derived, empirical_sup=sup, verdicts=verdicts,
-                      points=count)
+    return BoundAudit(which=constant_tag(params.family, scheme.direction), theta=control.theta,
+                      r=control.r, rho2=abs(params.rho2), alpha=params.alpha, beta=params.beta,
+                      paper_constant=paper, derived_constant=derived, empirical_sup=sup,
+                      verdicts=verdicts, points=cols["points"])
+
+
+def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_terms: int,
+              printed_display: bool, bound: bool, audit: bool, envelope) -> list:
+    """The stages of each ``(params, scheme, control)`` cell on the points xs, as one
+    ``[columns, fault]`` per cell: fault is the cell's first ``(stage, error)`` in stage
+    order, or None. ``bound`` asks for the phi-tilde stage and ``audit`` for both audit
+    stages; a measured control is measured on ``envelope`` = (plan, shells). The columns:
+    admissible, converges; control_fit; bound (phi~ + tail), tail, terms; x_norm,
+    approximants, max_violation; paper_constant, derived_constant, empirical_sup and its
+    points, which ``bound_audit`` reads. A column is written whenever it was computed
+    without a fault: the published constant once the parameters are not degenerate, the
+    derived one past the envelope. The series are two batches, the derived constants and the bounds, on one
+    convergence verdict per cell. A cell whose phi~ fails reads no pass; a pass runs once
+    per scheme and a sup once per scheme and r, failed or not.
+    """
+    norms = f.space.norms(xs)
+    out, live = [[{}, None] for _ in cells], []  # live: the cells past the envelope
+    for cell, (params, scheme, control) in zip(out, cells):
+        stage, late = "admissibility", None  # late: a fault of the published constant
+        try:
+            adm = inequality.admissible(params)
+            verdict = convergence_predicate(scheme, control.r)
+            cell[0]["admissible"], cell[0]["converges"] = bool(adm), bool(verdict)
+            if audit and control.kind == "power":
+                try:  # the published constant, divergent where its denominator is not positive
+                    cell[0]["paper_constant"] = corollary_constant(
+                        constant_tag(params.family, scheme.direction), control.theta, control.r,
+                        abs(params.rho2), beta=params.beta)
+                except OutOfRegimeError:
+                    cell[0]["paper_constant"] = "divergent"
+                except JensenLabError as e:  # a fault of the audit stage
+                    late = e.with_traceback(None)
+            if not adm:
+                require_admissible(params)  # raises, naming the violated condition
+            spec = SeriesSpec(scheme, params.family, abs(params.rho2), params.alpha,
+                              trunc_terms, printed_display, abs(params.rho1))
+            if audit:
+                stage = "audit"
+                require_power_control(control)
+            stage = "envelope"
+            if control.kind == "measured":
+                env = inequality.measure_envelope(f, params, *envelope)
+                cell[0]["control_fit"] = {"shell_edges": env.edges.tolist(),
+                                          "shell_max": env.shell_max.tolist()}
+                control = ControlFunction.measured(env)
+        except JensenLabError as e:  # a kept traceback would hold this frame in a cycle
+            cell[1] = stage, e.with_traceback(None)
+            continue
+        live.append((cell, scheme, control, spec, verdict, late))
+    series, verdicts = [(c[2], c[3]) for c in live], [c[4] for c in live]
+    derived = derived_constants(series, verdicts) if audit else [None] * len(live)
+    if bound:
+        values, tails, terms, errors = phi_tilde_cells(series, norms, verdicts)
+    norms, passes, sups = norms.tolist(), {}, {}  # scheme -> pass, (scheme, r) -> sup
+    for i, (cell, scheme, control, _, _, late) in enumerate(live):
+        cols, constant, stage = cell[0], derived[i], "phi-tilde"
+        if audit and not isinstance(constant, JensenLabError):
+            cols["derived_constant"] = constant
+        try:
+            if bound:
+                if errors[i] is not None:
+                    raise errors[i]
+                cols.update(bound=values[i] + (tails[i] or 0.0), tail=tails[i], terms=terms[i])
+            stage = "approximate"
+            approximated = _once(passes, scheme, lambda: direct_method.approximate_points(
+                f, xs, scheme, tol, max_n=max_n))
+            cols.update(x_norm=norms, approximants=approximated)
+            if bound:
+                cols["max_violation"] = max((approximated.deviations - cols["bound"]).tolist())
+            stage = "audit"
+            if audit:
+                for error in (late, constant):  # the published constant's fault first
+                    if isinstance(error, JensenLabError):
+                        raise error
+                cols["empirical_sup"], cols["points"] = _once(sups, (scheme, control.r), lambda: (
+                    empirical_sup(control.r, zip(norms, approximated.deviations.tolist()))))
+        except JensenLabError as e:
+            cell[1] = stage, e.with_traceback(None)
+    return out
+
+
+def audit(f: TestFunction, params: RhoParams, scheme: Scheme,
+          control: ControlFunction, points, tol: float = 1e-9,
+          trunc_terms: int = DEFAULT_TRUNC_TERMS, max_n: int = 200) -> BoundAudit:
+    """Cross-validate the closed-form constant against the series and data.
+
+    Requires a power control, checked before the parameters, then runs the one
+    cell's stages (``run_cells``) with no per-point bound, raising its first fault;
+    ``empirical_sup`` is max ||f(x) - A(x)|| / ||x||^r over the supplied points,
+    with A from ``approximate_points``.
+    """
+    require_power_control(control)
+    [(cols, fault)] = run_cells(f, points, [(params, scheme, control)], tol, max_n, trunc_terms,
+                                False, bound=False, audit=True, envelope=None)
+    if fault is not None:
+        raise fault[1]
+    return bound_audit(params, scheme, control, cols)

@@ -196,7 +196,7 @@ def normalize_config(doc: dict) -> dict:
 
 class Experiment:
     """Materialized config: live objects ready to run. A measured control has no
-    envelope until ``_build_control`` measures one on ``envelope_plan``."""
+    envelope until ``bounds.run_cells`` measures one on ``envelope_plan``."""
 
     def __init__(self, config: dict, space: NormedSpace, f: model.TestFunction,
                  params: inequality.RhoParams, scheme: Scheme, plan: SamplePlan,
@@ -314,31 +314,6 @@ def build_experiment(doc: dict) -> Experiment:
     return _experiment(cfg, *_shared(cfg))
 
 
-def _build_control(exp: Experiment):
-    """(control, shell table | None), measuring the envelope of a measured control."""
-    if exp.control.kind != "measured":
-        return exp.control, None
-    env = inequality.measure_envelope(exp.f, exp.params, exp.envelope_plan,
-                                      shells=exp.config["envelope"]["shells"])
-    table = {"shell_edges": env.edges.tolist(), "shell_max": env.shell_max.tolist()}
-    return bounds.ControlFunction.measured(env), table
-
-
-def _series_spec(exp: Experiment) -> bounds.SeriesSpec:
-    return bounds.SeriesSpec(
-        scheme=exp.scheme, family=exp.params.family, rho2_abs=abs(exp.params.rho2),
-        alpha=exp.params.alpha, trunc_terms=exp.config["trunc_terms"],
-        printed_display=exp.config["printed_display"], rho1_abs=abs(exp.params.rho1),
-    )
-
-
-def _stage(name: str, fn):
-    try:
-        return fn()
-    except JensenLabError as e:
-        raise StageFailure(name, e) from e
-
-
 class RunReport:
     """In-memory verification outcome; ``runtime_seconds`` never hits the file."""
 
@@ -359,52 +334,37 @@ class RunReport:
 def run_verify(doc: dict) -> RunReport:
     """Full verification: A at every sample point, series bound, margins.
 
-    Pipeline stages, run in this order (each failure aborts naming the stage):
-    admissibility (the parameters, then the series spec), the control kind an
-    audit needs (when one is asked for), control construction (envelope
-    measurement for measured controls), the series phi~ at every sampled norm,
-    which names a divergent series before any orbit is run, the approximation
-    pass, and the audit (when one is asked for). A measured control's shell
-    table, the one its phi reads, is echoed as ``control_fit``. Pass iff max
-    over points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least
-    one point.
+    The config's one cell through ``bounds.run_cells``'s stages, with the audit when the
+    config asks for one; the first failure aborts naming its stage. A measured control's
+    shell table, the one its phi reads, is echoed as ``control_fit``. Pass iff max over
+    points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
-
-    _stage("admissibility", lambda: inequality.require_admissible(exp.params))
-    spec = _stage("admissibility", lambda: _series_spec(exp))
-    if exp.config["audit"]:
-        _stage("audit", lambda: bounds.require_power_control(exp.control))
-    control, table = _stage("envelope", lambda: _build_control(exp))
-
+    cfg = exp.config
     pts = draw_samples(exp.space, exp.plan, arity=1)
-    norms = exp.space.norms(pts)
-    phi, tail, terms = _stage("phi-tilde", lambda: bounds.phi_tilde_norms(control, norms, spec))
-    bound = phi + (tail or 0.0)
-    approximated = _stage("approximate", lambda: direct_method.approximate_points(
-        exp.f, pts, exp.scheme, exp.tol, max_n=exp.config["max_n"]))
-    max_violation = max((approximated.deviations - bound).tolist())
-    norms, devs = norms.tolist(), approximated.deviations.tolist()
+    [(cols, fault)] = bounds.run_cells(
+        exp.f, pts, [(exp.params, exp.scheme, exp.control)], exp.tol, cfg["max_n"],
+        cfg["trunc_terms"], cfg["printed_display"], bound=True, audit=cfg["audit"],
+        envelope=(exp.envelope_plan, cfg["envelope"]["shells"]))
+    if fault is not None:
+        raise StageFailure(*fault) from fault[1]
+    tail, approximated = cols["tail"], cols["approximants"]
     # one record per point; a series that ran out of coverage also gives its term count
     records = [{"x": [list(z) for z in zip(re, im)], "x_norm": nx, "deviation": dev, "bound": b,
                 "tail": "unavailable" if tail is None else tail, "margin": b - dev, "iterations": k,
-                **({"terms": t, "coverage_truncated": True} if t < spec.trunc_terms else {})}
+                **({"terms": t, "coverage_truncated": True} if t < cfg["trunc_terms"] else {})}
                for re, im, nx, dev, b, k, t in zip(
-                   pts.real.tolist(), pts.imag.tolist(), norms, devs, bound.tolist(),
-                   approximated.iterations.tolist(), terms.tolist())]
-
-    audit_block = None
-    if exp.config["audit"]:
-        audit_block = _stage("audit", lambda: bounds.audit_deviations(
-            exp.params, exp.scheme, control, zip(norms, devs),
-            trunc_terms=exp.config["trunc_terms"])).to_json_dict()
-
-    summary = {"count": len(records), "max_violation": max_violation,
-               "passed": bool(max_violation <= exp.tol), "scheme": exp.scheme.label(),
+                   pts.real.tolist(), pts.imag.tolist(), cols["x_norm"],
+                   approximated.deviations.tolist(), cols["bound"].tolist(),
+                   approximated.iterations.tolist(), cols["terms"].tolist())]
+    audit = (bounds.bound_audit(exp.params, exp.scheme, exp.control, cols).to_json_dict()
+             if cfg["audit"] else None)
+    summary = {"count": len(records), "max_violation": cols["max_violation"],
+               "passed": bool(cols["max_violation"] <= exp.tol), "scheme": exp.scheme.label(),
                "forced_pairing": exp.forced_pairing}
-    return RunReport(config=exp.config, points=records, summary=summary,
-                     audit=audit_block, control_fit=table,
+    return RunReport(config=cfg, points=records, summary=summary, audit=audit,
+                     control_fit=cols.get("control_fit"),
                      runtime_seconds=time.perf_counter() - t0)
 
 
@@ -440,9 +400,9 @@ def run_sweep(doc: dict) -> list:
     unspecified axes are pinned at the base config's value. The function, the
     plans and the sample points (at least one) are built once. Each cell's config,
     with its params and power control (theta, r), goes through ``_experiment``,
-    which derives (from the cell's beta) and pairs its scheme. The admissible cells sum
-    phi~ in two batches, at ||x|| = 1 and at the sample norms, then read their scheme's
-    approximation pass, whose failure is the cell's status.
+    which derives (from the cell's beta) and pairs its scheme. The cells then run
+    ``verify``'s stages with the audit, together (``bounds.run_cells``): a row takes
+    its cell's columns, and its status is the code of the cell's first failure, or ok.
     """
     cfg = normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
@@ -453,57 +413,28 @@ def run_sweep(doc: dict) -> list:
     shared = _shared(cfg)
     f, plan, _ = shared
     pts = draw_samples(f.space, plan, arity=1)
-    norms = f.space.norms(pts)
-    rows, series = [], []  # (row, experiment, bound spec, verdict) of each admissible cell
+    rows, cells = [], []  # cells: (row, (params, scheme, control)) of each cell built
     for rho1, rho2, alpha, beta, theta, r in itertools.product(*(grid[a] for a in SWEEP_AXES)):
         z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
-        cell = {**dict.fromkeys(SWEEP_COLUMNS), "family": cfg["params"]["family"],
-                "rho1_re": z1.real, "rho1_im": z1.imag, "rho2_re": z2.real, "rho2_im": z2.imag,
-                "alpha": alpha, "beta": beta, "theta": theta, "r": r, "status": "ok"}
-        rows.append(cell)
+        row = {**dict.fromkeys(SWEEP_COLUMNS), "family": cfg["params"]["family"],
+               "rho1_re": z1.real, "rho1_im": z1.imag, "rho2_re": z2.real, "rho2_im": z2.imag,
+               "alpha": alpha, "beta": beta, "theta": theta, "r": r, "status": "ok"}
+        rows.append(row)
         params = {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha, "beta": beta}
         try:
             exp = _experiment({**cfg, "params": params,
                                "control": {"kind": "power", "theta": theta, "r": r}}, *shared)
-            adm = inequality.admissible(exp.params)
-            verdict = bounds.convergence_predicate(exp.scheme, r)
-            cell["admissible"], cell["converges"] = bool(adm), bool(verdict)
-            cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
-            if not adm:
-                cell["status"] = "inadmissible"
-                continue
-            series.append((cell, exp, _series_spec(exp), verdict))
         except JensenLabError as e:
-            cell["status"] = e.code
-    cells, verdicts = [(exp.control, spec) for _, exp, spec, _ in series], [v for *_, v in series]
-    derived = bounds.derived_constants(cells, verdicts)
-    values, tails, _, errors = bounds.phi_tilde_cells(cells, norms, verdicts)
-    norms, passes, sups = norms.tolist(), {}, {}  # passes: Scheme -> (deviations, list) or error
-    for (cell, exp, *_), constant, phi, tail, error in zip(series, derived, values, tails, errors):
-        if isinstance(constant, JensenLabError):
-            cell["status"] = constant.code
+            row["status"] = e.code
             continue
-        cell["derived_constant"] = constant
-        if error is None and exp.scheme not in passes:  # a failed pass is kept, so it runs once
-            try:
-                devs = direct_method.approximate_points(
-                    exp.f, pts, exp.scheme, exp.tol, max_n=cfg["max_n"]).deviations
-                passes[exp.scheme] = devs, devs.tolist()
-            except JensenLabError as e:
-                passes[exp.scheme] = e
-        approximated = passes[exp.scheme] if error is None else error
-        if isinstance(approximated, JensenLabError):
-            cell["status"] = approximated.code
-            continue
-        deviations, devs = approximated
-        cell["max_violation"] = max((deviations - (phi + (tail or 0.0))).tolist())
-        key = exp.scheme, exp.control.r  # sups: the sup's cell update, once per pass and r
-        if key not in sups:
-            try:
-                sups[key] = {"empirical_sup": bounds.empirical_sup(key[1], zip(norms, devs))[0]}
-            except JensenLabError as e:
-                sups[key] = {"status": e.code}
-        cell.update(sups[key])
+        cells.append((row, (exp.params, exp.scheme, exp.control)))
+    results = bounds.run_cells(f, pts, [cell for _, cell in cells], cfg["tolerances"]["tol"],
+                               cfg["max_n"], cfg["trunc_terms"], cfg["printed_display"],
+                               bound=True, audit=True, envelope=None)
+    for (row, _), (cols, fault) in zip(cells, results):
+        row.update({k: cols[k] for k in cols.keys() & row.keys()})
+        if fault is not None:
+            row["status"] = fault[1].code
     return rows
 
 

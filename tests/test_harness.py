@@ -10,6 +10,7 @@ from jensenlab.errors import (
     ConfigError,
     JensenLabError,
     NotConvergedError,
+    OutOfRegimeError,
     PairingError,
     StageFailure,
     UnknownKeyError,
@@ -239,10 +240,16 @@ def test_echoed_config_is_complete_and_replayable(case, tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
+#: sample configs whose run exits nonzero by design, and their exit code
+SAMPLE_EXITS = {"audit_backward_divergent": cli.EXIT_INADMISSIBLE}
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_sample_configs_run(path, tmp_path):
     command = path.stem.split("_")[0]
-    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == (
+        SAMPLE_EXITS.get(path.stem, cli.EXIT_PASS))
+    assert (tmp_path / "out").exists()
 
 
 def test_real_linear_matrix_core_runs_as_given():
@@ -303,9 +310,9 @@ def test_run_verify_scalar_measured():
 
 def test_control_fit_is_the_table_the_control_reads(monkeypatch):
     controls = []
-    phi_tilde_norms = bounds.phi_tilde_norms
-    monkeypatch.setattr(bounds, "phi_tilde_norms",
-                        lambda control, *a: controls.append(control) or phi_tilde_norms(control, *a))
+    phi_tilde_cells = bounds.phi_tilde_cells
+    monkeypatch.setattr(bounds, "phi_tilde_cells", lambda cells, *a: controls.extend(
+        control for control, _ in cells) or phi_tilde_cells(cells, *a))
     fit = harness.run_verify(VERIFY_SAMPLE).control_fit
     [control] = controls
     assert control.kind == "measured"
@@ -351,12 +358,19 @@ def test_run_verify_divergent_measured_series(tmp_path, capsys, trunc_terms):
     assert capsys.readouterr().err.startswith("error[divergent]: phi-tilde: ")
 
 
+def series_spec(exp):
+    """The series spec of an experiment's bound, as its config gives it."""
+    return bounds.SeriesSpec(exp.scheme, exp.params.family, abs(exp.params.rho2),
+                             exp.params.alpha, exp.config["trunc_terms"],
+                             exp.config["printed_display"], abs(exp.params.rho1))
+
+
 def test_run_verify_reports_coverage_truncation():
     # the forward series at ||x|| reaches 2^63 ||x||: past the last edge above ||x|| ~ 1.08
     doc = changed("control", {"kind": "tabulated", "edges": [0.01, 0.5, 1.0, 1e19],
                               "values": [0.3, 0.2, 0.5]})
     exp = harness.build_experiment(doc)
-    spec = harness._series_spec(exp)
+    spec = series_spec(exp)
     keys = set(harness.run_verify(VERIFY_SAMPLE).points[0])
     points = harness.run_verify(doc).points
     truncated = [p for p in points if "terms" in p]
@@ -728,7 +742,9 @@ def reference_sweep(doc):
     """The sweep cell by cell: each cell's config through build_experiment, and
     each point through phi_tilde_norms and approximate alone. A fault that no
     cell changes is one of the config with neutral params and control and
-    --force, and fails the sweep before its first cell."""
+    --force, and fails the sweep before its first cell. A cell's status is its
+    first fault in verify's stage order, where a fault of the published or the
+    derived constant comes after the pass."""
     cfg = harness.normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
@@ -752,15 +768,26 @@ def reference_sweep(doc):
             adm = inequality.admissible(exp.params)
             cell["admissible"] = bool(adm)
             cell["converges"] = bool(bounds.convergence_predicate(exp.scheme, r))
-            cell["paper_constant"] = bounds.paper_constant(exp.params, exp.scheme, exp.control)
+            late = None  # a fault of either constant ranks at the audit stage, after the pass
+            try:
+                cell["paper_constant"] = bounds.corollary_constant(
+                    bounds.constant_tag(exp.params.family, exp.scheme.direction), theta, r,
+                    abs(exp.params.rho2), beta=exp.params.beta)
+            except OutOfRegimeError:
+                cell["paper_constant"] = "divergent"
+            except JensenLabError as e:
+                late = e
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
-            cell["derived_constant"] = bounds.derived_constant(
-                exp.params, exp.scheme, exp.control, exp.config["trunc_terms"])
+            spec = series_spec(exp)
+            [derived] = bounds.derived_constants([(exp.control, spec)])
+            if not isinstance(derived, JensenLabError):
+                cell["derived_constant"] = derived
+            elif late is None:
+                late = derived
             pts = draw_samples(exp.space, exp.plan, arity=1)
             norms = [exp.space.norm(x) for x in pts]
-            spec = harness._series_spec(exp)
             phis = [bounds.phi_tilde_norms(exp.control, [nx], spec) for nx in norms]
             devs = []
             for x in pts:
@@ -771,6 +798,8 @@ def reference_sweep(doc):
                 devs.append(exp.space.norm(model.evaluate_many(exp.f, [x])[0] - rep.value))
             cell["max_violation"] = max((d - (float(v[0]) + (t or 0.0))
                                          for d, (v, t, _) in zip(devs, phis)), default=0.0)
+            if late is not None:
+                raise late
             cell["empirical_sup"], _ = bounds.empirical_sup(r, zip(norms, devs))
         except JensenLabError as e:
             cell["status"] = e.code
@@ -818,6 +847,18 @@ SWEEP_CASES = {
     "family-b-scale": (_small_sweep({"beta": [2.0, 1.0]}, params=_FAMILY_B_PARAMS,
                                     scheme={"direction": "forward", "scale": 3.0}),
                        {"ok", "pairing"}),
+    # theta 1e308 makes c24 not finite: a fault of the audit stage, so the inadmissible
+    # rho2 0.7 reads inadmissible there, and a divergent or non-finite phi~ comes first
+    "family-a-huge-theta": (_small_sweep({"rho2": [[0.0, 0.0], [0.7, 0.0]],
+                                          "theta": [1.0, 1e308], "r": [0.5, 1.5]}),
+                            {"ok", "inadmissible", "divergent", "numeric"}),
+    # beta -1 forced to scale 3: c34 reads |1 + beta| = 0, a degenerate scale that ranks
+    # after the pass; rho1 5 is inadmissible and r 1.5 divergent before it
+    "family-b-forced-degenerate-beta": (
+        _small_sweep({"rho1": [[0.0, 0.0], [5.0, 0.0]], "r": [0.5, 1.5]}, force=True,
+                     params={**_FAMILY_B_PARAMS, "beta": -1.0},
+                     scheme={"direction": "forward", "scale": 3.0}),
+        {"degenerate-scale", "divergent", "inadmissible"}),
 }
 
 
@@ -878,6 +919,22 @@ def test_divergent_verify_makes_no_approximation_pass(monkeypatch):
         harness.run_verify(doc)
     assert (err.value.stage, err.value.code) == ("phi-tilde", "divergent")
     assert calls == []
+    # the patch sees the pass of a converging run: the empty list above is no accident
+    assert harness.run_verify(VERIFY_SAMPLE).passed()
+    assert len(calls) == 1
+
+
+def test_each_run_takes_one_path_through_run_cells(monkeypatch):
+    calls = []
+    run_cells = bounds.run_cells
+    monkeypatch.setattr(bounds, "run_cells", lambda *a, **kw: calls.append(len(a[2]))
+                        or run_cells(*a, **kw))
+    harness.run_verify(VERIFY_SAMPLE)
+    harness.run_sweep(SWEEP_SAMPLE)
+    exp = harness.build_experiment(AUDIT_SAMPLE)
+    bounds.audit(exp.f, exp.params, exp.scheme, exp.control,
+                 draw_samples(exp.space, exp.plan, arity=1), tol=exp.tol)
+    assert calls == [1, 12, 1]  # one call each, with all of the run's cells
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -1020,6 +1077,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     huge = (("verify", forward_r, 2, "error[divergent]: "),
             ("audit", changed("control.r", 400, AUDIT_SAMPLE), 3, "error[numeric]: "),
             ("audit", changed("control.r", 330, AUDIT_SAMPLE), 3, "error[numeric]: "),
+            # c26 is not finite at theta 1e308, a fault of the audit stage, which comes
+            # after the pass that max_n 3 cuts short
+            ("audit", changed("max_n", 3, changed("control.theta", 1e308, AUDIT_SAMPLE)), 2,
+             "error[not-converged]: "),
             ("sweep", changed("grid.r", [2000], SWEEP_SAMPLE), 0, "divergent"),
             ("sweep", changed("grid.r", [-400], SWEEP_SAMPLE), 0, "numeric"))
     # a power perturbation with r < 0 is undefined at 0, which a backward orbit from a
@@ -1040,6 +1101,48 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert {row["status"] for row in rows if row["admissible"]} == {outcome}
         assert all(np.isfinite(v) for row in rows for v in row.values()
                    if isinstance(v, float)), rows
+
+
+#: the audit sample's family-B cell with beta -1 forced to forward scale 3, power control
+#: and perturbation at r = 0.5: every stage passes, but c34 reads |1 + beta| = 0
+_DEGENERATE_BETA = changed("control", {"kind": "power", "theta": 1.0, "r": 0.5}, changed(
+    "params", {**AUDIT_SAMPLE["params"], "family": "B", "beta": -1.0}, changed(
+        "scheme", {"direction": "forward", "scale": 3.0}, changed(
+            "function.perturbation.r", 0.5, changed("force", True, AUDIT_SAMPLE)))))
+
+#: (subcommand, config, exit code, stderr's first line or None) at the edges of the
+#: stage order, each from the audit sample
+STAGE_EDGES = {
+    # no audit asked for: no published constant is evaluated, and the run passes
+    "verify-without-audit": ("verify", _DEGENERATE_BETA, 0, None),
+    # the published constant's fault is the audit stage's, after a pass that succeeds
+    "verify-audit-degenerate-scale": ("verify", changed("audit", True, _DEGENERATE_BETA), 2,
+                                      "error[degenerate-scale]: audit: degenerate-scale: "
+                                      "|1 + beta| = 0.0"),
+    # c26 is not finite at theta 1e308, and that fault ranks after the divergent phi~
+    "verify-audit-divergent": ("verify", changed("audit", True, changed(
+        "control", {"kind": "power", "theta": 1e308, "r": 0.5}, AUDIT_SAMPLE)), 2,
+        "error[divergent]: phi-tilde: divergent: "),
+    # the audit subcommand checks the control kind before the (inadmissible) parameters
+    "audit-zero-control": ("audit", changed("control", {"kind": "zero"}, changed(
+        "params", {**AUDIT_SAMPLE["params"], "rho1": [1.5, 0.0], "rho2": [0.3, 0.0]},
+        AUDIT_SAMPLE)), 3, "error[config]: config: an audit needs control.kind power, got zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE_EDGES))
+def test_stage_order_edges(case, tmp_path, capsys, monkeypatch):
+    command, doc, code, line = STAGE_EDGES[case]
+    papers = []
+    corollary_constant = bounds.corollary_constant
+    monkeypatch.setattr(bounds, "corollary_constant",
+                        lambda *a, **kw: papers.append(a) or corollary_constant(*a, **kw))
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    if line is None:
+        assert err.startswith("verify: PASS ") and papers == []
+    else:
+        assert err.startswith(line)
 
 
 def test_cli_seed_override_changes_report(tmp_path):
