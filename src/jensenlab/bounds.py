@@ -275,7 +275,7 @@ def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
                 raise DivergentSeriesError(
                     f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
         except JensenLabError as e:
-            errors[k] = e
+            errors[k] = e.with_traceback(None)
             continue
         if power:
             terms[k], tails[k] = spec.trunc_terms, 0.0

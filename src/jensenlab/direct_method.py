@@ -216,23 +216,25 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
     Blocked: one ``evaluate_many`` call gives the next k orbit terms of every point
     still running, f(x) (step 0) first. k = max(1, min(steps left, ROWS // points
     running, the ``_predicted_stop`` of the last block)), and each point's stop is
-    found in the block's residual matrix, with its count of residuals <= tol
-    carried between blocks. Terms past a point's stop are evaluated and discarded:
-    ``evaluate_many`` is row-local and makes a term it cannot evaluate non-finite
-    rather than raise, and the scale powers are screened before the call, so
-    neither a discarded row nor the block sizes can change a point's columns."""
+    found in the block's residual matrix. Only the running points are carried, as
+    compact columns (point index, last term, whether its last residual was <= tol;
+    all share the step count n), shrunk by one mask in a block where some stop. A
+    point's value, residual count and convergence are written once, at its stop or
+    when ``max_n`` runs out, so a block in which none stops only keeps its last row.
+    Terms past a point's stop are evaluated and discarded: ``evaluate_many`` is
+    row-local and makes a term it cannot evaluate non-finite rather than raise, and
+    the scale powers are screened before the call, so neither a discarded row nor
+    the block sizes can change a point's columns."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    f0 = prev = np.zeros_like(xs)
-    running = np.ones(len(xs), dtype=bool)
+    f0 = values = prev = np.zeros_like(xs)
+    idx, hit = np.arange(len(xs)), np.zeros(len(xs), dtype=bool)  # hit: last residual <= tol
     errors = {}
     converged = np.zeros(len(xs), dtype=bool)
-    hit = np.zeros(len(xs), dtype=bool)  # the point's last residual is <= tol
     iterations = np.zeros(len(xs), dtype=np.intp)
     steps = []  # (points, residuals, last row read) of each block
     n, predicted = 0, ROWS
-    while running.any() and n <= max(max_n, 0):
-        idx = np.flatnonzero(running)
+    while idx.size and n <= max(max_n, 0):
         powers = []
         try:
             for step in range(n, n + max(1, min(max_n - n + 1, ROWS // idx.size, predicted))):
@@ -243,36 +245,45 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
                 break
         terms = _orbit_block(f, xs[idx], scheme, powers)  # steps n .. n + len(powers) - 1
         if n == 0:  # every point's f(x), then its steps from 1
-            f0, prev, n = terms[0], terms[0].copy(), 1
+            f0, values, n = terms[0], terms[0].copy(), 1
             ok = fold(np.logical_and, np.isfinite(f0).T)
             errors.update(dict.fromkeys(np.flatnonzero(~ok).tolist(),
                                         NumericError("numeric: f(x) is not finite")))
-            running[:] = ok
-            idx, terms = (idx, terms[1:]) if ok.all() else (idx[ok], terms[1:, ok])
+            prev, terms = f0, terms[1:]
+            if not ok.all():
+                idx, prev, hit, terms = idx[ok], prev[ok], hit[ok], terms[:, ok]
             if not terms.size:  # f(x) alone, or no f(x) finite
                 continue
-        k, m, cols = len(terms), idx.size, np.arange(idx.size)
+        k, m = len(terms), idx.size
         finite = fold(np.logical_and, np.isfinite(terms).transpose(2, 0, 1))
-        diffs = terms - np.concatenate([prev[idx][None], terms[:-1]])
+        diffs = np.empty(terms.shape, terms.dtype)
+        np.subtract(terms[0], prev, out=diffs[0])
+        np.subtract(terms[1:], terms[:-1], out=diffs[1:])
         r = f.space.norms(diffs.reshape(k * m, -1)).reshape(k, m)
         small = r <= tol
         # a point stops at a non-finite term, a zero residual or a second residual <= tol in a row
-        stop = ~finite | (r == 0.0) | (small & np.concatenate([hit[idx][None], small[:-1]]))
-        stopped = stop.any(axis=0)
-        last = np.where(stopped, stop.argmax(axis=0), k - 1)
-        bad = ~finite[last, cols]
-        iterations[idx] += last + 1  # the steps each point takes (an error's go unread)
-        steps.append((idx, r, last))
-        prev[idx] = terms[last, cols]
-        hit[idx] = small[last, cols]
-        for i, j in zip(idx[bad].tolist(), last[bad].tolist()):
-            errors[i] = NumericError(f"numeric: orbit term {n + j} is not finite")
-        converged[idx[stopped & ~bad]] = True
-        running[idx[stopped]] = False
-        predicted = _predicted_stop(r[:, ~stopped], tol)
+        stop = ~finite | (r == 0.0) | (small & np.concatenate([hit[None], small[:-1]]))
+        if stop.any():
+            stopped = stop.any(axis=0)
+            last = np.where(stopped, stop.argmax(axis=0), k - 1)
+            cols = np.flatnonzero(stopped)
+            at, j = idx[cols], last[cols]
+            values[at], iterations[at] = terms[j, cols], n + j  # an error's steps go unread
+            bad = ~finite[j, cols]
+            for i, step in zip(at[bad].tolist(), (n + j)[bad].tolist()):
+                errors[i] = NumericError(f"numeric: orbit term {step} is not finite")
+            converged[at[~bad]] = True
+            steps.append((idx, r, last))
+            keep = ~stopped
+            idx, prev, hit, r = idx[keep], terms[-1, keep], small[-1, keep], r[:, keep]
+        else:  # no point stopped: the running columns are the block's last row
+            steps.append((idx, r, np.full(m, k - 1)))
+            prev, hit = terms[-1], small[-1]
+        predicted = _predicted_stop(r, tol)
         n += k
-    deviations = np.where(converged, f.space.norms(f0 - prev), np.nan)
-    return Approximants(prev, deviations, iterations, converged, errors, steps)
+    values[idx], iterations[idx] = prev, n - 1  # still running: out of max_n or of scale powers
+    deviations = np.where(converged, f.space.norms(f0 - values), np.nan)
+    return Approximants(values, deviations, iterations, converged, errors, steps)
 
 
 def additive_limit_check(f: TestFunction, scheme: Scheme, tol: float, pairs,

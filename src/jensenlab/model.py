@@ -234,8 +234,10 @@ class Perturbation:
         if self.kind == "bounded":
             # Magnitude scale in [0, 1) hashed from the same point key.
             return (self.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
-        # power; with r < 0, p(0) is undefined: a NaN row, which the callers report
-        undefined = (nx == 0.0) & (self.r < 0)
+        if self.r >= 0:  # power, defined everywhere
+            return (self.theta * nx ** self.r)[:, None] * u
+        # with r < 0, p(0) is undefined: a NaN row, which the callers report
+        undefined = nx == 0.0
         magnitude = self.theta * np.where(undefined, 1.0, nx) ** self.r
         return np.where(undefined, np.nan, magnitude)[:, None] * u
 

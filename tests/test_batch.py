@@ -342,6 +342,42 @@ def test_blocked_orbits_equal_one_step_lockstep(dim, r, direction, scheme, sizes
     assert _flat_outcome(f, pts, scheme, tol, max_n, strict, rows) == want
 
 
+#: On C^1 with the identity core under scale 2, offsets c_n of term_n = x + c_n:
+#: 1 has none (a zero residual at step 1); 13 has 1, 2e-10, 1e-10, 0 (a second
+#: residual <= 1e-9 at step 3, the first in an earlier block); 17 has 1, 1/2, 1/4,
+#: 1/8, 0, 0 (a zero residual at step 5); 3 alternates 3 -/+ 1 and never stops.
+_STOPS_TABLE = {
+    **{quantize(np.array([3.0 * 2 ** n + 0j])): np.array([(-1) ** n * 2.0 ** n + 0j])
+       for n in range(1, 12)},
+    **{quantize(np.array([v + 0j])): np.array([p + 0j])
+       for v, p in [(13.0, 1.0), (26.0, 4e-10), (52.0, 4e-10),
+                    (17.0, 1.0), (34.0, 1.0), (68.0, 1.0), (136.0, 1.0)]},
+    quantize(np.array([7.0 + 0j])): np.array([np.nan + 0j]),
+}
+
+
+def test_compact_pass_stops_in_three_blocks_and_runs_out_of_max_n():
+    # ROWS = 3: f(x) of 5 points alone, then one step a block while 2 or more points
+    # run, so 1, 13 and 17 stop in three blocks (13's hit carried over a block in
+    # which none stops); then 3 alone in blocks of 3 and 2 steps, to max_n = 10
+    f = TestFunction(NormedSpace(1), AdditiveCore.identity(1),
+                     Perturbation.tabulated(table=_STOPS_TABLE, default=np.array([0j])))
+    pts = [np.array([complex(v)]) for v in (1.0, 13.0, 17.0, 3.0, 7.0)]
+    scheme, xs = forward(2.0), f.space.as_vectors(pts)
+    with mock.patch.object(direct_method, "ROWS", 3):
+        out = direct_method._orbits(f, xs, scheme, 1e-9, 10)
+    assert [len(r) for _, r, _ in out.steps] == [1, 1, 1, 1, 1, 3, 2]
+    assert out.iterations.tolist() == [1, 3, 5, 10, 0]
+    assert out.converged.tolist() == [True, True, True, False, False]
+    assert {i: str(e) for i, e in out.errors.items()} == {4: "numeric: f(x) is not finite"}
+    assert out.values[3, 0] == 3.0 + (-1) ** 10 and np.isnan(out.values[4, 0])
+    for strict in (False, True):
+        want = _flat_outcome(f, pts, scheme, 1e-9, 10, strict, 1)
+        assert _flat_outcome(f, pts, scheme, 1e-9, 10, strict, 3) == want
+    with mock.patch.object(direct_method, "ROWS", 1):
+        assert _columns(out) == _columns(direct_method._orbits(f, xs, scheme, 1e-9, 10))
+
+
 def _columns(out):
     """An ``Approximants``' columns, residuals and errors, in comparable form."""
     return (out.values.tobytes(), out.deviations.tobytes(), out.iterations.tolist(),
