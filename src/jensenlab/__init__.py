@@ -43,7 +43,6 @@ from .model import (
     AdditiveCore,
     Perturbation,
     TestFunction,
-    additivity_defect,
     scalar_offset_function,
 )
 from .space import NormedSpace, SamplePlan, draw_samples
@@ -54,9 +53,9 @@ __all__ = [
     "AdditiveCore", "Admissibility", "Approximants", "BoundAudit", "ControlFunction",
     "ConvergenceReport", "JensenLabError", "MeasuredEnvelope", "NormedSpace",
     "Perturbation", "RhoParams", "RunReport", "SamplePlan", "Scheme", "SeriesSpec",
-    "TestFunction", "additive_limit_check", "additivity_defect", "admissible",
-    "approximate", "approximate_points", "audit", "backward", "build_experiment",
-    "constant_tag", "convergence_predicate", "corollary_constant", "draw_samples",
-    "forward", "measure_envelope", "run_sweep", "run_verify", "scalar_offset_function",
+    "TestFunction", "additive_limit_check", "admissible", "approximate",
+    "approximate_points", "audit", "backward", "build_experiment", "constant_tag",
+    "convergence_predicate", "corollary_constant", "draw_samples", "forward",
+    "measure_envelope", "run_sweep", "run_verify", "scalar_offset_function",
     "uniqueness_crosscheck",
 ]

@@ -64,6 +64,7 @@ from .errors import (
 )
 from .inequality import RhoParams, require_admissible
 from .model import TestFunction
+from .space import ValueRecord
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
 
@@ -163,7 +164,7 @@ class ControlFunction:
         return self.theta * (self.component(nx) + self.component(ny) + self.component(nz))
 
 
-class SeriesSpec:
+class SeriesSpec(ValueRecord):
     """Which series to sum, and how far; equal and hashed by all seven fields.
 
     ``family`` selects the series form ('A' dyadic two-term, 'B' single-term);
@@ -194,12 +195,6 @@ class SeriesSpec:
     def _key(self) -> tuple:
         return (self.scheme, self.family, self.rho2_abs, self.alpha, self.trunc_terms,
                 self.printed_display, self.rho1_abs)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def _term_rows(e, theta, rows: list, nx: np.ndarray):
@@ -309,14 +304,6 @@ def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
     return values, tails, terms, errors
 
 
-def phi_tilde_norms(control: ControlFunction, norms, spec: SeriesSpec) -> tuple:
-    """phi_tilde_cells of one cell as (values, tail, terms), raising its error."""
-    values, (tail,), terms, (error,) = phi_tilde_cells([(control, spec)], norms)
-    if error is not None:
-        raise error
-    return values[0], tail, terms[0]
-
-
 def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
                        beta: float | None = None) -> float:
     """The printed closed-form stability constants, exactly as published.
@@ -362,7 +349,7 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
     return _require_finite(which, 2.0 * theta / (denom * (1.0 - p2)))
 
 
-class ConvergenceVerdict:
+class ConvergenceVerdict(ValueRecord):
     """A series' convergence verdict, equal and hashed by (converges, ratio, condition)."""
 
     def __init__(self, converges: bool, ratio: float, condition: str):
@@ -370,12 +357,6 @@ class ConvergenceVerdict:
 
     def _key(self) -> tuple:
         return self.converges, self.ratio, self.condition
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __bool__(self) -> bool:
         return self.converges

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateScaleError, NotConvergedError, NumericError, ScaleOverflowError
 from .model import ROWS, TestFunction, evaluate_many, pairs_from_vector
-from .space import fold
+from .space import ValueRecord, fold
 
 DIRECTIONS = ("forward", "backward")
 
@@ -29,7 +29,7 @@ DIRECTIONS = ("forward", "backward")
 _LOG2_DOUBLE_MAX = 1023.0
 
 
-class Scheme:
+class Scheme(ValueRecord):
     """An orbit scheme, equal and hashed by (direction, scale)."""
 
     def __init__(self, direction: str, scale: float):
@@ -44,12 +44,6 @@ class Scheme:
 
     def _key(self) -> tuple:
         return self.direction, self.scale
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def normalized(self) -> "Scheme":
         """Equivalent scheme with |scale| > 1 (same term sequence)."""

@@ -31,12 +31,12 @@ from .errors import (
     NumericError,
 )
 from .model import ROWS, TestFunction, evaluate_many
-from .space import SamplePlan, draw_samples, fold
+from .space import SamplePlan, ValueRecord, draw_samples, fold
 
 FAMILIES = ("A", "B")
 
 
-class RhoParams:
+class RhoParams(ValueRecord):
     """Inequality parameters: complex rho1/rho2, real alpha (both families),
     real beta (family B only; ignored by family A); equal and hashed by all five."""
 
@@ -49,12 +49,6 @@ class RhoParams:
     def _key(self) -> tuple:
         return self.family, self.rho1, self.rho2, self.alpha, self.beta
 
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def check_degenerate(self):
         if self.alpha == 0:
             raise DegenerateParameterError("degenerate-parameter: alpha = 0")
@@ -62,7 +56,7 @@ class RhoParams:
             raise DegenerateParameterError(f"degenerate-parameter: family B, beta = {self.beta}")
 
 
-class Admissibility:
+class Admissibility(ValueRecord):
     """An admissibility verdict and its diagnostic, equal and hashed by (ok, detail)."""
 
     def __init__(self, ok: bool, detail: str):
@@ -70,12 +64,6 @@ class Admissibility:
 
     def _key(self) -> tuple:
         return self.ok, self.detail
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __bool__(self) -> bool:
         return self.ok

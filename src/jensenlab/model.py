@@ -264,13 +264,6 @@ def evaluate_many(f: TestFunction, xs) -> np.ndarray:
     return out
 
 
-def additivity_defect(f: TestFunction, x, y) -> float:
-    """||f(x+y) - f(x) - f(y)|| in the function's own space."""
-    x, y = f.space.as_vectors([x, y])
-    fxy, fx, fy = evaluate_many(f, [x + y, x, y])
-    return f.space.norm(fxy - fx - fy)
-
-
 # --- JSON encoding ----------------------------------------------------------
 #
 # Complex scalars are encoded as [re, im] pairs; vectors as lists of pairs;

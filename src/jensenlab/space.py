@@ -27,7 +27,18 @@ def fold(op, columns) -> np.ndarray:
     return reduce(op, columns)
 
 
-class NormedSpace:
+class ValueRecord:
+    """A record that compares by value: equal to a record of its own class with an
+    equal ``_key()``, and hashed by that key. Subclasses define ``_key`` alone."""
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class NormedSpace(ValueRecord):
     """A complex coordinate space C^dim with an l1, l2 or linf norm; equal and
     hashed by (dim, norm_kind)."""
 
@@ -40,12 +51,6 @@ class NormedSpace:
 
     def _key(self) -> tuple:
         return self.dim, self.norm_kind
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def as_vectors(self, vs) -> np.ndarray:
         """Coerce a sequence of vectors to an N x dim complex array, checking the
@@ -80,7 +85,7 @@ class NormedSpace:
         return np.zeros(self.dim, dtype=np.complex128)
 
 
-class SamplePlan:
+class SamplePlan(ValueRecord):
     """Seeded sampling plan: ``count`` draws in the norm shell
     ``(exclude_origin_below, radius]``; equal and hashed by its four fields."""
 
@@ -99,12 +104,6 @@ class SamplePlan:
 
     def _key(self) -> tuple:
         return self.seed, self.count, self.radius, self.exclude_origin_below
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def inner_radius(self) -> float:
         """Positive lower edge of the sampled norm range."""

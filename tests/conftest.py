@@ -8,6 +8,8 @@ from jensenlab import (
     TestFunction,
     scalar_offset_function,
 )
+from jensenlab.bounds import phi_tilde_cells
+from jensenlab.model import evaluate_many
 
 
 @pytest.fixture
@@ -26,3 +28,18 @@ def make_power(dim=2, theta=0.1, r=0.5, direction="hashed", seed=0, norm_kind="l
     return TestFunction(space, AdditiveCore.identity(dim),
                         Perturbation.power(theta, r, direction_seed=seed,
                                            direction=direction))
+
+
+def phi_tilde_norms(control, norms, spec):
+    """phi_tilde_cells of one cell as (values, tail, terms), raising its error."""
+    values, (tail,), terms, (error,) = phi_tilde_cells([(control, spec)], norms)
+    if error is not None:
+        raise error
+    return values[0], tail, terms[0]
+
+
+def additivity_defect(f, x, y):
+    """||f(x+y) - f(x) - f(y)|| in the function's own space."""
+    x, y = f.space.as_vectors([x, y])
+    fxy, fx, fy = evaluate_many(f, [x + y, x, y])
+    return f.space.norm(fxy - fx - fy)

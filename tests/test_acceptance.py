@@ -6,13 +6,15 @@ brute-force sums or hand arithmetic before the implementation was trusted.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_additive, make_power
+from conftest import make_additive, make_power, phi_tilde_norms
 
+import jensenlab
 from jensenlab import (
     ControlFunction,
     RhoParams,
@@ -28,7 +30,7 @@ from jensenlab import (
     forward,
     uniqueness_crosscheck,
 )
-from jensenlab import bounds, harness
+from jensenlab import harness
 from jensenlab.inequality import defect_many
 from jensenlab.model import evaluate_many
 
@@ -111,8 +113,8 @@ def test_criterion_3_series_matches_closed_forms():
             for theta in (0.5, 1.0):
                 spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2,
                                   alpha=1.0)
-                value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(theta, r),
-                                                        [1.3], spec)
+                value, tail, _ = phi_tilde_norms(ControlFunction.power(theta, r), [1.3],
+                                                 spec)
                 got = value[0] + tail
                 want = corollary_constant("c24", theta, r, p2) * 1.3 ** r
                 worst = max(worst, abs(got - want) / want)
@@ -120,7 +122,7 @@ def test_criterion_3_series_matches_closed_forms():
         for r in (0.25, 0.5):
             spec = SeriesSpec(scheme=forward(1.0 + beta), family="B", rho2_abs=0.3,
                               alpha=1.0)
-            value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.3], spec)
+            value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.3], spec)
             got = value[0] + tail
             want = corollary_constant("c34", 1.0, r, 0.3, beta=beta) * 1.3 ** r
             worst = max(worst, abs(got - want) / want)
@@ -222,10 +224,24 @@ def test_criterion_8_determinism(tmp_path):
                   f"sweep bytes {len(outs[2].read_bytes())}, reruns identical")
 
 
+def readme_library() -> str:
+    """The README's ``## Library`` section, up to the next heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_example_runs():
     """The fenced python block under the README's ``## Library`` heading runs
     against the package, so the documented API cannot drift from it."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    block = readme_library().split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md (Library)", "exec"), {})
+
+
+def test_readme_library_names_every_export():
+    """Every name in ``jensenlab.__all__`` is named in the README's Library section,
+    in backticks or as ``jl.<name>`` in its example, so an export is a documented
+    entry point or goes."""
+    section = readme_library()
+    missing = [name for name in jensenlab.__all__
+               if f"`{name}`" not in section and not re.search(rf"\bjl\.{name}\b", section)]
+    assert missing == []

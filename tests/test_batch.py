@@ -26,7 +26,7 @@ from jensenlab import (
     measure_envelope,
 )
 from jensenlab import direct_method
-from jensenlab.bounds import phi_tilde_cells, phi_tilde_norms
+from jensenlab.bounds import phi_tilde_cells
 from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
 from jensenlab.errors import JensenLabError, NotConvergedError
 from jensenlab.inequality import defect_many
@@ -484,19 +484,22 @@ CONTROLS = {
 @given(norms=st.lists(st.floats(0.0, 8.0) | st.sampled_from([0.0, 0.5, 4.0, 5.0]),
                       min_size=1, max_size=10),
        kind=st.sampled_from(sorted(CONTROLS)), direction=st.sampled_from(["forward", "backward"]))
-def test_phi_tilde_norms_equal_a_batch_of_one(norms, kind, direction):
+def test_phi_tilde_cells_equal_a_batch_of_one(norms, kind, direction):
     control = CONTROLS[kind]()
     r = 0.5 if direction == "forward" else 2.0
     if kind == "power":
         control = ControlFunction.power(0.7, r)
     spec = SeriesSpec(scheme=Scheme(direction, 2.0), family="A", rho2_abs=0.3, alpha=1.5,
                       trunc_terms=20)
-    value, tail, terms = phi_tilde_norms(control, norms, spec)
+    cell = [(control, spec)]
+    (value,), (tail,), (terms,), (error,) = phi_tilde_cells(cell, norms)
+    assert error is None
     # (value, tail, terms, coverage truncated) per norm
     got = [(v, tail, k, k < spec.trunc_terms) for v, k in zip(value.tolist(), terms.tolist())]
     want = []
     for nx in norms:
-        v, t, k = phi_tilde_norms(control, [nx], spec)
+        (v,), (t,), (k,), (e,) = phi_tilde_cells(cell, [nx])
+        assert e is None
         want.append((v[0], t, k[0], k[0] < spec.trunc_terms))
     assert got == want
     if kind == "tabulated" and 5.0 in norms:

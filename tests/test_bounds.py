@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_additive, make_power
+from conftest import make_additive, make_power, phi_tilde_norms
 
 from jensenlab import (
     ControlFunction,
@@ -116,18 +116,18 @@ def test_series_spec_validation():
 
 def test_phi_tilde_zero_control():
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
-    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.zero(), [1.0], spec)
+    value, tail, _ = phi_tilde_norms(ControlFunction.zero(), [1.0], spec)
     assert value[0] == 0.0 and tail == 0.0
 
 
 def test_phi_tilde_spot_values():
     # theta=1, r=0.5, rho2=0, alpha=1, ||x||=1: 1/(2 - sqrt 2)
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
     assert value[0] + tail == pytest.approx(1.7071067811865475, rel=1e-12)
     # rho2 = 0.5: brute-force series gives 4.552284749830793
     spec2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0)
-    value2, tail2, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec2)
+    value2, tail2, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec2)
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 1.0, 1.0)
     assert oracle == pytest.approx(4.552284749830793, rel=1e-12)
     assert value2[0] + tail2 == pytest.approx(oracle, rel=1e-9)
@@ -138,7 +138,7 @@ def test_phi_tilde_spot_values():
 def test_phi_tilde_matches_c24_at_unit_alpha(r, p2):
     for alpha in (1.0, -1.0):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2, alpha=alpha)
-        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.5], spec)
+        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.5], spec)
         expected = corollary_constant("c24", 1.0, r, p2) * 1.5 ** r
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
 
@@ -146,7 +146,7 @@ def test_phi_tilde_matches_c24_at_unit_alpha(r, p2):
 def test_phi_tilde_alpha_dependence():
     # away from |alpha| = 1 the series and the printed constant split
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0)
-    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0)
     assert value[0] + tail == pytest.approx(oracle, rel=1e-9)
     assert value[0] + tail != pytest.approx(corollary_constant("c24", 1.0, 0.5, 0.5), rel=1e-3)
@@ -156,7 +156,7 @@ def test_phi_tilde_printed_display_forward_dyadic():
     # display form drops the /alpha in the third argument
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0,
                       printed_display=True)
-    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
     assert value[0] + tail == pytest.approx(
         brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0, display=True), rel=1e-9)
     # at |alpha| = 1 both forms agree
@@ -164,20 +164,20 @@ def test_phi_tilde_printed_display_forward_dyadic():
     s2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0,
                     printed_display=True)
     c = ControlFunction.power(1.0, 0.5)
-    (v1, t1, _), (v2, t2, _) = (bounds.phi_tilde_norms(c, [1.0], s) for s in (s1, s2))
+    (v1, t1, _), (v2, t2, _) = (phi_tilde_norms(c, [1.0], s) for s in (s1, s2))
     assert v1[0] + t1 == pytest.approx(v2[0] + t2, rel=1e-12)
 
 
 def test_phi_tilde_backward_dyadic_matches_telescoping():
     # derived constant 2 theta / ((2^r - 2)(1 - p2)(2 - p2)), not the printed c26
     spec = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
+    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
     assert value[0] + tail == pytest.approx(0.5, rel=1e-9)
     assert value[0] + tail == pytest.approx(brute_backward_dyadic(1.0, 2.0, 0.0, 1.0, 1.0),
                                             rel=1e-9)
     for r, p2 in ((1.5, 0.0), (2.0, 0.3), (3.0, 0.6)):
         s = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], s)
+        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], s)
         got = value[0] + tail
         derived = 2.0 / ((2.0 ** r - 2.0) * (1 - p2) * (2 - p2))
         assert got == pytest.approx(derived, rel=1e-9)
@@ -190,7 +190,7 @@ def test_phi_tilde_matches_c34(beta, r):
     scale = 1.0 + beta
     for p2 in (0.0, 0.3):
         spec = SeriesSpec(scheme=forward(scale), family="B", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [2.0], spec)
+        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [2.0], spec)
         expected = corollary_constant("c34", 1.0, r, p2, beta=beta) * 2.0 ** r
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
         assert value[0] + tail == pytest.approx(
@@ -202,7 +202,7 @@ def test_phi_tilde_matches_c36_contracting_scale():
     beta = -1.5  # scale -0.5
     for r, p2 in ((0.5, 0.0), (0.25, 0.3)):
         spec = SeriesSpec(scheme=backward(-0.5), family="B", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = bounds.phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], spec)
+        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], spec)
         expected = corollary_constant("c36", 1.0, r, p2, beta=beta)
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
         assert value[0] + tail == pytest.approx(
@@ -214,7 +214,7 @@ def test_phi_tilde_printed_display_family_b():
     c = ControlFunction.power(1.0, 0.5)
     spec = SeriesSpec(scheme=forward(2.0), family="B", rho2_abs=0.5, alpha=1.0,
                       printed_display=True, rho1_abs=0.2)
-    value, tail, _ = bounds.phi_tilde_norms(c, [1.0], spec)
+    value, tail, _ = phi_tilde_norms(c, [1.0], spec)
     assert value[0] + tail == pytest.approx(
         brute_family_b(1.0, 0.5, 0.5, 2.0, 1.0, "forward", pref_rho=0.2), rel=1e-9)
 
@@ -224,7 +224,7 @@ def test_phi_tilde_printed_display_family_b():
 def test_phi_tilde_homogeneity(c, r):
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
     ctrl = ControlFunction.power(1.0, r)
-    (base, scaled), tail, _ = bounds.phi_tilde_norms(ctrl, [1.0, c], spec)
+    (base, scaled), tail, _ = phi_tilde_norms(ctrl, [1.0, c], spec)
     base, scaled = base + tail, scaled + tail
     assert scaled == pytest.approx(c ** r * base, rel=1e-12)
 
@@ -237,7 +237,7 @@ def test_phi_tilde_partial_sums_monotone():
     for n in (1, 2, 4, 8, 16, 64):
         spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0,
                           trunc_terms=n)
-        value, _, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
+        value, _, terms = phi_tilde_norms(ctrl, [1.0], spec)
         assert terms[0] == n and not terms[0] < spec.trunc_terms  # not coverage-truncated
         values.append(value[0])
     assert all(a <= b for a, b in zip(values, values[1:]))
@@ -246,7 +246,7 @@ def test_phi_tilde_partial_sums_monotone():
 
 def test_power_phi_tilde_does_not_depend_on_trunc_terms():
     ctrl = ControlFunction.power(1.0, 0.5)
-    pts = [bounds.phi_tilde_norms(ctrl, [1.3], SeriesSpec(
+    pts = [phi_tilde_norms(ctrl, [1.3], SeriesSpec(
         scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0, trunc_terms=n))
            for n in (1, 8, 64)]
     (v0, t0, _), (v1, t1, _), (v2, t2, _) = pts
@@ -295,9 +295,9 @@ def test_phi_tilde_power_closed_form_matches_term_sum(case):
     assert bounds._term_ratio(spec.scheme, control.r) <= 0.95 + 1e-12
     if nx == 0.0 and control.r < 0:
         with pytest.raises(SingularPointError):
-            bounds.phi_tilde_norms(control, [nx], spec)
+            phi_tilde_norms(control, [nx], spec)
         return
-    value, tail, _ = bounds.phi_tilde_norms(control, [nx], spec)
+    value, tail, _ = phi_tilde_norms(control, [nx], spec)
     assert tail == 0.0
     assert value[0] == pytest.approx(series_reference(control, nx, spec), rel=1e-12, abs=0.0)
 
@@ -309,7 +309,7 @@ def test_phi_tilde_power_degenerate_sums_are_positive_zero():
     for control, nx in ((ControlFunction.power(0.0, 2.0), 1.5),
                         (ControlFunction.power(1.0, 0.5), 0.0),
                         (ControlFunction.power(1.0, 2.0), 0.0)):
-        value, tail, _ = bounds.phi_tilde_norms(control, [nx], spec)
+        value, tail, _ = phi_tilde_norms(control, [nx], spec)
         assert math.copysign(1.0, value[0]) == 1.0 and value[0] == 0.0
         assert math.copysign(1.0, value[0] + tail) == 1.0 and value[0] + tail == 0.0
 
@@ -317,21 +317,21 @@ def test_phi_tilde_power_degenerate_sums_are_positive_zero():
 def test_phi_tilde_errors():
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
     with pytest.raises(DivergentSeriesError):
-        bounds.phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
+        phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
     with pytest.raises(DivergentSeriesError):  # ratio exactly 1
-        bounds.phi_tilde_norms(ControlFunction.power(1.0, 1.0), [1.0], spec)
+        phi_tilde_norms(ControlFunction.power(1.0, 1.0), [1.0], spec)
     with pytest.raises(SingularPointError):
-        bounds.phi_tilde_norms(ControlFunction.power(1.0, -0.5), [0.0], spec)
+        phi_tilde_norms(ControlFunction.power(1.0, -0.5), [0.0], spec)
     bad = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=1.0, alpha=1.0)
     with pytest.raises(InadmissibleError):
-        bounds.phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], bad)
+        phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], bad)
 
 
 def test_phi_tilde_tabulated_coverage_stops():
     ctrl = ControlFunction.tabulated(edges=[0.1, 1.0, 8.0], values=[1.0, 1.0])
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0,
                       trunc_terms=64)
-    value, tail, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
+    value, tail, terms = phi_tilde_norms(ctrl, [1.0], spec)
     # queries at 2^i are covered for i <= 3 (2^3 = 8), then the sum stops
     assert terms[0] < spec.trunc_terms  # coverage-truncated
     assert terms[0] == 4
@@ -401,9 +401,9 @@ def test_term_matrix_sums_as_term_by_term(case):
                 and (L < 1.0 if forward else L > 1.0) and (nx > 0.0).any()):
             # the arguments shrink below the first edge, where the control stays positive
             with pytest.raises(DivergentSeriesError):
-                bounds.phi_tilde_norms(control, nx, spec)
+                phi_tilde_norms(control, nx, spec)
             return
-        got_value, tail, got_terms = bounds.phi_tilde_norms(control, nx, spec)
+        got_value, tail, got_terms = phi_tilde_norms(control, nx, spec)
     got = zip(got_value.tolist(), got_terms.tolist())
     assert [(v, k, k < spec.trunc_terms, tail) for v, k in got] == [
         (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
@@ -423,7 +423,7 @@ def test_power_term_zero_is_the_three_argument_term_bit_for_bit(case, zero):
     assert bounds._series_terms(control, norms, spec, range(1))[0].tobytes() == term.tobytes()
     ratio = bounds._term_ratio(spec.scheme, control.r)
     if control.r >= 0.0 and ratio < 1.0:
-        value = bounds.phi_tilde_norms(control, norms, spec)[0]
+        value = phi_tilde_norms(control, norms, spec)[0]
         assert value.tobytes() == (term / (1.0 - ratio)).tobytes()
 
 
@@ -446,9 +446,9 @@ def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scal
                       trunc_terms=16)
     if old:
         with pytest.raises(DivergentSeriesError):
-            bounds.phi_tilde_norms(control, norms, spec)
+            phi_tilde_norms(control, norms, spec)
     else:
-        assert len(bounds.phi_tilde_norms(control, norms, spec)[0]) == len(norms)
+        assert len(phi_tilde_norms(control, norms, spec)[0]) == len(norms)
 
 
 def test_phi_tilde_overflowing_weight_is_numeric():
@@ -457,7 +457,7 @@ def test_phi_tilde_overflowing_weight_is_numeric():
     spec = SeriesSpec(scheme=forward(0.5), family="B", rho2_abs=0.0, alpha=1.0,
                       trunc_terms=1100)
     with pytest.raises(NumericError):
-        bounds.phi_tilde_norms(ControlFunction.tabulated([1e-320, 10.0], [1.0]), [1.0], spec)
+        phi_tilde_norms(ControlFunction.tabulated([1e-320, 10.0], [1.0]), [1.0], spec)
 
 
 def test_phi_tilde_measured_full_extension(scalar_model):
@@ -466,7 +466,7 @@ def test_phi_tilde_measured_full_extension(scalar_model):
                                       exclude_origin_below=0.1))
     ctrl = ControlFunction.measured(env)
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, _, terms = bounds.phi_tilde_norms(ctrl, [1.0], spec)
+    value, _, terms = phi_tilde_norms(ctrl, [1.0], spec)
     assert not terms[0] < spec.trunc_terms  # not coverage-truncated
     assert terms[0] == 64
     assert value[0] == pytest.approx(1.0, rel=1e-9)
@@ -522,7 +522,7 @@ def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
         corollary_constant("c26", 1e308, 2.0, 0.0)  # 8e308 / 6
     spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
     with pytest.raises(NumericError):
-        bounds.phi_tilde_norms(ControlFunction.power(1.0, -400.0), [0.1], spec)
+        phi_tilde_norms(ControlFunction.power(1.0, -400.0), [0.1], spec)
     for r in (320.0, 400.0):  # the ratio overflows; the power underflows to 0
         with pytest.raises(NumericError):
             bounds.empirical_sup(r, [(0.1, 0.05)])

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import phi_tilde_norms
+
 from jensenlab import bounds, cli, direct_method, harness, inequality, model
 from jensenlab.errors import (
     ConfigError,
@@ -377,7 +379,7 @@ def test_run_verify_reports_coverage_truncation():
     truncated = [p for p in points if "terms" in p]
     assert 0 < len(truncated) < len(points)
     for p in points:
-        _, _, (terms,) = bounds.phi_tilde_norms(exp.control, [p["x_norm"]], spec)
+        _, _, (terms,) = phi_tilde_norms(exp.control, [p["x_norm"]], spec)
         if terms < spec.trunc_terms:  # coverage-truncated
             assert set(p) == keys | {"terms", "coverage_truncated"}
             assert p["coverage_truncated"] is True and p["terms"] == terms < 64
@@ -552,7 +554,7 @@ def test_unmeasured_control_raises_when_evaluated():
     with pytest.raises(ValueError, match="no table"):
         control.evaluate_norms(np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError, match="no table"):
-        bounds.phi_tilde_norms(control, [1.0], spec)
+        phi_tilde_norms(control, [1.0], spec)
 
 
 def test_max_n_is_the_only_orbit_limit():
@@ -790,7 +792,7 @@ def reference_sweep(doc):
                 late = derived
             pts = draw_samples(exp.space, exp.plan, arity=1)
             norms = [exp.space.norm(x) for x in pts]
-            phis = [bounds.phi_tilde_norms(exp.control, [nx], spec) for nx in norms]
+            phis = [phi_tilde_norms(exp.control, [nx], spec) for nx in norms]
             devs = []
             for x in pts:
                 rep = direct_method.approximate(exp.f, x, exp.scheme, exp.tol,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_additive, make_power
+from conftest import additivity_defect, make_additive, make_power
 
 from jensenlab import (
     ControlFunction,
@@ -243,8 +243,6 @@ def test_equality_case_oracle():
     plan = SamplePlan(seed=12, count=200, radius=2.0, exclude_origin_below=0.1)
     triples = draw_samples(f.space, plan, arity=3)
     assert abs(defect_many(f, triples, params)[-1]).max() <= atol
-    from jensenlab import additivity_defect
-
     assert max(additivity_defect(f, x, y) for x, y, _ in triples) <= 10 * atol
 
 

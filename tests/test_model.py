@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_additive, make_power
+from conftest import additivity_defect, make_additive, make_power
 
 from jensenlab import (
     AdditiveCore,
     NormedSpace,
     Perturbation,
     TestFunction,
-    additivity_defect,
     build_experiment,
 )
 from jensenlab.errors import DimensionError

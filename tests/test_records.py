@@ -6,11 +6,14 @@ and the others are parameters and verdicts that callers compare. The rest (funct
 arrays of results, reports) compare by identity.
 """
 
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import jensenlab
 from jensenlab import bounds, direct_method, harness, inequality, model, space
 from jensenlab.errors import DegenerateScaleError, FamilyError
 
@@ -106,6 +109,22 @@ def test_value_records_compare_and_hash_by_every_field(record):
     for name, other in others.items():
         changed = record(**{**fields, name: other})
         assert changed != a and not changed == a, name
+
+
+def test_value_equality_is_written_once():
+    """Only ``space.ValueRecord`` defines ``__eq__`` or ``__hash__``, and the seven value
+    records, no more and no fewer, subclass it. A second copy of the rule fails here, and
+    so does a subclass that defines ``__eq__`` alone, whose ``__hash__`` Python sets to
+    None."""
+    modules = [importlib.import_module(f"jensenlab.{m.name}")
+               for m in pkgutil.iter_modules(jensenlab.__path__)]
+    classes = {c for module in modules for c in vars(module).values()
+               if inspect.isclass(c) and c.__module__ == module.__name__}
+    assert space.ValueRecord in classes
+    assert [c.__qualname__ for c in classes if c is not space.ValueRecord
+            and {"__eq__", "__hash__"} & set(vars(c))] == []
+    assert {c for c in classes if issubclass(c, space.ValueRecord)} - {space.ValueRecord} \
+        == set(VALUE_RECORDS)
 
 
 @pytest.mark.parametrize("build", [
