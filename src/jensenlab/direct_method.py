@@ -82,10 +82,10 @@ def _scale_power(scheme: Scheme, n: int) -> float:
 def _orbit_block(f: TestFunction, xs: np.ndarray, scheme: Scheme, powers: list) -> np.ndarray:
     """The orbit terms with scale powers ``powers`` at each row of xs, from one
     ``evaluate_many`` call: a len(powers) x N x dim array, scaled by one broadcast
-    complex product (or quotient) with the power column, the loop a Python float
-    power runs, so a row's bits are a term's alone. Step 0's rows are xs and its
+    complex product (or quotient) with the complex power column, the loop a Python
+    float power runs, so a row's bits are a term's alone. Step 0's rows are xs and its
     terms f(x), unscaled: a complex product with 1.0 can flip a zero part's sign."""
-    fwd, p = scheme.direction == "forward", np.array(powers)[:, None, None]
+    fwd, p = scheme.direction == "forward", np.array(powers, dtype=complex)[:, None, None]
     step0 = slice(int(powers[0] == 1.0))  # lambda^n = 1 only at n = 0
     rows = p * xs if fwd else xs / p
     rows[step0] = xs
@@ -197,9 +197,10 @@ def _predicted_stop(r: np.ndarray, tol: float) -> int:
     has two in a row <= tol at its mean contraction; ROWS if one shows no contraction."""
     log_first, log_last = np.log(r[0]), np.log(r[-1])
     log_q = (log_last - log_first) / max(1, len(r) - 1)  # 0 for a single residual
-    if not (log_q < 0.0).all():  # NaN where a residual is +inf
+    if not log_q.max(initial=-np.inf) < 0.0:  # NaN where a residual is +inf
         return ROWS
-    need = np.ceil(np.maximum(0.0, (math.log(tol) - log_last) / log_q)).max(initial=0.0)
+    # ceil and max(0, .) are monotone: the slowest point's count is that of the max
+    need = np.ceil(((math.log(tol) - log_last) / log_q).max(initial=0.0))
     return int(min(ROWS, need + 1.0))
 
 
@@ -210,11 +211,12 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
     Blocked: one ``evaluate_many`` call gives the next k orbit terms of every point
     still running, f(x) (step 0) first. k = max(1, min(steps left, ROWS // points
     running, the ``_predicted_stop`` of the last block)), and each point's stop is
-    found in the block's residual matrix. Only the running points are carried, as
-    compact columns (point index, last term, whether its last residual was <= tol;
-    all share the step count n), shrunk by one mask in a block where some stop. A
-    point's value, residual count and convergence are written once, at its stop or
-    when ``max_n`` runs out, so a block in which none stops only keeps its last row.
+    found in the block's residual matrix, unless every residual is finite and > tol.
+    Only the running points are carried, as compact columns (point index, point, last
+    term, whether its last residual was <= tol; all share the step count n), shrunk by
+    one mask in a block where some stop. A point's value, residual count and
+    convergence are written once, at its stop or when ``max_n`` runs out, so a block
+    in which none stops only keeps its last row.
     Terms past a point's stop are evaluated and discarded: ``evaluate_many`` is
     row-local and makes a term it cannot evaluate non-finite rather than raise, and
     the scale powers are screened before the call, so neither a discarded row nor
@@ -222,7 +224,7 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     f0 = values = prev = np.zeros_like(xs)
-    idx, hit = np.arange(len(xs)), np.zeros(len(xs), dtype=bool)  # hit: last residual <= tol
+    idx, pts, hit = np.arange(len(xs)), xs, np.zeros(len(xs), dtype=bool)  # hit: last r <= tol
     errors = {}
     converged = np.zeros(len(xs), dtype=bool)
     iterations = np.zeros(len(xs), dtype=np.intp)
@@ -237,7 +239,7 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
             if not powers:
                 errors.update(dict.fromkeys(idx.tolist(), e))
                 break
-        terms = _orbit_block(f, xs[idx], scheme, powers)  # steps n .. n + len(powers) - 1
+        terms = _orbit_block(f, pts, scheme, powers)  # steps n .. n + len(powers) - 1
         if n == 0:  # every point's f(x), then its steps from 1
             f0, values, n = terms[0], terms[0].copy(), 1
             ok = fold(np.logical_and, np.isfinite(f0).T)
@@ -245,19 +247,23 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
                                         NumericError("numeric: f(x) is not finite")))
             prev, terms = f0, terms[1:]
             if not ok.all():
-                idx, prev, hit, terms = idx[ok], prev[ok], hit[ok], terms[:, ok]
+                idx, pts, prev, hit, terms = idx[ok], pts[ok], prev[ok], hit[ok], terms[:, ok]
             if not terms.size:  # f(x) alone, or no f(x) finite
                 continue
         k, m = len(terms), idx.size
-        finite = fold(np.logical_and, np.isfinite(terms).transpose(2, 0, 1))
         diffs = np.empty(terms.shape, terms.dtype)
         np.subtract(terms[0], prev, out=diffs[0])
         np.subtract(terms[1:], terms[:-1], out=diffs[1:])
         r = f.space.norms(diffs.reshape(k * m, -1)).reshape(k, m)
         small = r <= tol
-        # a point stops at a non-finite term, a zero residual or a second residual <= tol in a row
-        stop = ~finite | (r == 0.0) | (small & np.concatenate([hit[None], small[:-1]]))
-        if stop.any():
+        # a point stops at a non-finite term, a zero residual or a second residual <= tol in
+        # a row: none where every residual is finite and > tol (a non-finite term's is not)
+        stops = small.any() or not r.max() < np.inf
+        if stops:
+            finite = fold(np.logical_and, np.isfinite(terms).transpose(2, 0, 1))
+            stop = ~finite | (r == 0.0) | (small & np.concatenate([hit[None], small[:-1]]))
+            stops = stop.any()
+        if stops:
             stopped = stop.any(axis=0)
             last = np.where(stopped, stop.argmax(axis=0), k - 1)
             cols = np.flatnonzero(stopped)
@@ -269,7 +275,8 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
             converged[at[~bad]] = True
             steps.append((idx, r, last))
             keep = ~stopped
-            idx, prev, hit, r = idx[keep], terms[-1, keep], small[-1, keep], r[:, keep]
+            idx, pts, prev, hit = idx[keep], pts[keep], terms[-1, keep], small[-1, keep]
+            r = r[:, keep]
         else:  # no point stopped: the running columns are the block's last row
             steps.append((idx, r, np.full(m, k - 1)))
             prev, hit = terms[-1], small[-1]

@@ -40,11 +40,13 @@ _QUANT_CAP = float(1 << 53)
 
 
 def _quantized(xs: np.ndarray, step: float) -> np.ndarray:
-    """Quantized int64 keys of the rows of an N x dim array (real parts, then imaginary);
-    the steps after the first copy write into that copy, not into ``xs``."""
-    parts = np.concatenate([xs.real, xs.imag], axis=1)
-    parts /= step
-    return np.clip(np.round(parts, out=parts), -_QUANT_CAP, _QUANT_CAP, out=parts).astype(np.int64)
+    """Quantized int64 keys of the rows of an N x dim array (real parts, then imaginary):
+    the N x 2dim view of component-major keys, divided into one array; ``xs`` is only read."""
+    parts = np.empty((2 * xs.shape[1], len(xs)))
+    np.divide(xs.real.T, step, out=parts[: xs.shape[1]])
+    np.divide(xs.imag.T, step, out=parts[xs.shape[1] :])
+    np.clip(np.round(parts, out=parts), -_QUANT_CAP, _QUANT_CAP, out=parts)
+    return parts.astype(np.int64).T
 
 
 def quantize(x: np.ndarray, step: float = QUANT_STEP) -> tuple:
@@ -57,25 +59,26 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's mix of each word, into a new array updated in place; ``z`` is only read."""
-    z = z ^ (z >> np.uint64(30))
+    """SplitMix64's mix of each word of ``z``, in place, its shifts into one scratch array."""
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
 def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
     """Words ``first`` .. ``count`` per row of an int64 key array, ``mix(state + j gamma)``:
-    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``. The
-    state is its own array, updated in place; ``keys`` is only read."""
+    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``, mixed in
+    place: the N x words view of a words x N array. ``keys`` is only read."""
     state = np.full(len(keys), seed & _MASK64, dtype=np.uint64)
     for k in keys.view(np.uint64).T:
         state += _GAMMA
         state ^= k
-        state = _mix64(state)
-    return _mix64(state[:, None] + _GAMMA * np.arange(first, count + 1, dtype=np.uint64))
+        _mix64(state)
+    return _mix64((_GAMMA * np.arange(first, count + 1, dtype=np.uint64))[:, None] + state).T
 
 
 class AdditiveCore:
@@ -213,33 +216,39 @@ class Perturbation:
             keys = map(tuple, _quantized(xs, self.quant_step).tolist())
             return np.array([self.table.get(k, default) for k in keys], dtype=np.complex128
                             ).reshape(xs.shape)
-        d, nx = space.dim, space.norms(xs)
+        d = space.dim
+        nx = space.norms(xs) if self.kind == "power" or self.direction == "radial" else None
         if self.direction == "hashed" or self.kind == "bounded":  # radial: word 2d + 1 alone
             first = 1 if self.direction == "hashed" else 2 * d + 1
             words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step),
-                                2 * d + (self.kind == "bounded"), first)
+                                2 * d + (self.kind == "bounded"), first).T  # words x N
         if self.direction == "radial":
-            # per part: complex / real would multiply by 1 / ||x||, inf for a subnormal ||x||
-            n = np.where(nx == 0.0, 1.0, nx)[:, None]
-            u = xs.real / n + 1j * (xs.imag / n)
+            # per part, so that a zero part keeps its sign; complex / real would multiply
+            # by 1 / ||x||, inf for a subnormal ||x||
+            n, u = np.where(nx == 0.0, 1.0, nx)[:, None], np.empty(xs.shape, dtype=np.complex128)
+            u.real, u.imag = xs.real / n, xs.imag / n
         else:
-            # Box-Muller with u1 = (k + 1/2) / 2^52 in (0, 1) for the top 52 bits
-            # k of a word: every radius is positive, so no vector is zero.
-            radius = np.sqrt(-2.0 * np.log(((words[:, :d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
-            angle = 2.0 * np.pi * ((words[:, d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
-            u = np.empty(radius.shape, dtype=np.complex128)
-            np.multiply(radius, np.cos(angle), out=u.real)
-            np.multiply(radius, np.sin(angle), out=u.imag)
+            # Box-Muller on d x N planes, with u1 = (k + 1/2) / 2^52 in (0, 1) for the top
+            # 52 bits k of a word: every radius is positive, so no vector is zero.
+            radius = np.sqrt(-2.0 * np.log(((words[:d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
+            angle = 2.0 * np.pi * ((words[d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
+            u = np.empty((len(xs), d), dtype=np.complex128)
+            np.multiply(radius, np.cos(angle), out=u.real.T)
+            np.multiply(radius, np.sin(angle), out=u.imag.T)
             u /= space.norms(u)[:, None]
         if self.kind == "bounded":
             # Magnitude scale in [0, 1) hashed from the same point key.
-            return (self.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
-        if self.r >= 0:  # power, defined everywhere
-            return (self.theta * nx ** self.r)[:, None] * u
-        # with r < 0, p(0) is undefined: a NaN row, which the callers report
-        undefined = nx == 0.0
-        magnitude = self.theta * np.where(undefined, 1.0, nx) ** self.r
-        return np.where(undefined, np.nan, magnitude)[:, None] * u
+            magnitude = self.epsilon * ((words[-1] >> np.uint64(11)) * 2.0 ** -53)
+        elif self.r >= 0:  # power, defined everywhere
+            magnitude = self.theta * nx ** self.r
+        else:  # with r < 0, p(0) is undefined: a NaN row, which the callers report
+            undefined = nx == 0.0
+            magnitude = np.where(undefined, np.nan,
+                                 self.theta * np.where(undefined, 1.0, nx) ** self.r)
+        if self.direction == "hashed":
+            return magnitude[:, None] * u
+        u.view(np.float64)[:] *= magnitude[:, None]  # per part too
+        return u
 
 
 class TestFunction:

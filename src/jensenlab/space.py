@@ -67,16 +67,17 @@ class NormedSpace(ValueRecord):
         """Norm of each row of an N x dim array; row i does not depend on the others.
         The max, the l1 sum and the l2 sum of squares are folds over the components
         in index order (``fold``), so the order is the same for every dim."""
-        mags = np.abs(self.as_vectors(vs))
+        mags = np.abs(self.as_vectors(vs)).T.copy()  # each component's moduli contiguous
         if self.norm_kind == "l1":
-            return fold(np.add, mags.T)
-        m = fold(np.maximum, mags.T)
+            return fold(np.add, mags)
+        m = fold(np.maximum, mags)
         if self.norm_kind == "linf":
             return m
         # scaled by the row max so that tiny entries do not underflow when squared;
         # by 1 where that max is 0 or +inf, so that a row with an infinite entry is +inf
-        scale = np.where((m == 0.0) | (m == np.inf), 1.0, m)
-        return m * np.sqrt(fold(np.add, (mags.T / scale) ** 2))
+        usual = 0.0 < m.min(initial=np.inf) and m.max(initial=0.0) < np.inf  # no 0, inf or NaN
+        scale = m if usual else np.where((m == 0.0) | (m == np.inf), 1.0, m)
+        return m * np.sqrt(fold(np.add, (mags / scale) ** 2))
 
     def norm(self, v) -> float:
         return float(self.norms([v])[0])

@@ -6,7 +6,9 @@ components numpy sums left to right too, so every result must be equal bit for
 bit; from 8 on, the fold keeps the same order where numpy sums pairwise.
 ``full_fold_apply_many`` is the core before it skipped the products of zero
 entries, whose bits the core keeps, NaN signs included. Both write a sum's parts
-straight into the complex result.
+straight into the complex result. ``reference_perturbation`` is the perturbation
+kernel as it was before it computed on component-major planes: row-major hash
+words in Python integers and Box-Muller on column slices.
 """
 
 import operator
@@ -214,3 +216,73 @@ def test_hash_words_of_a_shorter_count_are_a_prefix(seed, count, keys):
     keys = np.array(keys, dtype=np.int64)
     assert same_bits(_hash_words(seed, keys, count + 1)[:, :count],
                      _hash_words(seed, keys, count))
+
+
+_MASK = 2 ** 64 - 1
+
+
+def reference_words(seed, keys, count, first):
+    """SplitMix64 words ``first`` .. ``count`` of each key row, in Python integers."""
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+    gamma, rows = 0x9E3779B97F4A7C15, []
+    for row in keys.tolist():
+        state = seed & _MASK
+        for k in row:
+            state = mix(((state + gamma) & _MASK) ^ (k & _MASK))
+        rows.append([mix((state + j * gamma) & _MASK) for j in range(first, count + 1)])
+    return np.array(rows, dtype=np.uint64).reshape(len(keys), count - first + 1)
+
+
+def reference_perturbation(p, space, xs):
+    """``Perturbation.evaluate_many`` of a bounded or power perturbation, row-major: the
+    N x words hash words and Box-Muller on their column slices. A radial direction and
+    its magnitude are written part by part, so that a zero part keeps its sign."""
+    d, nx = space.dim, reference_norms(space, xs)
+    if p.direction == "hashed" or p.kind == "bounded":
+        keys = np.concatenate([xs.real, xs.imag], axis=1) / p.quant_step
+        keys = np.clip(np.round(keys), -2.0 ** 53, 2.0 ** 53).astype(np.int64)
+        first = 1 if p.direction == "hashed" else 2 * d + 1
+        words = reference_words(p.direction_seed, keys, 2 * d + (p.kind == "bounded"), first)
+    if p.kind == "bounded":
+        magnitude = p.epsilon * ((words[:, -1] >> np.uint64(11)) * 2.0 ** -53)
+    elif p.r >= 0:
+        magnitude = p.theta * nx ** p.r
+    else:
+        undefined = nx == 0.0
+        magnitude = np.where(undefined, np.nan, p.theta * np.where(undefined, 1.0, nx) ** p.r)
+    if p.direction == "radial":
+        n = np.where(nx == 0.0, 1.0, nx)[:, None]
+        return complex_parts(np.concatenate([xs.real / n, xs.imag / n], axis=1)
+                             * magnitude[:, None])
+    radius = np.sqrt(-2.0 * np.log(((words[:, :d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
+    angle = 2.0 * np.pi * ((words[:, d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
+    u = np.empty(radius.shape, dtype=np.complex128)
+    np.multiply(radius, np.cos(angle), out=u.real)
+    np.multiply(radius, np.sin(angle), out=u.imag)
+    u /= reference_norms(space, u)[:, None]
+    return magnitude[:, None] * u
+
+
+#: zeros of either sign, subnormals and parts near the top of the double range, whose
+#: moduli stay finite
+kernel_parts = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-310, 1e308, -1e308, 1.0])
+                | st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), norm=st.sampled_from(["l1", "l2", "linf"]),
+       kind=st.sampled_from(["power", "bounded"]), r=st.sampled_from([2.0, 0.5, 0.0, -0.5, -2.0]),
+       direction=st.sampled_from(["hashed", "radial"]), seed=st.integers(0, 2 ** 64 - 1))
+def test_perturbation_matches_the_row_major_kernel_bit_for_bit(data, dim, norm, kind, r,
+                                                               direction, seed):
+    if kind == "power":
+        p = Perturbation.power(0.3, r, direction_seed=seed, direction=direction)
+    else:
+        p = Perturbation.bounded(0.3, direction_seed=seed, direction=direction)
+    space, xs = NormedSpace(dim, norm), data.draw(batches(dim, kernel_parts))
+    # a huge part makes an l1 norm, a power of it and the parts it scales overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(p.evaluate_many(space, xs), reference_perturbation(p, space, xs))

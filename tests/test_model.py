@@ -86,9 +86,31 @@ def test_radial_bounded_magnitude_is_the_last_word_of_the_full_row(data, dim, se
     word = _hash_words(seed, _quantized(xs, p.quant_step), 2 * dim + 1)[:, -1]
     n = space.norms(xs)
     n = np.where(n == 0.0, 1.0, n)[:, None]
-    u = xs.real / n + 1j * (xs.imag / n)
-    want = (0.3 * ((word >> np.uint64(11)) * 2.0 ** -53))[:, None] * u
+    # each part written into the complex result, so that a zero part keeps its sign
+    magnitude = (0.3 * ((word >> np.uint64(11)) * 2.0 ** -53))[:, None]
+    want = np.empty_like(xs)
+    want.real, want.imag = xs.real / n * magnitude, xs.imag / n * magnitude
     assert p.evaluate_many(space, xs).tobytes() == want.tobytes()
+
+
+def test_radial_direction_keeps_the_sign_of_a_zero_part():
+    # x / ||x|| and the magnitude are written part by part: a join re + 1j * im, or a
+    # complex product with the magnitude, made every zero part +0.0
+    x = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0)]])
+    p = Perturbation.power(2.0, 0.0, direction="radial")
+    parts = p.evaluate_many(NormedSpace(2, "linf"), x).view(np.float64)[0]
+    assert parts.tolist() == [0.0, 1.0, 2.0, 0.0]
+    assert np.signbit(parts).tolist() == [True, False, False, True]
+
+
+def test_bounded_hashed_perturbation_takes_one_norm(monkeypatch):
+    # ||x|| scales a power magnitude or a radial direction; a bounded hashed perturbation
+    # reads only the norm that normalizes its Gaussian vector
+    calls = []
+    norms = NormedSpace.norms
+    monkeypatch.setattr(NormedSpace, "norms", lambda self, vs: calls.append(1) or norms(self, vs))
+    Perturbation.bounded(0.3, direction_seed=7).evaluate_many(NormedSpace(2), np.ones((5, 2)) + 0j)
+    assert len(calls) == 1
 
 
 def test_real_linear_core_additive_not_complex_linear():
