@@ -126,6 +126,12 @@ class AdditiveCore:
         return [[(j, v) for j, v in enumerate(m[i]) if v] or [(0, m[i, 0])]
                 for k in range(d) for i in (k, k + d)]
 
+    @cached_property
+    def _reads_all(self) -> bool:
+        """Whether a nonzero ``_kept`` entry reads each input column: then a non-finite
+        input part makes some output part non-finite, so the batch check need not test it."""
+        return len({j for kept in self._kept for j, v in kept if v}) == len(self._real_matrix)
+
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """The core at each row of an N x dim array, in real arithmetic summed
         column by column in a fixed order: not BLAS, and no complex product,
@@ -145,7 +151,7 @@ class AdditiveCore:
         x2 = np.concatenate([xs.real.T, xs.imag.T], out=np.empty((2 * d, len(xs))))
         y = np.stack([fold(np.add, (x2[j] if v == 1.0 else x2[j] * v for j, v in kept))
                       for kept in self._kept], axis=1)
-        if (np.isfinite(x2) & np.isfinite(y.T) & (y.T != 0.0)).all():
+        if (np.isfinite(y) & (y != 0.0)).all() and (self._reads_all or np.isfinite(x2).all()):
             return y.view(np.complex128)
         x2 = np.concatenate([xs.real.T, xs.imag.T])  # the full fold's own layout and loops
         return np.stack([fold(np.add, map(np.multiply, x2, m[i])) for k in range(d)
@@ -164,11 +170,10 @@ class Perturbation:
                  default used for points outside the table (a constant offset
                  model is ``tabulated`` with an empty table and a default)
 
-    direction 'hashed' normalizes a complex Gaussian vector drawn by
-    Box-Muller from the SplitMix64 words of (direction_seed, quantized
-    point): words 1..dim give the radii, dim+1..2dim the angles, and word
-    2dim+1 the magnitude scale of a bounded perturbation; 'radial' uses
-    x / ||x||.
+    direction 'hashed' normalizes a vector read from the SplitMix64 words of
+    (direction_seed, quantized point): words 1..dim give the real parts,
+    dim+1..2dim the imaginary parts, and word 2dim+1 the magnitude scale of a
+    bounded perturbation; 'radial' uses x / ||x||.
     """
 
     def __init__(self, kind: str = "none", epsilon: float = 0.0, theta: float = 0.0,
@@ -223,30 +228,24 @@ class Perturbation:
             words = _hash_words(self.direction_seed, _quantized(xs, self.quant_step),
                                 2 * d + (self.kind == "bounded"), first).T  # words x N
         if self.direction == "radial":
-            # per part, so that a zero part keeps its sign; complex / real would multiply
-            # by 1 / ||x||, inf for a subnormal ||x||
-            n, u = np.where(nx == 0.0, 1.0, nx)[:, None], np.empty(xs.shape, dtype=np.complex128)
-            u.real, u.imag = xs.real / n, xs.imag / n
+            u, n = xs.copy(), np.where(nx == 0.0, 1.0, nx)
         else:
-            # Box-Muller on d x N planes, with u1 = (k + 1/2) / 2^52 in (0, 1) for the top
-            # 52 bits k of a word: every radius is positive, so no vector is zero.
-            radius = np.sqrt(-2.0 * np.log(((words[:d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
-            angle = 2.0 * np.pi * ((words[d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
+            # part j is (2 k + 1) / 2^52 - 1 for the top 52 bits k of word j, exactly: an odd
+            # multiple of 2^-52 in (-1, 1), so no part and no vector is zero
+            parts = (words[: 2 * d] >> np.uint64(12)) * 2.0 ** -51 + (2.0 ** -52 - 1.0)
             u = np.empty((len(xs), d), dtype=np.complex128)
-            np.multiply(radius, np.cos(angle), out=u.real.T)
-            np.multiply(radius, np.sin(angle), out=u.imag.T)
-            u /= space.norms(u)[:, None]
+            u.real, u.imag = parts[:d].T, parts[d:].T
+            n = space.norms(u)
+        # per part: a zero part keeps its sign, and no 1 / ||x|| is inf for a subnormal ||x||
+        u.view(np.float64)[:] /= n[:, None]
         if self.kind == "bounded":
-            # Magnitude scale in [0, 1) hashed from the same point key.
-            magnitude = self.epsilon * ((words[-1] >> np.uint64(11)) * 2.0 ** -53)
+            magnitude = self.epsilon * ((words[-1] >> np.uint64(11)) * 2.0 ** -53)  # in [0, eps)
         elif self.r >= 0:  # power, defined everywhere
             magnitude = self.theta * nx ** self.r
         else:  # with r < 0, p(0) is undefined: a NaN row, which the callers report
             undefined = nx == 0.0
             magnitude = np.where(undefined, np.nan,
                                  self.theta * np.where(undefined, 1.0, nx) ** self.r)
-        if self.direction == "hashed":
-            return magnitude[:, None] * u
         u.view(np.float64)[:] *= magnitude[:, None]  # per part too
         return u
 

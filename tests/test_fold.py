@@ -7,8 +7,8 @@ bit; from 8 on, the fold keeps the same order where numpy sums pairwise.
 ``full_fold_apply_many`` is the core before it skipped the products of zero
 entries, whose bits the core keeps, NaN signs included. Both write a sum's parts
 straight into the complex result. ``reference_perturbation`` is the perturbation
-kernel as it was before it computed on component-major planes: row-major hash
-words in Python integers and Box-Muller on column slices.
+kernel row by row: hash words and each hashed direction part computed alone in
+Python integers.
 """
 
 import operator
@@ -181,12 +181,16 @@ def test_apply_many_matches_the_column_sum_bit_for_bit(data, dim, seed, kind):
     # a non-finite input that no entry reads
     (AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]])), [complex(3.0, np.inf)],
      None),
+    # a NaN in a column of zero entries: every output part of the full fold is NaN, while
+    # the sparse sum, which never reads that column, is finite and nonzero
+    (AdditiveCore("complex_linear", np.array([[1.0, 0.0], [2.0, 0.0]], dtype=np.complex128)),
+     [1.0 + 1.0j, complex(np.nan, 0.0)], [complex(np.nan, np.nan)] * 2),
     # the identity keeps a part's bits where no product of the other part is NaN: -0.0 stays
     # -0.0, and inf stays inf, while inf times the identity's -0.0 entry makes Re NaN
     (AdditiveCore.identity(1), [complex(-0.0, 2.0)], [complex(-0.0, 2.0)]),
     (AdditiveCore.identity(1), [complex(1.0, np.inf)], [complex(np.nan, np.inf)]),
-], ids=["zero-output", "non-finite-input", "overflow", "unread-input", "identity-negative-zero",
-        "identity-infinite-part"])
+], ids=["zero-output", "non-finite-input", "overflow", "unread-input", "zero-column",
+        "identity-negative-zero", "identity-infinite-part"])
 def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row, expected):
     xs = np.array([[0.5 + 0.25j] * len(row), row])  # and a row of the fast sum
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,6 +198,14 @@ def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row, expect
         assert same_bits(result, full_fold_apply_many(core, xs))
     if expected is not None:
         assert same_bits(one_nan(result[1]), one_nan(np.array(expected)))
+
+
+def test_batch_check_reads_the_input_only_where_a_column_is_unread():
+    # a nonzero entry in every column carries a non-finite input part into some output part
+    assert AdditiveCore.identity(3)._reads_all
+    assert AdditiveCore.random(2, 4, "real_linear")._reads_all
+    assert not AdditiveCore("complex_linear", np.array([[1.0, 0.0], [2.0, 0.0]]) + 0j)._reads_all
+    assert not AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]]))._reads_all
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,8 +250,9 @@ def reference_words(seed, keys, count, first):
 
 def reference_perturbation(p, space, xs):
     """``Perturbation.evaluate_many`` of a bounded or power perturbation, row-major: the
-    N x words hash words and Box-Muller on their column slices. A radial direction and
-    its magnitude are written part by part, so that a zero part keeps its sign."""
+    N x words hash words, and part j of a hashed direction (2 k + 1) / 2^52 - 1 for the top
+    52 bits k of word j, in Python integers. The direction is divided by its norm and scaled
+    by its magnitude part by part, so that a zero part keeps its sign."""
     d, nx = space.dim, reference_norms(space, xs)
     if p.direction == "hashed" or p.kind == "bounded":
         keys = np.concatenate([xs.real, xs.imag], axis=1) / p.quant_step
@@ -254,16 +267,13 @@ def reference_perturbation(p, space, xs):
         undefined = nx == 0.0
         magnitude = np.where(undefined, np.nan, p.theta * np.where(undefined, 1.0, nx) ** p.r)
     if p.direction == "radial":
-        n = np.where(nx == 0.0, 1.0, nx)[:, None]
-        return complex_parts(np.concatenate([xs.real / n, xs.imag / n], axis=1)
-                             * magnitude[:, None])
-    radius = np.sqrt(-2.0 * np.log(((words[:, :d] >> np.uint64(12)) + 0.5) * 2.0 ** -52))
-    angle = 2.0 * np.pi * ((words[:, d : 2 * d] >> np.uint64(11)) * 2.0 ** -53)
-    u = np.empty(radius.shape, dtype=np.complex128)
-    np.multiply(radius, np.cos(angle), out=u.real)
-    np.multiply(radius, np.sin(angle), out=u.imag)
-    u /= reference_norms(space, u)[:, None]
-    return magnitude[:, None] * u
+        u, n = xs, np.where(nx == 0.0, 1.0, nx)
+    else:
+        u = complex_parts(np.array([[float(2 * (w >> 12) + 1 - 2 ** 52) * 2.0 ** -52
+                                     for w in row[: 2 * d]] for row in words.tolist()]))
+        n = reference_norms(space, u)
+    return complex_parts(np.concatenate([u.real, u.imag], axis=1) / n[:, None]
+                         * magnitude[:, None])
 
 
 #: zeros of either sign, subnormals and parts near the top of the double range, whose

@@ -36,6 +36,27 @@ def test_power_magnitude_exact():
     assert dev == pytest.approx(2.0, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), norm=st.sampled_from(["l1", "l2", "linf"]),
+       r=st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.5, -2.0]), seed=st.integers(0, 2 ** 64 - 1))
+def test_hashed_perturbation_magnitude_at_every_dim_and_norm(data, dim, norm, r, seed):
+    # the hashed direction has unit norm to within rounding, so ||p(x)|| = theta ||x||^r to
+    # within 4 ulp for a power law and <= epsilon for a bounded one, and no part of a power
+    # perturbation at x != 0 is zero
+    part = st.sampled_from([0.0, -0.0, 1e-30, 1.0]) | st.floats(-1e30, 1e30)
+    xs = np.array([[complex(data.draw(part), data.draw(part)) for _ in range(dim)]
+                   for _ in range(data.draw(st.integers(1, 6)))])
+    space = NormedSpace(dim, norm)
+    nx = space.norms(xs)
+    assert space.norms(Perturbation.bounded(0.3, direction_seed=seed).evaluate_many(
+        space, xs)).max() <= 0.3
+    live = nx > 1e-30  # the magnitude 0.3 ||x||^r and each part of p(x) stay normal
+    p = Perturbation.power(0.3, r, direction_seed=seed).evaluate_many(space, xs[live])
+    want = 0.3 * nx[live] ** r
+    assert (np.abs(space.norms(p) - want) <= 4 * np.spacing(want)).all()
+    assert (p.view(np.float64) != 0.0).all()
+
+
 def test_power_zero_at_origin():
     f = make_power(dim=2, theta=1.0, r=0.5)
     assert (evaluate_many(f, [[0, 0]])[0] == 0).all()
@@ -105,7 +126,7 @@ def test_radial_direction_keeps_the_sign_of_a_zero_part():
 
 def test_bounded_hashed_perturbation_takes_one_norm(monkeypatch):
     # ||x|| scales a power magnitude or a radial direction; a bounded hashed perturbation
-    # reads only the norm that normalizes its Gaussian vector
+    # reads only the norm that normalizes its hashed vector
     calls = []
     norms = NormedSpace.norms
     monkeypatch.setattr(NormedSpace, "norms", lambda self, vs: calls.append(1) or norms(self, vs))
