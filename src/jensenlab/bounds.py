@@ -62,7 +62,7 @@ from .errors import (
     OutOfRegimeError,
     SingularPointError,
 )
-from .inequality import RhoParams, require_admissible
+from .inequality import RhoParams
 from .model import TestFunction
 from .space import ValueRecord
 
@@ -508,7 +508,7 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
                 except JensenLabError as e:  # a fault of the audit stage
                     late = e.with_traceback(None)
             if not adm:
-                require_admissible(params)  # raises, naming the violated condition
+                raise InadmissibleError(f"inadmissible: {adm.detail}")
             spec = SeriesSpec(scheme, params.family, abs(params.rho2), params.alpha,
                               trunc_terms, printed_display, abs(params.rho1))
             if audit:

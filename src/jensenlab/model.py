@@ -126,36 +126,21 @@ class AdditiveCore:
         return [[(j, v) for j, v in enumerate(m[i]) if v] or [(0, m[i, 0])]
                 for k in range(d) for i in (k, k + d)]
 
-    @cached_property
-    def _reads_all(self) -> bool:
-        """Whether a nonzero ``_kept`` entry reads each input column: then a non-finite
-        input part makes some output part non-finite, so the batch check need not test it."""
-        return len({j for kept in self._kept for j, v in kept if v}) == len(self._real_matrix)
-
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """The core at each row of an N x dim array, in real arithmetic summed
         column by column in a fixed order: not BLAS, and no complex product,
         whose rounding can depend on the numpy loop (fused or not) that runs
         it, so a row's bits never depend on the batch. An output part sums only
         its ``_kept`` products (an entry of 1.0 adds its input unmultiplied) into
-        the complex result. A skipped product of a finite part is +-0, which moves
-        only a zero sum's sign, so a batch with a non-finite part or output part,
-        or a zero output part, is summed over every entry, into the complex result
-        too: all of it, since which NaN a numpy loop keeps depends on the array's
-        length."""
+        the complex result."""
         d, m = xs.shape[1], self._real_matrix
         if m.shape != (2 * d, 2 * d):
             raise DimensionError(
                 f"dimension: {self.kind} core matrix {self.matrix.shape} does not act on C^{d}")
         # the 2d real input columns (real parts, then imaginary), each contiguous
         x2 = np.concatenate([xs.real.T, xs.imag.T], out=np.empty((2 * d, len(xs))))
-        y = np.stack([fold(np.add, (x2[j] if v == 1.0 else x2[j] * v for j, v in kept))
-                      for kept in self._kept], axis=1)
-        if (np.isfinite(y) & (y != 0.0)).all() and (self._reads_all or np.isfinite(x2).all()):
-            return y.view(np.complex128)
-        x2 = np.concatenate([xs.real.T, xs.imag.T])  # the full fold's own layout and loops
-        return np.stack([fold(np.add, map(np.multiply, x2, m[i])) for k in range(d)
-                         for i in (k, k + d)], axis=1).view(np.complex128)
+        return np.stack([fold(np.add, (x2[j] if v == 1.0 else x2[j] * v for j, v in kept))
+                         for kept in self._kept], axis=1).view(np.complex128)
 
 
 class Perturbation:
@@ -165,7 +150,8 @@ class Perturbation:
       none       p = 0
       bounded    ||p(x)|| <= epsilon everywhere
       power      ||p(x)|| = theta * ||x||^r at every evaluated point, p(0) = 0
-                 for r > 0 and NaN (undefined) for r < 0
+                 for r > 0 and NaN (undefined) for r < 0; at r = 0 a hashed
+                 direction gives ||p(0)|| = theta and a radial one p(0) = 0
       tabulated  a map from quantized points to vectors, with an optional
                  default used for points outside the table (a constant offset
                  model is ``tabulated`` with an empty table and a default)
@@ -266,7 +252,9 @@ def evaluate_many(f: TestFunction, xs) -> np.ndarray:
     the origin when forced; row i is ``evaluate_many(f, [xs[i]])[0]`` bit for bit,
     whatever the other rows are."""
     xs = f.space.as_vectors(xs)
-    out = f.core.apply_many(xs) + f.perturbation.evaluate_many(f.space, xs)
+    out = f.core.apply_many(xs)
+    if f.perturbation.kind != "none":  # p = 0 adds nothing, not even a zero's sign
+        out += f.perturbation.evaluate_many(f.space, xs)
     if f.force_zero_at_origin:
         out[~fold(np.logical_or, (xs != 0).T)] = 0.0
     return out

@@ -4,11 +4,11 @@ Each reference below is the formula the kernel used before its reductions over
 a vector's components became left-to-right folds (``space.fold``). Below 8
 components numpy sums left to right too, so every result must be equal bit for
 bit; from 8 on, the fold keeps the same order where numpy sums pairwise.
-``full_fold_apply_many`` is the core before it skipped the products of zero
-entries, whose bits the core keeps, NaN signs included. Both write a sum's parts
-straight into the complex result. ``reference_perturbation`` is the perturbation
-kernel row by row: hash words and each hashed direction part computed alone in
-Python integers.
+``reference_apply_many`` is the core's full column sum, and ``sparse_apply_many``
+the sum of its nonzero products alone, row by row in Python floats, which the core
+gives bit for bit; both write a sum's parts straight into the complex result.
+``reference_perturbation`` is the perturbation kernel row by row: hash words and
+each hashed direction part computed alone in Python integers.
 """
 
 import operator
@@ -53,12 +53,18 @@ def reference_apply_many(core, xs):
     return complex_parts(y2)
 
 
-def full_fold_apply_many(core, xs):
-    """``apply_many`` before it skipped zero products: every entry's product, summed
-    column by column."""
-    x2 = np.concatenate([xs.real.T, xs.imag.T])
-    return complex_parts(np.stack([reduce(np.add, map(np.multiply, x2, row))
-                                   for row in core._real_matrix], axis=1))
+def sparse_apply_many(core, xs):
+    """``apply_many`` row by row: each output part the left-to-right sum of its products
+    of nonzero entries (an entry of 1.0 adds its input part unmultiplied), or the product
+    of its first entry where all are zero."""
+    m, rows = core._real_matrix, []
+    for x in np.concatenate([xs.real, xs.imag], axis=1).tolist():
+        row = []
+        for entries in m.tolist():
+            terms = [x[j] if v == 1.0 else x[j] * v for j, v in enumerate(entries) if v]
+            row.append(reduce(operator.add, terms or [x[0] * entries[0]]))
+        rows.append(row)
+    return complex_parts(np.array(rows).reshape(len(xs), 2 * xs.shape[1]))
 
 
 def one_nan(a):
@@ -72,7 +78,9 @@ def one_nan(a):
 def reference_evaluate_many(f, xs):
     live = xs.any(axis=1) if f.force_zero_at_origin else slice(None)
     out = np.zeros_like(xs)
-    out[live] = f.core.apply_many(xs[live]) + f.perturbation.evaluate_many(f.space, xs[live])
+    out[live] = f.core.apply_many(xs[live])
+    if f.perturbation.kind != "none":
+        out[live] += f.perturbation.evaluate_many(f.space, xs[live])
     return out
 
 
@@ -165,47 +173,60 @@ def cores(draw, dim, seed, kind):
 def test_apply_many_matches_the_column_sum_bit_for_bit(data, dim, seed, kind):
     core = data.draw(cores(dim, seed, kind))
     xs = data.draw(batches(dim, modest_parts))
-    assert same_bits(core.apply_many(xs), reference_apply_many(core, xs))
-    # a zero or non-finite part: the full fold's bits, NaN signs too
+    result = core.apply_many(xs)
+    assert same_bits(result, sparse_apply_many(core, xs))
+    # a skipped product of a finite part is +-0, which moves only a zero sum's sign
+    assert (result == reference_apply_many(core, xs)).all()
+    # a zero or non-finite part: the same bits but for which NaN a loop keeps
     xs = data.draw(batches(dim, special_parts))
     with np.errstate(over="ignore", invalid="ignore"):
         result = core.apply_many(xs)
-        assert same_bits(result, full_fold_apply_many(core, xs))
-        assert same_bits(one_nan(result), one_nan(reference_apply_many(core, xs)))
+        assert same_bits(one_nan(result), one_nan(sparse_apply_many(core, xs)))
+        full = reference_apply_many(core, xs)
+    finite = np.isfinite(xs).all(axis=1)
+    assert np.array_equal(result[finite].view(np.float64), full[finite].view(np.float64),
+                          equal_nan=True)
 
 
 @pytest.mark.parametrize("core, row, expected", [
     (AdditiveCore.identity(2), [-0.0 - 0.0j, -1.0 + 3.0j], None),  # a zero output's sign
     (AdditiveCore.identity(2), [np.inf, 1.0 + 1.0j], None),  # a non-finite input
-    (AdditiveCore("complex_linear", np.diag([2.0 + 0.0j])), [5.0 + 1e308j], None),  # an overflow
+    (AdditiveCore("complex_linear", np.diag([2.0 + 0.0j])), [5.0 + 1e308j],
+     [complex(10.0, np.inf)]),  # an overflow
     # a non-finite input that no entry reads
     (AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]])), [complex(3.0, np.inf)],
-     None),
-    # a NaN in a column of zero entries: every output part of the full fold is NaN, while
-    # the sparse sum, which never reads that column, is finite and nonzero
+     [3.0 + 3.0j]),
+    # a NaN in a column of zero entries, which the sum never reads: the full fold's parts
+    # would all be NaN
     (AdditiveCore("complex_linear", np.array([[1.0, 0.0], [2.0, 0.0]], dtype=np.complex128)),
-     [1.0 + 1.0j, complex(np.nan, 0.0)], [complex(np.nan, np.nan)] * 2),
-    # the identity keeps a part's bits where no product of the other part is NaN: -0.0 stays
-    # -0.0, and inf stays inf, while inf times the identity's -0.0 entry makes Re NaN
-    (AdditiveCore.identity(1), [complex(-0.0, 2.0)], [complex(-0.0, 2.0)]),
-    (AdditiveCore.identity(1), [complex(1.0, np.inf)], [complex(np.nan, np.inf)]),
+     [1.0 + 1.0j, complex(np.nan, 0.0)], [1.0 + 1.0j, 2.0 + 2.0j]),
+    # the identity gives -0.0 and inf back, where the full fold's inf times the identity's
+    # -0.0 entry would make Re NaN
+    (AdditiveCore.identity(1), [complex(-0.0, 2.0)], None),
+    (AdditiveCore.identity(1), [complex(1.0, np.inf)], None),
 ], ids=["zero-output", "non-finite-input", "overflow", "unread-input", "zero-column",
         "identity-negative-zero", "identity-infinite-part"])
 def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row, expected):
-    xs = np.array([[0.5 + 0.25j] * len(row), row])  # and a row of the fast sum
-    with np.errstate(over="ignore", invalid="ignore"):
+    """Pins of the sparse sum where the full fold would differ; ``None``: the row itself."""
+    xs = np.array([[0.5 + 0.25j] * len(row), row])
+    with np.errstate(over="ignore"):
         result = core.apply_many(xs)
-        assert same_bits(result, full_fold_apply_many(core, xs))
-    if expected is not None:
-        assert same_bits(one_nan(result[1]), one_nan(np.array(expected)))
+    assert same_bits(result[1], np.array(row if expected is None else expected))
 
 
-def test_batch_check_reads_the_input_only_where_a_column_is_unread():
-    # a nonzero entry in every column carries a non-finite input part into some output part
-    assert AdditiveCore.identity(3)._reads_all
-    assert AdditiveCore.random(2, 4, "real_linear")._reads_all
-    assert not AdditiveCore("complex_linear", np.array([[1.0, 0.0], [2.0, 0.0]]) + 0j)._reads_all
-    assert not AdditiveCore("real_linear", np.array([[1.0, 0.0], [1.0, 0.0]]))._reads_all
+#: zeros of either sign, infinities, NaN of either sign and subnormals, which an identity
+#: gives back as they are
+identity_parts = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                                   -5e-324, -1e-310]) | st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3))
+def test_identity_core_returns_its_input_bit_for_bit(data, dim):
+    xs = data.draw(batches(dim, identity_parts))
+    f = TestFunction(NormedSpace(dim), AdditiveCore.identity(dim), Perturbation.none())
+    assert same_bits(AdditiveCore.identity(dim).apply_many(xs), xs)
+    assert same_bits(evaluate_many(f, xs), xs)
 
 
 @settings(max_examples=100, deadline=None)

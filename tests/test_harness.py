@@ -255,6 +255,24 @@ def test_sample_configs_run(path, tmp_path):
     assert (tmp_path / "out").exists()
 
 
+def ci_reports():
+    """The (entry, subcommand, config) of each line of the CI workflow's ``REPORTS`` block."""
+    lines = (CONFIGS.parent / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "REPORTS: |-")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    block = itertools.takewhile(lambda line: len(line) - len(line.lstrip()) > indent,
+                                lines[start + 1 :])
+    return [tuple(line.split()[:3]) for line in block]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_ci_byte_checks_each_sample_config_under_its_subcommand(path):
+    command = path.stem.split("_")[0]
+    exits = [int(entry.partition(":")[2] or 0) for entry, cmd, config in ci_reports()
+             if cmd == command and config == path.stem]
+    assert exits and set(exits) == {SAMPLE_EXITS.get(path.stem, cli.EXIT_PASS)}
+
+
 def test_real_linear_matrix_core_runs_as_given():
     # the 6 x 6 real identity acts on (Re x, Im x) in C^3 as the identity core does
     linf = json.loads((CONFIGS / "verify_linf_dim3.json").read_text())
