@@ -17,13 +17,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .space import NormedSpace, fold
+from .space import NormedSpace, _hash_words, _word_vectors, check_seed, fold
 
 #: Quantization step for hashing / tabulated lookups; coarse enough that
 #: floating-point noise below ~1e-7 cannot move a point across grid cells.
 QUANT_STEP = 2.0 ** -20
-
-_MASK64 = (1 << 64) - 1
 
 #: Row budget of one ``evaluate_many`` call of the orbit pass or the defect.
 ROWS = 2048
@@ -54,33 +52,6 @@ def quantize(x: np.ndarray, step: float = QUANT_STEP) -> tuple:
     return tuple(_quantized(np.asarray(x, dtype=np.complex128)[None], step)[0].tolist())
 
 
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014); uint64 arithmetic wraps.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's mix of each word of ``z``, in place, its shifts into one scratch array."""
-    scratch = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=scratch)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=scratch)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
-    return z
-
-
-def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
-    """Words ``first`` .. ``count`` per row of an int64 key array, ``mix(state + j gamma)``:
-    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``, mixed in
-    place: the N x words view of a words x N array. ``keys`` is only read."""
-    state = np.full(len(keys), seed & _MASK64, dtype=np.uint64)
-    for k in keys.view(np.uint64).T:
-        state += _GAMMA
-        state ^= k
-        _mix64(state)
-    return _mix64((_GAMMA * np.arange(first, count + 1, dtype=np.uint64))[:, None] + state).T
-
-
 class AdditiveCore:
     """Linear operator on the space; additive by construction.
 
@@ -101,12 +72,11 @@ class AdditiveCore:
 
     @classmethod
     def random(cls, dim: int, seed: int, kind: str = "complex_linear") -> "AdditiveCore":
-        rng = np.random.default_rng(seed)
-        if kind == "complex_linear":
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        else:
-            m = rng.standard_normal((2 * dim, 2 * dim))
-        return cls(kind, m / np.sqrt(2 * dim))
+        """Entries uniform in (-1, 1) / sqrt(2 dim): row i (a real row is a complex row's parts)
+        is ``_word_vectors`` of the words of (seed, -1 - i), a key that no sample index takes."""
+        keys = ~np.arange(dim if kind == "complex_linear" else 2 * dim, dtype=np.int64)[:, None]
+        m = _word_vectors(_hash_words(seed, keys, 2 * dim).T, dim)
+        return cls(kind, (m if kind == "complex_linear" else m.view(np.float64)) / np.sqrt(2 * dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_many(np.asarray(x)[None])[0]
@@ -156,10 +126,9 @@ class Perturbation:
                  default used for points outside the table (a constant offset
                  model is ``tabulated`` with an empty table and a default)
 
-    direction 'hashed' normalizes a vector read from the SplitMix64 words of
-    (direction_seed, quantized point): words 1..dim give the real parts,
-    dim+1..2dim the imaginary parts, and word 2dim+1 the magnitude scale of a
-    bounded perturbation; 'radial' uses x / ||x||.
+    direction 'hashed' normalizes ``_word_vectors`` of the words of (direction_seed,
+    quantized point), whose word 2dim+1 scales a bounded perturbation's magnitude;
+    'radial' uses x / ||x||.
     """
 
     def __init__(self, kind: str = "none", epsilon: float = 0.0, theta: float = 0.0,
@@ -174,6 +143,7 @@ class Perturbation:
             raise ValueError(f"perturbation kind must be one of {PERTURBATION_KINDS}")
         if self.direction not in DIRECTION_KINDS:
             raise ValueError(f"direction must be one of {DIRECTION_KINDS}")
+        check_seed("direction_seed", self.direction_seed)
 
     @classmethod
     def none(cls) -> "Perturbation":
@@ -216,11 +186,7 @@ class Perturbation:
         if self.direction == "radial":
             u, n = xs.copy(), np.where(nx == 0.0, 1.0, nx)
         else:
-            # part j is (2 k + 1) / 2^52 - 1 for the top 52 bits k of word j, exactly: an odd
-            # multiple of 2^-52 in (-1, 1), so no part and no vector is zero
-            parts = (words[: 2 * d] >> np.uint64(12)) * 2.0 ** -51 + (2.0 ** -52 - 1.0)
-            u = np.empty((len(xs), d), dtype=np.complex128)
-            u.real, u.imag = parts[:d].T, parts[d:].T
+            u = _word_vectors(words, d)  # no part and no vector is zero
             n = space.norms(u)
         # per part: a zero part keeps its sign, and no 1 / ||x|| is inf for a subnormal ||x||
         u.view(np.float64)[:] /= n[:, None]

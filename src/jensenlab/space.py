@@ -1,4 +1,4 @@
-"""Finite-dimensional complex coordinate spaces and seeded point sampling.
+"""Finite-dimensional complex coordinate spaces, seeded point sampling and the counter hash.
 
 Vectors are plain ``numpy`` arrays of ``complex128`` with shape ``(dim,)``.
 """
@@ -25,6 +25,49 @@ def fold(op, columns) -> np.ndarray:
     row at a time, which is far slower, and for fewer than 8 columns its sum is
     left to right too, so the bits are the same as ``op.reduce``."""
     return reduce(op, columns)
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a 64-bit word, so that no two seeds alias."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must be {'nonnegative' if seed < 0 else '< 2^64'}, got {seed}")
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's mix of each word of ``z``, in place, its shifts into one scratch array."""
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
+
+
+def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.ndarray:
+    """Words ``first`` .. ``count`` per row of an int64 key array, ``mix(state + j gamma)``:
+    a counter-based stream (Salmon et al., SC 2011) of the row's key and ``seed``, mixed in
+    place: the N x words view of a words x N array; uint64 arithmetic wraps. ``keys`` is only
+    read. Every sample point, random core and hashed direction of the package reads these."""
+    check_seed("seed", seed)
+    state = np.full(len(keys), seed, dtype=np.uint64)
+    for k in keys.view(np.uint64).T:
+        state += _GAMMA
+        state ^= k
+        _mix64(state)
+    return _mix64((_GAMMA * np.arange(first, count + 1, dtype=np.uint64))[:, None] + state).T
+
+
+def _word_vectors(words: np.ndarray, dim: int) -> np.ndarray:
+    """N x dim vectors of a words x N array: word j gives part (2 k + 1) / 2^52 - 1 (real parts,
+    then imaginary) for its top 52 bits k, an odd multiple of 2^-52 in (-1, 1), never zero."""
+    parts = (words[: 2 * dim] >> np.uint64(12)) * 2.0 ** -51 + (2.0 ** -52 - 1.0)
+    v = np.empty((words.shape[1], dim), dtype=np.complex128)
+    v.real, v.imag = parts[:dim].T, parts[dim:].T
+    return v
 
 
 class ValueRecord:
@@ -59,8 +102,7 @@ class NormedSpace(ValueRecord):
         arr = arr.reshape(0, self.dim) if arr.size == 0 else arr
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise DimensionError(
-                f"dimension: expected vectors of length {self.dim}, got shape {arr.shape}"
-            )
+                f"dimension: expected vectors of length {self.dim}, got shape {arr.shape}")
         return arr
 
     def norms(self, vs) -> np.ndarray:
@@ -93,48 +135,40 @@ class SamplePlan(ValueRecord):
     def __init__(self, seed: int, count: int, radius: float, exclude_origin_below: float = 0.0):
         self.seed, self.count, self.radius = seed, count, radius
         self.exclude_origin_below = exclude_origin_below
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_seed("seed", self.seed)
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if not (0 <= self.exclude_origin_below < self.radius):
             raise ValueError(
                 f"need radius > exclude_origin_below >= 0, got radius={self.radius}, "
-                f"exclude_origin_below={self.exclude_origin_below}"
-            )
+                f"exclude_origin_below={self.exclude_origin_below}")
 
     def _key(self) -> tuple:
         return self.seed, self.count, self.radius, self.exclude_origin_below
 
     def inner_radius(self) -> float:
         """Positive lower edge of the sampled norm range."""
-        if self.exclude_origin_below > 0:
-            return self.exclude_origin_below
-        return self.radius * ORIGIN_FLOOR
+        return self.exclude_origin_below or self.radius * ORIGIN_FLOOR
 
 
 def draw_samples(space: NormedSpace, plan: SamplePlan, arity: int) -> np.ndarray:
     """Deterministic points, a ``(count, dim)`` array, or triples, ``(count, 3, dim)``.
 
-    Each vector has a uniform (Gaussian-normalized) direction and a norm
-    log-uniform in ``(lo, hi]``, so that samples cover several dyadic shells,
-    which is where the series bounds are probed. Directions and norms are one
-    bulk draw each from two PCG64 streams spawned from ``plan.seed``: the
-    first k vectors do not depend on ``count``, and triples are the points of
-    ``3 * count`` vectors in threes.
+    Vector i reads the words of ``(plan.seed, i)``: words 1..2 dim a direction uniform in
+    the realified cube (``_word_vectors``), word 2 dim + 1 a norm log-uniform in ``(lo, hi]``,
+    so that samples cover the dyadic shells where the series bounds are probed. So the first
+    k vectors do not depend on ``count``; triples are the points of ``3 * count`` in threes.
     """
     if arity not in (1, 3):
         raise ArityError(f"arity: expected 1 or 3, got {arity}")
-    directions, radii = map(np.random.default_rng, np.random.SeedSequence(plan.seed).spawn(2))
+    keys = np.arange(plan.count * arity, dtype=np.int64)[:, None]  # vector i's key is i
+    words = _hash_words(plan.seed, keys, 2 * space.dim + 1).T
+    vec = _word_vectors(words, space.dim)
+    # (k + 1) / 2^53 for the top 53 bits k of the last word is in (0, 1], the norm in (lo, hi]
+    u = ((words[-1] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
     lo, hi = plan.inner_radius(), plan.radius
-    g = directions.standard_normal((plan.count * arity, 2 * space.dim))
-    while (zero := ~fold(np.logical_or, g.T)).any():  # a zero row has no direction: redraw it
-        g[zero] = directions.standard_normal((zero.sum(), 2 * space.dim))
-    # (1 - random()) lies in (0, 1], so the target norm lies in (lo, hi].
-    u = 1.0 - radii.random(len(g))
-    vec = g[:, : space.dim] + 1j * g[:, space.dim :]
     target = np.exp(np.log(lo) + u * (np.log(hi) - np.log(lo)))
-    vec = vec * (target / space.norms(vec))[:, None]
+    vec *= (target / space.norms(vec))[:, None]
     # Guard the open/closed endpoints against rounding of the rescaled norm.
     norms = space.norms(vec)
     vec[norms > hi] *= 1.0 - 1e-12

@@ -30,7 +30,8 @@ from jensenlab.bounds import phi_tilde_cells
 from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
 from jensenlab.errors import JensenLabError, NotConvergedError
 from jensenlab.inequality import defect_many
-from jensenlab.model import _hash_words, _quantized, evaluate_many, quantize
+from jensenlab.model import _quantized, evaluate_many, quantize
+from jensenlab.space import _hash_words
 
 PERTURBATIONS = {
     "none": lambda dim: Perturbation.none(),

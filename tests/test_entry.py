@@ -88,3 +88,40 @@ def test_no_package_class_is_a_dataclass():
                if inspect.isclass(c) and c.__module__ == module.__name__]
     assert len(classes) > 17
     assert [c.__qualname__ for c in classes if dataclasses.is_dataclass(c)] == []
+
+
+def test_the_package_does_not_use_numpy_random():
+    # every sample point, random core and hashed direction reads the package's counter hash,
+    # whose bits no numpy release can move (numpy's Generator promises no stable stream)
+    for path in sorted((ROOT / "src" / "jensenlab").glob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+
+
+#: run cli.main on every sample config, then report which of numpy.random's imports happened
+_RUN_ALL = """
+import sys
+from pathlib import Path
+import numpy
+before = "numpy.random" in sys.modules
+from jensenlab import cli
+command, configs, out = sys.argv[1:]
+codes = [cli.main([command, "--config", str(c), "--out", out])
+         for c in sorted(Path(configs).glob("*.json"))]
+print(before, "numpy.random" in sys.modules, codes)
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "audit", "sweep", "defect", "approximate"])
+def test_a_run_does_not_import_numpy_random(command, tmp_path):
+    # the import costs a CLI process 10-17 ms (python -X importtime)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, command, str(ROOT / "configs"),
+                           str(tmp_path / "out")], stdin=subprocess.DEVNULL, capture_output=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path}, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, after, codes = proc.stdout.split(" ", 2)
+    if before == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert after == "False"
+    assert "0" in codes  # at least one sample config ran its subcommand to a pass

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensenlab import AdditiveCore, NormedSpace, Perturbation, TestFunction
-from jensenlab.model import _hash_words, evaluate_many
+from jensenlab.model import evaluate_many
+from jensenlab.space import _hash_words
 
 
 def reference_norms(space, vs):

@@ -139,6 +139,7 @@ MALFORMED = {
         "control: tabulated control edges must be strictly increasing"),
     "negative-seed": ("verify", VERIFY_SAMPLE, ["--seed", "-1"], "plan: seed"),
     "negative-envelope-seed": ("verify", changed("envelope.seed", -5), [], "envelope: seed"),
+    "seed-past-64-bits": ("verify", VERIFY_SAMPLE, ["--seed", str(2 ** 64)], "plan: seed"),
     "max-n-zero": ("verify", changed("max_n", 0), [], "max_n"),
     "tabulated-control-edge-infinite": ("verify", changed("control", {
         "kind": "tabulated", "edges": [0.01, 0.5, float("inf"), 4.0], "values": [0.3, 0.2, 0.5]}),
@@ -198,6 +199,22 @@ def test_malformed_config_exits_3_naming_the_field(case, tmp_path, capsys):
     assert code == cli.EXIT_RUNTIME, err
     assert err.startswith(("error[config]: ", "error[unknown-key]: ")), err
     assert field in err, err
+
+
+#: each seed of a config and how its fault names it
+SEED_FIELDS = {"plan.seed": "plan: seed", "envelope.seed": "envelope: seed",
+               "function.core.seed": "function.core: seed",
+               "function.perturbation.direction_seed": "function.perturbation: direction_seed"}
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("path", sorted(SEED_FIELDS))
+def test_a_seed_outside_64_bits_is_a_config_error(path, seed):
+    # a seed is hashed as a 64-bit word: 5 + 2^64 would read as 5, and -1 as 2^64 - 1
+    doc = changed(path, seed, changed("function.core", {"kind": "complex_linear"}))
+    with pytest.raises(ConfigError, match=f"config: {SEED_FIELDS[path]} must be "):
+        harness.run_verify(doc)
+    harness.run_verify(changed(path, 2 ** 64 - 1, doc))  # the largest seed is one
 
 
 def test_config_file_not_json_exits_3(tmp_path, capsys):
@@ -515,7 +532,7 @@ def _orbit_rows(monkeypatch, name, count=None):
 
 @pytest.mark.parametrize("name, count, calls, total", [("sweep_family_a", None, 1, 2025),
                                                        ("verify_power_measured", None, 3, 6000),
-                                                       ("audit_backward_dyadic", 600, 10, 16711)],
+                                                       ("audit_backward_dyadic", 600, 10, 16703)],
                          ids=["sweep_family_a", "verify_power_measured",
                               "audit_backward_dyadic-600"])
 def test_approximation_pass_evaluates_orbits_in_blocks(monkeypatch, name, count, calls, total):
@@ -859,11 +876,13 @@ SWEEP_CASES = {
     "family-b-max-n-zero": (_small_sweep({"beta": [None, 1.0, 2.0]}, params=_FAMILY_B_PARAMS,
                                          scheme={"direction": "forward", "scale": 3.0},
                                          max_n=0), "max_n"),
-    # backward with r 400: ||x||^r underflows to 0 at the small sample norms, so the empirical
-    # sup is not finite; the error is kept for the (scheme, r) and is each such cell's status
+    # backward with r 400 at norms in (0.1, 0.15]: ||x||^r <= 0.15^400 underflows to 0 at
+    # every point, so the empirical sup is not finite; the error is kept for the (scheme, r)
+    # and is each such cell's status
     "family-a-backward-sup-underflow": (
         _small_sweep({"rho1": [[0.0, 0.0], [0.1, 0.0]], "r": [2.0, 400.0]},
-                     scheme={"direction": "backward"}, function=_BACKWARD_FUNCTION),
+                     scheme={"direction": "backward"}, function=_BACKWARD_FUNCTION,
+                     plan={**SWEEP_SAMPLE["plan"], "count": 8, "radius": 0.15}),
         {"ok", "numeric"}),
     # a given scale: beta 1 does not pair with scale 3
     "family-b-scale": (_small_sweep({"beta": [2.0, 1.0]}, params=_FAMILY_B_PARAMS,

@@ -9,11 +9,14 @@ from jensenlab import (
     AdditiveCore,
     NormedSpace,
     Perturbation,
+    SamplePlan,
     TestFunction,
     build_experiment,
+    draw_samples,
 )
 from jensenlab.errors import DimensionError
-from jensenlab.model import _hash_words, _quantized, evaluate_many, quantize
+from jensenlab.model import _quantized, evaluate_many, quantize
+from jensenlab.space import _hash_words, _word_vectors
 
 
 def test_evaluate_identity_no_perturbation():
@@ -143,6 +146,53 @@ def test_real_linear_core_additive_not_complex_linear():
     # generically not C-homogeneous: core(i x) != i core(x)
     cx = f.core.apply(1j * x)
     assert f.space.norm(cx - 1j * f.core.apply(x)) > 1e-6
+
+
+#: AdditiveCore.random(2, 4, kind).matrix as hex: a complex matrix's (re, im) entries, or
+#: a real one's; exact, since a part is exact and 1 / sqrt(4) is a power of two
+PINNED_CORES = {
+    "complex_linear": [[("0x1.c4a8b2d593f62p-2", "-0x1.bfa34f860e3a2p-2"),
+                        ("0x1.da8642ffd5e84p-3", "-0x1.ac92464fb6b50p-5")],
+                       [("-0x1.fe7c4320c2932p-2", "0x1.db5ef26b1e4d4p-3"),
+                        ("0x1.f4c4b1f20a888p-4", "0x1.972c331578694p-3")]],
+    "real_linear": [["0x1.c4a8b2d593f62p-2", "-0x1.bfa34f860e3a2p-2",
+                     "0x1.da8642ffd5e84p-3", "-0x1.ac92464fb6b50p-5"],
+                    ["-0x1.fe7c4320c2932p-2", "0x1.db5ef26b1e4d4p-3",
+                     "0x1.f4c4b1f20a888p-4", "0x1.972c331578694p-3"],
+                    ["-0x1.a00cec03ce426p-2", "-0x1.d293e4c921918p-4",
+                     "-0x1.70dc62bdba38cp-3", "-0x1.ea5d86913f46cp-3"],
+                    ["0x1.25c5995b29424p-3", "0x1.a0ca05b0160d0p-5",
+                     "-0x1.691093cd7a4f8p-4", "0x1.9b1011c6d2da8p-4"]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_CORES))
+def test_random_core_pinned(kind):
+    # A change here moves every report of a random core: make it on purpose
+    m = AdditiveCore.random(2, 4, kind).matrix
+    if kind == "complex_linear":
+        want = [[complex(float.fromhex(re), float.fromhex(im)) for re, im in row]
+                for row in PINNED_CORES[kind]]
+    else:
+        want = [[float.fromhex(x) for x in row] for row in PINNED_CORES[kind]]
+    assert m.dtype == np.asarray(want).dtype and m.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2 ** 64 - 1])
+def test_a_core_and_a_plan_of_one_seed_share_no_words(seed):
+    # a plan's vector i reads the words of (seed, i) and a core's row i those of (seed, -1 - i)
+    dim, count = 2, 500
+    plan_words = _hash_words(seed, np.arange(3 * count)[:, None], 2 * dim + 1)
+    core_words = _hash_words(seed, -1 - np.arange(2 * dim)[:, None], 2 * dim)
+    assert not set(plan_words.ravel().tolist()) & set(core_words.ravel().tolist())
+    # ... which are the words they read: the core's rows are theirs, bit for bit (1 / sqrt(4)
+    # is exact), and each sample point (an envelope's triples too) is parallel to its direction
+    core = AdditiveCore.random(dim, seed, "real_linear").matrix
+    assert (core * 2.0).tobytes() == _word_vectors(core_words.T, dim).view(np.float64).tobytes()
+    points = draw_samples(NormedSpace(dim), SamplePlan(seed, count, 2.0, 0.1), arity=3)
+    ratio = points.reshape(-1, dim) / _word_vectors(plan_words.T, dim)
+    assert np.allclose(ratio, ratio[:, :1], rtol=1e-14, atol=0.0)
+    assert (ratio.real > 0.0).all()
 
 
 def test_hashed_perturbation_deterministic():

@@ -144,6 +144,11 @@ def test_other_records_compare_by_identity(build):
     (lambda: space.NormedSpace(2, "l3"), ValueError,
      "norm_kind must be one of ('l1', 'l2', 'linf'), got 'l3'"),
     (lambda: space.SamplePlan(-1, 1, 1.0), ValueError, "seed must be nonnegative, got -1"),
+    (lambda: space.SamplePlan(2 ** 64, 1, 1.0), ValueError,
+     "seed must be < 2^64, got 18446744073709551616"),
+    (lambda: model.AdditiveCore.random(2, -1), ValueError, "seed must be nonnegative, got -1"),
+    (lambda: model.Perturbation.power(1.0, 0.5, 2 ** 64), ValueError,
+     "direction_seed must be < 2^64, got 18446744073709551616"),
     (lambda: space.SamplePlan(0, -1, 1.0), ValueError, "count must be nonnegative, got -1"),
     (lambda: space.SamplePlan(0, 1, 1.0, 1.0), ValueError,
      "need radius > exclude_origin_below >= 0, got radius=1.0, exclude_origin_below=1.0"),
