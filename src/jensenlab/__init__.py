@@ -9,7 +9,6 @@ against derivation-consistent ones.
 from .bounds import (
     BoundAudit,
     ControlFunction,
-    SeriesSpec,
     audit,
     constant_tag,
     convergence_predicate,
@@ -52,10 +51,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdditiveCore", "Admissibility", "Approximants", "BoundAudit", "ControlFunction",
     "ConvergenceReport", "JensenLabError", "MeasuredEnvelope", "NormedSpace",
-    "Perturbation", "RhoParams", "RunReport", "SamplePlan", "Scheme", "SeriesSpec",
-    "TestFunction", "additive_limit_check", "admissible", "approximate",
-    "approximate_points", "audit", "backward", "build_experiment", "constant_tag",
-    "convergence_predicate", "corollary_constant", "draw_samples", "forward",
-    "measure_envelope", "run_sweep", "run_verify", "scalar_offset_function",
-    "uniqueness_crosscheck",
+    "Perturbation", "RhoParams", "RunReport", "SamplePlan", "Scheme", "TestFunction",
+    "additive_limit_check", "admissible", "approximate", "approximate_points", "audit",
+    "backward", "build_experiment", "constant_tag", "convergence_predicate",
+    "corollary_constant", "draw_samples", "forward", "measure_envelope", "run_sweep",
+    "run_verify", "scalar_offset_function", "uniqueness_crosscheck",
 ]

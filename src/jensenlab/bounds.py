@@ -37,10 +37,11 @@ own (theta, r); a table control on (e below its first edge, 0): a measured
 control keeps its first value there, and a tabulated one has none (NaN is not
 > 0), so its series ends where its coverage does.
 
-``run_cells`` is the one path of a cell for ``verify``, the sweep and ``audit``, in these
-stages: admissibility (the parameters, then the series spec), audit (an audit needs a
-power control), envelope (a measured control's), phi-tilde (phi~ at every norm),
-approximate, and audit (the published constant, phi~(1), then the empirical sup).
+``run_cells`` is the one path of a ``(params, scheme, control)`` cell for ``verify``, the
+sweep and ``audit``, in these stages: admissibility (the parameters, then a family-A
+scheme's scale), audit (an audit needs a power control), envelope (a measured control's),
+phi-tilde (phi~ at every norm), approximate, and audit (the published constant, phi~(1),
+then the empirical sup). ``phi_tilde_cells`` and ``derived_constants`` take the same cells.
 """
 
 from __future__ import annotations
@@ -164,48 +165,14 @@ class ControlFunction:
         return self.theta * (self.component(nx) + self.component(ny) + self.component(nz))
 
 
-class SeriesSpec(ValueRecord):
-    """Which series to sum, and how far; equal and hashed by all seven fields.
-
-    ``family`` selects the series form ('A' dyadic two-term, 'B' single-term);
-    it cannot be inferred from the scale alone since 1+beta = +/-2 collides
-    with the dyadic scale. ``rho1_abs`` is only consulted by the
-    printed-display variant of the family-B forward series.
-    """
-
-    def __init__(self, scheme: Scheme, family: str, rho2_abs: float, alpha: float,
-                 trunc_terms: int = DEFAULT_TRUNC_TERMS, printed_display: bool = False,
-                 rho1_abs: float = 0.0):
-        self.scheme, self.family, self.rho2_abs, self.alpha = scheme, family, rho2_abs, alpha
-        self.trunc_terms, self.printed_display = trunc_terms, printed_display
-        self.rho1_abs = rho1_abs
-        if self.family not in ("A", "B"):
-            raise FamilyError(f"family: expected A or B, got {self.family!r}")
-        if self.family == "A" and abs(self.scheme.scale) != 2.0:
-            raise FamilyError(
-                f"family: family-A series are dyadic (|scale| = 2), got scale {self.scheme.scale}"
-            )
-        if self.trunc_terms < 1:
-            raise ValueError("trunc_terms must be >= 1")
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
-        if self.rho2_abs < 0 or self.rho1_abs < 0:
-            raise ValueError("rho moduli must be nonnegative")
-
-    def _key(self) -> tuple:
-        return (self.scheme, self.family, self.rho2_abs, self.alpha, self.trunc_terms,
-                self.printed_display, self.rho1_abs)
-
-
-def _term_rows(e, theta, rows: list, nx: np.ndarray):
-    """Term ``step`` of series ``spec`` at each norm in nx, a row per ``(spec, step)`` in
-    rows (specs of one direction, family and display), scaled and weighted by the Python
-    float powers of its L; theta is a float or a column. e is evaluated once per argument
-    pattern, and phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t), e(0) = +0.0."""
-    spec = rows[0][0]
-    forward = spec.scheme.direction == "forward"
-    printed = spec.printed_display and forward
-    Ls = [(abs(sp.scheme.scale), i) for sp, i in rows]
+def _term_rows(e, theta, rows: list, nx: np.ndarray, printed_display: bool):
+    """Term ``step`` of each row's series at each norm in nx, a row per ``(params, scheme,
+    step)`` (cells of one direction and family), scaled and weighted by the Python float
+    powers of its L; theta is a float or a column. e is evaluated once per argument pattern,
+    and phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t), e(0) = +0.0."""
+    family, forward = rows[0][0].family, rows[0][1].direction == "forward"
+    printed = printed_display and forward
+    Ls = [(abs(scheme.scale), i) for _, scheme, i in rows]
     if forward:
         s = np.array([_power(L, i) for L, i in Ls])[:, None] * nx
         weight = [_power(L, -(i + 1)) for L, i in Ls]
@@ -215,18 +182,13 @@ def _term_rows(e, theta, rows: list, nx: np.ndarray):
         weight = [_power(L, i) for L, i in Ls]
     e_s = e(s)
     phi_ss0 = theta * (e_s + e_s)
-    if spec.family == "A":  # phi(0, 0, t) with t = s, or s / |alpha|
-        e_t = e_s if printed else e(s / np.array([abs(sp.alpha) for sp, _ in rows])[:, None])
-        p2 = [sp.rho2_abs for sp, _ in rows]
+    if family == "A":  # phi(0, 0, t) with t = s, or s / |alpha|
+        e_t = e_s if printed else e(s / np.array([abs(p.alpha) for p, _, _ in rows])[:, None])
+        p2 = [abs(p.rho2) for p, _, _ in rows]
         return (np.array([w / (2.0 - p) for w, p in zip(weight, p2)])[:, None]
                 * (phi_ss0 + np.array([2.0 * p / (1.0 - p) for p in p2])[:, None] * (theta * e_t)))
-    pref = [1.0 / (1.0 - (sp.rho1_abs if printed else sp.rho2_abs)) for sp, _ in rows]
+    pref = [1.0 / (1.0 - abs(p.rho1 if printed else p.rho2)) for p, _, _ in rows]
     return np.array([w * p for w, p in zip(weight, pref)])[:, None] * phi_ss0
-
-
-def _series_terms(control: ControlFunction, nx: np.ndarray, spec: SeriesSpec, steps: range):
-    """Terms ``steps`` of one cell's series at each norm in nx, one row per term."""
-    return _term_rows(control.component, control.theta, [(spec, i) for i in steps], nx)
 
 
 def _term_ratio(scheme: Scheme, r: float) -> float:
@@ -235,37 +197,51 @@ def _term_ratio(scheme: Scheme, r: float) -> float:
     return _power(L, r - 1.0 if scheme.direction == "forward" else 1.0 - r)
 
 
-def _check_prefactors(spec: SeriesSpec):
-    if spec.rho2_abs >= 1.0:
+def _require_dyadic(params: RhoParams, scheme: Scheme):
+    """A family-A series sums the dyadic steps of its scheme: it needs |scale| = 2."""
+    if params.family == "A" and abs(scheme.scale) != 2.0:
+        raise FamilyError(
+            f"family: family-A series are dyadic (|scale| = 2), got scale {scheme.scale}")
+
+
+def _check_series(params: RhoParams, scheme: Scheme, printed_display: bool):
+    """The checks of a cell's series before it is summed, each the cell's own error."""
+    _require_dyadic(params, scheme)
+    if abs(params.rho2) >= 1.0:
         raise InadmissibleError(
-            f"inadmissible: series prefactor needs |rho2| < 1, got {spec.rho2_abs}")
-    if (spec.printed_display and spec.family == "B"
-            and spec.scheme.direction == "forward" and spec.rho1_abs >= 1.0):
+            f"inadmissible: series prefactor needs |rho2| < 1, got {abs(params.rho2)}")
+    if (printed_display and params.family == "B"
+            and scheme.direction == "forward" and abs(params.rho1) >= 1.0):
         raise OutOfRegimeError(
-            f"out-of-regime: printed display needs |rho1| < 1, got {spec.rho1_abs}")
+            f"out-of-regime: printed display needs |rho1| < 1, got {abs(params.rho1)}")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
-def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
-    """phi~ of each ``(control, spec)`` cell at the norms of one vector as (values, tails,
-    terms, errors): cells x points values; each cell's tail, 0.0 for a closed form (zero
-    and power controls), None for a term-by-term sum; the terms each point added, fewer
-    than ``trunc_terms`` where coverage ran out; each cell's error or None. Entries round
-    as they do alone. ``verdicts``, if given, holds convergence_predicate(spec.scheme,
-    control.r) of each cell (a table control has r = 0, the exponent it is judged on).
-    A table control's terms x points matrix is summed in blocks of about CHUNK_ELEMENTS,
-    left to right until no point is covered."""
+def phi_tilde_cells(cells: list, norms, trunc_terms: int = DEFAULT_TRUNC_TERMS,
+                    printed_display: bool = False, verdicts: list | None = None) -> tuple:
+    """phi~ of each ``(params, scheme, control)`` cell at the norms of one vector as
+    (values, tails, terms, errors): cells x points values; each cell's tail, 0.0 for a
+    closed form (zero and power controls), None for a term-by-term sum; the terms each
+    point added, fewer than ``trunc_terms`` where coverage ran out; each cell's error or
+    None. Entries round as they do alone. ``verdicts``, if given, holds
+    convergence_predicate(scheme, control.r) of each cell (a table control has r = 0, the
+    exponent it is judged on). A table control's terms x points matrix is summed in blocks
+    of about CHUNK_ELEMENTS, left to right until no point is covered."""
+    if trunc_terms < 1:
+        raise ValueError("trunc_terms must be >= 1")
+    if any(params.alpha == 0 for params, _, _ in cells):
+        raise ValueError("alpha must be nonzero")
     nx = np.asarray(norms, dtype=float)
     values, terms = np.zeros((len(cells), nx.size)), np.zeros((len(cells), nx.size), dtype=int)
     tails, errors, closed = [None] * len(cells), [None] * len(cells), {}  # layout -> cells
-    for k, (control, spec) in enumerate(cells if nx.size else []):  # no norms, no checks
+    for k, (params, scheme, control) in enumerate(cells if nx.size else []):  # no norms, no checks
         power = control.kind in ("zero", "power")
         try:
-            _check_prefactors(spec)
+            _check_series(params, scheme, printed_display)
             if power and control.r < 0 and (nx == 0.0).any():
                 raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
             theta, r = (control.theta, control.r) if power else (control.table()[0], 0.0)
-            verdict = convergence_predicate(spec.scheme, r) if verdicts is None else verdicts[k]
+            verdict = convergence_predicate(scheme, r) if verdicts is None else verdicts[k]
             if theta > 0.0 and not verdict and (nx > 0.0).any():
                 raise DivergentSeriesError(
                     f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
@@ -273,21 +249,23 @@ def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
             errors[k] = e.with_traceback(None)
             continue
         if power:
-            terms[k], tails[k] = spec.trunc_terms, 0.0
+            terms[k], tails[k] = trunc_terms, 0.0
             # phi is r-homogeneous and step i scales the weight by a fixed power of L
             # and every argument by L^(+-1), so term i is term 0 times ratio^i: the
             # series is geometric. A ratio >= 1 gets here only with every term 0.
             # numpy's power loop takes its exact shortcuts (x * x for r = 2, sqrt, 1 / x)
             # only for an exponent that is one scalar, so each r is its own matrix
             if verdict.ratio < 1.0:
-                layout = (spec.scheme.direction, spec.family, spec.printed_display, r)
-                closed.setdefault(layout, []).append((k, verdict.ratio))
+                closed.setdefault((scheme.direction, params.family, r), []).append(
+                    (k, verdict.ratio))
             continue
         block = max(1, CHUNK_ELEMENTS // nx.size)
-        for lo in range(0, spec.trunc_terms, block):  # sum until coverage runs out
+        for lo in range(0, trunc_terms, block):  # sum until coverage runs out
             if not (terms[k] == lo).any():  # every point has left coverage
                 break
-            rows = _series_terms(control, nx, spec, range(lo, min(lo + block, spec.trunc_terms)))
+            rows = _term_rows(control.component, control.theta, [
+                (params, scheme, i) for i in range(lo, min(lo + block, trunc_terms))],
+                nx, printed_display)
             # a point adds term i while terms 0 .. i are all covered (not NaN)
             covered = np.logical_and.accumulate(~np.isnan(rows), axis=0) & (terms[k] == lo)
             terms[k] += covered.sum(axis=0)
@@ -295,8 +273,9 @@ def phi_tilde_cells(cells: list, norms, verdicts: list | None = None) -> tuple:
                 values[k] = values[k] + term
     for (*_, r), group in closed.items():
         ks = [k for k, _ in group]
-        theta = np.array([cells[k][0].theta for k in ks])[:, None]
-        first = _term_rows(lambda s: _pw(s, r), theta, [(cells[k][1], 0) for k in ks], nx)
+        theta = np.array([cells[k][2].theta for k in ks])[:, None]
+        first = _term_rows(lambda s: _pw(s, r), theta, [(*cells[k][:2], 0) for k in ks], nx,
+                           printed_display)
         values[ks] = first / np.array([1.0 - ratio for _, ratio in group])[:, None]
     for k, top in enumerate(values.max(axis=1, initial=0.0).tolist()):
         if errors[k] is None and not math.isfinite(top):
@@ -418,12 +397,11 @@ def require_power_control(control: ControlFunction):
         raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
 
 
-def derived_constants(cells: list, verdicts: list | None = None) -> list:
-    """phi~(1) of each ``(control, spec)`` cell's derivation-consistent series (its
-    spec without printed_display): a float, 'divergent', or the cell's other error."""
-    cells = [(c, SeriesSpec(s.scheme, s.family, s.rho2_abs, s.alpha, s.trunc_terms, False,
-                            s.rho1_abs) if s.printed_display else s) for c, s in cells]
-    values, tails, _, errors = phi_tilde_cells(cells, [1.0], verdicts)
+def derived_constants(cells: list, trunc_terms: int = DEFAULT_TRUNC_TERMS,
+                      verdicts: list | None = None) -> list:
+    """phi~(1) of each ``(params, scheme, control)`` cell's derivation-consistent series
+    (printed_display off): a float, 'divergent', or the cell's other error."""
+    values, tails, _, errors = phi_tilde_cells(cells, [1.0], trunc_terms, False, verdicts)
     return [value + (tail or 0.0) if error is None
             else "divergent" if isinstance(error, DivergentSeriesError) else error
             for value, tail, error in zip(values[:, 0].tolist(), tails, errors)]
@@ -486,9 +464,9 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
     approximants, max_violation; paper_constant, derived_constant, empirical_sup and its
     points, which ``bound_audit`` reads. A column is written whenever it was computed
     without a fault: the published constant once the parameters are not degenerate, the
-    derived one past the envelope. The series are two batches, the derived constants and the bounds, on one
-    convergence verdict per cell. A cell whose phi~ fails reads no pass; a pass runs once
-    per scheme and a sup once per scheme and r, failed or not.
+    derived one past the envelope. The series are two batches, the derived constants and
+    the bounds, on one convergence verdict per cell. A cell whose phi~ fails reads no pass;
+    a pass runs once per scheme and a sup once per scheme and r, failed or not.
     """
     norms = f.space.norms(xs)
     out, live = [[{}, None] for _ in cells], []  # live: the cells past the envelope
@@ -509,8 +487,7 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
                     late = e.with_traceback(None)
             if not adm:
                 raise InadmissibleError(f"inadmissible: {adm.detail}")
-            spec = SeriesSpec(scheme, params.family, abs(params.rho2), params.alpha,
-                              trunc_terms, printed_display, abs(params.rho1))
+            _require_dyadic(params, scheme)
             if audit:
                 stage = "audit"
                 require_power_control(control)
@@ -523,13 +500,14 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
         except JensenLabError as e:  # a kept traceback would hold this frame in a cycle
             cell[1] = stage, e.with_traceback(None)
             continue
-        live.append((cell, scheme, control, spec, verdict, late))
-    series, verdicts = [(c[2], c[3]) for c in live], [c[4] for c in live]
-    derived = derived_constants(series, verdicts) if audit else [None] * len(live)
+        live.append((cell, (params, scheme, control), verdict, late))
+    series, verdicts = [c[1] for c in live], [c[2] for c in live]
+    derived = derived_constants(series, trunc_terms, verdicts) if audit else [None] * len(live)
     if bound:
-        values, tails, terms, errors = phi_tilde_cells(series, norms, verdicts)
+        values, tails, terms, errors = phi_tilde_cells(series, norms, trunc_terms,
+                                                       printed_display, verdicts)
     norms, passes, sups = norms.tolist(), {}, {}  # scheme -> pass, (scheme, r) -> sup
-    for i, (cell, scheme, control, _, _, late) in enumerate(live):
+    for i, (cell, (_, scheme, control), _, late) in enumerate(live):
         cols, constant, stage = cell[0], derived[i], "phi-tilde"
         if audit and not isinstance(constant, JensenLabError):
             cols["derived_constant"] = constant

@@ -187,10 +187,12 @@ def _checked(accepted, value, path: str):
 
 def normalize_config(doc: dict) -> dict:
     """The config checked against CONFIG_SCHEMA with every default filled in but a
-    null ``scheme.scale`` (pure data, JSON-serializable, echoed into reports)."""
+    null ``scheme.scale`` (pure data, JSON-serializable, echoed into reports). A null
+    ``envelope.seed`` is the plan seed with its top bit flipped, never the plan seed, so a
+    measured control's triples are not drawn from the points that ``verify`` checks."""
     cfg = _checked(CONFIG_SCHEMA, doc, "")
     if cfg["envelope"]["seed"] is None:
-        cfg["envelope"]["seed"] = cfg["plan"]["seed"]
+        cfg["envelope"]["seed"] = cfg["plan"]["seed"] ^ (1 << 63)
     return cfg
 
 
@@ -336,8 +338,9 @@ def run_verify(doc: dict) -> RunReport:
 
     The config's one cell through ``bounds.run_cells``'s stages, with the audit when the
     config asks for one; the first failure aborts naming its stage. A measured control's
-    shell table, the one its phi reads, is echoed as ``control_fit``. Pass iff max over
-    points of (||f - A|| - phi_tilde - tail) <= tol; a plan needs at least one point.
+    shell edges and shell_max are echoed as ``control_fit``; its phi reads their running
+    max, cum_max. Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol; a
+    plan needs at least one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)

@@ -93,13 +93,6 @@ def admissible(params: RhoParams) -> Admissibility:
     return Admissibility(cond1 and cond2, detail)
 
 
-def require_admissible(params: RhoParams):
-    """Raise InadmissibleError, naming the violated condition, unless ``params`` is admissible."""
-    adm = admissible(params)
-    if not adm:
-        raise InadmissibleError(f"inadmissible: {adm.detail}")
-
-
 #: Each family's lhs, e1 and e2 as (coefficient, argument) terms, summed left
 #: to right as the module docstring prints them; "-b" stands for -beta. An
 #: argument gives the coefficients of (x, y, beta y, alpha z), also combined
@@ -180,8 +173,11 @@ class MeasuredEnvelope:
 
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
                      shells: int = 8) -> MeasuredEnvelope:
-    """Sample triples, bucket clamped defects into log-spaced norm shells."""
-    require_admissible(params)
+    """Sample triples, bucket clamped defects into log-spaced norm shells; inadmissible
+    params raise InadmissibleError naming the violated condition."""
+    adm = admissible(params)
+    if not adm:
+        raise InadmissibleError(f"inadmissible: {adm.detail}")
     triples = draw_samples(f.space, plan, arity=3)
     if not len(triples):
         raise EmptySampleError("empty-sample: envelope needs at least one triple")

@@ -8,7 +8,7 @@ from jensenlab import (
     TestFunction,
     scalar_offset_function,
 )
-from jensenlab.bounds import phi_tilde_cells
+from jensenlab.bounds import DEFAULT_TRUNC_TERMS, phi_tilde_cells
 from jensenlab.model import evaluate_many
 
 
@@ -30,9 +30,11 @@ def make_power(dim=2, theta=0.1, r=0.5, direction="hashed", seed=0, norm_kind="l
                                            direction=direction))
 
 
-def phi_tilde_norms(control, norms, spec):
-    """phi_tilde_cells of one cell as (values, tail, terms), raising its error."""
-    values, (tail,), terms, (error,) = phi_tilde_cells([(control, spec)], norms)
+def phi_tilde_norms(cell, norms, trunc_terms=DEFAULT_TRUNC_TERMS, printed_display=False):
+    """phi_tilde_cells of one (params, scheme, control) cell as (values, tail, terms),
+    raising its error."""
+    values, (tail,), terms, (error,) = phi_tilde_cells([cell], norms, trunc_terms,
+                                                       printed_display)
     if error is not None:
         raise error
     return values[0], tail, terms[0]

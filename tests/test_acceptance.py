@@ -19,7 +19,6 @@ from jensenlab import (
     ControlFunction,
     RhoParams,
     SamplePlan,
-    SeriesSpec,
     approximate,
     audit,
     backward,
@@ -111,18 +110,17 @@ def test_criterion_3_series_matches_closed_forms():
     for r in (0.25, 0.5, 0.75):
         for p2 in (0.0, 0.3, 0.6):
             for theta in (0.5, 1.0):
-                spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2,
-                                  alpha=1.0)
-                value, tail, _ = phi_tilde_norms(ControlFunction.power(theta, r), [1.3],
-                                                 spec)
+                cell = (RhoParams("A", 0.0, p2, 1.0), forward(2.0),
+                        ControlFunction.power(theta, r))
+                value, tail, _ = phi_tilde_norms(cell, [1.3])
                 got = value[0] + tail
                 want = corollary_constant("c24", theta, r, p2) * 1.3 ** r
                 worst = max(worst, abs(got - want) / want)
     for beta in (1.0, 2.0):
         for r in (0.25, 0.5):
-            spec = SeriesSpec(scheme=forward(1.0 + beta), family="B", rho2_abs=0.3,
-                              alpha=1.0)
-            value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.3], spec)
+            cell = (RhoParams("B", 0.0, 0.3, 1.0, beta), forward(1.0 + beta),
+                    ControlFunction.power(1.0, r))
+            value, tail, _ = phi_tilde_norms(cell, [1.3])
             got = value[0] + tail
             want = corollary_constant("c34", 1.0, r, 0.3, beta=beta) * 1.3 ** r
             worst = max(worst, abs(got - want) / want)

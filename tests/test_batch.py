@@ -17,7 +17,6 @@ from jensenlab import (
     Perturbation,
     RhoParams,
     SamplePlan,
-    SeriesSpec,
     TestFunction,
     approximate,
     approximate_points,
@@ -491,18 +490,16 @@ def test_phi_tilde_cells_equal_a_batch_of_one(norms, kind, direction):
     r = 0.5 if direction == "forward" else 2.0
     if kind == "power":
         control = ControlFunction.power(0.7, r)
-    spec = SeriesSpec(scheme=Scheme(direction, 2.0), family="A", rho2_abs=0.3, alpha=1.5,
-                      trunc_terms=20)
-    cell = [(control, spec)]
-    (value,), (tail,), (terms,), (error,) = phi_tilde_cells(cell, norms)
+    cell = [(RhoParams("A", 0.0, 0.3, 1.5), Scheme(direction, 2.0), control)]
+    (value,), (tail,), (terms,), (error,) = phi_tilde_cells(cell, norms, 20)
     assert error is None
     # (value, tail, terms, coverage truncated) per norm
-    got = [(v, tail, k, k < spec.trunc_terms) for v, k in zip(value.tolist(), terms.tolist())]
+    got = [(v, tail, k, k < 20) for v, k in zip(value.tolist(), terms.tolist())]
     want = []
     for nx in norms:
-        (v,), (t,), (k,), (e,) = phi_tilde_cells(cell, [nx])
+        (v,), (t,), (k,), (e,) = phi_tilde_cells(cell, [nx], 20)
         assert e is None
-        want.append((v[0], t, k[0], k[0] < spec.trunc_terms))
+        want.append((v[0], t, k[0], k[0] < 20))
     assert got == want
     if kind == "tabulated" and 5.0 in norms:
         assert got[norms.index(5.0)][3]
@@ -510,26 +507,26 @@ def test_phi_tilde_cells_equal_a_batch_of_one(norms, kind, direction):
 
 @st.composite
 def series_cells(draw, layouts):
-    """One (control, spec) cell of a (family, direction, display) from ``layouts``, with
+    """One (params, scheme, control) cell of a (family, direction) from ``layouts``, with
     its own beta (family B), |rho2| and |rho1| up to past 1, theta 0 and r on both
     sides of 1: every error phi_tilde_cells gives occurs."""
-    family, direction, printed = draw(layouts)
-    if family == "A":
-        scale = draw(st.sampled_from([2.0, -2.0]))
+    family, direction = draw(layouts)
+    if family == "A":  # a forced scale of 3 is the cell's own family error
+        scale = draw(st.sampled_from([2.0, -2.0, 2.0, -2.0, 3.0]))
     else:  # scale 1 + beta, away from the degenerate 0 and +-1
         scale = 1.0 + draw(st.sampled_from([-2.5, -0.5, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0))
         if abs(scale) < 0.1 or abs(abs(scale) - 1.0) < 0.05:
             scale = 3.0
-    spec = SeriesSpec(scheme=Scheme(direction, scale), family=family,
-                      rho2_abs=draw(st.floats(0.0, 0.95) | st.sampled_from([0.0, 0.3, 1.0, 1.2])),
-                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
-                      trunc_terms=draw(st.integers(1, 24)), printed_display=printed,
-                      rho1_abs=draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.0, 1.5)))
+    rho2 = draw(st.floats(0.0, 0.95) | st.sampled_from([0.0, 0.3, 1.0, 1.2]))
+    alpha = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1]))
+    rho1 = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.0, 1.5))
+    head = (RhoParams(family, rho1, rho2, alpha, None if family == "A" else scale - 1.0),
+            Scheme(direction, scale))
     kind = draw(st.sampled_from(["zero", "power", "power", "power", "tabulated"]))
     if kind == "zero":
-        return ControlFunction.zero(), spec
+        return (*head, ControlFunction.zero())
     if kind == "tabulated":
-        return CONTROLS["tabulated"](), spec
+        return (*head, CONTROLS["tabulated"]())
     theta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(1e-3, 10.0))
     # mostly r on the convergent side of 1, below it where the series' arguments grow;
     # numpy's power loop has exact shortcuts for r = -1, 0.5 and 2, and r = -2000
@@ -539,33 +536,36 @@ def series_cells(draw, layouts):
     above = st.floats(1.05, 3.0) | st.just(2.0)
     r = draw(st.sampled_from([below if grows else above] * 3 + [above if grows else below,
                                                                 st.sampled_from([1.0, -2000.0])]))
-    return ControlFunction.power(theta, draw(r)), spec
+    return (*head, ControlFunction.power(theta, draw(r)))
 
 
 @st.composite
 def cell_batches(draw):
-    """2 to 12 cells of at most three layouts, so that closed forms share a matrix."""
+    """2 to 12 cells of at most three layouts, so that closed forms share a matrix, with
+    the run's trunc_terms and display flag."""
     layouts = draw(st.lists(st.tuples(st.sampled_from("AB"), st.sampled_from(
-        ["forward", "backward"]), st.booleans()), min_size=1, max_size=3))
-    return draw(st.lists(series_cells(st.sampled_from(layouts)), min_size=2, max_size=12))
+        ["forward", "backward"])), min_size=1, max_size=3))
+    cells = draw(st.lists(series_cells(st.sampled_from(layouts)), min_size=2, max_size=12))
+    return cells, draw(st.integers(1, 24)), draw(st.booleans())
 
 
-def _cell_outcomes(cells, norms):
+def _cell_outcomes(cells, norms, trunc_terms, printed_display):
     """phi_tilde_cells' outcome per cell: value bytes, tail, terms and error (type, message)."""
-    values, tails, terms, errors = phi_tilde_cells(cells, norms)
+    values, tails, terms, errors = phi_tilde_cells(cells, norms, trunc_terms, printed_display)
     return [(v.tobytes(), tail, k.tolist(), e and (type(e), str(e)))
             for v, tail, k, e in zip(values, tails, terms, errors)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(cells=cell_batches(),
+@given(batch=cell_batches(),
        norms=st.lists(st.sampled_from([0.0, 0.5, 1.0, 5.0]) | st.floats(1e-3, 8.0), max_size=8,
                       min_size=1))
-def test_phi_tilde_cells_equal_each_cell_alone(cells, norms):
-    got = _cell_outcomes(cells, norms)
-    assert got == [_cell_outcomes([cell], norms)[0] for cell in cells]
-    for (control, spec), (values, _, terms, error) in zip(cells, got):
+def test_phi_tilde_cells_equal_each_cell_alone(batch, norms):
+    cells, *run = batch
+    got = _cell_outcomes(cells, norms, *run)
+    assert got == [_cell_outcomes([cell], norms, *run)[0] for cell in cells]
+    for cell, (values, _, terms, error) in zip(cells, got):
         if error is None:  # and each entry is that cell's at its one point
-            alone = [_cell_outcomes([(control, spec)], [nx])[0] for nx in norms]
+            alone = [_cell_outcomes([cell], [nx], *run)[0] for nx in norms]
             assert values == b"".join(v for v, *_ in alone)
             assert terms == [k for _, _, (k,), _ in alone]

@@ -13,7 +13,6 @@ from jensenlab import (
     RhoParams,
     SamplePlan,
     Scheme,
-    SeriesSpec,
     audit,
     backward,
     constant_tag,
@@ -103,31 +102,34 @@ def test_tabulated_control_rejects_non_finite_values():
 
 
 def test_series_spec_validation():
+    # a series is specified by its cell's params and scheme and the run-wide trunc_terms
+    zero = ControlFunction.zero()
     with pytest.raises(FamilyError):
-        SeriesSpec(scheme=forward(3.0), family="A", rho2_abs=0.0, alpha=1.0)
+        phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(3.0), zero), [1.0])
     with pytest.raises(ValueError):
-        SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=0.0)
+        phi_tilde_norms((RhoParams("A", 0.0, 0.0, 0.0), forward(2.0), zero), [1.0])
     with pytest.raises(ValueError):
-        SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0, trunc_terms=0)
+        phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(2.0), zero), [1.0], 0)
 
 
 # --- phi_tilde ---------------------------------------------------------------
 
 
 def test_phi_tilde_zero_control():
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
-    value, tail, _ = phi_tilde_norms(ControlFunction.zero(), [1.0], spec)
+    cell = (RhoParams("A", 0.0, 0.3, 1.0), forward(2.0), ControlFunction.zero())
+    value, tail, _ = phi_tilde_norms(cell, [1.0])
     assert value[0] == 0.0 and tail == 0.0
 
 
 def test_phi_tilde_spot_values():
     # theta=1, r=0.5, rho2=0, alpha=1, ||x||=1: 1/(2 - sqrt 2)
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    control = ControlFunction.power(1.0, 0.5)
+    value, tail, _ = phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(2.0), control),
+                                     [1.0])
     assert value[0] + tail == pytest.approx(1.7071067811865475, rel=1e-12)
     # rho2 = 0.5: brute-force series gives 4.552284749830793
-    spec2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0)
-    value2, tail2, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec2)
+    value2, tail2, _ = phi_tilde_norms((RhoParams("A", 0.0, 0.5, 1.0), forward(2.0), control),
+                                       [1.0])
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 1.0, 1.0)
     assert oracle == pytest.approx(4.552284749830793, rel=1e-12)
     assert value2[0] + tail2 == pytest.approx(oracle, rel=1e-9)
@@ -137,16 +139,16 @@ def test_phi_tilde_spot_values():
 @pytest.mark.parametrize("p2", [0.0, 0.3, 0.6, 0.9])
 def test_phi_tilde_matches_c24_at_unit_alpha(r, p2):
     for alpha in (1.0, -1.0):
-        spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=p2, alpha=alpha)
-        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.5], spec)
+        cell = (RhoParams("A", 0.0, p2, alpha), forward(2.0), ControlFunction.power(1.0, r))
+        value, tail, _ = phi_tilde_norms(cell, [1.5])
         expected = corollary_constant("c24", 1.0, r, p2) * 1.5 ** r
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
 
 
 def test_phi_tilde_alpha_dependence():
     # away from |alpha| = 1 the series and the printed constant split
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0)
-    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    cell = (RhoParams("A", 0.0, 0.5, 2.0), forward(2.0), ControlFunction.power(1.0, 0.5))
+    value, tail, _ = phi_tilde_norms(cell, [1.0])
     oracle = brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0)
     assert value[0] + tail == pytest.approx(oracle, rel=1e-9)
     assert value[0] + tail != pytest.approx(corollary_constant("c24", 1.0, 0.5, 0.5), rel=1e-3)
@@ -154,30 +156,28 @@ def test_phi_tilde_alpha_dependence():
 
 def test_phi_tilde_printed_display_forward_dyadic():
     # display form drops the /alpha in the third argument
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=2.0,
-                      printed_display=True)
-    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], spec)
+    c = ControlFunction.power(1.0, 0.5)
+    cell = (RhoParams("A", 0.0, 0.5, 2.0), forward(2.0), c)
+    value, tail, _ = phi_tilde_norms(cell, [1.0], printed_display=True)
     assert value[0] + tail == pytest.approx(
         brute_forward_dyadic(1.0, 0.5, 0.5, 2.0, 1.0, display=True), rel=1e-9)
     # at |alpha| = 1 both forms agree
-    s1 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0)
-    s2 = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.5, alpha=1.0,
-                    printed_display=True)
-    c = ControlFunction.power(1.0, 0.5)
-    (v1, t1, _), (v2, t2, _) = (phi_tilde_norms(c, [1.0], s) for s in (s1, s2))
+    cell = (RhoParams("A", 0.0, 0.5, 1.0), forward(2.0), c)
+    (v1, t1, _), (v2, t2, _) = (phi_tilde_norms(cell, [1.0], printed_display=printed)
+                                for printed in (False, True))
     assert v1[0] + t1 == pytest.approx(v2[0] + t2, rel=1e-12)
 
 
 def test_phi_tilde_backward_dyadic_matches_telescoping():
     # derived constant 2 theta / ((2^r - 2)(1 - p2)(2 - p2)), not the printed c26
-    spec = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
+    cell = (RhoParams("A", 0.0, 0.0, 1.0), backward(2.0), ControlFunction.power(1.0, 2.0))
+    value, tail, _ = phi_tilde_norms(cell, [1.0])
     assert value[0] + tail == pytest.approx(0.5, rel=1e-9)
     assert value[0] + tail == pytest.approx(brute_backward_dyadic(1.0, 2.0, 0.0, 1.0, 1.0),
                                             rel=1e-9)
     for r, p2 in ((1.5, 0.0), (2.0, 0.3), (3.0, 0.6)):
-        s = SeriesSpec(scheme=backward(2.0), family="A", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], s)
+        cell = (RhoParams("A", 0.0, p2, 1.0), backward(2.0), ControlFunction.power(1.0, r))
+        value, tail, _ = phi_tilde_norms(cell, [1.0])
         got = value[0] + tail
         derived = 2.0 / ((2.0 ** r - 2.0) * (1 - p2) * (2 - p2))
         assert got == pytest.approx(derived, rel=1e-9)
@@ -189,8 +189,8 @@ def test_phi_tilde_backward_dyadic_matches_telescoping():
 def test_phi_tilde_matches_c34(beta, r):
     scale = 1.0 + beta
     for p2 in (0.0, 0.3):
-        spec = SeriesSpec(scheme=forward(scale), family="B", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [2.0], spec)
+        cell = (RhoParams("B", 0.0, p2, 1.0, beta), forward(scale), ControlFunction.power(1.0, r))
+        value, tail, _ = phi_tilde_norms(cell, [2.0])
         expected = corollary_constant("c34", 1.0, r, p2, beta=beta) * 2.0 ** r
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
         assert value[0] + tail == pytest.approx(
@@ -201,8 +201,8 @@ def test_phi_tilde_matches_c36_contracting_scale():
     # backward scheme with |1 + beta| < 1 converges for r < 1
     beta = -1.5  # scale -0.5
     for r, p2 in ((0.5, 0.0), (0.25, 0.3)):
-        spec = SeriesSpec(scheme=backward(-0.5), family="B", rho2_abs=p2, alpha=1.0)
-        value, tail, _ = phi_tilde_norms(ControlFunction.power(1.0, r), [1.0], spec)
+        cell = (RhoParams("B", 0.0, p2, 1.0, beta), backward(-0.5), ControlFunction.power(1.0, r))
+        value, tail, _ = phi_tilde_norms(cell, [1.0])
         expected = corollary_constant("c36", 1.0, r, p2, beta=beta)
         assert value[0] + tail == pytest.approx(expected, rel=1e-9)
         assert value[0] + tail == pytest.approx(
@@ -211,10 +211,8 @@ def test_phi_tilde_matches_c36_contracting_scale():
 
 def test_phi_tilde_printed_display_family_b():
     # display prefactor swaps (1 - |rho2|) for (1 - |rho1|)
-    c = ControlFunction.power(1.0, 0.5)
-    spec = SeriesSpec(scheme=forward(2.0), family="B", rho2_abs=0.5, alpha=1.0,
-                      printed_display=True, rho1_abs=0.2)
-    value, tail, _ = phi_tilde_norms(c, [1.0], spec)
+    cell = (RhoParams("B", 0.2, 0.5, 1.0, 1.0), forward(2.0), ControlFunction.power(1.0, 0.5))
+    value, tail, _ = phi_tilde_norms(cell, [1.0], printed_display=True)
     assert value[0] + tail == pytest.approx(
         brute_family_b(1.0, 0.5, 0.5, 2.0, 1.0, "forward", pref_rho=0.2), rel=1e-9)
 
@@ -222,9 +220,8 @@ def test_phi_tilde_printed_display_family_b():
 @settings(max_examples=40, deadline=None)
 @given(c=st.floats(0.01, 100.0), r=st.floats(-0.5, 0.9))
 def test_phi_tilde_homogeneity(c, r):
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
-    ctrl = ControlFunction.power(1.0, r)
-    (base, scaled), tail, _ = phi_tilde_norms(ctrl, [1.0, c], spec)
+    cell = (RhoParams("A", 0.0, 0.3, 1.0), forward(2.0), ControlFunction.power(1.0, r))
+    (base, scaled), tail, _ = phi_tilde_norms(cell, [1.0, c])
     base, scaled = base + tail, scaled + tail
     assert scaled == pytest.approx(c ** r * base, rel=1e-12)
 
@@ -235,10 +232,9 @@ def test_phi_tilde_partial_sums_monotone():
     ctrl = ControlFunction.tabulated(edges=np.geomspace(0.5, 2.0 ** 64, 9), values=np.ones(8))
     values = []
     for n in (1, 2, 4, 8, 16, 64):
-        spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0,
-                          trunc_terms=n)
-        value, _, terms = phi_tilde_norms(ctrl, [1.0], spec)
-        assert terms[0] == n and not terms[0] < spec.trunc_terms  # not coverage-truncated
+        value, _, terms = phi_tilde_norms((RhoParams("A", 0.0, 0.3, 1.0), forward(2.0), ctrl),
+                                          [1.0], n)
+        assert terms[0] == n and not terms[0] < n  # not coverage-truncated
         values.append(value[0])
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -246,8 +242,7 @@ def test_phi_tilde_partial_sums_monotone():
 
 def test_power_phi_tilde_does_not_depend_on_trunc_terms():
     ctrl = ControlFunction.power(1.0, 0.5)
-    pts = [phi_tilde_norms(ctrl, [1.3], SeriesSpec(
-        scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0, trunc_terms=n))
+    pts = [phi_tilde_norms((RhoParams("A", 0.0, 0.3, 1.0), forward(2.0), ctrl), [1.3], n)
            for n in (1, 8, 64)]
     (v0, t0, _), (v1, t1, _), (v2, t2, _) = pts
     assert v0[0] + t0 == v1[0] + t1 == v2[0] + t2
@@ -255,16 +250,22 @@ def test_power_phi_tilde_does_not_depend_on_trunc_terms():
     assert all(tail == 0.0 for _, tail, _ in pts)
 
 
-def series_reference(control, nx, spec):
+def series_term(cell, nx, i, printed_display):
+    """Term i of a cell's series at each norm in nx."""
+    params, scheme, control = cell
+    return bounds._term_rows(control.component, control.theta, [(params, scheme, i)], nx,
+                             printed_display)[0]
+
+
+def series_reference(cell, nx, printed_display, trunc_terms=bounds.DEFAULT_TRUNC_TERMS):
     """The term-by-term power series: ``trunc_terms`` terms summed left to right
     plus the geometric tail term_n / (1 - ratio)."""
-    ratio = bounds._term_ratio(spec.scheme, control.r)
+    ratio = bounds._term_ratio(cell[1], cell[2].r)
     nx = np.asarray([nx], dtype=float)
     value = np.zeros(1)
-    for i in range(spec.trunc_terms):
-        value = value + bounds._series_terms(control, nx, spec, range(i, i + 1))[0]
-    n = spec.trunc_terms
-    tail = bounds._series_terms(control, nx, spec, range(n, n + 1))[0] / (1.0 - ratio)
+    for i in range(trunc_terms):
+        value = value + series_term(cell, nx, i, printed_display)
+    tail = series_term(cell, nx, trunc_terms, printed_display) / (1.0 - ratio)
     return float(value[0] + tail[0])
 
 
@@ -280,82 +281,82 @@ def convergent_power_series(draw):
     # the r at which _term_ratio(scheme, r) == ratio
     log_ratio = np.log(ratio) / np.log(abs(scale))
     r = 1.0 + log_ratio if direction == "forward" else 1.0 - log_ratio
-    spec = SeriesSpec(scheme=Scheme(direction, scale), family=family,
-                      rho2_abs=draw(st.floats(0.0, 0.95)),
-                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
-                      printed_display=draw(st.booleans()), rho1_abs=draw(st.floats(0.0, 0.95)))
+    params = RhoParams(family, draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 0.95)),
+                       draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])))
     nx = draw(st.just(0.0) | st.floats(1e-3, 1e3))
-    return ControlFunction.power(draw(st.just(0.0) | st.floats(1e-3, 10.0)), r), nx, spec
+    control = ControlFunction.power(draw(st.just(0.0) | st.floats(1e-3, 10.0)), r)
+    return (params, Scheme(direction, scale), control), nx, draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=convergent_power_series())
 def test_phi_tilde_power_closed_form_matches_term_sum(case):
-    control, nx, spec = case
-    assert bounds._term_ratio(spec.scheme, control.r) <= 0.95 + 1e-12
+    cell, nx, printed = case
+    _, scheme, control = cell
+    assert bounds._term_ratio(scheme, control.r) <= 0.95 + 1e-12
     if nx == 0.0 and control.r < 0:
         with pytest.raises(SingularPointError):
-            phi_tilde_norms(control, [nx], spec)
+            phi_tilde_norms(cell, [nx], printed_display=printed)
         return
-    value, tail, _ = phi_tilde_norms(control, [nx], spec)
+    value, tail, _ = phi_tilde_norms(cell, [nx], printed_display=printed)
     assert tail == 0.0
-    assert value[0] == pytest.approx(series_reference(control, nx, spec), rel=1e-12, abs=0.0)
+    assert value[0] == pytest.approx(series_reference(cell, nx, printed), rel=1e-12, abs=0.0)
 
 
 def test_phi_tilde_power_degenerate_sums_are_positive_zero():
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.3, alpha=1.0)
+    params = RhoParams("A", 0.0, 0.3, 1.0)
     # theta = 0 with a divergent ratio (r = 2), and ||x|| = 0 with convergent
     # and divergent ratios
     for control, nx in ((ControlFunction.power(0.0, 2.0), 1.5),
                         (ControlFunction.power(1.0, 0.5), 0.0),
                         (ControlFunction.power(1.0, 2.0), 0.0)):
-        value, tail, _ = phi_tilde_norms(control, [nx], spec)
+        value, tail, _ = phi_tilde_norms((params, forward(2.0), control), [nx])
         assert math.copysign(1.0, value[0]) == 1.0 and value[0] == 0.0
         assert math.copysign(1.0, value[0] + tail) == 1.0 and value[0] + tail == 0.0
 
 
 def test_phi_tilde_errors():
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
+    params = RhoParams("A", 0.0, 0.0, 1.0)
     with pytest.raises(DivergentSeriesError):
-        phi_tilde_norms(ControlFunction.power(1.0, 2.0), [1.0], spec)
+        phi_tilde_norms((params, forward(2.0), ControlFunction.power(1.0, 2.0)), [1.0])
     with pytest.raises(DivergentSeriesError):  # ratio exactly 1
-        phi_tilde_norms(ControlFunction.power(1.0, 1.0), [1.0], spec)
+        phi_tilde_norms((params, forward(2.0), ControlFunction.power(1.0, 1.0)), [1.0])
     with pytest.raises(SingularPointError):
-        phi_tilde_norms(ControlFunction.power(1.0, -0.5), [0.0], spec)
-    bad = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=1.0, alpha=1.0)
+        phi_tilde_norms((params, forward(2.0), ControlFunction.power(1.0, -0.5)), [0.0])
+    bad = RhoParams("A", 0.0, 1.0, 1.0)
     with pytest.raises(InadmissibleError):
-        phi_tilde_norms(ControlFunction.power(1.0, 0.5), [1.0], bad)
+        phi_tilde_norms((bad, forward(2.0), ControlFunction.power(1.0, 0.5)), [1.0])
 
 
 def test_phi_tilde_tabulated_coverage_stops():
     ctrl = ControlFunction.tabulated(edges=[0.1, 1.0, 8.0], values=[1.0, 1.0])
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0,
-                      trunc_terms=64)
-    value, tail, terms = phi_tilde_norms(ctrl, [1.0], spec)
+    value, tail, terms = phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(2.0), ctrl),
+                                         [1.0], 64)
     # queries at 2^i are covered for i <= 3 (2^3 = 8), then the sum stops
-    assert terms[0] < spec.trunc_terms  # coverage-truncated
+    assert terms[0] < 64  # coverage-truncated
     assert terms[0] == 4
     assert tail is None
     assert value[0] == pytest.approx(sum(2.0 ** -(i + 1) * 0.5 * 2.0 for i in range(4)), rel=1e-12)
 
 
-def summed_reference(control, nx, spec):
+def summed_reference(cell, nx, trunc_terms, printed_display):
     """The term-by-term sum of a tabulated or measured control: term i at every
     norm, scaled by one Python float power of L, added while terms 0 .. i are
     covered; the values and the term counts."""
-    p2 = spec.rho2_abs
-    L = abs(spec.scheme.scale)
-    forward = spec.scheme.direction == "forward"
-    printed = spec.printed_display and forward
+    params, scheme, control = cell
+    p2 = abs(params.rho2)
+    L = abs(scheme.scale)
+    forward = scheme.direction == "forward"
+    printed = printed_display and forward
     value, terms = np.zeros(nx.size), np.zeros(nx.size, dtype=int)
-    for i in range(spec.trunc_terms):
+    for i in range(trunc_terms):
         s, weight = ((L ** i) * nx, L ** -(i + 1)) if forward else (nx / L ** (i + 1), L ** i)
-        if spec.family == "A":
-            third = s if printed else s / abs(spec.alpha)
+        if params.family == "A":
+            third = s if printed else s / abs(params.alpha)
             term = weight / (2.0 - p2) * (control.evaluate_norms(s, s, 0.0) + 2.0 * p2 / (1.0 - p2)
                                           * control.evaluate_norms(0.0, 0.0, third))
         else:
-            pref = 1.0 / (1.0 - (spec.rho1_abs if printed else p2))
+            pref = 1.0 / (1.0 - (abs(params.rho1) if printed else p2))
             term = weight * pref * control.evaluate_norms(s, s, 0.0)
         covered = (terms == i) & ~np.isnan(term)
         value = np.where(covered, value + term, value)
@@ -365,15 +366,16 @@ def summed_reference(control, nx, spec):
 
 @st.composite
 def summed_series(draw):
-    """A tabulated or measured control, query norms, a series spec and a block budget."""
+    """A cell with a tabulated or measured control, query norms, trunc_terms, the display
+    flag and a block budget."""
     family = draw(st.sampled_from("AB"))
     sign = draw(st.sampled_from([1, -1]))
     scale = sign * (2.0 if family == "A" else draw(st.floats(0.25, 0.8) | st.floats(1.25, 4.0)))
-    spec = SeriesSpec(scheme=Scheme(draw(st.sampled_from(["forward", "backward"])), scale),
-                      family=family, rho2_abs=draw(st.just(0.0) | st.floats(0.0, 0.95)),
-                      alpha=draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
-                      trunc_terms=draw(st.integers(1, 64)), printed_display=draw(st.booleans()),
-                      rho1_abs=draw(st.floats(0.0, 0.95)))
+    scheme = Scheme(draw(st.sampled_from(["forward", "backward"])), scale)
+    rho2 = draw(st.just(0.0) | st.floats(0.0, 0.95))
+    alpha = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1]))
+    trunc_terms, printed = draw(st.integers(1, 64)), draw(st.booleans())
+    params = RhoParams(family, draw(st.floats(0.0, 0.95)), rho2, alpha)
     shells = draw(st.integers(1, 6))
     edges = np.geomspace(draw(st.floats(1e-3, 1.0)), draw(st.floats(1.5, 1e4)), shells + 1)
     values = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0),
@@ -386,27 +388,28 @@ def summed_series(draw):
     norms = draw(st.lists(st.just(0.0) | st.sampled_from(edges.tolist()) | st.floats(1e-4, 1e5),
                           min_size=1, max_size=12))
     budget = draw(st.sampled_from([1, 2, 7, 64, bounds.CHUNK_ELEMENTS]))
-    return control, np.array(norms), spec, budget
+    return (params, scheme, control), np.array(norms), trunc_terms, printed, budget
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=summed_series())
 def test_term_matrix_sums_as_term_by_term(case):
     # every block budget gives the reference's values, term counts and coverage flags
-    control, nx, spec, budget = case
-    L, forward = abs(spec.scheme.scale), spec.scheme.direction == "forward"
-    value, terms = summed_reference(control, nx, spec)
+    cell, nx, trunc_terms, printed, budget = case
+    _, scheme, control = cell
+    L, forward = abs(scheme.scale), scheme.direction == "forward"
+    value, terms = summed_reference(cell, nx, trunc_terms, printed)
     with mock.patch.object(bounds, "CHUNK_ELEMENTS", budget):
         if (control.kind == "measured" and control.table()[0] > 0.0
                 and (L < 1.0 if forward else L > 1.0) and (nx > 0.0).any()):
             # the arguments shrink below the first edge, where the control stays positive
             with pytest.raises(DivergentSeriesError):
-                phi_tilde_norms(control, nx, spec)
+                phi_tilde_norms(cell, nx, trunc_terms, printed)
             return
-        got_value, tail, got_terms = phi_tilde_norms(control, nx, spec)
+        got_value, tail, got_terms = phi_tilde_norms(cell, nx, trunc_terms, printed)
     got = zip(got_value.tolist(), got_terms.tolist())
-    assert [(v, k, k < spec.trunc_terms, tail) for v, k in got] == [
-        (v, k, k < spec.trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
+    assert [(v, k, k < trunc_terms, tail) for v, k in got] == [
+        (v, k, k < trunc_terms, None) for v, k in zip(value.tolist(), terms.tolist())]
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,16 +417,15 @@ def test_term_matrix_sums_as_term_by_term(case):
 def test_power_term_zero_is_the_three_argument_term_bit_for_bit(case, zero):
     # theta (e(s) + e(s)) and theta e(t) round as evaluate_norms(s, s, 0.0) and
     # evaluate_norms(0.0, 0.0, t); summed_reference over one term is that term plus +0.0
-    control, nx, spec = case
+    (params, scheme, control), nx, printed = case
     control = ControlFunction.zero() if zero else control
+    cell = (params, scheme, control)
     norms = np.array([0.0, nx])
-    one_term = SeriesSpec(spec.scheme, spec.family, spec.rho2_abs, spec.alpha, 1,
-                          spec.printed_display, spec.rho1_abs)
-    term, _ = summed_reference(control, norms, one_term)
-    assert bounds._series_terms(control, norms, spec, range(1))[0].tobytes() == term.tobytes()
-    ratio = bounds._term_ratio(spec.scheme, control.r)
+    term, _ = summed_reference(cell, norms, 1, printed)
+    assert series_term(cell, norms, 0, printed).tobytes() == term.tobytes()
+    ratio = bounds._term_ratio(scheme, control.r)
     if control.r >= 0.0 and ratio < 1.0:
-        value = phi_tilde_norms(control, norms, spec)[0]
+        value = phi_tilde_norms(cell, norms, printed_display=printed)[0]
         assert value.tobytes() == (term / (1.0 - ratio)).tobytes()
 
 
@@ -442,22 +444,20 @@ def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scal
     control = ControlFunction.measured(MeasuredEnvelope(
         edges=np.array([0.5, 1.0, 2.0]), shell_max=np.array([floor, floor + 1.0]),
         cum_max=np.array([floor, floor + 1.0])))
-    spec = SeriesSpec(scheme=Scheme(direction, scale), family="B", rho2_abs=0.3, alpha=1.0,
-                      trunc_terms=16)
+    cell = (RhoParams("B", 0.0, 0.3, 1.0), Scheme(direction, scale), control)
     if old:
         with pytest.raises(DivergentSeriesError):
-            phi_tilde_norms(control, norms, spec)
+            phi_tilde_norms(cell, norms, 16)
     else:
-        assert len(phi_tilde_norms(control, norms, spec)[0]) == len(norms)
+        assert len(phi_tilde_norms(cell, norms, 16)[0]) == len(norms)
 
 
 def test_phi_tilde_overflowing_weight_is_numeric():
     # forward scale 0.5 weighs term i by 2^(i+1), past the float range at i = 1023;
     # the table covers every argument 2^-i down to 1e-320
-    spec = SeriesSpec(scheme=forward(0.5), family="B", rho2_abs=0.0, alpha=1.0,
-                      trunc_terms=1100)
+    control = ControlFunction.tabulated([1e-320, 10.0], [1.0])
     with pytest.raises(NumericError):
-        phi_tilde_norms(ControlFunction.tabulated([1e-320, 10.0], [1.0]), [1.0], spec)
+        phi_tilde_norms((RhoParams("B", 0.0, 0.0, 1.0, -0.5), forward(0.5), control), [1.0], 1100)
 
 
 def test_phi_tilde_measured_full_extension(scalar_model):
@@ -465,9 +465,8 @@ def test_phi_tilde_measured_full_extension(scalar_model):
                            SamplePlan(seed=3, count=400, radius=2.0,
                                       exclude_origin_below=0.1))
     ctrl = ControlFunction.measured(env)
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
-    value, _, terms = phi_tilde_norms(ctrl, [1.0], spec)
-    assert not terms[0] < spec.trunc_terms  # not coverage-truncated
+    value, _, terms = phi_tilde_norms((RhoParams("A", 0, 0, 1.0), forward(2.0), ctrl), [1.0])
+    assert not terms[0] < 64  # not coverage-truncated
     assert terms[0] == 64
     assert value[0] == pytest.approx(1.0, rel=1e-9)
 
@@ -520,9 +519,9 @@ def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
     # a constant, phi~ value or empirical supremum that is still not finite is numeric
     with pytest.raises(NumericError):
         corollary_constant("c26", 1e308, 2.0, 0.0)  # 8e308 / 6
-    spec = SeriesSpec(scheme=forward(2.0), family="A", rho2_abs=0.0, alpha=1.0)
+    cell = (RhoParams("A", 0.0, 0.0, 1.0), forward(2.0), ControlFunction.power(1.0, -400.0))
     with pytest.raises(NumericError):
-        phi_tilde_norms(ControlFunction.power(1.0, -400.0), [0.1], spec)
+        phi_tilde_norms(cell, [0.1])
     for r in (320.0, 400.0):  # the ratio overflows; the power underflows to 0
         with pytest.raises(NumericError):
             bounds.empirical_sup(r, [(0.1, 0.05)])

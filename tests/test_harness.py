@@ -55,7 +55,25 @@ def test_normalize_config_echoes_defaults():
     assert harness.build_experiment({"params": {"family": "A"}}).config["scheme"]["scale"] == 2.0
     assert cfg["plan"]["count"] == 100
     assert cfg["tolerances"]["tol"] == 1e-9
-    assert cfg["envelope"]["seed"] == cfg["plan"]["seed"]
+    # a null envelope seed is the plan seed with its top bit flipped; a given one is kept
+    assert cfg["envelope"]["seed"] == cfg["plan"]["seed"] ^ 2 ** 63 == 2 ** 63
+    for seed in (0, 7, 2 ** 63, 2 ** 64 - 1):
+        cfg = harness.normalize_config({"plan": {"seed": seed}})
+        assert cfg["envelope"]["seed"] == seed ^ 2 ** 63 != seed
+        assert harness.normalize_config({"plan": {"seed": seed}, "envelope": {
+            "seed": seed}})["envelope"]["seed"] == seed
+
+
+@pytest.mark.parametrize("name", ["verify_power_measured", "verify_radial_dim3"])
+def test_envelope_triples_share_no_vector_with_the_plan(name):
+    # a measured control is not measured at the very points that verify checks against it
+    exp = harness.build_experiment(json.loads((CONFIGS / f"{name}.json").read_text()))
+    assert exp.config["control"]["kind"] == "measured"
+    points = draw_samples(exp.space, exp.plan, arity=1)
+    triples = draw_samples(exp.space, exp.envelope_plan, arity=3)
+    plan = {x.tobytes() for x in points}
+    assert len(plan) == len(points) > 0
+    assert not any(v.tobytes() in plan for v in triples.reshape(-1, exp.space.dim))
 
 
 def test_unknown_config_keys_rejected(tmp_path, capsys):
@@ -350,7 +368,7 @@ def test_control_fit_is_the_table_the_control_reads(monkeypatch):
     controls = []
     phi_tilde_cells = bounds.phi_tilde_cells
     monkeypatch.setattr(bounds, "phi_tilde_cells", lambda cells, *a: controls.extend(
-        control for control, _ in cells) or phi_tilde_cells(cells, *a))
+        control for *_, control in cells) or phi_tilde_cells(cells, *a))
     fit = harness.run_verify(VERIFY_SAMPLE).control_fit
     [control] = controls
     assert control.kind == "measured"
@@ -396,11 +414,10 @@ def test_run_verify_divergent_measured_series(tmp_path, capsys, trunc_terms):
     assert capsys.readouterr().err.startswith("error[divergent]: phi-tilde: ")
 
 
-def series_spec(exp):
-    """The series spec of an experiment's bound, as its config gives it."""
-    return bounds.SeriesSpec(exp.scheme, exp.params.family, abs(exp.params.rho2),
-                             exp.params.alpha, exp.config["trunc_terms"],
-                             exp.config["printed_display"], abs(exp.params.rho1))
+def experiment_series(exp, norms):
+    """phi_tilde_norms of an experiment's cell, with its config's trunc_terms and display."""
+    return phi_tilde_norms((exp.params, exp.scheme, exp.control), norms,
+                           exp.config["trunc_terms"], exp.config["printed_display"])
 
 
 def test_run_verify_reports_coverage_truncation():
@@ -408,14 +425,13 @@ def test_run_verify_reports_coverage_truncation():
     doc = changed("control", {"kind": "tabulated", "edges": [0.01, 0.5, 1.0, 1e19],
                               "values": [0.3, 0.2, 0.5]})
     exp = harness.build_experiment(doc)
-    spec = series_spec(exp)
     keys = set(harness.run_verify(VERIFY_SAMPLE).points[0])
     points = harness.run_verify(doc).points
     truncated = [p for p in points if "terms" in p]
     assert 0 < len(truncated) < len(points)
     for p in points:
-        _, _, (terms,) = phi_tilde_norms(exp.control, [p["x_norm"]], spec)
-        if terms < spec.trunc_terms:  # coverage-truncated
+        _, _, (terms,) = experiment_series(exp, [p["x_norm"]])
+        if terms < exp.config["trunc_terms"]:  # coverage-truncated
             assert set(p) == keys | {"terms", "coverage_truncated"}
             assert p["coverage_truncated"] is True and p["terms"] == terms < 64
         else:
@@ -480,7 +496,7 @@ def test_audit_block_with_wrong_control_fails_before_the_envelope(tmp_path, caps
 
 
 def test_forced_off_dyadic_family_a_fails_in_admissibility(tmp_path, capsys, monkeypatch):
-    # --force passes the pairing check; the series spec refuses the scale before the envelope
+    # --force passes the pairing check; the family-A series refuses the scale before the envelope
     calls = []
     measure = harness.inequality.measure_envelope
     monkeypatch.setattr(harness.inequality, "measure_envelope",
@@ -584,12 +600,11 @@ def test_series_evaluates_each_argument_pattern_once(monkeypatch):
 def test_unmeasured_control_raises_when_evaluated():
     # a config's measured control is a placeholder until run_verify measures its envelope
     control = harness.build_experiment(VERIFY_SAMPLE).control
-    spec = bounds.SeriesSpec(scheme=direct_method.forward(2.0), family="A", rho2_abs=0.3,
-                             alpha=1.0)
+    params = inequality.RhoParams("A", 0.0, 0.3, 1.0)
     with pytest.raises(ValueError, match="no table"):
         control.evaluate_norms(np.array([1.0]), 0.0, 0.0)
     with pytest.raises(ValueError, match="no table"):
-        phi_tilde_norms(control, [1.0], spec)
+        phi_tilde_norms((params, direct_method.forward(2.0), control), [1.0])
 
 
 def test_max_n_is_the_only_orbit_limit():
@@ -739,7 +754,7 @@ def test_sweep_computes_one_derived_series_per_admissible_cell(monkeypatch):
     assert sum(row["status"] == "ok" for row in rows) == 9
     # each cell's convergence verdict is computed once, and both batches read it
     assert len(verdicts) == len(rows) == 12
-    assert derived[2] is bound[2] and len(bound[2]) == 9
+    assert derived[4] is bound[4] and len(bound[4]) == 9
 
 
 def test_phi_tilde_failure_named_before_approximation_failure():
@@ -819,15 +834,15 @@ def reference_sweep(doc):
             if not adm:
                 cell["status"] = "inadmissible"
                 continue
-            spec = series_spec(exp)
-            [derived] = bounds.derived_constants([(exp.control, spec)])
+            [derived] = bounds.derived_constants([(exp.params, exp.scheme, exp.control)],
+                                                 exp.config["trunc_terms"])
             if not isinstance(derived, JensenLabError):
                 cell["derived_constant"] = derived
             elif late is None:
                 late = derived
             pts = draw_samples(exp.space, exp.plan, arity=1)
             norms = [exp.space.norm(x) for x in pts]
-            phis = [phi_tilde_norms(exp.control, [nx], spec) for nx in norms]
+            phis = [experiment_series(exp, [nx]) for nx in norms]
             devs = []
             for x in pts:
                 rep = direct_method.approximate(exp.f, x, exp.scheme, exp.tol,

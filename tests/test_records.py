@@ -1,7 +1,7 @@
-"""The package's 17 record types: their constructors, their checks and which of them
+"""The package's 16 record types: their constructors, their checks and which of them
 compare by value.
 
-Seven records are equal and hashed by their fields: a scheme is the sweep's pass key,
+Six records are equal and hashed by their fields: a scheme is the sweep's pass key,
 and the others are parameters and verdicts that callers compare. The rest (functions,
 arrays of results, reports) compare by identity.
 """
@@ -12,6 +12,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+
+from conftest import phi_tilde_norms
 
 import jensenlab
 from jensenlab import bounds, direct_method, harness, inequality, model, space
@@ -25,9 +27,6 @@ NEW_DICT = object()
 SIGNATURES = {
     bounds.ControlFunction: [("kind", REQUIRED), ("theta", 0.0), ("r", 0.0), ("edges", None),
                              ("values", None)],
-    bounds.SeriesSpec: [("scheme", REQUIRED), ("family", REQUIRED), ("rho2_abs", REQUIRED),
-                        ("alpha", REQUIRED), ("trunc_terms", 64), ("printed_display", False),
-                        ("rho1_abs", 0.0)],
     bounds.ConvergenceVerdict: [("converges", REQUIRED), ("ratio", REQUIRED),
                                 ("condition", REQUIRED)],
     bounds.BoundAudit: [(name, REQUIRED) for name in (
@@ -76,16 +75,12 @@ def test_each_perturbation_has_its_own_table():
 
 
 FWD2 = direct_method.Scheme("forward", 2.0)
+ZERO = bounds.ControlFunction.zero()
 
 #: per value record, the keyword arguments of one instance and another value for every field
 VALUE_RECORDS = {
     direct_method.Scheme: ({"direction": "forward", "scale": 2.0},
                            {"direction": "backward", "scale": -2.0}),
-    bounds.SeriesSpec: ({"scheme": FWD2, "family": "A", "rho2_abs": 0.5, "alpha": 1.0,
-                         "trunc_terms": 64, "printed_display": False, "rho1_abs": 0.0},
-                        {"scheme": direct_method.Scheme("backward", 2.0), "family": "B",
-                         "rho2_abs": 0.25, "alpha": 2.0, "trunc_terms": 8,
-                         "printed_display": True, "rho1_abs": 0.5}),
     bounds.ConvergenceVerdict: ({"converges": True, "ratio": 0.5, "condition": "r < 1"},
                                 {"converges": False, "ratio": 2.0, "condition": "r > 1"}),
     inequality.RhoParams: ({"family": "B", "rho1": 0.5j, "rho2": 0.25, "alpha": 1.0, "beta": 3.0},
@@ -112,7 +107,7 @@ def test_value_records_compare_and_hash_by_every_field(record):
 
 
 def test_value_equality_is_written_once():
-    """Only ``space.ValueRecord`` defines ``__eq__`` or ``__hash__``, and the seven value
+    """Only ``space.ValueRecord`` defines ``__eq__`` or ``__hash__``, and the six value
     records, no more and no fewer, subclass it. A second copy of the rule fails here, and
     so does a subclass that defines ``__eq__`` alone, whose ``__hash__`` Python sets to
     None."""
@@ -168,15 +163,14 @@ def test_other_records_compare_by_identity(build):
      "control kind must be one of ('zero', 'power', 'tabulated', 'measured')"),
     (lambda: bounds.ControlFunction("power", theta=-1.0), ValueError,
      "power control needs theta >= 0"),
-    (lambda: bounds.SeriesSpec(FWD2, "C", 0.0, 1.0), FamilyError,
-     "family: expected A or B, got 'C'"),
-    (lambda: bounds.SeriesSpec(direct_method.Scheme("forward", 3.0), "A", 0.0, 1.0), FamilyError,
+    # a series' checks of its (params, scheme, control) cell and of the run's trunc_terms
+    (lambda: phi_tilde_norms((inequality.RhoParams("A", 0.0, 0.0, 1.0),
+                              direct_method.Scheme("forward", 3.0), ZERO), [1.0]), FamilyError,
      "family: family-A series are dyadic (|scale| = 2), got scale 3.0"),
-    (lambda: bounds.SeriesSpec(FWD2, "A", 0.0, 1.0, trunc_terms=0), ValueError,
-     "trunc_terms must be >= 1"),
-    (lambda: bounds.SeriesSpec(FWD2, "A", 0.0, 0.0), ValueError, "alpha must be nonzero"),
-    (lambda: bounds.SeriesSpec(FWD2, "B", 0.0, 1.0, rho1_abs=-0.5), ValueError,
-     "rho moduli must be nonnegative"),
+    (lambda: phi_tilde_norms((inequality.RhoParams("A", 0.0, 0.0, 1.0), FWD2, ZERO), [1.0], 0),
+     ValueError, "trunc_terms must be >= 1"),
+    (lambda: phi_tilde_norms((inequality.RhoParams("A", 0.0, 0.0, 0.0), FWD2, ZERO), [1.0]),
+     ValueError, "alpha must be nonzero"),
 ])
 def test_constructors_check_their_fields(build, error, message):
     with pytest.raises(error) as raised:
