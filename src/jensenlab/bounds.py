@@ -165,14 +165,15 @@ class ControlFunction:
         return self.theta * (self.component(nx) + self.component(ny) + self.component(nz))
 
 
-def _term_rows(e, theta, rows: list, nx: np.ndarray, printed_display: bool):
-    """Term ``step`` of each row's series at each norm in nx, a row per ``(params, scheme,
-    step)`` (cells of one direction and family), scaled and weighted by the Python float
-    powers of its L; theta is a float or a column. e is evaluated once per argument pattern,
-    and phi(s, s, 0) = theta (e(s) + e(s)), phi(0, 0, t) = theta e(t), e(0) = +0.0."""
+def _term_rows(rows: list, nx: np.ndarray, printed_display: bool):
+    """Term ``step`` of each ``(params, scheme, control, step)`` row's series at each norm in
+    nx (cells of one direction and family, whose controls share e), scaled and weighted by
+    the Python float powers of its L, with theta a column of the rows' controls. e is the
+    first row's, evaluated once per argument pattern, and phi(s, s, 0) = theta (e(s) + e(s)),
+    phi(0, 0, t) = theta e(t), e(0) = +0.0."""
     family, forward = rows[0][0].family, rows[0][1].direction == "forward"
-    printed = printed_display and forward
-    Ls = [(abs(scheme.scale), i) for _, scheme, i in rows]
+    printed, e = printed_display and forward, rows[0][2].component
+    Ls = [(abs(scheme.scale), i) for _, scheme, _, i in rows]
     if forward:
         s = np.array([_power(L, i) for L, i in Ls])[:, None] * nx
         weight = [_power(L, -(i + 1)) for L, i in Ls]
@@ -180,14 +181,15 @@ def _term_rows(e, theta, rows: list, nx: np.ndarray, printed_display: bool):
         with np.errstate(divide="ignore"):  # L^(i+1) underflowed to 0: +inf, as an overflow is
             s = nx / np.array([_power(L, i + 1) for L, i in Ls])[:, None]
         weight = [_power(L, i) for L, i in Ls]
+    theta = np.array([control.theta for _, _, control, _ in rows])[:, None]
     e_s = e(s)
     phi_ss0 = theta * (e_s + e_s)
     if family == "A":  # phi(0, 0, t) with t = s, or s / |alpha|
-        e_t = e_s if printed else e(s / np.array([abs(p.alpha) for p, _, _ in rows])[:, None])
-        p2 = [abs(p.rho2) for p, _, _ in rows]
+        e_t = e_s if printed else e(s / np.array([abs(p.alpha) for p, *_ in rows])[:, None])
+        p2 = [abs(p.rho2) for p, *_ in rows]
         return (np.array([w / (2.0 - p) for w, p in zip(weight, p2)])[:, None]
                 * (phi_ss0 + np.array([2.0 * p / (1.0 - p) for p in p2])[:, None] * (theta * e_t)))
-    pref = [1.0 / (1.0 - abs(p.rho1 if printed else p.rho2)) for p, _, _ in rows]
+    pref = [1.0 / (1.0 - abs(p.rho1 if printed else p.rho2)) for p, *_ in rows]
     return np.array([w * p for w, p in zip(weight, pref)])[:, None] * phi_ss0
 
 
@@ -206,6 +208,7 @@ def _require_dyadic(params: RhoParams, scheme: Scheme):
 
 def _check_series(params: RhoParams, scheme: Scheme, printed_display: bool):
     """The checks of a cell's series before it is summed, each the cell's own error."""
+    params.check_degenerate()
     _require_dyadic(params, scheme)
     if abs(params.rho2) >= 1.0:
         raise InadmissibleError(
@@ -218,19 +221,16 @@ def _check_series(params: RhoParams, scheme: Scheme, printed_display: bool):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is a NumericError
 def phi_tilde_cells(cells: list, norms, trunc_terms: int = DEFAULT_TRUNC_TERMS,
-                    printed_display: bool = False, verdicts: list | None = None) -> tuple:
+                    printed_display: bool = False) -> tuple:
     """phi~ of each ``(params, scheme, control)`` cell at the norms of one vector as
     (values, tails, terms, errors): cells x points values; each cell's tail, 0.0 for a
     closed form (zero and power controls), None for a term-by-term sum; the terms each
     point added, fewer than ``trunc_terms`` where coverage ran out; each cell's error or
-    None. Entries round as they do alone. ``verdicts``, if given, holds
-    convergence_predicate(scheme, control.r) of each cell (a table control has r = 0, the
-    exponent it is judged on). A table control's terms x points matrix is summed in blocks
-    of about CHUNK_ELEMENTS, left to right until no point is covered."""
+    None. Entries round as they do alone. A table control is judged on r = 0, and its
+    terms x points matrix is summed in blocks of about CHUNK_ELEMENTS, left to right
+    until no point is covered."""
     if trunc_terms < 1:
         raise ValueError("trunc_terms must be >= 1")
-    if any(params.alpha == 0 for params, _, _ in cells):
-        raise ValueError("alpha must be nonzero")
     nx = np.asarray(norms, dtype=float)
     values, terms = np.zeros((len(cells), nx.size)), np.zeros((len(cells), nx.size), dtype=int)
     tails, errors, closed = [None] * len(cells), [None] * len(cells), {}  # layout -> cells
@@ -241,8 +241,9 @@ def phi_tilde_cells(cells: list, norms, trunc_terms: int = DEFAULT_TRUNC_TERMS,
             if power and control.r < 0 and (nx == 0.0).any():
                 raise SingularPointError("singular-point: ||x|| = 0 with r < 0")
             theta, r = (control.theta, control.r) if power else (control.table()[0], 0.0)
-            verdict = convergence_predicate(scheme, r) if verdicts is None else verdicts[k]
-            if theta > 0.0 and not verdict and (nx > 0.0).any():
+            ratio = _term_ratio(scheme, r)
+            if theta > 0.0 and not ratio < 1.0 and (nx > 0.0).any():
+                verdict = convergence_predicate(scheme, r)  # for its condition's text
                 raise DivergentSeriesError(
                     f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
         except JensenLabError as e:
@@ -255,27 +256,24 @@ def phi_tilde_cells(cells: list, norms, trunc_terms: int = DEFAULT_TRUNC_TERMS,
             # series is geometric. A ratio >= 1 gets here only with every term 0.
             # numpy's power loop takes its exact shortcuts (x * x for r = 2, sqrt, 1 / x)
             # only for an exponent that is one scalar, so each r is its own matrix
-            if verdict.ratio < 1.0:
-                closed.setdefault((scheme.direction, params.family, r), []).append(
-                    (k, verdict.ratio))
+            if ratio < 1.0:
+                closed.setdefault((scheme.direction, params.family, r), []).append((k, ratio))
             continue
         block = max(1, CHUNK_ELEMENTS // nx.size)
         for lo in range(0, trunc_terms, block):  # sum until coverage runs out
             if not (terms[k] == lo).any():  # every point has left coverage
                 break
-            rows = _term_rows(control.component, control.theta, [
-                (params, scheme, i) for i in range(lo, min(lo + block, trunc_terms))],
-                nx, printed_display)
+            rows = _term_rows([(params, scheme, control, i)
+                               for i in range(lo, min(lo + block, trunc_terms))],
+                              nx, printed_display)
             # a point adds term i while terms 0 .. i are all covered (not NaN)
             covered = np.logical_and.accumulate(~np.isnan(rows), axis=0) & (terms[k] == lo)
             terms[k] += covered.sum(axis=0)
             for term in np.where(covered, rows, 0.0):  # left to right, term by term
                 values[k] = values[k] + term
-    for (*_, r), group in closed.items():
+    for group in closed.values():
         ks = [k for k, _ in group]
-        theta = np.array([cells[k][2].theta for k in ks])[:, None]
-        first = _term_rows(lambda s: _pw(s, r), theta, [(*cells[k][:2], 0) for k in ks], nx,
-                           printed_display)
+        first = _term_rows([(*cells[k], 0) for k in ks], nx, printed_display)
         values[ks] = first / np.array([1.0 - ratio for _, ratio in group])[:, None]
     for k, top in enumerate(values.max(axis=1, initial=0.0).tolist()):
         if errors[k] is None and not math.isfinite(top):
@@ -397,11 +395,10 @@ def require_power_control(control: ControlFunction):
         raise ConfigError(f"config: an audit needs control.kind power, got {control.kind}")
 
 
-def derived_constants(cells: list, trunc_terms: int = DEFAULT_TRUNC_TERMS,
-                      verdicts: list | None = None) -> list:
+def derived_constants(cells: list, trunc_terms: int = DEFAULT_TRUNC_TERMS) -> list:
     """phi~(1) of each ``(params, scheme, control)`` cell's derivation-consistent series
     (printed_display off): a float, 'divergent', or the cell's other error."""
-    values, tails, _, errors = phi_tilde_cells(cells, [1.0], trunc_terms, False, verdicts)
+    values, tails, _, errors = phi_tilde_cells(cells, [1.0], trunc_terms, False)
     return [value + (tail or 0.0) if error is None
             else "divergent" if isinstance(error, DivergentSeriesError) else error
             for value, tail, error in zip(values[:, 0].tolist(), tails, errors)]
@@ -464,9 +461,10 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
     approximants, max_violation; paper_constant, derived_constant, empirical_sup and its
     points, which ``bound_audit`` reads. A column is written whenever it was computed
     without a fault: the published constant once the parameters are not degenerate, the
-    derived one past the envelope. The series are two batches, the derived constants and
-    the bounds, on one convergence verdict per cell. A cell whose phi~ fails reads no pass;
-    a pass runs once per scheme and a sup once per scheme and r, failed or not.
+    derived one past the envelope. The convergence verdict is computed once per cell, for
+    converges; the series are two batches, the derived constants and the bounds, and each
+    reads its cells' term ratio. A cell whose phi~ fails reads no pass; a pass runs once
+    per scheme and a sup once per scheme and r, failed or not.
     """
     norms = f.space.norms(xs)
     out, live = [[{}, None] for _ in cells], []  # live: the cells past the envelope
@@ -500,14 +498,13 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
         except JensenLabError as e:  # a kept traceback would hold this frame in a cycle
             cell[1] = stage, e.with_traceback(None)
             continue
-        live.append((cell, (params, scheme, control), verdict, late))
-    series, verdicts = [c[1] for c in live], [c[2] for c in live]
-    derived = derived_constants(series, trunc_terms, verdicts) if audit else [None] * len(live)
+        live.append((cell, (params, scheme, control), late))
+    series = [c[1] for c in live]
+    derived = derived_constants(series, trunc_terms) if audit else [None] * len(live)
     if bound:
-        values, tails, terms, errors = phi_tilde_cells(series, norms, trunc_terms,
-                                                       printed_display, verdicts)
+        values, tails, terms, errors = phi_tilde_cells(series, norms, trunc_terms, printed_display)
     norms, passes, sups = norms.tolist(), {}, {}  # scheme -> pass, (scheme, r) -> sup
-    for i, (cell, (_, scheme, control), _, late) in enumerate(live):
+    for i, (cell, (_, scheme, control), late) in enumerate(live):
         cols, constant, stage = cell[0], derived[i], "phi-tilde"
         if audit and not isinstance(constant, JensenLabError):
             cols["derived_constant"] = constant

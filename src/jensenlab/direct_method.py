@@ -5,11 +5,11 @@ A scheme is described by a direction and a real scale lambda (|lambda| != 1):
   forward   term_n(x) = f(lambda^n x) / lambda^n
   backward  term_n(x) = lambda^n f(x / lambda^n)
 
-A backward scheme with |lambda| < 1 has growing arguments and is the same
-sequence as the forward scheme with scale 1/lambda (and vice versa), so every
-scheme normalizes to an expanding-argument form with |scale| > 1; ``label()``
-records the scheme as written. The additive approximant A(x) is the detected
-limit of the orbit.
+Every scheme runs as written, and ``label()`` names it so. A backward scheme
+with |lambda| < 1 has growing arguments, and its terms equal those of the
+forward scheme with scale 1/lambda in exact arithmetic only: the orbit divides
+where the other multiplies, so the two round apart. The additive approximant
+A(x) is the detected limit of the orbit.
 """
 
 from __future__ import annotations
@@ -45,19 +45,8 @@ class Scheme(ValueRecord):
     def _key(self) -> tuple:
         return self.direction, self.scale
 
-    def normalized(self) -> "Scheme":
-        """Equivalent scheme with |scale| > 1 (same term sequence)."""
-        if abs(self.scale) > 1.0:
-            return self
-        flipped = "backward" if self.direction == "forward" else "forward"
-        return Scheme(flipped, 1.0 / self.scale)
-
     def label(self) -> str:
-        base = f"{self.direction} scale={self.scale:g}"
-        if abs(self.scale) < 1.0:
-            norm = self.normalized()
-            return f"{base} (runs as {norm.direction} scale={norm.scale:g})"
-        return base
+        return f"{self.direction} scale={self.scale:g}"
 
 
 def forward(scale: float) -> Scheme:

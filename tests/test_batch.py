@@ -27,7 +27,7 @@ from jensenlab import (
 from jensenlab import direct_method
 from jensenlab.bounds import phi_tilde_cells
 from jensenlab.direct_method import Scheme, _orbit_block, _scale_power
-from jensenlab.errors import JensenLabError, NotConvergedError
+from jensenlab.errors import DegenerateParameterError, JensenLabError, NotConvergedError
 from jensenlab.inequality import defect_many
 from jensenlab.model import _quantized, evaluate_many, quantize
 from jensenlab.space import _hash_words
@@ -509,7 +509,8 @@ def test_phi_tilde_cells_equal_a_batch_of_one(norms, kind, direction):
 def series_cells(draw, layouts):
     """One (params, scheme, control) cell of a (family, direction) from ``layouts``, with
     its own beta (family B), |rho2| and |rho1| up to past 1, theta 0 and r on both
-    sides of 1: every error phi_tilde_cells gives occurs."""
+    sides of 1, and at times alpha = 0 or a family-B beta of 0 or None: every error
+    phi_tilde_cells gives occurs."""
     family, direction = draw(layouts)
     if family == "A":  # a forced scale of 3 is the cell's own family error
         scale = draw(st.sampled_from([2.0, -2.0, 2.0, -2.0, 3.0]))
@@ -518,10 +519,10 @@ def series_cells(draw, layouts):
         if abs(scale) < 0.1 or abs(abs(scale) - 1.0) < 0.05:
             scale = 3.0
     rho2 = draw(st.floats(0.0, 0.95) | st.sampled_from([0.0, 0.3, 1.0, 1.2]))
-    alpha = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1]))
+    alpha = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1, 1, -1, 0]))
     rho1 = draw(st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.0, 1.5))
-    head = (RhoParams(family, rho1, rho2, alpha, None if family == "A" else scale - 1.0),
-            Scheme(direction, scale))
+    beta = None if family == "A" else draw(st.sampled_from([scale - 1.0] * 4 + [0.0, None]))
+    head = (RhoParams(family, rho1, rho2, alpha, beta), Scheme(direction, scale))
     kind = draw(st.sampled_from(["zero", "power", "power", "power", "tabulated"]))
     if kind == "zero":
         return (*head, ControlFunction.zero())
@@ -565,6 +566,9 @@ def test_phi_tilde_cells_equal_each_cell_alone(batch, norms):
     got = _cell_outcomes(cells, norms, *run)
     assert got == [_cell_outcomes([cell], norms, *run)[0] for cell in cells]
     for cell, (values, _, terms, error) in zip(cells, got):
+        params = cell[0]
+        if params.alpha == 0 or (params.family == "B" and not params.beta):
+            assert error[0] is DegenerateParameterError  # the cell's own, not the batch's
         if error is None:  # and each entry is that cell's at its one point
             alone = [_cell_outcomes([cell], [nx], *run)[0] for nx in norms]
             assert values == b"".join(v for v, *_ in alone)

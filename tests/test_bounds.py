@@ -25,6 +25,7 @@ from jensenlab import (
 from jensenlab import bounds
 from jensenlab.inequality import MeasuredEnvelope
 from jensenlab.errors import (
+    DegenerateParameterError,
     DivergentSeriesError,
     FamilyError,
     InadmissibleError,
@@ -106,7 +107,7 @@ def test_series_spec_validation():
     zero = ControlFunction.zero()
     with pytest.raises(FamilyError):
         phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(3.0), zero), [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateParameterError, match="^degenerate-parameter: alpha = 0$"):
         phi_tilde_norms((RhoParams("A", 0.0, 0.0, 0.0), forward(2.0), zero), [1.0])
     with pytest.raises(ValueError):
         phi_tilde_norms((RhoParams("A", 0.0, 0.0, 1.0), forward(2.0), zero), [1.0], 0)
@@ -252,9 +253,7 @@ def test_power_phi_tilde_does_not_depend_on_trunc_terms():
 
 def series_term(cell, nx, i, printed_display):
     """Term i of a cell's series at each norm in nx."""
-    params, scheme, control = cell
-    return bounds._term_rows(control.component, control.theta, [(params, scheme, i)], nx,
-                             printed_display)[0]
+    return bounds._term_rows([(*cell, i)], nx, printed_display)[0]
 
 
 def series_reference(cell, nx, printed_display, trunc_terms=bounds.DEFAULT_TRUNC_TERMS):
@@ -282,7 +281,8 @@ def convergent_power_series(draw):
     log_ratio = np.log(ratio) / np.log(abs(scale))
     r = 1.0 + log_ratio if direction == "forward" else 1.0 - log_ratio
     params = RhoParams(family, draw(st.floats(0.0, 0.95)), draw(st.floats(0.0, 0.95)),
-                       draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])))
+                       draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1])),
+                       scale - 1.0 if family == "B" else None)
     nx = draw(st.just(0.0) | st.floats(1e-3, 1e3))
     control = ControlFunction.power(draw(st.just(0.0) | st.floats(1e-3, 10.0)), r)
     return (params, Scheme(direction, scale), control), nx, draw(st.booleans())
@@ -375,7 +375,8 @@ def summed_series(draw):
     rho2 = draw(st.just(0.0) | st.floats(0.0, 0.95))
     alpha = draw(st.floats(0.25, 4.0)) * draw(st.sampled_from([1, -1]))
     trunc_terms, printed = draw(st.integers(1, 64)), draw(st.booleans())
-    params = RhoParams(family, draw(st.floats(0.0, 0.95)), rho2, alpha)
+    params = RhoParams(family, draw(st.floats(0.0, 0.95)), rho2, alpha,
+                       scale - 1.0 if family == "B" else None)
     shells = draw(st.integers(1, 6))
     edges = np.geomspace(draw(st.floats(1e-3, 1.0)), draw(st.floats(1.5, 1e4)), shells + 1)
     values = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 10.0),
@@ -444,7 +445,7 @@ def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scal
     control = ControlFunction.measured(MeasuredEnvelope(
         edges=np.array([0.5, 1.0, 2.0]), shell_max=np.array([floor, floor + 1.0]),
         cum_max=np.array([floor, floor + 1.0])))
-    cell = (RhoParams("B", 0.0, 0.3, 1.0), Scheme(direction, scale), control)
+    cell = (RhoParams("B", 0.0, 0.3, 1.0, scale - 1.0), Scheme(direction, scale), control)
     if old:
         with pytest.raises(DivergentSeriesError):
             phi_tilde_norms(cell, norms, 16)

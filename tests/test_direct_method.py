@@ -38,13 +38,11 @@ def test_scheme_validation():
         Scheme("sideways", 2.0)
 
 
-def test_scheme_normalization():
-    # a contracting backward scheme is the expanding forward scheme in disguise
-    s = backward(0.5)
-    n = s.normalized()
-    assert n.direction == "forward" and n.scale == 2.0
-    assert "runs as" in s.label()
-    assert forward(2.0).normalized() == forward(2.0)  # already expanding
+def test_scheme_label_is_the_scheme_as_written():
+    # every scheme runs as written, a contracting one too, and its label says so
+    assert backward(0.5).label() == "backward scale=0.5"
+    assert forward(-0.5).label() == "forward scale=-0.5"
+    assert forward(2.0).label() == "forward scale=2"
 
 
 def test_backward_small_scale_equals_forward_large():

@@ -17,7 +17,7 @@ from conftest import phi_tilde_norms
 
 import jensenlab
 from jensenlab import bounds, direct_method, harness, inequality, model, space
-from jensenlab.errors import DegenerateScaleError, FamilyError
+from jensenlab.errors import DegenerateParameterError, DegenerateScaleError, FamilyError
 
 REQUIRED = inspect.Parameter.empty
 #: a default that is a new dict per instance (a shared ``{}`` would leak entries)
@@ -170,7 +170,7 @@ def test_other_records_compare_by_identity(build):
     (lambda: phi_tilde_norms((inequality.RhoParams("A", 0.0, 0.0, 1.0), FWD2, ZERO), [1.0], 0),
      ValueError, "trunc_terms must be >= 1"),
     (lambda: phi_tilde_norms((inequality.RhoParams("A", 0.0, 0.0, 0.0), FWD2, ZERO), [1.0]),
-     ValueError, "alpha must be nonzero"),
+     DegenerateParameterError, "degenerate-parameter: alpha = 0"),
 ])
 def test_constructors_check_their_fields(build, error, message):
     with pytest.raises(error) as raised:
