@@ -33,7 +33,6 @@ from .harness import (
 )
 from .inequality import (
     Admissibility,
-    MeasuredEnvelope,
     RhoParams,
     admissible,
     measure_envelope,
@@ -50,10 +49,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveCore", "Admissibility", "Approximants", "BoundAudit", "ControlFunction",
-    "ConvergenceReport", "JensenLabError", "MeasuredEnvelope", "NormedSpace",
-    "Perturbation", "RhoParams", "RunReport", "SamplePlan", "Scheme", "TestFunction",
-    "additive_limit_check", "admissible", "approximate", "approximate_points", "audit",
-    "backward", "build_experiment", "constant_tag", "convergence_predicate",
-    "corollary_constant", "draw_samples", "forward", "measure_envelope", "run_sweep",
-    "run_verify", "scalar_offset_function", "uniqueness_crosscheck",
+    "ConvergenceReport", "JensenLabError", "NormedSpace", "Perturbation", "RhoParams",
+    "RunReport", "SamplePlan", "Scheme", "TestFunction", "additive_limit_check", "admissible",
+    "approximate", "approximate_points", "audit", "backward", "build_experiment",
+    "constant_tag", "convergence_predicate", "corollary_constant", "draw_samples", "forward",
+    "measure_envelope", "run_sweep", "run_verify", "scalar_offset_function",
+    "uniqueness_crosscheck",
 ]

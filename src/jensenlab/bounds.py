@@ -106,8 +106,8 @@ class ControlFunction:
     kinds: zero (theta = 0) and power, with e(s) = s^r; tabulated and measured,
     with theta = 1 and e the value of the shell (edges[i], edges[i+1]] holding s.
     Past its edges a tabulated table is NaN, so a series sum stops rather than
-    extrapolate; a measured one (a MeasuredEnvelope's cum_max) keeps its first and
-    last value. A config's measured control has no table until its envelope is
+    extrapolate; a measured one (the running max of the shell table) keeps its first
+    and last value. A config's measured control has no table until its envelope is
     measured, and raises if evaluated.
     """
 
@@ -142,9 +142,9 @@ class ControlFunction:
         return cls("tabulated", theta=1.0, edges=edges, values=values)
 
     @classmethod
-    def measured(cls, envelope) -> "ControlFunction":
-        """The control of a MeasuredEnvelope: its edges and cum_max table."""
-        return cls("measured", theta=1.0, edges=envelope.edges, values=envelope.cum_max)
+    def measured(cls, edges, shell_max) -> "ControlFunction":
+        """The control of a measured envelope: its edges and its shell table's running max."""
+        return cls("measured", theta=1.0, edges=edges, values=np.maximum.accumulate(shell_max))
 
     def table(self) -> np.ndarray:
         """The shell values with e below the first edge in front and above the last behind."""
@@ -491,10 +491,10 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
                 require_power_control(control)
             stage = "envelope"
             if control.kind == "measured":
-                env = inequality.measure_envelope(f, params, *envelope)
-                cell[0]["control_fit"] = {"shell_edges": env.edges.tolist(),
-                                          "shell_max": env.shell_max.tolist()}
-                control = ControlFunction.measured(env)
+                edges, shell_max = inequality.measure_envelope(f, params, *envelope)
+                cell[0]["control_fit"] = {"shell_edges": edges.tolist(),
+                                          "shell_max": shell_max.tolist()}
+                control = ControlFunction.measured(edges, shell_max)
         except JensenLabError as e:  # a kept traceback would hold this frame in a cycle
             cell[1] = stage, e.with_traceback(None)
             continue

@@ -338,9 +338,9 @@ def run_verify(doc: dict) -> RunReport:
 
     The config's one cell through ``bounds.run_cells``'s stages, with the audit when the
     config asks for one; the first failure aborts naming its stage. A measured control's
-    shell edges and shell_max are echoed as ``control_fit``; its phi reads their running
-    max, cum_max. Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol; a
-    plan needs at least one point.
+    shell edges and shell_max are echoed as ``control_fit``; its phi reads the running max
+    of the shell table. Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol;
+    a plan needs at least one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)

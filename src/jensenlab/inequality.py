@@ -159,22 +159,11 @@ def defect_many(f: TestFunction, triples, params: RhoParams) -> tuple:
 # --- measured control envelopes ---------------------------------------------
 
 
-class MeasuredEnvelope:
-    """Shell-wise empirical envelope of the clamped defect.
-
-    Each sampled triple contributes max(0, defect) to the shell containing its
-    largest component norm; ``cum_max`` is the running max of that table, the
-    table e of ``bounds.ControlFunction.measured``.
-    """
-
-    def __init__(self, edges: np.ndarray, shell_max: np.ndarray, cum_max: np.ndarray):
-        self.edges, self.shell_max, self.cum_max = edges, shell_max, cum_max
-
-
 def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
-                     shells: int = 8) -> MeasuredEnvelope:
-    """Sample triples, bucket clamped defects into log-spaced norm shells; inadmissible
-    params raise InadmissibleError naming the violated condition."""
+                     shells: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """The envelope ``(edges, shell_max)``: each sampled triple's max(0, defect) in the
+    log-spaced norm shell of its largest component norm. Inadmissible params raise
+    InadmissibleError naming the violated condition."""
     adm = admissible(params)
     if not adm:
         raise InadmissibleError(f"inadmissible: {adm.detail}")
@@ -191,5 +180,4 @@ def measure_envelope(f: TestFunction, params: RhoParams, plan: SamplePlan,
     # the shell (edges[i], edges[i+1]] of the largest norm, clamped to the table
     shell = np.clip(np.searchsorted(edges, fold(np.maximum, (nx, ny, nz))) - 1, 0, shells - 1)
     np.maximum.at(shell_max, shell, np.maximum(defects, 0.0))
-    return MeasuredEnvelope(edges=edges, shell_max=shell_max,
-                            cum_max=np.maximum.accumulate(shell_max))
+    return edges, shell_max

@@ -222,16 +222,16 @@ def test_criterion_8_determinism(tmp_path):
                   f"sweep bytes {len(outs[2].read_bytes())}, reruns identical")
 
 
-def readme_library() -> str:
-    """The README's ``## Library`` section, up to the next heading."""
+def readme_section(heading: str) -> str:
+    """The README's ``## <heading>`` section, up to the next heading."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_library_example_runs():
     """The fenced python block under the README's ``## Library`` heading runs
     against the package, so the documented API cannot drift from it."""
-    block = readme_library().split("```python\n", 1)[1].split("\n```", 1)[0]
+    block = readme_section("Library").split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md (Library)", "exec"), {})
 
 
@@ -239,7 +239,32 @@ def test_readme_library_names_every_export():
     """Every name in ``jensenlab.__all__`` is named in the README's Library section,
     in backticks or as ``jl.<name>`` in its example, so an export is a documented
     entry point or goes."""
-    section = readme_library()
+    section = readme_section("Library")
     missing = [name for name in jensenlab.__all__
                if f"`{name}`" not in section and not re.search(rf"\bjl\.{name}\b", section)]
+    assert missing == []
+
+
+def schema_fields(fields: dict):
+    """The names of ``fields``, a CONFIG_SCHEMA section, and of every section and
+    every kind's fields below it, ``kind`` included."""
+    for name, (accepted, _) in fields.items():
+        yield name
+        if isinstance(accepted, list):  # a list of sections, such as a perturbation table
+            accepted = accepted[0]
+        if isinstance(accepted, harness.Kinds):
+            yield "kind"
+            for kind_fields in accepted.values():
+                yield from schema_fields(kind_fields)
+        elif isinstance(accepted, dict):
+            yield from schema_fields(accepted)
+
+
+def test_readme_config_block_names_every_schema_field():
+    """Every field of ``harness.CONFIG_SCHEMA``, in each section and under each kind,
+    appears as ``"<field>":`` in the jsonc block of the README's Config schema
+    section, so a field the schema gains is documented there."""
+    block = readme_section("Config schema").split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    missing = sorted({name for name in schema_fields(harness.CONFIG_SCHEMA)
+                      if f'"{name}":' not in block})
     assert missing == []

@@ -469,7 +469,7 @@ def _measured_control():
     f = TestFunction(NormedSpace(2), AdditiveCore.identity(2), Perturbation.power(0.1, 0.5, 5))
     env = measure_envelope(f, RhoParams("A", 0.0, 0.3, 1.0),
                            SamplePlan(seed=3, count=200, radius=2.0, exclude_origin_below=0.1))
-    return ControlFunction.measured(env)
+    return ControlFunction.measured(*env)
 
 
 CONTROLS = {

@@ -23,7 +23,6 @@ from jensenlab import (
     measure_envelope,
 )
 from jensenlab import bounds
-from jensenlab.inequality import MeasuredEnvelope
 from jensenlab.errors import (
     DegenerateParameterError,
     DivergentSeriesError,
@@ -384,8 +383,7 @@ def summed_series(draw):
     if draw(st.booleans()):
         control = ControlFunction.tabulated(edges, values)
     else:
-        control = ControlFunction.measured(MeasuredEnvelope(
-            edges=edges, shell_max=values, cum_max=np.maximum.accumulate(values)))
+        control = ControlFunction.measured(edges, values)
     norms = draw(st.lists(st.just(0.0) | st.sampled_from(edges.tolist()) | st.floats(1e-4, 1e5),
                           min_size=1, max_size=12))
     budget = draw(st.sampled_from([1, 2, 7, 64, bounds.CHUNK_ELEMENTS]))
@@ -437,14 +435,12 @@ def test_power_term_zero_is_the_three_argument_term_bit_for_bit(case, zero):
        norms=st.lists(st.just(0.0), min_size=1, max_size=4)
        | st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1, max_size=6))
 def test_measured_divergence_rule_is_the_shrinking_argument_test(direction, scale, floor, norms):
-    # the measured control is judged as the power law cum_max[0] ||x||^0; the test it
+    # the measured control is judged as the power law shell_max[0] ||x||^0; the test it
     # replaced: the series arguments shrink while the control is positive below its
     # first edge, at some ||x|| > 0
     old = ((abs(scale) > 1.0) == (direction == "backward") and floor > 0.0
            and any(n > 0.0 for n in norms))
-    control = ControlFunction.measured(MeasuredEnvelope(
-        edges=np.array([0.5, 1.0, 2.0]), shell_max=np.array([floor, floor + 1.0]),
-        cum_max=np.array([floor, floor + 1.0])))
+    control = ControlFunction.measured(np.array([0.5, 1.0, 2.0]), np.array([floor, floor + 1.0]))
     cell = (RhoParams("B", 0.0, 0.3, 1.0, scale - 1.0), Scheme(direction, scale), control)
     if old:
         with pytest.raises(DivergentSeriesError):
@@ -465,7 +461,7 @@ def test_phi_tilde_measured_full_extension(scalar_model):
     env = measure_envelope(scalar_model, RhoParams("A", 0, 0, 1.0),
                            SamplePlan(seed=3, count=400, radius=2.0,
                                       exclude_origin_below=0.1))
-    ctrl = ControlFunction.measured(env)
+    ctrl = ControlFunction.measured(*env)
     value, _, terms = phi_tilde_norms((RhoParams("A", 0, 0, 1.0), forward(2.0), ctrl), [1.0])
     assert not terms[0] < 64  # not coverage-truncated
     assert terms[0] == 64

@@ -252,18 +252,19 @@ def test_equality_case_oracle():
 def test_envelope_constant_defect(scalar_model):
     params = RhoParams("A", 0, 0, 1.0)
     plan = SamplePlan(seed=3, count=1000, radius=2.0, exclude_origin_below=0.1)
-    env = measure_envelope(scalar_model, params, plan)
-    assert np.allclose(env.shell_max, 1.0, atol=1e-12)
-    assert ControlFunction.measured(env).evaluate_norms(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
-    assert ControlFunction.measured(env).component(0.0) == 0.0
+    edges, shell_max = measure_envelope(scalar_model, params, plan)
+    assert np.allclose(shell_max, 1.0, atol=1e-12)
+    control = ControlFunction.measured(edges, shell_max)
+    assert control.evaluate_norms(1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
+    assert control.component(0.0) == 0.0
 
 
 def test_envelope_zero_for_additive():
     f = make_additive(dim=2, seed=13)
     params = RhoParams("A", 0, 0, 1.0)
     plan = SamplePlan(seed=5, count=300, radius=2.0, exclude_origin_below=0.1)
-    env = measure_envelope(f, params, plan)
-    assert (env.shell_max <= 1e-12).all()
+    _, shell_max = measure_envelope(f, params, plan)
+    assert (shell_max <= 1e-12).all()
 
 
 def test_envelope_power_growth():
@@ -271,22 +272,22 @@ def test_envelope_power_growth():
     f = make_power(dim=2, theta=0.1, r=0.5, seed=2)
     params = RhoParams("A", 0, 0, 1.0)
     plan = SamplePlan(seed=2, count=2000, radius=8.0, exclude_origin_below=2.0 ** -5)
-    env = measure_envelope(f, params, plan)
-    centers = np.sqrt(env.edges[:-1] * env.edges[1:])
-    mask = env.shell_max > 0
-    slope = np.polyfit(np.log(centers[mask]), np.log(env.shell_max[mask]), 1)[0]
+    edges, shell_max = measure_envelope(f, params, plan)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    mask = shell_max > 0
+    slope = np.polyfit(np.log(centers[mask]), np.log(shell_max[mask]), 1)[0]
     assert slope == pytest.approx(0.5, rel=0.15)
 
 
 def test_envelope_monotone_extension():
     f = make_power(dim=2, theta=0.1, r=0.5, seed=2)
     params = RhoParams("A", 0, 0, 1.0)
-    env = measure_envelope(f, params, SamplePlan(seed=4, count=500, radius=2.0,
-                                                 exclude_origin_below=0.1))
-    e = ControlFunction.measured(env).component
+    edges, shell_max = measure_envelope(f, params, SamplePlan(seed=4, count=500, radius=2.0,
+                                                              exclude_origin_below=0.1))
+    e = ControlFunction.measured(edges, shell_max).component
     values = [e(s) for s in (0.15, 0.5, 1.0, 2.0, 50.0)]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-    assert e(1e9) == env.cum_max[-1]
+    assert e(1e9) == shell_max.max()
 
 
 def test_envelope_errors(scalar_model):

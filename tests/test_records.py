@@ -1,4 +1,4 @@
-"""The package's 16 record types: their constructors, their checks and which of them
+"""The package's 15 record types: their constructors, their checks and which of them
 compare by value.
 
 Six records are equal and hashed by their fields: a scheme is the sweep's pass key,
@@ -40,8 +40,6 @@ SIGNATURES = {
     inequality.RhoParams: [("family", REQUIRED), ("rho1", REQUIRED), ("rho2", REQUIRED),
                            ("alpha", REQUIRED), ("beta", None)],
     inequality.Admissibility: [("ok", REQUIRED), ("detail", REQUIRED)],
-    inequality.MeasuredEnvelope: [("edges", REQUIRED), ("shell_max", REQUIRED),
-                                  ("cum_max", REQUIRED)],
     model.AdditiveCore: [("kind", REQUIRED), ("matrix", REQUIRED)],
     model.Perturbation: [("kind", "none"), ("epsilon", 0.0), ("theta", 0.0), ("r", 1.0),
                          ("direction", "hashed"), ("direction_seed", 0), ("table", NEW_DICT),
@@ -127,8 +125,7 @@ def test_value_equality_is_written_once():
     lambda: model.Perturbation.power(0.1, 0.5),
     lambda: model.scalar_offset_function(0.5),
     lambda: bounds.ControlFunction.power(1.0, 0.5),
-    lambda: inequality.MeasuredEnvelope(np.ones(2), np.zeros(1), np.zeros(1)),
-], ids=["AdditiveCore", "Perturbation", "TestFunction", "ControlFunction", "MeasuredEnvelope"])
+], ids=["AdditiveCore", "Perturbation", "TestFunction", "ControlFunction"])
 def test_other_records_compare_by_identity(build):
     a, b = build(), build()
     assert a == a and a != b and hash(a) != hash(b)
