@@ -32,7 +32,6 @@ from .harness import (
     run_verify,
 )
 from .inequality import (
-    Admissibility,
     RhoParams,
     admissible,
     measure_envelope,
@@ -43,14 +42,14 @@ from .model import (
     TestFunction,
     scalar_offset_function,
 )
-from .space import NormedSpace, SamplePlan, draw_samples
+from .space import NormedSpace, SamplePlan, Verdict, draw_samples
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveCore", "Admissibility", "Approximants", "BoundAudit", "ControlFunction",
-    "ConvergenceReport", "JensenLabError", "NormedSpace", "Perturbation", "RhoParams",
-    "RunReport", "SamplePlan", "Scheme", "TestFunction", "additive_limit_check", "admissible",
+    "AdditiveCore", "Approximants", "BoundAudit", "ControlFunction", "ConvergenceReport",
+    "JensenLabError", "NormedSpace", "Perturbation", "RhoParams", "RunReport", "SamplePlan",
+    "Scheme", "TestFunction", "Verdict", "additive_limit_check", "admissible",
     "approximate", "approximate_points", "audit", "backward", "build_experiment",
     "constant_tag", "convergence_predicate", "corollary_constant", "draw_samples", "forward",
     "measure_envelope", "run_sweep", "run_verify", "scalar_offset_function",

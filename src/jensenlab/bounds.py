@@ -65,7 +65,7 @@ from .errors import (
 )
 from .inequality import RhoParams
 from .model import TestFunction
-from .space import ValueRecord
+from .space import Verdict
 
 CONTROL_KINDS = ("zero", "power", "tabulated", "measured")
 
@@ -243,9 +243,8 @@ def phi_tilde_cells(cells: list, norms, trunc_terms: int = DEFAULT_TRUNC_TERMS,
             theta, r = (control.theta, control.r) if power else (control.table()[0], 0.0)
             ratio = _term_ratio(scheme, r)
             if theta > 0.0 and not ratio < 1.0 and (nx > 0.0).any():
-                verdict = convergence_predicate(scheme, r)  # for its condition's text
-                raise DivergentSeriesError(
-                    f"divergent: {verdict.condition} fails for terms {theta:.6g} ||x||^{r:g}")
+                raise DivergentSeriesError(f"divergent: {convergence_predicate(scheme, r).detail}"
+                                           f" fails for terms {theta:.6g} ||x||^{r:g}")
         except JensenLabError as e:
             errors[k] = e.with_traceback(None)
             continue
@@ -326,29 +325,15 @@ def corollary_constant(which: str, theta: float, r: float, rho2_abs: float,
     return _require_finite(which, 2.0 * theta / (denom * (1.0 - p2)))
 
 
-class ConvergenceVerdict(ValueRecord):
-    """A series' convergence verdict, equal and hashed by (converges, ratio, condition)."""
-
-    def __init__(self, converges: bool, ratio: float, condition: str):
-        self.converges, self.ratio, self.condition = converges, ratio, condition
-
-    def _key(self) -> tuple:
-        return self.converges, self.ratio, self.condition
-
-    def __bool__(self) -> bool:
-        return self.converges
-
-
-def convergence_predicate(scheme: Scheme, r: float) -> ConvergenceVerdict:
+def convergence_predicate(scheme: Scheme, r: float) -> Verdict:
     """Analytic convergence of the power-control series: term ratio < 1.
 
-    forward: |scale|^(r-1) < 1; backward: |scale|^(1-r) < 1. The evaluated
-    ratio is returned alongside the verdict; a boundary ratio of exactly 1
-    counts as divergent.
+    forward: |scale|^(r-1) < 1; backward: |scale|^(1-r) < 1. The verdict's detail
+    prints the evaluated ratio; a boundary ratio of exactly 1 counts as divergent.
     """
     ratio = _term_ratio(scheme, r)
     exponent = "r-1" if scheme.direction == "forward" else "1-r"
-    return ConvergenceVerdict(ratio < 1.0, ratio, f"|scale|^({exponent}) = {ratio:.6g} < 1")
+    return Verdict(ratio < 1.0, f"|scale|^({exponent}) = {ratio:.6g} < 1")
 
 
 class BoundAudit:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: check-params, defect, approximate, verify, audit, sweep.
-Exit codes: 0 pass, 1 bound violation, 2 inadmissible/divergent parameters,
-3 runtime error or a config the schema rejects.
+Exit codes: 0 pass, 1 bound violation, and an error's own ``exit_code``: 2 for a
+parameter or convergence outcome, 3 for a runtime error, a config the schema rejects
+or an uncaught exception, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,23 +14,13 @@ import json
 import sys
 
 from . import bounds, direct_method, harness, inequality
-from .errors import ConfigError, JensenLabError
+from .errors import ConfigError, JensenLabError, ParameterError
 from .space import draw_samples
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
-EXIT_INADMISSIBLE = 2
-EXIT_RUNTIME = 3
-
-#: Error codes that signal a parameter/convergence problem rather than a crash.
-_PARAMETER_CODES = {
-    "inadmissible", "divergent", "degenerate-parameter", "not-converged",
-    "pairing", "out-of-regime", "family", "degenerate-scale",
-}
-
-
-def _exit_code(err: JensenLabError) -> int:
-    return EXIT_INADMISSIBLE if err.code in _PARAMETER_CODES else EXIT_RUNTIME
+EXIT_INADMISSIBLE = ParameterError.exit_code
+EXIT_RUNTIME = JensenLabError.exit_code
 
 
 def _load_config(path: str) -> dict:
@@ -175,7 +166,7 @@ def main(argv=None) -> int:
         return args.handler(args, _apply_overrides(_load_config(args.config), args))
     except JensenLabError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
-        return _exit_code(e)
+        return e.exit_code
     except OSError as e:
         print(f"error[io]: {e}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -183,7 +174,12 @@ def main(argv=None) -> int:
 
 def entry():
     """The process entry of the console script, ``-m jensenlab`` and ``-m jensenlab.cli``."""
-    code = main()
+    try:
+        code = main()
+    except Exception:  # a crash is not a bound violation: Python's own exit 1 would read as one
+        import traceback
+        traceback.print_exc()
+        code = EXIT_RUNTIME
     gc.freeze()  # the process is exiting: spare shutdown's collections the live import-time heap
     raise SystemExit(code)
 

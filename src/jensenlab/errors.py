@@ -1,16 +1,24 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` used by the CLI to map
-failures onto exit codes (see ``jensenlab.cli``).
+Every error carries a short machine-readable ``code``, which the CLI prints as
+``error[<code>]``, and the CLI's ``exit_code`` for it: 2 for a parameter or
+convergence outcome (a ``ParameterError``), 3 for any other error.
 """
 
 from __future__ import annotations
 
 
 class JensenLabError(Exception):
-    """Base class; ``code`` is a short stable identifier."""
+    """Base class; ``code`` is a short stable identifier, ``exit_code`` the CLI's exit status."""
 
     code = "error"
+    exit_code = 3
+
+
+class ParameterError(JensenLabError):
+    """A parameter or convergence outcome rather than a crash."""
+
+    exit_code = 2
 
 
 class DimensionError(JensenLabError):
@@ -21,11 +29,11 @@ class ArityError(JensenLabError):
     code = "arity"
 
 
-class FamilyError(JensenLabError):
+class FamilyError(ParameterError):
     code = "family"
 
 
-class DegenerateParameterError(JensenLabError):
+class DegenerateParameterError(ParameterError):
     code = "degenerate-parameter"
 
 
@@ -41,23 +49,23 @@ class NumericError(JensenLabError):
     code = "numeric"
 
 
-class NotConvergedError(JensenLabError):
+class NotConvergedError(ParameterError):
     code = "not-converged"
 
 
-class DivergentSeriesError(JensenLabError):
+class DivergentSeriesError(ParameterError):
     code = "divergent"
 
 
-class InadmissibleError(JensenLabError):
+class InadmissibleError(ParameterError):
     code = "inadmissible"
 
 
-class OutOfRegimeError(JensenLabError):
+class OutOfRegimeError(ParameterError):
     code = "out-of-regime"
 
 
-class DegenerateScaleError(JensenLabError):
+class DegenerateScaleError(ParameterError):
     code = "degenerate-scale"
 
 
@@ -73,7 +81,7 @@ class UnknownKeyError(ConfigError):
     code = "unknown-key"
 
 
-class PairingError(JensenLabError):
+class PairingError(ParameterError):
     """Family/scheme combination that the harness refuses without --force."""
 
     code = "pairing"
@@ -85,5 +93,5 @@ class StageFailure(JensenLabError):
     def __init__(self, stage: str, error: JensenLabError):
         self.stage = stage
         self.error = error
-        self.code = error.code
+        self.code, self.exit_code = error.code, error.exit_code
         super().__init__(f"{stage}: {error}")

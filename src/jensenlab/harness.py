@@ -222,13 +222,15 @@ def _scheme(cfg: dict) -> tuple:
     scale = scheme["scale"]
     if family_a:
         ok = abs(scale) == 2.0
-        why = f"family A pairs with dyadic schemes (|scale| = 2), got {scale}"
+        why = (f"family A pairs with dyadic schemes (|scale| = 2), got {scale} (--force runs "
+               "only defect and approximate: a family-A series needs |scale| = 2)")
     else:
         ok = beta is not None and abs(scale - (1.0 + beta)) <= 1e-12
-        why = f"family B pairs with scale 1 + beta = {None if beta is None else 1 + beta}, got {scale}"
+        why = (f"family B pairs with scale 1 + beta = {None if beta is None else 1 + beta}, "
+               f"got {scale} (use --force to override)")
     if ok or cfg["force"]:
         return scheme, not ok
-    raise PairingError(f"pairing: {why} (use --force to override)")
+    raise PairingError(f"pairing: {why}")
 
 
 def _built(section: str, build):

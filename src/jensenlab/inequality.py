@@ -13,7 +13,7 @@ evaluated expressions are
 
 with a = alpha, b = beta real and nonzero. The defect of a triple is the
 signed value lhs_norm - rhs_norm: the inequality holds with control phi
-exactly when defect <= phi(x, y, z). Admissibility is strict, as printed:
+exactly when defect <= phi(x, y, z). The admissibility condition is strict, as printed:
 
   family A:  |rho1| + 3 |rho2| < 2
   family B:  |rho2| < 1  and  |beta + 2| >= |rho1| + |rho2 (1 - beta)|
@@ -31,7 +31,7 @@ from .errors import (
     NumericError,
 )
 from .model import ROWS, TestFunction, evaluate_many
-from .space import SamplePlan, ValueRecord, draw_samples, fold
+from .space import SamplePlan, ValueRecord, Verdict, draw_samples, fold
 
 FAMILIES = ("A", "B")
 
@@ -56,20 +56,7 @@ class RhoParams(ValueRecord):
             raise DegenerateParameterError(f"degenerate-parameter: family B, beta = {self.beta}")
 
 
-class Admissibility(ValueRecord):
-    """An admissibility verdict and its diagnostic, equal and hashed by (ok, detail)."""
-
-    def __init__(self, ok: bool, detail: str):
-        self.ok, self.detail = ok, detail
-
-    def _key(self) -> tuple:
-        return self.ok, self.detail
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def admissible(params: RhoParams) -> Admissibility:
+def admissible(params: RhoParams) -> Verdict:
     """Strict admissibility check with a diagnostic naming the violated condition.
 
     |rho2| is surfaced separately in the family-A diagnostic because the
@@ -82,7 +69,7 @@ def admissible(params: RhoParams) -> Admissibility:
     if params.family == "A":
         lhs = r1 + 3 * r2
         detail = f"family A: |rho1| + 3|rho2| = {lhs:.6g} (need < 2); |rho2| = {r2:.6g}"
-        return Admissibility(lhs < 2.0, detail)
+        return Verdict(lhs < 2.0, detail)
     b = float(params.beta)
     cond1 = r2 < 1.0
     lhs = abs(b + 2.0)
@@ -90,7 +77,7 @@ def admissible(params: RhoParams) -> Admissibility:
     cond2 = lhs >= rhs
     detail = (f"family B: |rho2| = {r2:.6g} (need < 1); "
               f"|beta+2| = {lhs:.6g} vs |rho1| + |rho2(1-beta)| = {rhs:.6g} (need >=)")
-    return Admissibility(cond1 and cond2, detail)
+    return Verdict(cond1 and cond2, detail)
 
 
 #: Each family's lhs, e1 and e2 as (coefficient, argument) terms, summed left

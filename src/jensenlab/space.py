@@ -81,6 +81,20 @@ class ValueRecord:
         return hash(self._key())
 
 
+class Verdict(ValueRecord):
+    """A judged condition and its diagnostic, truthy when it holds; equal and hashed by
+    (ok, detail). ``inequality.admissible`` and ``bounds.convergence_predicate`` give one."""
+
+    def __init__(self, ok: bool, detail: str):
+        self.ok, self.detail = ok, detail
+
+    def _key(self) -> tuple:
+        return self.ok, self.detail
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 class NormedSpace(ValueRecord):
     """A complex coordinate space C^dim with an l1, l2 or linf norm; equal and
     hashed by (dim, norm_kind)."""

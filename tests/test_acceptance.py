@@ -29,7 +29,7 @@ from jensenlab import (
     forward,
     uniqueness_crosscheck,
 )
-from jensenlab import harness
+from jensenlab import errors, harness
 from jensenlab.inequality import defect_many
 from jensenlab.model import evaluate_many
 
@@ -186,9 +186,9 @@ def test_criterion_7_convergence_predicates():
     a = convergence_predicate(forward(2.0), 0.5)
     b = convergence_predicate(forward(2.0), 1.0)
     c = convergence_predicate(forward(2.0), 2.0)  # scale 1 + beta with beta = 1
-    ok = bool(a) and not b and not c and c.ratio == 2.0
-    report(7, ok, f"r=0.5 converges, r=1 ratio {b.ratio:g} diverges, "
-                  f"forward scale-2 r=2 ratio {c.ratio:g} diverges")
+    ok = bool(a) and not b and not c and c.detail == "|scale|^(r-1) = 2 < 1"
+    report(7, ok, f"r=0.5 converges, r=1 ({b.detail}) diverges, "
+                  f"forward scale-2 r=2 ({c.detail}) diverges")
 
 
 def test_criterion_8_determinism(tmp_path):
@@ -268,3 +268,18 @@ def test_readme_config_block_names_every_schema_field():
     missing = sorted({name for name in schema_fields(harness.CONFIG_SCHEMA)
                       if f'"{name}":' not in block})
     assert missing == []
+
+
+def test_readme_exit_table_names_every_error_code():
+    """Every error type of ``jensenlab.errors`` that has a code of its own (a
+    ``StageFailure`` takes its error's) is named in a row of the CLI section's
+    exit-code table, with the type's ``exit_code``, so a new outcome is documented."""
+    exits = {code: int(exit_)  # a row: | `code`, `code` | exit | rule |
+             for codes, exit_ in re.findall(r"^\| (`[^|]+`) \| (\d) \|", readme_section("CLI"),
+                                            re.MULTILINE)
+             for code in re.findall(r"`([^`]+)`", codes)}
+    types = [c for c in vars(errors).values() if isinstance(c, type)
+             and issubclass(c, errors.JensenLabError) and "code" in vars(c)
+             and c not in (errors.JensenLabError, errors.StageFailure)]
+    assert len(types) == 16
+    assert {c.code: exits.get(c.code) for c in types} == {c.code: c.exit_code for c in types}

@@ -530,10 +530,11 @@ def test_overflowing_powers_are_inf_and_non_finite_results_numeric():
 
 def test_convergence_predicate():
     v = convergence_predicate(forward(2.0), 0.5)
-    assert v and v.ratio == pytest.approx(2.0 ** -0.5)
+    assert v and v.detail == f"|scale|^(r-1) = {2.0 ** -0.5:.6g} < 1"
     assert not convergence_predicate(forward(2.0), 1.0)  # boundary diverges
     v2 = convergence_predicate(forward(2.0), 2.0)
-    assert not v2 and v2.ratio == 2.0
+    assert not v2 and v2.detail == "|scale|^(r-1) = 2 < 1"
+    assert convergence_predicate(backward(2.0), 2.0).detail == "|scale|^(1-r) = 0.5 < 1"
     assert convergence_predicate(backward(2.0), 2.0)
     assert not convergence_predicate(backward(2.0), 0.5)
     assert convergence_predicate(backward(-0.5), 0.5)  # contracting backward, r < 1

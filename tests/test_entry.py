@@ -1,5 +1,5 @@
 """The process entry: a ``python -m`` child writes what an in-process ``cli.main`` writes,
-and only ``cli.entry`` freezes the collector before the process exits."""
+only ``cli.entry`` freezes the collector before the process exits, and a crash exits 3."""
 
 import dataclasses
 import gc
@@ -57,6 +57,29 @@ def test_child_exits_1_on_a_violation(tmp_path):
     code, expected = in_process(args, tmp_path / "main.json")
     assert code == cli.EXIT_VIOLATION
     assert run_child("jensenlab", args)[:2] == (code, expected)
+
+
+@pytest.mark.parametrize("config, changes, error", [
+    # envelope.shells past a C long: measure_envelope's shell edges index an empty array
+    (CONFIG, {"envelope": {"count": 1000, "shells": 2 ** 63}}, "IndexError"),
+    # trunc_terms past a C long: a power control's term count does not fit its int array (on
+    # CONFIG's measured control the series would sum 2^63 terms)
+    (ROOT / "configs" / "verify_linf_dim3.json", {"trunc_terms": 2 ** 63}, "OverflowError"),
+], ids=["envelope.shells", "trunc_terms"])
+def test_child_exits_3_on_a_crash(config, changes, error, tmp_path):
+    # an exception that is not an error of the package is no bound violation (exit 1)
+    cfg, out = tmp_path / "crash.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
+    code, stdout, stderr = run_child("jensenlab", ["verify", "--config", str(cfg),
+                                                   "--out", str(out)])
+    assert (code, stdout) == (cli.EXIT_RUNTIME, b"")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.splitlines()[-1].startswith(f"{error}: ")
+    assert not out.exists()
+    # in process, cli.main still raises
+    with pytest.raises(Exception) as raised:
+        cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert type(raised.value).__name__ == error
 
 
 def test_main_does_not_freeze_the_collector(tmp_path):

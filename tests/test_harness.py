@@ -321,11 +321,24 @@ def test_real_linear_matrix_core_runs_as_given():
 def test_family_scheme_pairing():
     doc = scalar_verify_doc()
     doc["scheme"] = {"direction": "forward", "scale": 3.0}
-    with pytest.raises(PairingError):
+    with pytest.raises(PairingError) as err:
         harness.build_experiment(doc)
+    # a forced family-A series fails in admissibility as error[family], so --force runs less
+    assert str(err.value) == (
+        "pairing: family A pairs with dyadic schemes (|scale| = 2), got 3.0 (--force runs "
+        "only defect and approximate: a family-A series needs |scale| = 2)")
     doc["force"] = True
     exp = harness.build_experiment(doc)
     assert exp.forced_pairing is True
+    with pytest.raises(StageFailure) as err:
+        harness.run_verify(doc)
+    assert (err.value.stage, err.value.code) == ("admissibility", "family")
+    doc = {**doc, "force": False, "params": {"family": "B", "rho1": [0, 0], "rho2": [0, 0],
+                                             "alpha": 1.0, "beta": 1.0}}
+    with pytest.raises(PairingError) as err:
+        harness.build_experiment(doc)
+    assert str(err.value) == (
+        "pairing: family B pairs with scale 1 + beta = 2.0, got 3.0 (use --force to override)")
 
 
 def test_family_b_scale_derived_from_beta():

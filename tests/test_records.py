@@ -1,7 +1,7 @@
-"""The package's 15 record types: their constructors, their checks and which of them
+"""The package's 14 record types: their constructors, their checks and which of them
 compare by value.
 
-Six records are equal and hashed by their fields: a scheme is the sweep's pass key,
+Five records are equal and hashed by their fields: a scheme is the sweep's pass key,
 and the others are parameters and verdicts that callers compare. The rest (functions,
 arrays of results, reports) compare by identity.
 """
@@ -27,8 +27,6 @@ NEW_DICT = object()
 SIGNATURES = {
     bounds.ControlFunction: [("kind", REQUIRED), ("theta", 0.0), ("r", 0.0), ("edges", None),
                              ("values", None)],
-    bounds.ConvergenceVerdict: [("converges", REQUIRED), ("ratio", REQUIRED),
-                                ("condition", REQUIRED)],
     bounds.BoundAudit: [(name, REQUIRED) for name in (
         "which", "theta", "r", "rho2", "alpha", "beta", "paper_constant", "derived_constant",
         "empirical_sup", "verdicts", "points")],
@@ -39,7 +37,6 @@ SIGNATURES = {
         "values", "deviations", "iterations", "converged", "errors", "steps")],
     inequality.RhoParams: [("family", REQUIRED), ("rho1", REQUIRED), ("rho2", REQUIRED),
                            ("alpha", REQUIRED), ("beta", None)],
-    inequality.Admissibility: [("ok", REQUIRED), ("detail", REQUIRED)],
     model.AdditiveCore: [("kind", REQUIRED), ("matrix", REQUIRED)],
     model.Perturbation: [("kind", "none"), ("epsilon", 0.0), ("theta", 0.0), ("r", 1.0),
                          ("direction", "hashed"), ("direction_seed", 0), ("table", NEW_DICT),
@@ -54,6 +51,7 @@ SIGNATURES = {
     space.NormedSpace: [("dim", REQUIRED), ("norm_kind", "l2")],
     space.SamplePlan: [("seed", REQUIRED), ("count", REQUIRED), ("radius", REQUIRED),
                        ("exclude_origin_below", 0.0)],
+    space.Verdict: [("ok", REQUIRED), ("detail", REQUIRED)],
 }
 
 
@@ -79,16 +77,13 @@ ZERO = bounds.ControlFunction.zero()
 VALUE_RECORDS = {
     direct_method.Scheme: ({"direction": "forward", "scale": 2.0},
                            {"direction": "backward", "scale": -2.0}),
-    bounds.ConvergenceVerdict: ({"converges": True, "ratio": 0.5, "condition": "r < 1"},
-                                {"converges": False, "ratio": 2.0, "condition": "r > 1"}),
     inequality.RhoParams: ({"family": "B", "rho1": 0.5j, "rho2": 0.25, "alpha": 1.0, "beta": 3.0},
                            {"family": "A", "rho1": 0.5, "rho2": 0.25j, "alpha": -1.0,
                             "beta": None}),
-    inequality.Admissibility: ({"ok": True, "detail": "need < 2"},
-                               {"ok": False, "detail": "need < 1"}),
     space.NormedSpace: ({"dim": 2, "norm_kind": "l2"}, {"dim": 3, "norm_kind": "linf"}),
     space.SamplePlan: ({"seed": 1, "count": 10, "radius": 2.0, "exclude_origin_below": 0.0},
                        {"seed": 2, "count": 20, "radius": 4.0, "exclude_origin_below": 0.5}),
+    space.Verdict: ({"ok": True, "detail": "need < 2"}, {"ok": False, "detail": "need < 1"}),
 }
 
 
@@ -105,7 +100,7 @@ def test_value_records_compare_and_hash_by_every_field(record):
 
 
 def test_value_equality_is_written_once():
-    """Only ``space.ValueRecord`` defines ``__eq__`` or ``__hash__``, and the six value
+    """Only ``space.ValueRecord`` defines ``__eq__`` or ``__hash__``, and the five value
     records, no more and no fewer, subclass it. A second copy of the rule fails here, and
     so does a subclass that defines ``__eq__`` alone, whose ``__hash__`` Python sets to
     None."""
