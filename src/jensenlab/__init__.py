@@ -6,42 +6,15 @@ sums the series control bounds, and audits published closed-form constants
 against derivation-consistent ones.
 """
 
-from .bounds import (
-    BoundAudit,
-    ControlFunction,
-    audit,
-    constant_tag,
-    convergence_predicate,
-    corollary_constant,
-)
-from .direct_method import (
-    Approximants, ConvergenceReport,
-    Scheme,
-    additive_limit_check,
-    approximate,
-    approximate_points,
-    backward,
-    forward,
-    uniqueness_crosscheck,
-)
+from .bounds import (BoundAudit, ControlFunction, audit, constant_tag, convergence_predicate,
+                     corollary_constant)
+from .direct_method import (Approximants, ConvergenceReport, Scheme, additive_limit_check,
+                            approximate, approximate_points, backward, forward,
+                            uniqueness_crosscheck)
 from .errors import JensenLabError
-from .harness import (
-    RunReport,
-    build_experiment,
-    run_sweep,
-    run_verify,
-)
-from .inequality import (
-    RhoParams,
-    admissible,
-    measure_envelope,
-)
-from .model import (
-    AdditiveCore,
-    Perturbation,
-    TestFunction,
-    scalar_offset_function,
-)
+from .harness import RunReport, build_experiment, run_sweep, run_verify
+from .inequality import RhoParams, admissible, measure_envelope
+from .model import AdditiveCore, Perturbation, TestFunction, scalar_offset_function
 from .space import NormedSpace, SamplePlan, Verdict, draw_samples
 
 __version__ = "0.1.0"

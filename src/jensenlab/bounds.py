@@ -38,10 +38,11 @@ control keeps its first value there, and a tabulated one has none (NaN is not
 > 0), so its series ends where its coverage does.
 
 ``run_cells`` is the one path of a ``(params, scheme, control)`` cell for ``verify``, the
-sweep and ``audit``, in these stages: admissibility (the parameters, then a family-A
-scheme's scale), audit (an audit needs a power control), envelope (a measured control's),
-phi-tilde (phi~ at every norm), approximate, and audit (the published constant, phi~(1),
-then the empirical sup). ``phi_tilde_cells`` and ``derived_constants`` take the same cells.
+sweep and ``audit``, and the one place its outcome is decided, in these stages: admissibility
+(the parameters, then a family-A scheme's scale), audit (an audit needs a power control),
+envelope (a measured control's), phi-tilde (phi~ at every norm), approximate, and audit (the
+published constant, phi~(1), then the empirical sup). ``phi_tilde_cells`` and
+``derived_constants`` take the same cells.
 """
 
 from __future__ import annotations
@@ -341,17 +342,18 @@ class BoundAudit:
     series constant, and the empirical supremum of ||f - A|| / ||x||^r.
 
     ``rho2`` is |rho2|. Constants are floats or the string 'divergent'. Verdicts:
-      empirical_le_derived / empirical_le_paper: bool or None (constant divergent)
+      empirical_le_derived / empirical_le_paper: ``empirical_le`` of each constant
       derived_matches_paper: 'consistent' | 'mismatched' | None
+    ``outcome`` is the cell's (``run_cells``), kept in memory only, as ``points`` is.
     """
 
     def __init__(self, which: str, theta: float, r: float, rho2: float, alpha: float,
                  beta: float | None, paper_constant: float | str, derived_constant: float | str,
-                 empirical_sup: float, verdicts: dict, points: int):
+                 empirical_sup: float, verdicts: dict, points: int, outcome: str):
         self.which, self.theta, self.r, self.rho2, self.alpha = which, theta, r, rho2, alpha
         self.beta, self.paper_constant = beta, paper_constant
         self.derived_constant, self.empirical_sup = derived_constant, empirical_sup
-        self.verdicts, self.points = verdicts, points
+        self.verdicts, self.points, self.outcome = verdicts, points, outcome
 
     def to_json_dict(self) -> dict:
         """Every field but ``points``, in field order (a CSV's column order)."""
@@ -362,6 +364,11 @@ class BoundAudit:
 
 
 AUDIT_REL_TOL = 1e-6
+
+
+def empirical_le(sup: float, constant: float | str) -> bool | None:
+    """sup <= constant up to AUDIT_REL_TOL and 1e-12 (a NaN sup is not); None if 'divergent'."""
+    return None if isinstance(constant, str) else sup <= constant * (1.0 + AUDIT_REL_TOL) + 1e-12
 
 
 def constant_tag(family: str, direction: str) -> str:
@@ -413,12 +420,6 @@ def _once(cache: dict, key, compute):
 def bound_audit(params: RhoParams, scheme: Scheme, control: ControlFunction, cols: dict):
     """The BoundAudit of one cell from its audit columns (``run_cells``)."""
     paper, derived, sup = cols["paper_constant"], cols["derived_constant"], cols["empirical_sup"]
-
-    def le(bound):
-        if isinstance(bound, str):
-            return None
-        return bool(sup <= bound * (1.0 + AUDIT_REL_TOL) + 1e-12)
-
     if isinstance(paper, str) or isinstance(derived, str):
         match = None
     else:
@@ -426,14 +427,14 @@ def bound_audit(params: RhoParams, scheme: Scheme, control: ControlFunction, col
                  if abs(paper - derived) <= AUDIT_REL_TOL * max(abs(paper), abs(derived), 1e-300)
                  else "mismatched")
     verdicts = {
-        "empirical_le_derived": le(derived),
-        "empirical_le_paper": le(paper),
+        "empirical_le_derived": empirical_le(sup, derived),
+        "empirical_le_paper": empirical_le(sup, paper),
         "derived_matches_paper": match,
     }
     return BoundAudit(which=constant_tag(params.family, scheme.direction), theta=control.theta,
                       r=control.r, rho2=abs(params.rho2), alpha=params.alpha, beta=params.beta,
                       paper_constant=paper, derived_constant=derived, empirical_sup=sup,
-                      verdicts=verdicts, points=cols["points"])
+                      verdicts=verdicts, points=cols["points"], outcome=cols["outcome"])
 
 
 def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_terms: int,
@@ -444,12 +445,15 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
     stages; a measured control is measured on ``envelope`` = (plan, shells). The columns:
     admissible, converges; control_fit; bound (phi~ + tail), tail, terms; x_norm,
     approximants, max_violation; paper_constant, derived_constant, empirical_sup and its
-    points, which ``bound_audit`` reads. A column is written whenever it was computed
-    without a fault: the published constant once the parameters are not degenerate, the
-    derived one past the envelope. The convergence verdict is computed once per cell, for
-    converges; the series are two batches, the derived constants and the bounds, and each
-    reads its cells' term ratio. A cell whose phi~ fails reads no pass; a pass runs once
-    per scheme and a sup once per scheme and r, failed or not.
+    points, which ``bound_audit`` reads; outcome, which every handler reads: the fault's
+    code, else divergent where the derived constant is, else violation where the bound ran
+    and not max_violation <= tol or the audit ran and not ``empirical_le`` the derived
+    constant, else ok. A column is written whenever it was computed without a fault: the
+    published constant once the parameters are not degenerate, the derived one past the
+    envelope. The convergence verdict is computed once per cell, for converges; the series
+    are two batches, the derived constants and the bounds, and each reads its cells' term
+    ratio. A cell whose phi~ fails reads no pass; a pass runs once per scheme and a sup once
+    per scheme and r, failed or not.
     """
     norms = f.space.norms(xs)
     out, live = [[{}, None] for _ in cells], []  # live: the cells past the envelope
@@ -513,6 +517,12 @@ def run_cells(f: TestFunction, xs, cells: list, tol: float, max_n: int, trunc_te
                     empirical_sup(control.r, zip(norms, approximated.deviations.tolist()))))
         except JensenLabError as e:
             cell[1] = stage, e.with_traceback(None)
+    for cols, fault in out:  # each cell's outcome, by the one rule that every handler reads
+        derived = cols.get("derived_constant")
+        cols["outcome"] = (fault[1].code if fault else "divergent" if derived == "divergent"
+                           else "violation" if bound and not cols["max_violation"] <= tol
+                           or audit and not empirical_le(cols["empirical_sup"], derived)
+                           else "ok")
     return out
 
 

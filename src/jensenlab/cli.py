@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: check-params, defect, approximate, verify, audit, sweep.
-Exit codes: 0 pass, 1 bound violation, and an error's own ``exit_code``: 2 for a
-parameter or convergence outcome, 3 for a runtime error, a config the schema rejects
-or an uncaught exception, whose traceback goes to stderr.
+Exit codes: 0 ok, 1 violation (``verify`` and ``audit`` exit with their cell's outcome),
+and an error's own ``exit_code``: 2 for a parameter or convergence outcome, 3 for a runtime
+error, a config the schema rejects, a usage error or an uncaught exception, whose traceback
+goes to stderr. A sweep reports findings, not a verdict: it exits 0.
 """
 
 from __future__ import annotations
@@ -14,13 +15,18 @@ import json
 import sys
 
 from . import bounds, direct_method, harness, inequality
-from .errors import ConfigError, JensenLabError, ParameterError
+from .errors import EXIT_CODES, ConfigError, JensenLabError, ParameterError
 from .space import draw_samples
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INADMISSIBLE = ParameterError.exit_code
 EXIT_RUNTIME = JensenLabError.exit_code
+
+
+def exit_status(outcome: str) -> int:
+    """A cell's outcome as an exit status: 0 ok, 1 violation, else its error's exit_code."""
+    return {"ok": EXIT_PASS, "violation": EXIT_VIOLATION, **EXIT_CODES}[outcome]
 
 
 def _load_config(path: str) -> dict:
@@ -95,10 +101,10 @@ def _cmd_verify(args, doc: dict) -> int:
     report = harness.run_verify(doc)
     _emit(harness.render_report(report, args.format), args.out)
     s = report.summary
-    print(f"verify: {'PASS' if report.passed() else 'FAIL'} "
+    print(f"verify: {'PASS' if report.outcome == 'ok' else 'FAIL'} "
           f"max_violation={s['max_violation']:.6g} over {s['count']} points "
           f"({report.runtime_seconds:.2f}s)", file=sys.stderr)
-    return EXIT_PASS if report.passed() else EXIT_VIOLATION
+    return exit_status(report.outcome)
 
 
 def _cmd_audit(args, doc: dict) -> int:
@@ -113,24 +119,26 @@ def _cmd_audit(args, doc: dict) -> int:
         _emit(harness.csv_table(list(row), [row]), args.out)
     else:
         _emit(harness.stable_json(payload), args.out)
-    verdicts = aud.verdicts
     print(f"audit[{aud.which}]: paper={aud.paper_constant} derived={aud.derived_constant} "
-          f"empirical_sup={aud.empirical_sup:.6g} match={verdicts['derived_matches_paper']}",
+          f"empirical_sup={aud.empirical_sup:.6g} match={aud.verdicts['derived_matches_paper']}",
           file=sys.stderr)
-    if isinstance(aud.derived_constant, str):
-        return EXIT_INADMISSIBLE
-    return EXIT_PASS if verdicts["empirical_le_derived"] else EXIT_VIOLATION
+    return exit_status(aud.outcome)
 
 
 def _cmd_sweep(args, doc: dict) -> int:
     rows = harness.run_sweep(doc)
     _emit(harness.render_sweep(rows, args.format), args.out)
     print(f"sweep: {len(rows)} cells", file=sys.stderr)
-    return EXIT_PASS
+    return exit_status("ok")  # a map reports findings, not a verdict
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is no parameter outcome (exit 2)
+        self.exit(EXIT_RUNTIME, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jensenlab",
         description="Numerical verification of 3-variable Jensen rho-functional "
                     "inequality stability bounds.",

@@ -7,12 +7,18 @@ convergence outcome (a ``ParameterError``), 3 for any other error.
 
 from __future__ import annotations
 
+EXIT_CODES = {}  # each error type's code -> its exit status, for an outcome named by its code
+
 
 class JensenLabError(Exception):
     """Base class; ``code`` is a short stable identifier, ``exit_code`` the CLI's exit status."""
 
     code = "error"
     exit_code = 3
+
+    def __init_subclass__(cls):
+        if "code" in vars(cls):  # a type with a code of its own names an outcome
+            EXIT_CODES[cls.code] = cls.exit_code
 
 
 class ParameterError(JensenLabError):

@@ -319,15 +319,12 @@ def build_experiment(doc: dict) -> Experiment:
 
 
 class RunReport:
-    """In-memory verification outcome; ``runtime_seconds`` never hits the file."""
+    """In-memory verification result; ``outcome`` and ``runtime_seconds`` never hit the file."""
 
     def __init__(self, config: dict, points: list, summary: dict, audit: dict | None,
-                 control_fit: dict | None, runtime_seconds: float):
-        self.config, self.points, self.summary = config, points, summary
-        self.audit, self.control_fit, self.runtime_seconds = audit, control_fit, runtime_seconds
-
-    def passed(self) -> bool:
-        return bool(self.summary["passed"])
+                 control_fit: dict | None, outcome: str, runtime_seconds: float):
+        self.config, self.points, self.summary, self.audit = config, points, summary, audit
+        self.control_fit, self.outcome, self.runtime_seconds = control_fit, outcome, runtime_seconds
 
     def to_json_dict(self) -> dict:
         out = {"config": self.config, "points": self.points, "summary": self.summary,
@@ -341,8 +338,9 @@ def run_verify(doc: dict) -> RunReport:
     The config's one cell through ``bounds.run_cells``'s stages, with the audit when the
     config asks for one; the first failure aborts naming its stage. A measured control's
     shell edges and shell_max are echoed as ``control_fit``; its phi reads the running max
-    of the shell table. Pass iff max over points of (||f - A|| - phi_tilde - tail) <= tol;
-    a plan needs at least one point.
+    of the shell table. Pass iff the cell's outcome is ok: max over points of (||f - A|| -
+    phi_tilde - tail) <= tol and, with the audit, ``empirical_le`` the derived constant; a
+    plan needs at least one point.
     """
     t0 = time.perf_counter()
     exp = build_experiment(doc)
@@ -366,10 +364,10 @@ def run_verify(doc: dict) -> RunReport:
     audit = (bounds.bound_audit(exp.params, exp.scheme, exp.control, cols).to_json_dict()
              if cfg["audit"] else None)
     summary = {"count": len(records), "max_violation": cols["max_violation"],
-               "passed": bool(cols["max_violation"] <= exp.tol), "scheme": exp.scheme.label(),
+               "passed": cols["outcome"] == "ok", "scheme": exp.scheme.label(),
                "forced_pairing": exp.forced_pairing}
     return RunReport(config=cfg, points=records, summary=summary, audit=audit,
-                     control_fit=cols.get("control_fit"),
+                     control_fit=cols.get("control_fit"), outcome=cols["outcome"],
                      runtime_seconds=time.perf_counter() - t0)
 
 
@@ -407,7 +405,8 @@ def run_sweep(doc: dict) -> list:
     with its params and power control (theta, r), goes through ``_experiment``,
     which derives (from the cell's beta) and pairs its scheme. The cells then run
     ``verify``'s stages with the audit, together (``bounds.run_cells``): a row takes
-    its cell's columns, and its status is the code of the cell's first failure, or ok.
+    its cell's columns, and its status is the cell's outcome (a fault's code, divergent,
+    violation or ok), or the code of the fault that built no cell.
     """
     cfg = normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
@@ -423,7 +422,7 @@ def run_sweep(doc: dict) -> list:
         z1, z2 = model.complex_from_pair(rho1), model.complex_from_pair(rho2)
         row = {**dict.fromkeys(SWEEP_COLUMNS), "family": cfg["params"]["family"],
                "rho1_re": z1.real, "rho1_im": z1.imag, "rho2_re": z2.real, "rho2_im": z2.imag,
-               "alpha": alpha, "beta": beta, "theta": theta, "r": r, "status": "ok"}
+               "alpha": alpha, "beta": beta, "theta": theta, "r": r}
         rows.append(row)
         params = {**cfg["params"], "rho1": rho1, "rho2": rho2, "alpha": alpha, "beta": beta}
         try:
@@ -436,10 +435,8 @@ def run_sweep(doc: dict) -> list:
     results = bounds.run_cells(f, pts, [cell for _, cell in cells], cfg["tolerances"]["tol"],
                                cfg["max_n"], cfg["trunc_terms"], cfg["printed_display"],
                                bound=True, audit=True, envelope=None)
-    for (row, _), (cols, fault) in zip(cells, results):
-        row.update({k: cols[k] for k in cols.keys() & row.keys()})
-        if fault is not None:
-            row["status"] = fault[1].code
+    for (row, _), (cols, _) in zip(cells, results):
+        row.update({k: cols[k] for k in cols.keys() & row.keys()}, status=cols["outcome"])
     return rows
 
 

@@ -93,8 +93,8 @@ def test_criterion_2_stability_bound_measured():
     }
     rep1 = harness.run_verify(scalar_doc)
     rep2 = harness.run_verify(power_doc)
-    ok = (rep1.passed() and rep1.summary["max_violation"] <= 1e-9
-          and rep2.passed() and rep2.summary["max_violation"] <= 1e-9)
+    ok = (rep1.outcome == "ok" and rep1.summary["max_violation"] <= 1e-9
+          and rep2.outcome == "ok" and rep2.summary["max_violation"] <= 1e-9)
     report(2, ok, f"scalar max_violation {rep1.summary['max_violation']:.3g}, "
                   f"power max_violation {rep2.summary['max_violation']:.3g}, both <= 1e-9")
 
@@ -283,3 +283,5 @@ def test_readme_exit_table_names_every_error_code():
              and c not in (errors.JensenLabError, errors.StageFailure)]
     assert len(types) == 16
     assert {c.code: exits.get(c.code) for c in types} == {c.code: c.exit_code for c in types}
+    # and the CLI maps an outcome named by one of those codes to that exit status
+    assert errors.EXIT_CODES == {c.code: c.exit_code for c in types}

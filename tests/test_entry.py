@@ -82,6 +82,20 @@ def test_child_exits_3_on_a_crash(config, changes, error, tmp_path):
     assert type(raised.value).__name__ == error
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify"], "the following arguments are required: --config"),
+    (["verify", "--config", str(CONFIG), "--format", "xml"], "argument --format: invalid choice"),
+], ids=["missing-config", "unknown-format"])
+def test_usage_error_exits_3(args, message):
+    # argparse's own usage exit (2) would read as a parameter outcome
+    code, stdout, stderr = run_child("jensenlab", args)
+    assert (code, stdout) == (cli.EXIT_RUNTIME, b"")
+    assert stderr.startswith("usage: jensenlab verify ") and message in stderr
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    assert exit_.value.code == cli.EXIT_RUNTIME
+
+
 def test_main_does_not_freeze_the_collector(tmp_path):
     before = gc.get_freeze_count()
     assert cli.main(["verify", "--config", str(CONFIG), "--out", str(tmp_path / "out")]) == 0

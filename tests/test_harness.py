@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import json
@@ -313,7 +314,7 @@ def test_real_linear_matrix_core_runs_as_given():
     linf = json.loads((CONFIGS / "verify_linf_dim3.json").read_text())
     rep = harness.run_verify(changed("function.core",
                                      {"kind": "real_linear", "matrix": np.eye(6).tolist()}, linf))
-    assert rep.passed()
+    assert rep.outcome == "ok"
     assert rep.points == harness.run_verify(changed("function.core", {"kind": "identity"},
                                                     linf)).points
 
@@ -363,14 +364,14 @@ def test_run_verify_exact_additive():
         "plan": {"seed": 4, "count": 40, "radius": 2.0, "exclude_origin_below": 0.1},
     }
     rep = harness.run_verify(doc)
-    assert rep.passed()
+    assert rep.outcome == "ok"
     assert rep.summary["max_violation"] <= 1e-12
     assert all(p["margin"] >= 0 for p in rep.points)
 
 
 def test_run_verify_scalar_measured():
     rep = harness.run_verify(scalar_verify_doc())
-    assert rep.passed()
+    assert rep.outcome == "ok"
     for p in rep.points:
         assert p["deviation"] == pytest.approx(0.5, abs=1e-8)
         assert p["bound"] == pytest.approx(1.0, rel=1e-9)
@@ -471,7 +472,7 @@ def test_run_verify_backward_contracting_series_divides_to_infinity():
     doc = changed("trunc_terms", 1100, changed("scheme.direction", "backward", changed(
         "params", {**VERIFY_SAMPLE["params"], "family": "B", "rho2": [0.0, 0.0], "beta": -1.5})))
     rep = harness.run_verify(doc)
-    assert rep.passed()
+    assert rep.outcome == "ok"
     assert len(rep.points) == 100
     assert all(np.isfinite(p["bound"]) and "terms" not in p for p in rep.points)
 
@@ -529,7 +530,7 @@ def test_audit_block_uses_config_max_n():
     doc = power_verify_doc(r=0.9, control={"kind": "power", "theta": 1.0, "r": 0.9})
     doc["max_n"] = 400
     plain = harness.run_verify(doc)
-    assert plain.passed()
+    assert plain.outcome == "ok"
     assert max(p["iterations"] for p in plain.points) > 200
     doc["audit"] = True
     rep = harness.run_verify(doc)
@@ -626,7 +627,7 @@ def test_max_n_is_the_only_orbit_limit():
     doc["plan"]["count"] = 5
     doc["max_n"] = 1000
     rep = harness.run_verify(doc)
-    assert rep.passed()
+    assert rep.outcome == "ok"
     assert min(p["iterations"] for p in rep.points) > 512
 
 
@@ -729,27 +730,64 @@ def printed_family_b_doc(rho1=0.5, beta=2.0, max_n=200):
     }
 
 
-def test_sweep_cells_match_verify_and_audit():
-    sample = json.loads((CONFIGS / "sweep_family_a.json").read_text())
+def sweep_cell_doc(doc, row):
+    """The config of a sweep row's cell alone."""
+    cell = {k: v for k, v in doc.items() if k != "grid"}
+    cell["params"] = {**doc["params"], "rho1": [row["rho1_re"], row["rho1_im"]],
+                      "rho2": [row["rho2_re"], row["rho2_im"]], "alpha": row["alpha"],
+                      "beta": row["beta"]}
+    cell["control"] = {"kind": "power", "theta": row["theta"], "r": row["r"]}
+    return cell
+
+
+def test_sweep_cells_match_verify_and_audit(tmp_path):
     # theta = 0 makes every term 0 whatever the term ratio: the cell is not divergent
-    # though the analytic predicate fails, and reads its pass as verify does
-    zero_theta = changed("grid", {"rho2": [[0.0, 0.0]], "theta": [0.0], "r": [1.5]}, sample)
-    for doc, ok_cells in ((sample, 9), (printed_family_b_doc(), 1), (zero_theta, 1)):
-        rows = harness.run_sweep(doc)
-        ok = [row for row in rows if row["status"] == "ok"]
-        assert len(ok) == ok_cells
-        for row in ok:
-            cell = {k: v for k, v in doc.items() if k != "grid"}
-            cell["params"] = {**doc["params"], "rho2": [row["rho2_re"], row["rho2_im"]]}
-            cell["control"] = {"kind": "power", "theta": row["theta"], "r": row["r"]}
-            cell["audit"] = True
-            rep = harness.run_verify(cell)
-            assert row["max_violation"] == rep.summary["max_violation"]
-            exp = harness.build_experiment(cell)
-            aud = bounds.audit(exp.f, exp.params, exp.scheme, exp.control,
-                               draw_samples(exp.space, exp.plan, arity=1), tol=exp.tol)
-            for key in ("paper_constant", "derived_constant", "empirical_sup"):
-                assert row[key] == rep.audit[key] == getattr(aud, key), key
+    # though the analytic predicate fails, and its phi~ = 0 fails the bound as verify's does
+    zero_theta = changed("grid", {"rho2": [[0.0, 0.0]], "theta": [0.0], "r": [1.5]},
+                         SWEEP_SAMPLE)
+    docs = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("sweep_*.json"))]
+    out, statuses = tmp_path / "out", set()
+    for doc in docs + [printed_family_b_doc(), zero_theta]:
+        for row in harness.run_sweep(doc):
+            statuses.add(row["status"])
+            cell = sweep_cell_doc(doc, row)
+            # each row's status maps to the exit status of verify with the audit, and of
+            # audit, on the row's cell alone; a cell with no fault writes the row's columns
+            for command, cell_doc in (("verify", {**cell, "audit": True}), ("audit", cell)):
+                out.unlink(missing_ok=True)
+                code = cli.main([command, "--config", write_config(tmp_path, cell_doc),
+                                 "--format", "json", "--out", str(out)])
+                assert code == cli.exit_status(row["status"]), (command, row)
+                if row["status"] not in ("ok", "violation"):
+                    continue
+                report = json.loads(out.read_text())
+                if command == "verify":
+                    assert row["max_violation"] == report["summary"]["max_violation"]
+                    report = report["audit"]
+                for key in ("paper_constant", "derived_constant", "empirical_sup"):
+                    assert row[key] == report[key], (command, key, row)
+    assert statuses == {"ok", "violation", "inadmissible", "divergent", "not-converged",
+                        "out-of-regime"}
+
+
+def test_a_sweep_row_whose_bound_fails_reads_violation(tmp_path):
+    # at theta = 0.001 the control is too small for f's perturbation (theta 0.1): every
+    # admissible cell's bound fails, and its empirical sup exceeds its derived constant
+    doc = changed("grid.theta", [0.001, 1.0], SWEEP_SAMPLE)
+    assert doc == json.loads((CONFIGS / "sweep_violation.json").read_text())
+    rows = harness.run_sweep(doc)
+    assert collections.Counter((row["theta"], row["status"]) for row in rows) == {
+        (0.001, "violation"): 9, (1.0, "ok"): 9,
+        (0.001, "inadmissible"): 3, (1.0, "inadmissible"): 3}
+    for row in rows:
+        assert (row["status"] == "inadmissible") == (row["admissible"] is False), row
+        if row["status"] == "violation":
+            assert row["max_violation"] > 0.1 and row["empirical_sup"] > row["derived_constant"]
+    cell = write_config(tmp_path, sweep_cell_doc(doc, rows[0]))
+    assert rows[0]["status"] == "violation"
+    for command in ("verify", "audit"):
+        assert cli.main([command, "--config", cell, "--out", str(tmp_path / "out")]) == (
+            cli.EXIT_VIOLATION)
 
 
 def test_sweep_computes_one_derived_series_per_admissible_cell(monkeypatch):
@@ -810,7 +848,8 @@ def reference_sweep(doc):
     cell changes is one of the config with neutral params and control and
     --force, and fails the sweep before its first cell. A cell's status is its
     first fault in verify's stage order, where a fault of the published or the
-    derived constant comes after the pass."""
+    derived constant comes after the pass; else violation where its bound fails or
+    its empirical sup exceeds its derived constant, and ok."""
     cfg = harness.normalize_config(doc)
     grid = {**{k: [v] for k, v in {**cfg["params"], **cfg["control"]}.items()},
             **cfg.get("grid", {})}
@@ -867,6 +906,9 @@ def reference_sweep(doc):
             if late is not None:
                 raise late
             cell["empirical_sup"], _ = bounds.empirical_sup(r, zip(norms, devs))
+            if not (cell["max_violation"] <= exp.tol and cell["empirical_sup"] <= (
+                    cell["derived_constant"] * (1.0 + bounds.AUDIT_REL_TOL) + 1e-12)):
+                cell["status"] = "violation"
         except JensenLabError as e:
             cell["status"] = e.code
     return rows
@@ -1003,7 +1045,7 @@ def test_divergent_verify_makes_no_approximation_pass(monkeypatch):
     assert (err.value.stage, err.value.code) == ("phi-tilde", "divergent")
     assert calls == []
     # the patch sees the pass of a converging run: the empty list above is no accident
-    assert harness.run_verify(VERIFY_SAMPLE).passed()
+    assert harness.run_verify(VERIFY_SAMPLE).outcome == "ok"
     assert len(calls) == 1
 
 
@@ -1055,7 +1097,7 @@ def test_cli_check_params(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     with pytest.raises(SystemExit) as exit_:
         cli.main(["check-params", "--config", str(tmp_path / "bad.json"), "--seed", "3"])
-    assert exit_.value.code == 2
+    assert exit_.value.code == cli.EXIT_RUNTIME  # a usage error is no parameter outcome
 
 
 @pytest.mark.parametrize("beta, shown", [(None, "None"), (0, "0.0")])

@@ -29,7 +29,7 @@ SIGNATURES = {
                              ("values", None)],
     bounds.BoundAudit: [(name, REQUIRED) for name in (
         "which", "theta", "r", "rho2", "alpha", "beta", "paper_constant", "derived_constant",
-        "empirical_sup", "verdicts", "points")],
+        "empirical_sup", "verdicts", "points", "outcome")],
     direct_method.Scheme: [("direction", REQUIRED), ("scale", REQUIRED)],
     direct_method.ConvergenceReport: [(name, REQUIRED) for name in (
         "point", "value", "iterations", "residuals", "tail_bound", "converged")],
@@ -47,7 +47,7 @@ SIGNATURES = {
         "config", "space", "f", "params", "scheme", "plan", "envelope_plan", "control", "tol",
         "forced_pairing")],
     harness.RunReport: [(name, REQUIRED) for name in (
-        "config", "points", "summary", "audit", "control_fit", "runtime_seconds")],
+        "config", "points", "summary", "audit", "control_fit", "outcome", "runtime_seconds")],
     space.NormedSpace: [("dim", REQUIRED), ("norm_kind", "l2")],
     space.SamplePlan: [("seed", REQUIRED), ("count", REQUIRED), ("radius", REQUIRED),
                        ("exclude_origin_below", 0.0)],
