@@ -263,9 +263,10 @@ def _orbits(f: TestFunction, xs: np.ndarray, scheme: Scheme, tol: float,
                 errors[i] = NumericError(f"numeric: orbit term {step} is not finite")
             converged[at[~bad]] = True
             steps.append((idx, r, last))
-            keep = ~stopped
-            idx, pts, prev, hit = idx[keep], pts[keep], terms[-1, keep], small[-1, keep]
-            r = r[:, keep]
+            keep = np.flatnonzero(~stopped)  # taken by index: five mask selections cost 4x
+            idx, pts, prev, hit = (idx.take(keep), pts.take(keep, axis=0),
+                                   terms[-1].take(keep, axis=0), small[-1].take(keep))
+            r = r.take(keep, axis=1)
         else:  # no point stopped: the running columns are the block's last row
             steps.append((idx, r, np.full(m, k - 1)))
             prev, hit = terms[-1], small[-1]

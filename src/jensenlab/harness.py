@@ -283,12 +283,19 @@ def _shared(cfg: dict) -> tuple:
     core = _built("function.core", lambda: _core(fn["core"], space.dim))
     plan = _built("plan", lambda: SamplePlan(**cfg["plan"]))
     step = fn["perturbation"].get("quant_step", model.QUANT_STEP)  # a field of tabulated only
-    for path, value in (("tolerances.tol", cfg["tolerances"]["tol"]), ("plan.count", plan.count),
-                        ("envelope.count", env["count"]), ("envelope.shells", env["shells"]),
-                        ("trunc_terms", cfg["trunc_terms"]), ("max_n", cfg["max_n"]),
-                        ("function.perturbation.quant_step", step)):
+    # (field, value, largest value): a count's bound caps its run's time and memory, which
+    # the README's schema block states
+    for path, value, most in (("tolerances.tol", cfg["tolerances"]["tol"], math.inf),
+                              ("plan.count", plan.count, 10 ** 6),
+                              ("envelope.count", env["count"], 10 ** 6),
+                              ("envelope.shells", env["shells"], 10 ** 5),
+                              ("trunc_terms", cfg["trunc_terms"], 10 ** 5),
+                              ("max_n", cfg["max_n"], 10 ** 5),
+                              ("function.perturbation.quant_step", step, math.inf)):
         if not value > 0:
             raise ConfigError(f"config: {path} must be positive, got {value}")
+        if value > most:
+            raise ConfigError(f"config: {path} must be at most {most}, got {value}")
     perturbation = _built("function.perturbation",
                           lambda: _perturbation(fn["perturbation"], space.dim))
     f = model.TestFunction(space, core, perturbation, fn["force_zero_at_origin"])

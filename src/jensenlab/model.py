@@ -43,7 +43,9 @@ def _quantized(xs: np.ndarray, step: float) -> np.ndarray:
     parts = np.empty((2 * xs.shape[1], len(xs)))
     np.divide(xs.real.T, step, out=parts[: xs.shape[1]])
     np.divide(xs.imag.T, step, out=parts[xs.shape[1] :])
-    np.clip(np.round(parts, out=parts), -_QUANT_CAP, _QUANT_CAP, out=parts)
+    np.rint(parts, out=parts)
+    np.minimum(parts, _QUANT_CAP, out=parts)  # np.clip's bits, without its Python wrapper
+    np.maximum(parts, -_QUANT_CAP, out=parts)
     return parts.astype(np.int64).T
 
 
@@ -96,6 +98,12 @@ class AdditiveCore:
         return [[(j, v) for j, v in enumerate(m[i]) if v] or [(0, m[i, 0])]
                 for k in range(d) for i in (k, k + d)]
 
+    @cached_property
+    def _identity(self) -> bool:
+        """Whether every output part keeps only its own input part, unmultiplied."""
+        d = len(self._real_matrix) // 2
+        return self._kept == [[(i, 1.0)] for k in range(d) for i in (k, k + d)]
+
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
         """The core at each row of an N x dim array, in real arithmetic summed
         column by column in a fixed order: not BLAS, and no complex product,
@@ -107,6 +115,8 @@ class AdditiveCore:
         if m.shape != (2 * d, 2 * d):
             raise DimensionError(
                 f"dimension: {self.kind} core matrix {self.matrix.shape} does not act on C^{d}")
+        if self._identity:  # each part its input's, bits and all
+            return xs.copy()
         # the 2d real input columns (real parts, then imaginary), each contiguous
         x2 = np.concatenate([xs.real.T, xs.imag.T], out=np.empty((2 * d, len(xs))))
         return np.stack([fold(np.add, (x2[j] if v == 1.0 else x2[j] * v for j, v in kept))
@@ -188,8 +198,9 @@ class Perturbation:
         else:
             u = _word_vectors(words, d)  # no part and no vector is zero
             n = space.norms(u)
+        parts = u.view(np.float64)  # N x 2dim
         # per part: a zero part keeps its sign, and no 1 / ||x|| is inf for a subnormal ||x||
-        u.view(np.float64)[:] /= n[:, None]
+        np.divide(parts, n[:, None], out=parts)
         if self.kind == "bounded":
             magnitude = self.epsilon * ((words[-1] >> np.uint64(11)) * 2.0 ** -53)  # in [0, eps)
         elif self.r >= 0:  # power, defined everywhere
@@ -198,7 +209,7 @@ class Perturbation:
             undefined = nx == 0.0
             magnitude = np.where(undefined, np.nan,
                                  self.theta * np.where(undefined, 1.0, nx) ** self.r)
-        u.view(np.float64)[:] *= magnitude[:, None]  # per part too
+        np.multiply(parts, magnitude[:, None], out=parts)  # per part too
         return u
 
 

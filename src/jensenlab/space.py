@@ -28,6 +28,10 @@ def fold(op, columns) -> np.ndarray:
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014)
+#: SplitMix64's mix: (shift, multiplier) twice, then a last shift
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -36,14 +40,12 @@ def check_seed(name: str, seed: int) -> None:
         raise ValueError(f"{name} must be {'nonnegative' if seed < 0 else '< 2^64'}, got {seed}")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's mix of each word of ``z``, in place, its shifts into one scratch array."""
-    scratch = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=scratch)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=scratch)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's mix of each word of ``z``, in place, its shifts into ``scratch`` (z's shape)."""
+    for shift, multiplier in _MIX:
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= multiplier
+    z ^= np.right_shift(z, _LAST_SHIFT, out=scratch)
     return z
 
 
@@ -54,11 +56,13 @@ def _hash_words(seed: int, keys: np.ndarray, count: int, first: int = 1) -> np.n
     read. Every sample point, random core and hashed direction of the package reads these."""
     check_seed("seed", seed)
     state = np.full(len(keys), seed, dtype=np.uint64)
+    scratch = np.empty((count - first + 1, len(keys)), dtype=np.uint64)  # the words' shape
     for k in keys.view(np.uint64).T:
         state += _GAMMA
         state ^= k
-        _mix64(state)
-    return _mix64((_GAMMA * np.arange(first, count + 1, dtype=np.uint64))[:, None] + state).T
+        _mix64(state, scratch[0])
+    return _mix64((_GAMMA * np.arange(first, count + 1, dtype=np.uint64))[:, None] + state,
+                  scratch).T
 
 
 def _word_vectors(words: np.ndarray, dim: int) -> np.ndarray:
@@ -124,16 +128,19 @@ class NormedSpace(ValueRecord):
         The max, the l1 sum and the l2 sum of squares are folds over the components
         in index order (``fold``), so the order is the same for every dim."""
         mags = np.abs(self.as_vectors(vs)).T.copy()  # each component's moduli contiguous
+        if len(mags) == 1:  # every norm of one component is its modulus, bit for bit
+            return mags[0]
         if self.norm_kind == "l1":
             return fold(np.add, mags)
-        m = fold(np.maximum, mags)
+        m = fold(np.maximum, mags)  # a new array: mags is then scaled in place
         if self.norm_kind == "linf":
             return m
         # scaled by the row max so that tiny entries do not underflow when squared;
         # by 1 where that max is 0 or +inf, so that a row with an infinite entry is +inf
         usual = 0.0 < m.min(initial=np.inf) and m.max(initial=0.0) < np.inf  # no 0, inf or NaN
-        scale = m if usual else np.where((m == 0.0) | (m == np.inf), 1.0, m)
-        return m * np.sqrt(fold(np.add, (mags / scale) ** 2))
+        mags /= m if usual else np.where((m == 0.0) | (m == np.inf), 1.0, m)
+        squares = fold(np.add, np.multiply(mags, mags, out=mags))
+        return np.multiply(m, np.sqrt(squares, out=squares), out=squares)
 
     def norm(self, v) -> float:
         return float(self.norms([v])[0])

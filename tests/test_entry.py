@@ -15,16 +15,17 @@ from pathlib import Path
 import pytest
 
 import jensenlab
-from jensenlab import cli
+from jensenlab import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "verify_power_measured.json"
 
 
-def run_child(module, args):
-    """(exit code, stdout bytes, stderr text) of ``python -m <module> <args>`` on this checkout."""
+def run_child(module, args, launch="-m"):
+    """(exit code, stdout bytes, stderr text) of ``python -m <module> <args>`` on this checkout,
+    or of ``python -c <module> <args>`` with ``launch="-c"``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module, *args],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", launch, module, *args],
                           stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr.decode()
@@ -59,27 +60,42 @@ def test_child_exits_1_on_a_violation(tmp_path):
     assert run_child("jensenlab", args)[:2] == (code, expected)
 
 
-@pytest.mark.parametrize("config, changes, error", [
-    # envelope.shells past a C long: measure_envelope's shell edges index an empty array
-    (CONFIG, {"envelope": {"count": 1000, "shells": 2 ** 63}}, "IndexError"),
-    # trunc_terms past a C long: a power control's term count does not fit its int array (on
-    # CONFIG's measured control the series would sum 2^63 terms)
-    (ROOT / "configs" / "verify_linf_dim3.json", {"trunc_terms": 2 ** 63}, "OverflowError"),
-], ids=["envelope.shells", "trunc_terms"])
-def test_child_exits_3_on_a_crash(config, changes, error, tmp_path):
+#: a child that runs ``cli.entry`` with ``harness.run_verify`` raising ZeroDivisionError
+CRASHING_CHILD = ("from jensenlab import cli, harness; "
+                  "harness.run_verify = lambda doc: 1 / 0; cli.entry()")
+
+
+def test_child_exits_3_on_a_crash(tmp_path, monkeypatch):
     # an exception that is not an error of the package is no bound violation (exit 1)
-    cfg, out = tmp_path / "crash.json", tmp_path / "report.json"
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run_child(CRASHING_CHILD, ["verify", "--config", str(CONFIG),
+                                                      "--out", str(out)], launch="-c")
+    assert (code, stdout) == (cli.EXIT_RUNTIME, b"")
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.splitlines()[-1].startswith("ZeroDivisionError: ")
+    assert not out.exists()
+    # in process, cli.main still raises
+    monkeypatch.setattr(harness, "run_verify", lambda doc: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["verify", "--config", str(CONFIG), "--out", str(out)])
+
+
+@pytest.mark.parametrize("config, changes, field", [
+    # envelope.shells past a C long made measure_envelope's shell edges index an empty array
+    (CONFIG, {"envelope": {"count": 1000, "shells": 2 ** 63}}, "envelope.shells"),
+    # trunc_terms past a C long: a power control's term count did not fit its int array (on
+    # CONFIG's measured control the series summed 2^63 terms)
+    (ROOT / "configs" / "verify_linf_dim3.json", {"trunc_terms": 2 ** 63}, "trunc_terms"),
+], ids=["envelope.shells", "trunc_terms"])
+def test_child_exits_3_naming_a_count_past_its_bound(config, changes, field, tmp_path):
+    cfg, out = tmp_path / "big.json", tmp_path / "report.json"
     cfg.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
     code, stdout, stderr = run_child("jensenlab", ["verify", "--config", str(cfg),
                                                    "--out", str(out)])
     assert (code, stdout) == (cli.EXIT_RUNTIME, b"")
-    assert stderr.startswith("Traceback (most recent call last):\n")
-    assert stderr.splitlines()[-1].startswith(f"{error}: ")
+    assert stderr.startswith(f"error[config]: config: {field} must be at most ")
+    assert stderr.endswith(f", got {2 ** 63}\n")
     assert not out.exists()
-    # in process, cli.main still raises
-    with pytest.raises(Exception) as raised:
-        cli.main(["verify", "--config", str(cfg), "--out", str(out)])
-    assert type(raised.value).__name__ == error
 
 
 @pytest.mark.parametrize("args, message", [

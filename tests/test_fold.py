@@ -11,6 +11,7 @@ gives bit for bit; both write a sum's parts straight into the complex result.
 each hashed direction part computed alone in Python integers.
 """
 
+import itertools
 import operator
 import warnings
 from functools import reduce
@@ -215,19 +216,38 @@ def test_apply_many_sums_in_full_where_a_skipped_product_shows(core, row, expect
     assert same_bits(result[1], np.array(row if expected is None else expected))
 
 
-#: zeros of either sign, infinities, NaN of either sign and subnormals, which an identity
-#: gives back as they are
-identity_parts = (st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
-                                   -5e-324, -1e-310]) | st.floats())
+#: NaN payloads of either sign, quiet and signalling, by their bits
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF800000000BEEF, 0x7FF0000000000001,
+                         0xFFF4000000000000], dtype=np.uint64).view(np.float64).tolist()
+#: zeros of either sign, infinities, NaN of either sign and payload, and subnormals, which
+#: an identity and a one-component norm give back as they are
+EDGE_PARTS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, *NAN_PAYLOADS, 5e-324, -5e-324,
+              -1e-310]
+identity_parts = st.sampled_from(EDGE_PARTS) | st.floats()
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), dim=st.integers(1, 3))
 def test_identity_core_returns_its_input_bit_for_bit(data, dim):
     xs = data.draw(batches(dim, identity_parts))
+    before = xs.tobytes()
     f = TestFunction(NormedSpace(dim), AdditiveCore.identity(dim), Perturbation.none())
-    assert same_bits(AdditiveCore.identity(dim).apply_many(xs), xs)
-    assert same_bits(evaluate_many(f, xs), xs)
+    for out in AdditiveCore.identity(dim).apply_many(xs), evaluate_many(f, xs):
+        assert same_bits(out, xs) and not np.shares_memory(out, xs)  # a new array
+    # a perturbation's kernel reads the caller's rows and writes none of them
+    f = TestFunction(NormedSpace(dim), AdditiveCore.identity(dim), Perturbation.power(0.1, 0.5))
+    with np.errstate(all="ignore"):  # a NaN or infinite part makes NaN keys and magnitudes
+        evaluate_many(f, xs)
+    assert xs.tobytes() == before
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_a_one_component_norm_is_the_modulus_bit_for_bit(norm):
+    # every (real, imaginary) pair of the edge parts and two normal ones, built from float
+    # parts so that no complex arithmetic touches a NaN's payload
+    parts = list(itertools.product([*EDGE_PARTS, 1.0, -3e300], repeat=2))
+    zs = np.array(parts, dtype=np.float64).view(np.complex128)  # N x 1
+    assert same_bits(NormedSpace(1, norm).norms(zs), np.abs(zs)[:, 0])
 
 
 @settings(max_examples=100, deadline=None)

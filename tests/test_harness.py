@@ -128,6 +128,8 @@ MALFORMED = {
     "direction-sideways": ("verify", changed("scheme.direction", "sideways"), [],
                            "scheme.direction"),
     "negative-points": ("verify", VERIFY_SAMPLE, ["--points", "-5"], "plan: count"),
+    "points-past-bound": ("verify", VERIFY_SAMPLE, ["--points", "1000001"],
+                          "plan.count must be at most 1000000, got 1000001"),
     "plan-not-object-with-seed": ("verify", changed("plan", 5), ["--seed", "3"], "plan must be"),
     "trunc-terms-zero": ("verify", changed("trunc_terms", 0), [], "trunc_terms"),
     "tol-zero": ("verify", changed("tolerances.tol", 0), [], "tolerances.tol"),
@@ -234,6 +236,23 @@ def test_a_seed_outside_64_bits_is_a_config_error(path, seed):
     with pytest.raises(ConfigError, match=f"config: {SEED_FIELDS[path]} must be "):
         harness.run_verify(doc)
     harness.run_verify(changed(path, 2 ** 64 - 1, doc))  # the largest seed is one
+
+
+#: each count of a config and its largest value, as the README's schema block states it
+COUNT_BOUNDS = {"plan.count": 10 ** 6, "envelope.count": 10 ** 6, "envelope.shells": 10 ** 5,
+                "trunc_terms": 10 ** 5, "max_n": 10 ** 5}
+
+
+@pytest.mark.parametrize("past", [1, 2 ** 63], ids=["bound+1", "2^63"])
+@pytest.mark.parametrize("path", sorted(COUNT_BOUNDS))
+def test_a_count_past_its_bound_is_a_config_error_before_any_stage(path, past, monkeypatch):
+    # 2^63 summed terms forever or crashed in a stage, with no field named
+    most = COUNT_BOUNDS[path]
+    value = most + 1 if past == 1 else past
+    monkeypatch.setattr(harness, "draw_samples", lambda *a, **kw: pytest.fail("a stage ran"))
+    with pytest.raises(ConfigError, match=f"^config: {path} must be at most {most}, got {value}$"):
+        harness.run_verify(changed(path, value))
+    harness.build_experiment(changed(path, most))  # the bound itself is a count
 
 
 def test_config_file_not_json_exits_3(tmp_path, capsys):
